@@ -187,7 +187,7 @@ def _emit(text: str, out: str) -> None:
 def _build_model(args, parser):
     def _as_int(value, default, name):
         value = default if value is None else value
-        if value < 0 or value != int(value):
+        if not math.isfinite(value) or value < 0 or value != int(value):
             parser.error(f"{name} must be a non-negative integer")
         return int(value)
 
@@ -244,9 +244,12 @@ def cmd_sweep(args, parser) -> int:
     return EXIT_OK
 
 
-def cmd_onset(args) -> int:
-    closed = onset_time(args.nx, args.ny)
-    root = onset_by_bisection(args.nx, args.ny)
+def cmd_onset(args, parser) -> int:
+    try:
+        closed = onset_time(args.nx, args.ny)
+        root = onset_by_bisection(args.nx, args.ny)
+    except ValueError as exc:
+        parser.error(str(exc))
     line = (f"onset_kt={fmt(closed)} bisection={fmt(root)} "
             f"difference={fmt(abs(closed - root))} "
             f"rounds_to={closed:.2f}\n")
@@ -410,7 +413,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "sweep":
         return cmd_sweep(args, parser)
     if args.command == "onset":
-        return cmd_onset(args)
+        return cmd_onset(args, parser)
     if args.command == "ensemble":
         return cmd_ensemble(args, parser)
     if args.command == "claims":

@@ -1,12 +1,19 @@
 """Degenerate parametric amplification on the truncated Fock space.
 
-The interaction-picture generator a_x^dag a_y^dag + a_x a_y creates and
-destroys quanta pairwise, so it conserves the mode imbalance n_x - n_y.
-Evolution therefore block-diagonalizes over imbalance sectors, each a
-real symmetric tridiagonal matrix whose eigendecomposition is computed
-once per cutoff and reused for every evolution time. This exact
-propagator doubles as the brute-force oracle against which closed-form
-Heisenberg moments are checked.
+Two facts make up the engine. The interaction-picture generator
+a_x^dag a_y^dag + a_x a_y creates and destroys quanta pairwise, so it
+conserves the mode imbalance n_x - n_y; and a ladder operator is an
+index shift times a sqrt(n + 1) weight on the (d_x, d_y) view of a
+state (`fock.apply_ladders`). Evolution therefore block-diagonalizes
+over imbalance sectors, each a real symmetric tridiagonal matrix whose
+eigendecomposition is computed once per cutoff and reused for every
+evolution time. The same per-sector propagator evolves state vectors
+and, applied from both sides, density matrices. The hidden-set moments
+of either come from ladder actions, since H2 + iH3 = 2 a_y a_x. This
+exact propagator doubles as the brute-force oracle against which
+closed-form Heisenberg moments are checked. No dense operator is built
+here except `interaction_hamiltonian`, the reference generator that
+tests exponentiate.
 
 Truncation is certified after the fact: the evolved state must keep its
 population clear of the last EVOLUTION_MARGIN levels of either mode,
@@ -25,18 +32,16 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .fock import (
+    VARIANCE_FLOOR,
     FockCutoff,
     Operator,
     QuantumState,
+    apply_ladders,
     boundary_leakage,
-    expectation,
     pair_annihilation,
-    variance,
 )
-from .polarization import HiddenSet, build_hidden
 
 EVOLUTION_MARGIN = 4           # boundary band whose population certifies truncation
 DEFAULT_LEAKAGE_TOL = 1e-6
@@ -142,48 +147,46 @@ def interaction_hamiltonian(cutoff: FockCutoff) -> Operator:
 @lru_cache(maxsize=8)
 def _spectral_blocks(
     d_x: int, d_y: int,
-) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+) -> tuple[np.ndarray, np.ndarray, tuple[tuple[slice, np.ndarray], ...]]:
     """Eigendecomposition of H_int per imbalance sector.
 
     Each sector delta = n_x - n_y is spanned by |lo_x + m, lo_y + m> and
     H_int restricts to a real symmetric tridiagonal matrix with zero
-    diagonal and off-diagonals sqrt((lo_x+m+1)(lo_y+m+1)).
+    diagonal and off-diagonals sqrt((lo_x+m+1)(lo_y+m+1)). Returns the
+    flat indices and eigenvalues in sector order, and each sector's
+    slice of that order with its eigenvectors.
     """
-    blocks = []
+    order, eigvals, sectors = [], [], []
+    start = 0
     for delta in range(-(d_y - 1), d_x):
         lo_x, lo_y = max(delta, 0), max(-delta, 0)
         length = min(d_x - lo_x, d_y - lo_y)
         m = np.arange(length)
-        flat = (lo_x + m) * d_y + (lo_y + m)
-        if length == 1:
-            eigvals = np.zeros(1)
-            eigvecs = np.ones((1, 1))
-        else:
-            off = np.sqrt((lo_x + m[:-1] + 1.0) * (lo_y + m[:-1] + 1.0))
-            eigvals, eigvecs = eigh_tridiagonal(np.zeros(length), off)
-        for arr in (flat, eigvals, eigvecs):
-            arr.setflags(write=False)
-        blocks.append((flat, eigvals, eigvecs))
-    return tuple(blocks)
+        off = np.sqrt((lo_x + m[:-1] + 1.0) * (lo_y + m[:-1] + 1.0))
+        values, vectors = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+        vectors.setflags(write=False)
+        order.append((lo_x + m) * d_y + (lo_y + m))
+        eigvals.append(values)
+        sectors.append((slice(start, start + length), vectors))
+        start += length
+    order, eigvals = np.concatenate(order), np.concatenate(eigvals)
+    order.setflags(write=False)
+    eigvals.setflags(write=False)
+    return order, eigvals, tuple(sectors)
 
 
-def _apply_propagator_vector(
-    psi: np.ndarray, cutoff: FockCutoff, rate: float,
+def _apply_propagator(
+    x: np.ndarray, cutoff: FockCutoff, rate: float,
 ) -> np.ndarray:
-    out = np.zeros(cutoff.dim, dtype=complex)
-    for flat, eigvals, eigvecs in _spectral_blocks(cutoff.d_x, cutoff.d_y):
-        amps = eigvecs.T @ psi[flat]
-        out[flat] = eigvecs @ (np.exp(-1j * rate * eigvals) * amps)
-    # rounding drift only: the truncated generator is exactly unitary
-    return out / np.linalg.norm(out)
-
-
-def _propagator_matrix(cutoff: FockCutoff, rate: float) -> np.ndarray:
-    u = np.zeros((cutoff.dim, cutoff.dim), dtype=complex)
-    for flat, eigvals, eigvecs in _spectral_blocks(cutoff.d_x, cutoff.d_y):
-        u[np.ix_(flat, flat)] = \
-            (eigvecs * np.exp(-1j * rate * eigvals)) @ eigvecs.T
-    return u
+    """exp(-i * rate * H_int) on the Fock index of a vector or matrix."""
+    order, eigvals, sectors = _spectral_blocks(cutoff.d_x, cutoff.d_y)
+    phase = np.exp(-1j * rate * eigvals).reshape((-1,) + (1,) * (x.ndim - 1))
+    amps = x[order]
+    for span, eigvecs in sectors:
+        amps[span] = eigvecs @ (phase[span] * (eigvecs.T @ amps[span]))
+    out = np.empty_like(amps)
+    out[order] = amps
+    return out
 
 
 def _evolve_unchecked(state: QuantumState, config: DpaConfig) -> QuantumState:
@@ -192,10 +195,13 @@ def _evolve_unchecked(state: QuantumState, config: DpaConfig) -> QuantumState:
     if state.cutoff != cut:
         raise ValueError("state and config cutoffs differ")
     if state.vector is not None:
-        return QuantumState.from_vector(
-            cut, _apply_propagator_vector(state.vector, cut, rate))
-    u = _propagator_matrix(cut, rate)
-    rho = u @ state.density @ u.conj().T
+        psi = _apply_propagator(state.vector, cut, rate)
+        # rounding drift only: the truncated generator is exactly unitary
+        return QuantumState.from_vector(cut, psi / np.linalg.norm(psi))
+    # U rho U^dag: the propagator acts on rows, so apply it to U rho and
+    # again to the adjoint of the result
+    half = _apply_propagator(state.density, cut, rate)
+    rho = _apply_propagator(half.conj().T, cut, rate).conj().T
     rho = 0.5 * (rho + rho.conj().T)
     return QuantumState.from_density(cut, rho)
 
@@ -278,38 +284,41 @@ def thermal_heisenberg_moments(
     )
 
 
-def _pure_hidden_moments(
-    psi: np.ndarray, cutoff: FockCutoff,
+def _hidden_action(x: np.ndarray, cutoff: FockCutoff, j: int) -> np.ndarray:
+    """H_j on the Fock index of x, as in `polarization.build_hidden`."""
+    if j < 2:
+        n_x = np.arange(cutoff.d_x, dtype=float)[:, None]
+        n_y = np.arange(cutoff.d_y, dtype=float)
+        diagonal = n_y + n_x if j == 0 else n_y - n_x
+        return diagonal.reshape((-1,) + (1,) * (x.ndim - 1)) * x
+    lowered = apply_ladders(x, cutoff, 1, 1)
+    raised = apply_ladders(x, cutoff, 1, 1, adjoint=True)
+    return lowered + raised if j == 2 else -1j * (lowered - raised)
+
+
+def _hidden_moments(
+    x: np.ndarray, cutoff: FockCutoff,
 ) -> tuple[list[float], list[float]]:
-    """Means and variances of H0..H3 through two-index array actions."""
-    block = psi.reshape(cutoff.d_x, cutoff.d_y)
-    n_x = np.arange(cutoff.d_x, dtype=float)[:, None]
-    n_y = np.arange(cutoff.d_y, dtype=float)[None, :]
-    ladder_weight = np.sqrt((n_x + 1.0) * (n_y + 1.0))
+    """Means and variances of H0..H3 on a state vector or density matrix.
 
-    lowered = np.zeros_like(block)
-    lowered[:-1, :-1] = ladder_weight[:-1, :-1] * block[1:, 1:]
-    raised = np.zeros_like(block)
-    raised[1:, 1:] = ladder_weight[:-1, :-1] * block[:-1, :-1]
-
-    actions = (
-        (n_x + n_y) * block,
-        (n_y - n_x) * block,
-        lowered + raised,
-        -1j * (lowered - raised),
-    )
+    <psi|H|psi> and ||H psi||^2 for a vector, Tr(H rho) and Tr(H (H rho))
+    for a density. A variance in (VARIANCE_FLOOR, 0) is cancellation and
+    clamps to 0; below that is an error.
+    """
     means, variances = [], []
-    for action in actions:
-        mean = float(np.vdot(block, action).real)
-        second = float(np.vdot(action, action).real)
-        means.append(mean)
-        variances.append(max(second - mean**2, 0.0))
+    for j in range(4):
+        hx = _hidden_action(x, cutoff, j)
+        if x.ndim == 1:
+            mean, second = np.vdot(x, hx).real, np.vdot(hx, hx).real
+        else:
+            mean = np.trace(hx).real
+            second = np.trace(_hidden_action(hx, cutoff, j)).real
+        v = float(second - mean * mean)
+        if v < VARIANCE_FLOOR:
+            raise ArithmeticError(f"variance {v:.3e} below the clamping floor")
+        means.append(float(mean))
+        variances.append(max(v, 0.0))
     return means, variances
-
-
-@lru_cache(maxsize=8)
-def _cached_hidden(d_x: int, d_y: int) -> HiddenSet:
-    return build_hidden(FockCutoff(d_x, d_y))
 
 
 def oracle_moments(state: QuantumState, config: DpaConfig) -> MomentReport:
@@ -321,13 +330,7 @@ def oracle_moments(state: QuantumState, config: DpaConfig) -> MomentReport:
     """
     evolved = _evolve_unchecked(state, config)
     leakage = boundary_leakage(evolved, EVOLUTION_MARGIN)
-    if evolved.vector is not None:
-        means, variances = _pure_hidden_moments(evolved.vector, config.cutoff)
-    else:
-        hidden = _cached_hidden(config.cutoff.d_x, config.cutoff.d_y)
-        means = [float(expectation(op, evolved).real)
-                 for op in hidden.as_tuple()]
-        variances = [variance(op, evolved) for op in hidden.as_tuple()]
+    means, variances = _hidden_moments(evolved.array, config.cutoff)
     return MomentReport(
         kt=config.kt,
         mean_h0=means[0], mean_h1=means[1],

@@ -1,24 +1,29 @@
-"""Truncated two-mode Fock-space linear algebra.
+"""Truncated two-mode Fock space: states, ladder actions, dense operators.
 
-Everything downstream (polarization operator families, parametric-amplifier
-dynamics, squeezing sweeps) runs on the dense operator and state types
-defined here. The joint space is the tensor product of two truncated
-oscillators with dimensions d_x and d_y; the basis state |n_x, n_y> lives
-at flat index n_x * d_y + n_y, row-major over x then y. Operations are
-exact on the truncated space; fidelity to the infinite-dimensional physics
-is certified post hoc with boundary_leakage.
+The joint space is the tensor product of two truncated oscillators with
+dimensions d_x and d_y; the basis state |n_x, n_y> lives at flat index
+n_x * d_y + n_y, row-major over x then y.
+
+State-level computations run on `apply_ladders`: a ladder operator acts
+on the (d_x, d_y) view of a state vector, or of a matrix with
+Fock-indexed rows, as an index shift times a sqrt(n + 1) weight. No
+d^2 x d^2 matrix is formed for it. The dense `Operator` type remains for
+the operator algebra itself: the Stokes and hidden sets, their
+commutator tables, and `expectation`/`variance`, which the uncertainty
+products use. Operations are exact on the truncated space; fidelity to
+the infinite-dimensional physics is certified post hoc with
+boundary_leakage.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
 
 ALGEBRA_TOL = 1e-12        # exact-algebra identities (hermiticity, norms)
 HERMITICITY_TOL = 1e-10    # operators fed to variance must be this Hermitian
-UNITARITY_TOL = 1e-10      # default tolerance for exp(anti-Hermitian) checks
 LEAKAGE_TOL = 1e-6         # default boundary-population acceptance
 VARIANCE_FLOOR = -1e-9     # cancellation allowance before clamping to zero
 
@@ -172,6 +177,11 @@ class QuantumState:
         _check_positive(m)
         return cls(cutoff, density=m)
 
+    @property
+    def array(self) -> np.ndarray:
+        """The state vector if pure, else the density matrix."""
+        return self.vector if self.vector is not None else self.density
+
     def density_matrix(self) -> np.ndarray:
         if self.vector is not None:
             return np.outer(self.vector, self.vector.conj())
@@ -193,7 +203,7 @@ def _check_positive(m: np.ndarray) -> None:
         # diagonal mixture, eigenvalues are the diagonal
         low = float(np.min(np.diag(m).real))
     elif m.shape[0] <= PSD_CHECK_MAX_DIM:
-        low = float(scipy.linalg.eigvalsh(m, subset_by_index=[0, 0])[0])
+        low = float(np.linalg.eigvalsh(m)[0])
     else:
         return
     if low < -1e-10:
@@ -211,6 +221,48 @@ def _ladder(d: int) -> np.ndarray:
     m = np.zeros((d, d), dtype=complex)
     m[np.arange(d - 1), np.arange(1, d)] = np.sqrt(np.arange(1, d))
     return m
+
+
+def apply_ladders(
+    array: np.ndarray, cutoff: FockCutoff, k_x: int = 0, k_y: int = 0,
+    adjoint: bool = False,
+) -> np.ndarray:
+    """a_x^{k_x} a_y^{k_y}, or its adjoint, applied to the Fock index.
+
+    `array` is a state vector (dim,) or a matrix (dim, k) with
+    Fock-indexed rows. On its (d_x, d_y) view each ladder is a shift by
+    one level times a sqrt(n + 1) weight; amplitude raised past the top
+    level is dropped, as in the dense `annihilation`/`creation` matrices.
+    """
+    x = np.asarray(array)
+    if x.ndim not in (1, 2) or x.shape[0] != cutoff.dim:
+        raise ValueError(
+            f"array of shape {x.shape} is not Fock-indexed on {cutoff}")
+    if k_x < 0 or k_y < 0:
+        raise ValueError("ladder powers must be non-negative")
+    d_x, d_y = cutoff.d_x, cutoff.d_y
+    block = x.reshape((d_x, d_y) + x.shape[1:])
+    out = np.zeros(block.shape, dtype=np.result_type(block, float))
+    if k_x < d_x and k_y < d_y:
+        low = (slice(0, d_x - k_x), slice(0, d_y - k_y))
+        high = (slice(k_x, d_x), slice(k_y, d_y))
+        weight = _ladder_weight(d_x, d_y, k_x, k_y).reshape(
+            (d_x - k_x, d_y - k_y) + (1,) * (x.ndim - 1))
+        if adjoint:
+            out[high] = weight * block[low]
+        else:
+            out[low] = weight * block[high]
+    return out.reshape(x.shape)
+
+
+@lru_cache(maxsize=64)
+def _ladder_weight(d_x: int, d_y: int, k_x: int, k_y: int) -> np.ndarray:
+    """sqrt((n_x+1)...(n_x+k_x) (n_y+1)...(n_y+k_y)), for n_m < d_m - k_m."""
+    rise_x = np.arange(1.0, d_x - k_x + 1.0)[:, None] + np.arange(k_x)
+    rise_y = np.arange(1.0, d_y - k_y + 1.0)[:, None] + np.arange(k_y)
+    weight = np.sqrt(np.outer(rise_x.prod(axis=1), rise_y.prod(axis=1)))
+    weight.setflags(write=False)
+    return weight
 
 
 def annihilation(cutoff: FockCutoff, mode: str) -> Operator:
@@ -291,24 +343,6 @@ def variance(op: Operator, state: QuantumState) -> float:
     if v < VARIANCE_FLOOR:
         raise ArithmeticError(f"variance {v:.3e} below the clamping floor")
     return max(v, 0.0)
-
-
-def matrix_exponential(op: Operator, tol: float = UNITARITY_TOL) -> Operator:
-    """exp(op) via scaling-and-squaring (scipy's Pade implementation).
-
-    For anti-Hermitian input the result is checked to be unitary within
-    tol, element-wise on U^dag U - I.
-    """
-    if not np.all(np.isfinite(op.matrix)):
-        raise ValueError("matrix exponential of non-finite entries")
-    e = scipy.linalg.expm(op.matrix)
-    anti = np.max(np.abs(op.matrix + op.matrix.conj().T))
-    if anti <= tol:
-        dev = np.max(np.abs(e.conj().T @ e - np.eye(op.cutoff.dim)))
-        if dev > tol:
-            raise ArithmeticError(
-                f"exp(anti-Hermitian) failed unitarity: deviation {dev:.3e} > {tol:.1e}")
-    return Operator(op.cutoff, e)
 
 
 def boundary_leakage(state: QuantumState, margin: int) -> float:

@@ -27,6 +27,8 @@ from .fock import (
     Operator,
     QuantumState,
     annihilation,
+    apply_ladders,
+    creation,
     expectation,
     identity,
     interior_indices,
@@ -86,20 +88,10 @@ def build_stokes(cutoff: FockCutoff) -> StokesSet:
     """S0 = N_y + N_x, S1 = N_y - N_x, S2 + iS3 = 2 a_y^dag a_x."""
     n_x = number_operator(cutoff, "x")
     n_y = number_operator(cutoff, "y")
-    # a_y^dag a_x = kron(ladder_x, ladder_y^dag): build without a joint matmul
-    cross = Operator(
-        cutoff,
-        np.kron(_ladder_block(cutoff.d_x), _ladder_block(cutoff.d_y).conj().T),
-    )
+    cross = creation(cutoff, "y") @ annihilation(cutoff, "x")
     s2 = cross + cross.dag()
     s3 = -1j * (cross - cross.dag())
     return StokesSet(n_y + n_x, n_y - n_x, s2, s3)
-
-
-def _ladder_block(d: int) -> np.ndarray:
-    m = np.zeros((d, d), dtype=complex)
-    m[np.arange(d - 1), np.arange(1, d)] = np.sqrt(np.arange(1, d))
-    return m
 
 
 def build_hidden(cutoff: FockCutoff, omega_t: float | None = None) -> HiddenSet:
@@ -275,63 +267,22 @@ class HopsFit:
 
 
 def fit_hops_criterion(state: QuantumState) -> HopsFit:
-    """Fit p_h minimizing ||a_y rho - p_h a_x^dag rho||_F / ||rho||_F.
+    """Fit p_h minimizing ||a_y X - p_h a_x^dag X|| / ||X||.
 
-    Pure states reduce to vector least squares on a_y|psi> vs
-    a_x^dag|psi>. Raises FitUndefinedError when a_x^dag rho vanishes
+    X is the state vector of a pure state, else the density matrix
+    (Frobenius norm). Raises FitUndefinedError when a_x^dag X vanishes
     (x-mode saturated at the truncation edge), where no finite p_h is
     meaningful.
     """
-    cut = state.cutoff
-    a_y = annihilation(cut, "y").matrix
-    adg_x = annihilation(cut, "x").matrix.conj().T
-    if state.vector is not None:
-        target = a_y @ state.vector
-        basis = adg_x @ state.vector
-        denom = np.vdot(basis, basis).real
-        if denom < FIT_DENOMINATOR_FLOOR:
-            raise FitUndefinedError("a_x^dag annihilates the state; fit undefined")
-        p = np.vdot(basis, target) / denom
-        residual = float(np.linalg.norm(target - p * basis))
-        return HopsFit(complex(p), residual)
-    rho = state.density
-    assert rho is not None
-    target_m = a_y @ rho
-    basis_m = adg_x @ rho
-    denom = float(np.sum(np.abs(basis_m) ** 2))
+    x = state.array
+    target = apply_ladders(x, state.cutoff, k_y=1)
+    basis = apply_ladders(x, state.cutoff, k_x=1, adjoint=True)
+    denom = np.vdot(basis, basis).real
     if denom < FIT_DENOMINATOR_FLOOR:
         raise FitUndefinedError("a_x^dag annihilates the state; fit undefined")
-    p = complex(np.sum(basis_m.conj() * target_m) / denom)
-    residual = float(
-        np.linalg.norm(target_m - p * basis_m) / np.linalg.norm(rho))
+    p = complex(np.vdot(basis, target) / denom)
+    residual = float(np.linalg.norm(target - p * basis) / np.linalg.norm(x))
     return HopsFit(p, residual)
-
-
-def _apply_ladders(
-    psi: np.ndarray, cutoff: FockCutoff, k_x: int, k_y: int,
-) -> np.ndarray:
-    """a_x^{k_x} a_y^{k_y} |psi> through the two-index reshape."""
-    block = psi.reshape(cutoff.d_x, cutoff.d_y)
-    lx = _ladder_block(cutoff.d_x)
-    ly = _ladder_block(cutoff.d_y)
-    for _ in range(k_x):
-        block = lx @ block
-    for _ in range(k_y):
-        block = block @ ly.T
-    return block.reshape(-1)
-
-
-def _apply_raisers(
-    psi: np.ndarray, cutoff: FockCutoff, k_x: int, k_y: int,
-) -> np.ndarray:
-    block = psi.reshape(cutoff.d_x, cutoff.d_y)
-    lx = _ladder_block(cutoff.d_x).conj().T
-    ly = _ladder_block(cutoff.d_y).conj().T
-    for _ in range(k_x):
-        block = lx @ block
-    for _ in range(k_y):
-        block = block @ ly.T
-    return block.reshape(-1)
 
 
 def _order_guard(cutoff: FockCutoff, *orders: int) -> None:
@@ -355,18 +306,14 @@ def coherence_function(
     cut = state.cutoff
     _order_guard(cut, m_x + m_y, n_x + n_y)
     if state.vector is not None:
-        bra_side = _apply_ladders(state.vector, cut, m_x, m_y)
-        ket_side = _apply_ladders(state.vector, cut, n_x, n_y)
+        bra_side = apply_ladders(state.vector, cut, m_x, m_y)
+        ket_side = apply_ladders(state.vector, cut, n_x, n_y)
         return complex(np.vdot(bra_side, ket_side))
-    rho = state.density
-    assert rho is not None
-    lx, ly = _ladder_block(cut.d_x), _ladder_block(cut.d_y)
-    a_mat = np.kron(np.linalg.matrix_power(lx, m_x),
-                    np.linalg.matrix_power(ly, m_y))
-    b_mat = np.kron(np.linalg.matrix_power(lx, n_x),
-                    np.linalg.matrix_power(ly, n_y))
-    # Tr[rho A^dag B] = sum(conj(A) * (B rho))
-    return complex(np.sum(a_mat.conj() * (b_mat @ rho)))
+    # with A = a_x^{m_x} a_y^{m_y}, B = a_x^{n_x} a_y^{n_y}:
+    # Tr[rho A^dag B] = conj(Tr[A (B rho)^dag])
+    b_rho = apply_ladders(state.density, cut, n_x, n_y)
+    a_b_rho_dag = apply_ladders(b_rho.conj().T, cut, m_x, m_y)
+    return complex(np.trace(a_b_rho_dag)).conjugate()
 
 
 @dataclass(frozen=True)
@@ -411,10 +358,10 @@ def factorization_residuals(
             for n_x in range(max_order + 1):
                 for n_y in range(max_order + 1 - n_x):
                     gamma = coherence_function(state, m_x, m_y, n_x, n_y)
-                    vec = _apply_raisers(state.vector, cut, n_y, 0)
-                    vec = _apply_ladders(vec, cut, n_x, 0)
-                    vec = _apply_raisers(vec, cut, m_x, 0)
-                    vec = _apply_ladders(vec, cut, m_y, 0)
+                    vec = apply_ladders(state.vector, cut, n_y, adjoint=True)
+                    vec = apply_ladders(vec, cut, n_x)
+                    vec = apply_ladders(vec, cut, m_x, adjoint=True)
+                    vec = apply_ladders(vec, cut, m_y)
                     xmoment = complex(np.vdot(state.vector, vec))
                     reduced = (np.conj(p) ** m_y) * (p ** n_y) * xmoment
                     printed = (np.conj(p) ** m_y) * (p ** n_y) * \

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.optimize import bisect
 
 from .dpa import (
     DpaConfig,
@@ -50,14 +49,20 @@ def thermal_weight(n_bar: float, n: int) -> float:
 
     Computed in log space so large n stays finite.
     """
-    if n_bar < 0:
-        raise ValueError("mean occupation must be non-negative")
+    _require_occupations(n_bar)
     if n < 0 or n != int(n):
         raise ValueError("photon number must be a non-negative integer")
     if n_bar == 0.0:
         return 1.0 if n == 0 else 0.0
     log_w = n * math.log(n_bar) - (1 + n) * math.log1p(n_bar)
     return math.exp(log_w)
+
+
+def _require_occupations(*values: float) -> None:
+    for value in values:
+        if not (math.isfinite(value) and value >= 0):
+            raise ValueError(
+                f"occupations must be finite and non-negative, got {value!r}")
 
 
 def thermal_state(
@@ -73,15 +78,13 @@ def thermal_state(
 
 def squeezing_function(kt: float, n_x: float, n_y: float) -> float:
     """Sq = 1 + 2 N_x N_y / (1 + N_x + N_y) - sinh 4kt; negative = squeezed."""
-    if n_x < 0 or n_y < 0:
-        raise ValueError("occupations must be non-negative")
+    _require_occupations(n_x, n_y)
     return 1.0 + 2.0 * n_x * n_y / (1.0 + n_x + n_y) - math.sinh(4.0 * kt)
 
 
 def onset_time(n_x: float, n_y: float) -> float:
     """Closed-form zero of the squeezing function in kt."""
-    if n_x < 0 or n_y < 0:
-        raise ValueError("occupations must be non-negative")
+    _require_occupations(n_x, n_y)
     return 0.25 * math.asinh(1.0 + 2.0 * n_x * n_y / (1.0 + n_x + n_y))
 
 
@@ -98,10 +101,22 @@ def onset_by_bisection(
     lo, hi = bracket
     f_lo = squeezing_function(lo, n_x, n_y)
     f_hi = squeezing_function(hi, n_x, n_y)
-    if f_lo <= 0.0 or f_hi >= 0.0:
+    if not f_lo > 0.0 > f_hi:
         raise ValueError("bracket does not straddle the squeezing onset")
-    return float(bisect(lambda kt: squeezing_function(kt, n_x, n_y),
-                        lo, hi, xtol=xtol))
+    return _bisect(n_x, n_y, lo, hi, xtol)
+
+
+def _bisect(
+    n_x: float, n_y: float, lo: float, hi: float, xtol: float,
+) -> float:
+    """Halve [lo, hi], where Sq(lo) > 0 >= Sq(hi), until it is below xtol."""
+    while hi - lo > xtol:
+        mid = 0.5 * (lo + hi)
+        if squeezing_function(mid, n_x, n_y) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def claimed_mean_h0(n_x: float, n_y: float, kt: float) -> float:
@@ -247,8 +262,7 @@ class FockModel:
     label = "fock"
 
     def __post_init__(self) -> None:
-        if self.n_x < 0 or self.n_y < 0:
-            raise ValueError("occupations must be non-negative")
+        _require_occupations(self.n_x, self.n_y)
 
     def effective_occupations(self) -> tuple[float, float]:
         return float(self.n_x), float(self.n_y)
@@ -273,8 +287,7 @@ class ThermalMixtureModel:
     label = "thermal"
 
     def __post_init__(self) -> None:
-        if self.nbar_x < 0 or self.nbar_y < 0:
-            raise ValueError("mean occupations must be non-negative")
+        _require_occupations(self.nbar_x, self.nbar_y)
 
     def effective_occupations(self) -> tuple[float, float]:
         return self.nbar_x, self.nbar_y
@@ -312,6 +325,9 @@ class WeightedProjectorModel:
     n_y: int
 
     label = "weighted"
+
+    def __post_init__(self) -> None:
+        _require_occupations(self.nbar_x, self.n_x, self.nbar_y, self.n_y)
 
     def effective_occupations(self) -> tuple[float, float]:
         return (thermal_weight(self.nbar_x, self.n_x),
@@ -351,9 +367,8 @@ def _locate_onset(n_x: float, n_y: float, kt_grid, sq_values) -> float | None:
         if a == 0.0:
             return float(kt_grid[i])
         if a > 0.0 > b:
-            return float(bisect(
-                lambda kt: squeezing_function(kt, n_x, n_y),
-                kt_grid[i], kt_grid[i + 1], xtol=SWEEP_ONSET_XTOL))
+            return _bisect(n_x, n_y, float(kt_grid[i]), float(kt_grid[i + 1]),
+                           SWEEP_ONSET_XTOL)
     if sq_values and sq_values[-1] == 0.0:
         return float(kt_grid[-1])
     return None
@@ -374,8 +389,13 @@ def sweep(
     exceeds the budget are flagged invalid and the sweep continues).
     The onset is located by grid sign change plus bisection refinement.
     """
-    if kt_max <= 0:
-        raise ValueError("kt_max must be positive")
+    if not (math.isfinite(kt_max) and kt_max > 0):
+        raise ValueError("kt_max must be positive and finite")
+    try:
+        # the largest term the closed-form rows evaluate
+        math.sinh(4.0 * kt_max) ** 2
+    except OverflowError:
+        raise ValueError(f"kt_max {kt_max!r} overflows sinh(4 kt)^2") from None
     if steps < 2:
         raise ValueError("steps must be at least 2")
     kt_grid = np.linspace(0.0, kt_max, steps)

@@ -1,9 +1,14 @@
 """End-to-end tests of the command-line interface."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hopslab
 from hopslab.cli import main
 
 
@@ -187,6 +192,33 @@ def test_usage_errors_exit_two(capsys):
         main([])
     assert excinfo.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--model", "thermal", "--nbar-x", "nan", "--steps", "3"],
+    ["onset", "--nx", "nan"],
+    ["onset", "--nx", "inf"],
+    ["sweep", "--kt-max", "1000", "--steps", "3"],
+])
+def test_non_finite_and_overflowing_input_exits_two(argv, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "error:" in err
+    assert "Traceback" not in err
+
+
+def test_cli_import_loads_no_scipy():
+    source = str(Path(hopslab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [source, os.environ.get("PYTHONPATH")])))
+    probe = ("import hopslab.cli, sys; "
+             "print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] == 'scipy'))")
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"
 
 
 def test_missing_config_file(capsys):

@@ -24,11 +24,12 @@ from hopslab.fock import (
     boundary_leakage,
     expectation,
     fock_state,
-    matrix_exponential,
     number_operator,
     random_low_excitation_state,
+    variance,
 )
-from hopslab.polarization import fit_hops_criterion
+from hopslab.polarization import build_hidden, fit_hops_criterion
+from dense_reference import matrix_exponential
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 SMALL_KT = st.floats(min_value=0.0, max_value=0.3)
@@ -93,6 +94,35 @@ def test_block_propagator_matches_dense_exponential():
     u = matrix_exponential((-2j * kt) * interaction_hamiltonian(cut))
     slow = u.matrix @ state.vector
     np.testing.assert_allclose(fast.vector, slow, atol=1e-12)
+
+
+def _rectangular_mixture():
+    # d_x != d_y, so a mix-up of the two mode axes cannot cancel out
+    cut = FockCutoff(7, 10)
+    rng = np.random.default_rng(4)
+    rho = sum(w * random_low_excitation_state(cut, 3, rng).density_matrix()
+              for w in (0.5, 0.3, 0.2))
+    config = DpaConfig(kt=0.13, cutoff=cut, leakage_tol=0.999)
+    return QuantumState.from_density(cut, rho), config
+
+
+def test_density_evolution_matches_dense_exponential():
+    state, config = _rectangular_mixture()
+    evolved = evolve(state, config)
+    u = matrix_exponential(
+        (-2j * config.kt) * interaction_hamiltonian(config.cutoff)).matrix
+    np.testing.assert_allclose(
+        evolved.density, u @ state.density @ u.conj().T, rtol=0, atol=1e-13)
+
+
+def test_density_oracle_matches_dense_hidden_set():
+    state, config = _rectangular_mixture()
+    report = oracle_moments(state, config)
+    evolved = evolve(state, config)
+    hidden = build_hidden(config.cutoff).as_tuple()
+    for op, mean, var in zip(hidden, report.means, report.variances):
+        assert mean == pytest.approx(expectation(op, evolved).real, abs=1e-12)
+        assert var == pytest.approx(variance(op, evolved), abs=1e-12)
 
 
 def test_moderate_time_keeps_leakage_small():

@@ -8,6 +8,7 @@ from hopslab.fock import (
     Operator,
     QuantumState,
     annihilation,
+    apply_ladders,
     boundary_leakage,
     commutator,
     creation,
@@ -15,12 +16,12 @@ from hopslab.fock import (
     fock_state,
     identity,
     interior_indices,
-    matrix_exponential,
     number_operator,
     pair_annihilation,
     random_low_excitation_state,
     variance,
 )
+from dense_reference import matrix_exponential
 
 PROPERTY_EXAMPLES = 40
 
@@ -138,6 +139,32 @@ def test_variance_mixed_state_path():
         + 0.5 * fock_state(cut, 2, 0).density_matrix()
     state = QuantumState.from_density(cut, rho)
     assert variance(number_operator(cut, "x"), state) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_apply_ladders_matches_dense_powers_on_rectangular_cutoff():
+    # d_x != d_y, so a mix-up of the two mode axes cannot cancel out
+    cut = FockCutoff(7, 10)
+    rng = np.random.default_rng(21)
+    vec = rng.standard_normal(cut.dim) + 1j * rng.standard_normal(cut.dim)
+    mat = (rng.standard_normal((cut.dim, 3))
+           + 1j * rng.standard_normal((cut.dim, 3)))
+    power = np.linalg.matrix_power
+    a_x, a_y = annihilation(cut, "x").matrix, annihilation(cut, "y").matrix
+    c_x, c_y = creation(cut, "x").matrix, creation(cut, "y").matrix
+    for k_x in range(3):
+        for k_y in range(3):
+            lower = power(a_x, k_x) @ power(a_y, k_y)
+            raise_ = power(c_x, k_x) @ power(c_y, k_y)
+            for x in (vec, mat):
+                got = apply_ladders(x, cut, k_x, k_y)
+                assert got.shape == x.shape
+                np.testing.assert_allclose(got, lower @ x, rtol=0, atol=1e-13)
+                got = apply_ladders(x, cut, k_x, k_y, adjoint=True)
+                np.testing.assert_allclose(got, raise_ @ x, rtol=0, atol=1e-13)
+    with pytest.raises(ValueError):
+        apply_ladders(vec[:-1], cut, 1)
+    with pytest.raises(ValueError):
+        apply_ladders(vec, cut, -1)
 
 
 def test_matrix_exponential_of_zero_is_identity():

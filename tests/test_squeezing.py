@@ -204,6 +204,20 @@ def test_sweep_validation():
         FockModel(-1, 0)
     with pytest.raises(ValueError):
         ThermalMixtureModel(-0.1, 0.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            FockModel(bad, 0)
+        with pytest.raises(ValueError):
+            ThermalMixtureModel(0.5, bad)
+        with pytest.raises(ValueError):
+            WeightedProjectorModel(bad, 10, 10.0, 10)
+        with pytest.raises(ValueError):
+            squeezing_function(0.1, bad, 0.0)
+        with pytest.raises(ValueError):
+            onset_time(0.0, bad)
+    for kt_max in (math.nan, math.inf, 1000.0, 100.0):
+        with pytest.raises(ValueError):
+            sweep(FockModel(0, 0), kt_max=kt_max, steps=3)
 
 
 def test_vacuum_sweep_onset():
