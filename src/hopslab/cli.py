@@ -264,6 +264,8 @@ def cmd_ensemble(args, parser) -> int:
         spec = HopsEnsembleSpec(chi_h=args.chi_h, delta_h=args.delta_h,
                                 amplitude=amplitude)
         ensemble = sample_hops(spec, args.count, seed=args.seed)
+        tables = {"stokes": classical_stokes(ensemble),
+                  "hidden": classical_hidden(ensemble)}
     except ValueError as exc:
         parser.error(str(exc))
     config = {"command": "ensemble", "chi_h": args.chi_h,
@@ -271,8 +273,6 @@ def cmd_ensemble(args, parser) -> int:
               "count": args.count, "seed": args.seed}
     config["a0" if args.amplitude == "fixed" else "scale"] = (
         args.a0 if args.amplitude == "fixed" else args.scale)
-    tables = {"stokes": classical_stokes(ensemble),
-              "hidden": classical_hidden(ensemble)}
     _emit(ensemble_csv(tables, config), args.out)
     return EXIT_OK
 
@@ -283,22 +283,23 @@ def cmd_claims(args, parser) -> int:
         if args.cutoff < 5:
             parser.error("--cutoff must be at least 5")
         cutoff = FockCutoff(args.cutoff, args.cutoff)
-    table = claimed_moment_table(args.nx, args.ny, args.kt, cutoff=cutoff)
+    try:
+        table = claimed_moment_table(args.nx, args.ny, args.kt, cutoff=cutoff)
+    except ValueError as exc:
+        parser.error(str(exc))
+    except OverflowError:
+        parser.error(f"--kt {args.kt!r} overflows the moment formulas")
     config = {"command": "claims", "nx": args.nx, "ny": args.ny,
               "kt": args.kt}
     if args.cutoff is not None:
         config["cutoff"] = args.cutoff
     text = claims_csv(table, config)
     status = EXIT_OK
-    if cutoff is not None and float(args.nx).is_integer() \
-            and float(args.ny).is_integer():
-        report = oracle_moments(
-            fock_state(cutoff, int(args.nx), int(args.ny)),
-            DpaConfig(kt=args.kt, cutoff=cutoff))
-        if not report.valid:
-            text += (f"# warning: leakage {fmt(report.leakage)} exceeded "
-                     "the truncation budget; verdicts unreliable\n")
-            status = EXIT_TRUNCATION
+    report = table.reference
+    if report is not None and not report.valid:
+        text += (f"# warning: leakage {fmt(report.leakage)} exceeded "
+                 "the truncation budget; verdicts unreliable\n")
+        status = EXIT_TRUNCATION
     _emit(text, args.out)
     return status
 
@@ -326,19 +327,16 @@ def _verify_suites(cutoff_dim: int, seed: int):
            f"max interior residual {fmt(worst)} at {cut}", notes)
 
     probe = FockCutoff(9, 9)
-    hidden_probe = build_hidden(probe)
     rng = np.random.default_rng(seed)
     violations = 0
     for _ in range(100):
         state = random_low_excitation_state(probe, 4, rng)
-        violations += sum(not p.satisfied()
-                          for p in uncertainty_products(hidden_probe, state))
+        violations += sum(not p.satisfied() for p in uncertainty_products(state))
     big = FockCutoff(40, 40)
-    hidden_big = build_hidden(big)
     for kt in (0.1, 0.22, 0.3):
         evolved = evolve(fock_state(big, 0, 0), DpaConfig(kt=kt, cutoff=big))
         violations += sum(not p.satisfied()
-                          for p in uncertainty_products(hidden_big, evolved))
+                          for p in uncertainty_products(evolved))
     yield ("uncertainty-products", violations == 0,
            f"{violations} violations over 100 random states "
            "and 3 evolved vacua", [])
@@ -384,7 +382,12 @@ def _verify_suites(cutoff_dim: int, seed: int):
             f"{fmt(worst_printed)} (reported, not gated)"])
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args, parser) -> int:
+    # the commutator tables probe two levels below the cutoff
+    if args.cutoff < 3:
+        parser.error("--cutoff must be at least 3")
+    if args.seed < 0:
+        parser.error("--seed must be non-negative")
     lines = [line.lstrip("# ") for line in comment_block(
         {"command": "verify", "cutoff": args.cutoff, "seed": args.seed})]
     all_pass = True
@@ -418,7 +421,7 @@ def main(argv: list[str] | None = None) -> int:
         return cmd_ensemble(args, parser)
     if args.command == "claims":
         return cmd_claims(args, parser)
-    return cmd_verify(args)
+    return cmd_verify(args, parser)
 
 
 if __name__ == "__main__":

@@ -8,12 +8,12 @@ state (`fock.apply_ladders`). Evolution therefore block-diagonalizes
 over imbalance sectors, each a real symmetric tridiagonal matrix whose
 eigendecomposition is computed once per cutoff and reused for every
 evolution time. The same per-sector propagator evolves state vectors
-and, applied from both sides, density matrices. The hidden-set moments
-of either come from ladder actions, since H2 + iH3 = 2 a_y a_x. This
-exact propagator doubles as the brute-force oracle against which
-closed-form Heisenberg moments are checked. No dense operator is built
-here except `interaction_hamiltonian`, the reference generator that
-tests exponentiate.
+and, applied from both sides, density matrices. This exact propagator
+doubles as the brute-force oracle against which the closed-form
+Heisenberg moments are checked; `oracle_moments` measures the evolved
+state with `polarization.hidden_moments`, which applies H0..H3 as
+ladder actions (H2 + iH3 = 2 a_y a_x). No operator matrix is built
+here.
 
 Truncation is certified after the fact: the evolved state must keep its
 population clear of the last EVOLUTION_MARGIN levels of either mode,
@@ -33,19 +33,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fock import (
-    VARIANCE_FLOOR,
-    FockCutoff,
-    Operator,
-    QuantumState,
-    apply_ladders,
-    boundary_leakage,
-    pair_annihilation,
-)
+from .fock import FockCutoff, QuantumState, boundary_leakage
+from .polarization import hidden_moments
 
 EVOLUTION_MARGIN = 4           # boundary band whose population certifies truncation
 DEFAULT_LEAKAGE_TOL = 1e-6
-BOGOLIUBOV_TOL = 1e-12
 
 
 class TruncationError(ArithmeticError):
@@ -78,28 +70,6 @@ class DpaConfig:
             raise ValueError(
                 f"cutoff must exceed {EVOLUTION_MARGIN} levels per mode "
                 "to certify leakage")
-
-
-@dataclass(frozen=True)
-class HeisenbergSolution:
-    """Bogoliubov coefficients of the closed-form mode transformation.
-
-    a_x(t) = C a_x - i S a_y^dag with C = cosh 2kt, S = sinh 2kt.
-    Intended for moderate kt where the hyperbolic identity is
-    representable; the constructor enforces it to BOGOLIUBOV_TOL.
-    """
-
-    C: float
-    S: float
-
-    def __post_init__(self) -> None:
-        defect = abs(self.C**2 - self.S**2 - 1.0)
-        if defect > BOGOLIUBOV_TOL:
-            raise ValueError(f"C^2 - S^2 = 1 violated by {defect:.3e}")
-
-    @classmethod
-    def from_kt(cls, kt: float) -> "HeisenbergSolution":
-        return cls(math.cosh(2.0 * kt), math.sinh(2.0 * kt))
 
 
 @dataclass(frozen=True)
@@ -136,12 +106,6 @@ class MomentReport:
     @property
     def variances(self) -> tuple[float, float, float, float]:
         return (self.var_h0, self.var_h1, self.var_h2, self.var_h3)
-
-
-def interaction_hamiltonian(cutoff: FockCutoff) -> Operator:
-    """H_int = a_x^dag a_y^dag + a_x a_y (coupling absorbed into kt)."""
-    pair = pair_annihilation(cutoff)
-    return pair + pair.dag()
 
 
 @lru_cache(maxsize=8)
@@ -236,21 +200,7 @@ def heisenberg_moments(n_x: int, n_y: int, kt: float) -> MomentReport:
     """
     if n_x < 0 or n_y < 0 or n_x != int(n_x) or n_y != int(n_y):
         raise ValueError("occupations must be non-negative integers")
-    c4 = math.cosh(4.0 * kt)
-    s4 = math.sinh(4.0 * kt)
-    pair_var = 1.0 + n_x + n_y + 2.0 * n_x * n_y
-    return MomentReport(
-        kt=kt,
-        mean_h0=(n_x + n_y) * c4 + 2.0 * math.sinh(2.0 * kt) ** 2,
-        mean_h1=float(n_y - n_x),
-        mean_h2=0.0,
-        mean_h3=-(1.0 + n_x + n_y) * s4,
-        var_h0=s4**2 * pair_var,
-        var_h1=0.0,
-        var_h2=pair_var,
-        var_h3=c4**2 * pair_var,
-        leakage=0.0,
-    )
+    return _closed_moments(n_x, n_y, 0.0, kt)
 
 
 def thermal_heisenberg_moments(
@@ -265,60 +215,32 @@ def thermal_heisenberg_moments(
     """
     if nbar_x < 0 or nbar_y < 0:
         raise ValueError("thermal occupations must be non-negative")
+    spread = nbar_x * (1.0 + nbar_x) + nbar_y * (1.0 + nbar_y)
+    return _closed_moments(nbar_x, nbar_y, spread, kt)
+
+
+def _closed_moments(
+    n_x: float, n_y: float, spread: float, kt: float,
+) -> MomentReport:
+    """The Fock-state forms plus an occupation spread v_x + v_y.
+
+    A Fock state has spread 0, which adds exactly 0.0 to its variances.
+    """
     c4 = math.cosh(4.0 * kt)
     s4 = math.sinh(4.0 * kt)
-    v_x = nbar_x * (1.0 + nbar_x)
-    v_y = nbar_y * (1.0 + nbar_y)
-    pair_var = 1.0 + nbar_x + nbar_y + 2.0 * nbar_x * nbar_y
+    pair_var = 1.0 + n_x + n_y + 2.0 * n_x * n_y
     return MomentReport(
         kt=kt,
-        mean_h0=(nbar_x + nbar_y) * c4 + 2.0 * math.sinh(2.0 * kt) ** 2,
-        mean_h1=float(nbar_y - nbar_x),
+        mean_h0=(n_x + n_y) * c4 + 2.0 * math.sinh(2.0 * kt) ** 2,
+        mean_h1=float(n_y - n_x),
         mean_h2=0.0,
-        mean_h3=-(1.0 + nbar_x + nbar_y) * s4,
-        var_h0=s4**2 * pair_var + c4**2 * (v_x + v_y),
-        var_h1=v_x + v_y,
+        mean_h3=-(1.0 + n_x + n_y) * s4,
+        var_h0=s4**2 * pair_var + c4**2 * spread,
+        var_h1=spread,
         var_h2=pair_var,
-        var_h3=c4**2 * pair_var + s4**2 * (v_x + v_y),
+        var_h3=c4**2 * pair_var + s4**2 * spread,
         leakage=0.0,
     )
-
-
-def _hidden_action(x: np.ndarray, cutoff: FockCutoff, j: int) -> np.ndarray:
-    """H_j on the Fock index of x, as in `polarization.build_hidden`."""
-    if j < 2:
-        n_x = np.arange(cutoff.d_x, dtype=float)[:, None]
-        n_y = np.arange(cutoff.d_y, dtype=float)
-        diagonal = n_y + n_x if j == 0 else n_y - n_x
-        return diagonal.reshape((-1,) + (1,) * (x.ndim - 1)) * x
-    lowered = apply_ladders(x, cutoff, 1, 1)
-    raised = apply_ladders(x, cutoff, 1, 1, adjoint=True)
-    return lowered + raised if j == 2 else -1j * (lowered - raised)
-
-
-def _hidden_moments(
-    x: np.ndarray, cutoff: FockCutoff,
-) -> tuple[list[float], list[float]]:
-    """Means and variances of H0..H3 on a state vector or density matrix.
-
-    <psi|H|psi> and ||H psi||^2 for a vector, Tr(H rho) and Tr(H (H rho))
-    for a density. A variance in (VARIANCE_FLOOR, 0) is cancellation and
-    clamps to 0; below that is an error.
-    """
-    means, variances = [], []
-    for j in range(4):
-        hx = _hidden_action(x, cutoff, j)
-        if x.ndim == 1:
-            mean, second = np.vdot(x, hx).real, np.vdot(hx, hx).real
-        else:
-            mean = np.trace(hx).real
-            second = np.trace(_hidden_action(hx, cutoff, j)).real
-        v = float(second - mean * mean)
-        if v < VARIANCE_FLOOR:
-            raise ArithmeticError(f"variance {v:.3e} below the clamping floor")
-        means.append(float(mean))
-        variances.append(max(v, 0.0))
-    return means, variances
 
 
 def oracle_moments(state: QuantumState, config: DpaConfig) -> MomentReport:
@@ -330,7 +252,7 @@ def oracle_moments(state: QuantumState, config: DpaConfig) -> MomentReport:
     """
     evolved = _evolve_unchecked(state, config)
     leakage = boundary_leakage(evolved, EVOLUTION_MARGIN)
-    means, variances = _hidden_moments(evolved.array, config.cutoff)
+    means, variances = hidden_moments(evolved)
     return MomentReport(
         kt=config.kt,
         mean_h0=means[0], mean_h1=means[1],

@@ -7,12 +7,12 @@ n_x * d_y + n_y, row-major over x then y.
 State-level computations run on `apply_ladders`: a ladder operator acts
 on the (d_x, d_y) view of a state vector, or of a matrix with
 Fock-indexed rows, as an index shift times a sqrt(n + 1) weight. No
-d^2 x d^2 matrix is formed for it. The dense `Operator` type remains for
-the operator algebra itself: the Stokes and hidden sets, their
-commutator tables, and `expectation`/`variance`, which the uncertainty
-products use. Operations are exact on the truncated space; fidelity to
-the infinite-dimensional physics is certified post hoc with
-boundary_leakage.
+d^2 x d^2 matrix is formed for it; means and variances of the hidden
+set are taken this way too (`polarization.hidden_moments`). The dense
+`Operator` type remains for the operator algebra itself: the Stokes
+and hidden sets and their commutator tables. Operations are exact on
+the truncated space; fidelity to the infinite-dimensional physics is
+certified post hoc with boundary_leakage.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from functools import lru_cache
 import numpy as np
 
 ALGEBRA_TOL = 1e-12        # exact-algebra identities (hermiticity, norms)
-HERMITICITY_TOL = 1e-10    # operators fed to variance must be this Hermitian
 LEAKAGE_TOL = 1e-6         # default boundary-population acceptance
 VARIANCE_FLOOR = -1e-9     # cancellation allowance before clamping to zero
 
@@ -304,45 +303,6 @@ def pair_annihilation(cutoff: FockCutoff) -> Operator:
     a joint-dimension matrix product.
     """
     return Operator(cutoff, np.kron(_ladder(cutoff.d_x), _ladder(cutoff.d_y)))
-
-
-def expectation(op: Operator, state: QuantumState) -> complex:
-    """<psi|O|psi> for pure states, Tr(rho O) for mixed ones."""
-    if op.cutoff != state.cutoff:
-        raise DimensionMismatchError(
-            f"cutoff mismatch: {op.cutoff} vs {state.cutoff}")
-    if state.vector is not None:
-        return complex(np.vdot(state.vector, op.matrix @ state.vector))
-    assert state.density is not None
-    # Tr(rho O) as an elementwise sum, avoids the full matrix product
-    return complex(np.sum(state.density * op.matrix.T))
-
-
-def variance(op: Operator, state: QuantumState) -> float:
-    """<O^2> - <O>^2 for a Hermitian operator.
-
-    Cancellation on near-eigenstates can leave a tiny negative value;
-    anything in (VARIANCE_FLOOR, 0) clamps to 0, below that is an error.
-    """
-    if not op.is_hermitian(HERMITICITY_TOL):
-        raise ValueError("variance requires a Hermitian operator within 1e-10")
-    if op.cutoff != state.cutoff:
-        raise DimensionMismatchError(
-            f"cutoff mismatch: {op.cutoff} vs {state.cutoff}")
-    if state.vector is not None:
-        ov = op.matrix @ state.vector
-        mean = np.vdot(state.vector, ov).real
-        second = np.vdot(ov, ov).real
-    else:
-        assert state.density is not None
-        prod = op.matrix @ state.density
-        mean = np.trace(prod).real
-        # <O^2> = Tr((O rho) O) without forming O^2
-        second = np.sum(prod * op.matrix.T).real
-    v = second - mean * mean
-    if v < VARIANCE_FLOOR:
-        raise ArithmeticError(f"variance {v:.3e} below the clamping floor")
-    return max(v, 0.0)
 
 
 def boundary_leakage(state: QuantumState, margin: int) -> float:

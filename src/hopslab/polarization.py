@@ -9,6 +9,13 @@ carry full hidden polarization. The module also fits density matrices
 against the hidden-polarization criterion and checks the coherence
 factorization law that criterion implies.
 
+Everything evaluated on a state runs on ladder shifts
+(`fock.apply_ladders`): the hidden-set means and variances
+(`hidden_moments`, which the uncertainty products and the dynamics
+oracle share), the criterion fit and the coherence functions. Dense
+d^2 x d^2 matrices are built only by `build_stokes`/`build_hidden`, for
+the commutator tables.
+
 Commutation tables are verified on the interior block (indices at least
 probe_margin below both cutoffs) because truncation necessarily breaks
 ladder algebra at the boundary. Where a published relation disagrees in
@@ -23,18 +30,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import (
+    VARIANCE_FLOOR,
     FockCutoff,
     Operator,
     QuantumState,
     annihilation,
     apply_ladders,
     creation,
-    expectation,
     identity,
     interior_indices,
     number_operator,
     pair_annihilation,
-    variance,
 )
 
 RELATION_TOL = 1e-10       # interior residual bound for a closing relation
@@ -107,6 +113,43 @@ def build_hidden(cutoff: FockCutoff, omega_t: float | None = None) -> HiddenSet:
     h2 = term + term.dag()
     h3 = -1j * (term - term.dag())
     return HiddenSet(n_y + n_x, n_y - n_x, h2, h3, omega_t=omega_t)
+
+
+def _hidden_action(x: np.ndarray, cutoff: FockCutoff, j: int) -> np.ndarray:
+    """H_j on the Fock index of x, as built by `build_hidden`."""
+    if j < 2:
+        n_x = np.arange(cutoff.d_x, dtype=float)[:, None]
+        n_y = np.arange(cutoff.d_y, dtype=float)
+        diagonal = n_y + n_x if j == 0 else n_y - n_x
+        return diagonal.reshape((-1,) + (1,) * (x.ndim - 1)) * x
+    lowered = apply_ladders(x, cutoff, 1, 1)
+    raised = apply_ladders(x, cutoff, 1, 1, adjoint=True)
+    return lowered + raised if j == 2 else -1j * (lowered - raised)
+
+
+def hidden_moments(state: QuantumState) -> tuple[list[float], list[float]]:
+    """Means and variances of H0..H3 (interaction picture) on a state.
+
+    <psi|H|psi> and ||H psi||^2 for a state vector, Tr(H rho) and
+    Tr(H (H rho)) for a density matrix; H acts by ladder shifts, so no
+    operator matrix is formed. A variance in (VARIANCE_FLOOR, 0) is
+    cancellation and clamps to 0; below that is an error.
+    """
+    x, cutoff = state.array, state.cutoff
+    means, variances = [], []
+    for j in range(4):
+        hx = _hidden_action(x, cutoff, j)
+        if x.ndim == 1:
+            mean, second = np.vdot(x, hx).real, np.vdot(hx, hx).real
+        else:
+            mean = np.trace(hx).real
+            second = np.trace(_hidden_action(hx, cutoff, j)).real
+        v = float(second - mean * mean)
+        if v < VARIANCE_FLOOR:
+            raise ArithmeticError(f"variance {v:.3e} below the clamping floor")
+        means.append(float(mean))
+        variances.append(max(v, 0.0))
+    return means, variances
 
 
 @dataclass(frozen=True)
@@ -233,18 +276,14 @@ class UncertaintyProduct:
         return self.lhs >= self.rhs - tol * scale
 
 
-def uncertainty_products(
-    hidden: HiddenSet, state: QuantumState,
-) -> list[UncertaintyProduct]:
-    """The three hidden-set uncertainty products.
+def uncertainty_products(state: QuantumState) -> list[UncertaintyProduct]:
+    """The three hidden-set uncertainty products (interaction picture).
 
     Returns (Var H0 * Var H2, |<H3>|^2), (Var H2 * Var H3, |<H0>|^2),
     (Var H3 * Var H0, |<H2>|^2). Each must satisfy lhs >= rhs within
     UNCERTAINTY_TOL * max(1, lhs, rhs) on any valid state.
     """
-    h0, _, h2, h3 = hidden.as_tuple()
-    v0, v2, v3 = (variance(h, state) for h in (h0, h2, h3))
-    m0, m2, m3 = (expectation(h, state) for h in (h0, h2, h3))
+    (m0, _, m2, m3), (v0, _, v2, v3) = hidden_moments(state)
     return [
         UncertaintyProduct("VarH0*VarH2 >= |<H3>|^2", v0 * v2, abs(m3) ** 2),
         UncertaintyProduct("VarH2*VarH3 >= |<H0>|^2", v2 * v3, abs(m0) ** 2),

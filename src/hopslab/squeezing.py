@@ -181,12 +181,17 @@ class ClaimVerdict:
 
 @dataclass(frozen=True)
 class MomentClaimTable:
-    """All eight claimed closed forms with computed verdicts."""
+    """All eight claimed closed forms with computed verdicts.
+
+    `reference` is the report the verdicts were computed against (closed
+    form or oracle), None when the occupations admit no reference.
+    """
 
     n_x: float
     n_y: float
     kt: float
     rows: tuple[ClaimVerdict, ...]
+    reference: MomentReport | None
 
     def row(self, name: str) -> ClaimVerdict:
         for row in self.rows:
@@ -224,11 +229,13 @@ def claimed_moment_table(
     the brute-force oracle evolved from |n_x, n_y> at that truncation;
     the caller must size it so truncation error stays safely below the
     verdict threshold. Non-integer occupations leave the verdict fields
-    empty, since no definite quantum state is specified.
+    empty, since no definite quantum state is specified. Raises
+    ValueError on negative or non-finite occupations or a non-finite kt.
     """
-    integer_point = (
-        n_x >= 0 and n_y >= 0
-        and float(n_x).is_integer() and float(n_y).is_integer())
+    _require_occupations(n_x, n_y)
+    if not math.isfinite(kt):
+        raise ValueError(f"kt must be finite, got {kt!r}")
+    integer_point = float(n_x).is_integer() and float(n_y).is_integer()
     reference: MomentReport | None = None
     if integer_point:
         if cutoff is None:
@@ -249,7 +256,7 @@ def claimed_moment_table(
                 name, claimed, reference_values[name], verdict, deviation))
         else:
             rows.append(ClaimVerdict(name, claimed, None, None, None))
-    return MomentClaimTable(n_x, n_y, kt, tuple(rows))
+    return MomentClaimTable(n_x, n_y, kt, tuple(rows), reference)
 
 
 @dataclass(frozen=True)

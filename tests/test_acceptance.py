@@ -159,23 +159,21 @@ def test_uncertainty_inequalities():
     # low-excitation states and on evolved vacua at kt 0.1, 0.22, 0.3
     failures, details = [], []
     small = FockCutoff(9, 9)
-    hidden_small = build_hidden(small)
     rng = np.random.default_rng(7)
     checked = 0
     for index in range(100):
         state = random_low_excitation_state(small, max_level=4, rng=rng)
-        for item in uncertainty_products(hidden_small, state):
+        for item in uncertainty_products(state):
             checked += 1
             if not item.satisfied():
                 failures.append(f"random state {index}: {item.name} "
                                 f"lhs {item.lhs!r} rhs {item.rhs!r}")
     big = FockCutoff(40, 40)
-    hidden_big = build_hidden(big)
     vacuum = fock_state(big, 0, 0)
     for kt in (0.1, 0.22, 0.3):
         from hopslab.dpa import evolve
         evolved = evolve(vacuum, DpaConfig(kt=kt, cutoff=big))
-        for item in uncertainty_products(hidden_big, evolved):
+        for item in uncertainty_products(evolved):
             checked += 1
             if not item.satisfied():
                 failures.append(f"evolved vacuum kt={kt}: {item.name} "

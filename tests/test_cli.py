@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -131,6 +132,20 @@ def test_verify_passes(capsys):
     assert "combined-order map deviates" in out
 
 
+def test_verify_traced_peak_stays_small(tmp_path):
+    # hidden-set moments act by ladder shifts; a dense d^2 x d^2 hidden
+    # set at the 40x40 uncertainty probe alone traces over 300 MB
+    tracemalloc.start()
+    try:
+        code = main(["verify", "--cutoff", "16",
+                     "--out", str(tmp_path / "verify.txt")])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 64e6
+
+
 def test_ensemble_csv(capsys):
     argv = ["ensemble", "--count", "20000", "--seed", "3",
             "--delta-h", "0.7"]
@@ -199,6 +214,14 @@ def test_usage_errors_exit_two(capsys):
     ["onset", "--nx", "nan"],
     ["onset", "--nx", "inf"],
     ["sweep", "--kt-max", "1000", "--steps", "3"],
+    ["claims", "--nx", "nan"],
+    ["claims", "--nx", "-1"],
+    ["claims", "--kt", "nan"],
+    ["claims", "--kt", "nan", "--cutoff", "10"],
+    ["claims", "--kt", "1000"],
+    ["verify", "--cutoff", "2"],
+    ["verify", "--seed", "-1"],
+    ["ensemble", "--count", "1"],
 ])
 def test_non_finite_and_overflowing_input_exits_two(argv, capsys):
     with pytest.raises(SystemExit) as excinfo:

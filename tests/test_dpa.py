@@ -8,12 +8,10 @@ from hypothesis import given, strategies as st
 
 from hopslab.dpa import (
     DpaConfig,
-    HeisenbergSolution,
     MomentReport,
     TruncationError,
     evolve,
     heisenberg_moments,
-    interaction_hamiltonian,
     oracle_moments,
     suggest_cutoff,
     thermal_heisenberg_moments,
@@ -22,14 +20,18 @@ from hopslab.fock import (
     FockCutoff,
     QuantumState,
     boundary_leakage,
-    expectation,
     fock_state,
     number_operator,
     random_low_excitation_state,
-    variance,
 )
 from hopslab.polarization import build_hidden, fit_hops_criterion
-from dense_reference import matrix_exponential
+from dense_reference import (
+    HeisenbergSolution,
+    expectation,
+    interaction_hamiltonian,
+    matrix_exponential,
+    variance,
+)
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 SMALL_KT = st.floats(min_value=0.0, max_value=0.3)

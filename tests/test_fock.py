@@ -12,16 +12,14 @@ from hopslab.fock import (
     boundary_leakage,
     commutator,
     creation,
-    expectation,
     fock_state,
     identity,
     interior_indices,
     number_operator,
     pair_annihilation,
     random_low_excitation_state,
-    variance,
 )
-from dense_reference import matrix_exponential
+from dense_reference import expectation, matrix_exponential, variance
 
 PROPERTY_EXAMPLES = 40
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hopslab.dpa import thermal_heisenberg_moments
-from hopslab.fock import FockCutoff, expectation, number_operator
+from hopslab.fock import FockCutoff, number_operator
 from hopslab.squeezing import (
     FockModel,
     MomentClaimTable,
@@ -22,6 +22,7 @@ from hopslab.squeezing import (
     thermal_state,
     thermal_weight,
 )
+from dense_reference import expectation
 
 OCCUPATIONS = st.floats(min_value=0.0, max_value=1.0)
 MEAN_PHOTONS = st.floats(min_value=0.0, max_value=20.0)
