@@ -217,6 +217,10 @@ def _model_config(model) -> dict:
             "nbar_y": model.nbar_y, "ny": model.n_y}
 
 
+def _cutoff_too_large(parser, cutoff) -> None:
+    parser.error(f"--cutoff {cutoff} needs more memory than is available")
+
+
 def cmd_sweep(args, parser) -> int:
     model = _build_model(args, parser)
     cutoff = None
@@ -230,6 +234,8 @@ def cmd_sweep(args, parser) -> int:
                       leakage_tol=args.leakage_tol)
     except ValueError as exc:
         parser.error(str(exc))
+    except MemoryError:
+        _cutoff_too_large(parser, args.cutoff)
     config = {"command": "sweep", "model": model.label,
               "kt_max": args.kt_max, "steps": args.steps,
               "oracle": int(args.oracle), "leakage_tol": args.leakage_tol,
@@ -289,6 +295,8 @@ def cmd_claims(args, parser) -> int:
         parser.error(str(exc))
     except OverflowError:
         parser.error(f"--kt {args.kt!r} overflows the moment formulas")
+    except MemoryError:
+        _cutoff_too_large(parser, args.cutoff)
     config = {"command": "claims", "nx": args.nx, "ny": args.ny,
               "kt": args.kt}
     if args.cutoff is not None:
@@ -391,11 +399,15 @@ def cmd_verify(args, parser) -> int:
     lines = [line.lstrip("# ") for line in comment_block(
         {"command": "verify", "cutoff": args.cutoff, "seed": args.seed})]
     all_pass = True
-    for name, passed, detail, notes in _verify_suites(args.cutoff, args.seed):
-        all_pass &= passed
-        lines.append(f"{'PASS' if passed else 'FAIL'} {name}: {detail}")
-        for note in notes:
-            lines.append(f"  note {name}: {note}")
+    try:
+        for name, passed, detail, notes in _verify_suites(args.cutoff,
+                                                          args.seed):
+            all_pass &= passed
+            lines.append(f"{'PASS' if passed else 'FAIL'} {name}: {detail}")
+            for note in notes:
+                lines.append(f"  note {name}: {note}")
+    except MemoryError:
+        _cutoff_too_large(parser, args.cutoff)
     lines.append("VERIFY " + ("PASS" if all_pass else "FAIL"))
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK if all_pass else EXIT_INVARIANT

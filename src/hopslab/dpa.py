@@ -1,19 +1,22 @@
 """Degenerate parametric amplification on the truncated Fock space.
 
-Two facts make up the engine. The interaction-picture generator
-a_x^dag a_y^dag + a_x a_y creates and destroys quanta pairwise, so it
-conserves the mode imbalance n_x - n_y; and a ladder operator is an
-index shift times a sqrt(n + 1) weight on the (d_x, d_y) view of a
-state (`fock.apply_ladders`). Evolution therefore block-diagonalizes
-over imbalance sectors, each a real symmetric tridiagonal matrix whose
-eigendecomposition is computed once per cutoff and reused for every
-evolution time. The same per-sector propagator evolves state vectors
-and, applied from both sides, density matrices. This exact propagator
-doubles as the brute-force oracle against which the closed-form
-Heisenberg moments are checked; `oracle_moments` measures the evolved
-state with `polarization.hidden_moments`, which applies H0..H3 as
-ladder actions (H2 + iH3 = 2 a_y a_x). No operator matrix is built
-here.
+The interaction-picture generator H_int = a_x^dag a_y^dag + a_x a_y
+creates and destroys quanta pairwise, so it conserves the mode
+imbalance n_x - n_y. On each imbalance sector (`fock.sector_table`) it
+is a real symmetric tridiagonal matrix with zero diagonal and the
+sector's a_y a_x weights off it; its eigenpairs are computed once per
+cutoff and give the one per-sector propagator U_delta(kt), reused for
+every evolution time.
+
+`oracle_moments`, the brute-force oracle against which the closed-form
+Heisenberg moments are checked, never forms the evolved state: it
+evolves only the sector blocks the initial state populates (U b for a
+vector, U B U^dag for a density block), applies the checks that
+`QuantumState.from_vector`/`from_density` would have run to those
+blocks, and hands them to the shared H0..H3 measure
+`polarization.hidden_moments`. `evolve` returns a full QuantumState,
+built from the same U_delta applied to its rows (and columns). No
+operator matrix is built here.
 
 Truncation is certified after the fact: the evolved state must keep its
 population clear of the last EVOLUTION_MARGIN levels of either mode,
@@ -33,7 +36,16 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fock import FockCutoff, QuantumState, boundary_leakage
+from .fock import (
+    FockCutoff,
+    QuantumState,
+    SectorBlock,
+    boundary_leakage,
+    check_density_blocks,
+    populated_sectors,
+    sector_blocks,
+    sector_table,
+)
 from .polarization import hidden_moments
 
 EVOLUTION_MARGIN = 4           # boundary band whose population certifies truncation
@@ -109,76 +121,64 @@ class MomentReport:
 
 
 @lru_cache(maxsize=8)
-def _spectral_blocks(
-    d_x: int, d_y: int,
-) -> tuple[np.ndarray, np.ndarray, tuple[tuple[slice, np.ndarray], ...]]:
-    """Eigendecomposition of H_int per imbalance sector.
-
-    Each sector delta = n_x - n_y is spanned by |lo_x + m, lo_y + m> and
-    H_int restricts to a real symmetric tridiagonal matrix with zero
-    diagonal and off-diagonals sqrt((lo_x+m+1)(lo_y+m+1)). Returns the
-    flat indices and eigenvalues in sector order, and each sector's
-    slice of that order with its eigenvectors.
-    """
-    order, eigvals, sectors = [], [], []
-    start = 0
-    for delta in range(-(d_y - 1), d_x):
-        lo_x, lo_y = max(delta, 0), max(-delta, 0)
-        length = min(d_x - lo_x, d_y - lo_y)
-        m = np.arange(length)
-        off = np.sqrt((lo_x + m[:-1] + 1.0) * (lo_y + m[:-1] + 1.0))
-        values, vectors = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+def _sector_eigenpairs(
+    cutoff: FockCutoff,
+) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """delta -> eigenvalues and eigenvectors of H_int on that sector."""
+    pairs = {}
+    for sector in sector_table(cutoff).sectors:
+        w = sector.pair_weights
+        values, vectors = np.linalg.eigh(np.diag(w, 1) + np.diag(w, -1))
+        values.setflags(write=False)
         vectors.setflags(write=False)
-        order.append((lo_x + m) * d_y + (lo_y + m))
-        eigvals.append(values)
-        sectors.append((slice(start, start + length), vectors))
-        start += length
-    order, eigvals = np.concatenate(order), np.concatenate(eigvals)
-    order.setflags(write=False)
-    eigvals.setflags(write=False)
-    return order, eigvals, tuple(sectors)
+        pairs[sector.delta] = (values, vectors)
+    return pairs
 
 
-def _apply_propagator(
-    x: np.ndarray, cutoff: FockCutoff, rate: float,
+def _propagate(
+    x: np.ndarray, eigenpair: tuple[np.ndarray, np.ndarray], rate: float,
 ) -> np.ndarray:
-    """exp(-i * rate * H_int) on the Fock index of a vector or matrix."""
-    order, eigvals, sectors = _spectral_blocks(cutoff.d_x, cutoff.d_y)
-    phase = np.exp(-1j * rate * eigvals).reshape((-1,) + (1,) * (x.ndim - 1))
-    amps = x[order]
-    for span, eigvecs in sectors:
-        amps[span] = eigvecs @ (phase[span] * (eigvecs.T @ amps[span]))
-    out = np.empty_like(amps)
-    out[order] = amps
-    return out
+    """U_delta = exp(-i * rate * H_int) on the sector index (rows) of x."""
+    values, vectors = eigenpair
+    phase = np.exp(-1j * rate * values).reshape((-1,) + (1,) * (x.ndim - 1))
+    return vectors @ (phase * (vectors.T @ x))
 
 
-def _evolve_unchecked(state: QuantumState, config: DpaConfig) -> QuantumState:
-    rate = 2.0 * config.kt
-    cut = config.cutoff
-    if state.cutoff != cut:
+def _check_cutoff(state: QuantumState, config: DpaConfig) -> None:
+    if state.cutoff != config.cutoff:
         raise ValueError("state and config cutoffs differ")
-    if state.vector is not None:
-        psi = _apply_propagator(state.vector, cut, rate)
-        # rounding drift only: the truncated generator is exactly unitary
-        return QuantumState.from_vector(cut, psi / np.linalg.norm(psi))
-    # U rho U^dag: the propagator acts on rows, so apply it to U rho and
-    # again to the adjoint of the result
-    half = _apply_propagator(state.density, cut, rate)
-    rho = _apply_propagator(half.conj().T, cut, rate).conj().T
-    rho = 0.5 * (rho + rho.conj().T)
-    return QuantumState.from_density(cut, rho)
 
 
 def evolve(state: QuantumState, config: DpaConfig) -> QuantumState:
     """Apply exp(-i * 2kt * H_int); certify truncation afterwards.
 
-    Raises TruncationError (carrying the measured leakage) when the
-    evolved state holds more than config.leakage_tol of its population
-    within EVOLUTION_MARGIN levels of either cutoff; enlarge the cutoff
-    and retry in that case.
+    U_delta acts on the rows, and for a density also on the columns, of
+    each populated sector. Raises TruncationError (carrying the
+    measured leakage) when the evolved state holds more than
+    config.leakage_tol of its population within EVOLUTION_MARGIN
+    levels of either cutoff; enlarge the cutoff and retry in that case.
     """
-    result = _evolve_unchecked(state, config)
+    _check_cutoff(state, config)
+    rate, cut = 2.0 * config.kt, config.cutoff
+    pairs = _sector_eigenpairs(cut)
+    sectors = populated_sectors(state)
+    x = state.array
+    rows = np.zeros(x.shape, dtype=complex)
+    for sector in sectors:
+        rows[sector.indices] = _propagate(
+            x[sector.indices], pairs[sector.delta], rate)
+    if state.vector is not None:
+        # rounding drift only: the truncated generator is exactly unitary
+        result = QuantumState.from_vector(cut, rows / np.linalg.norm(rows))
+    else:
+        # U rho U^dag = (U (U rho)^dag)^dag; a valid density is zero
+        # outside the populated sectors' rows and columns
+        rho = np.zeros(x.shape, dtype=complex)
+        for sector in sectors:
+            rho[:, sector.indices] = _propagate(
+                rows[:, sector.indices].conj().T, pairs[sector.delta],
+                rate).conj().T
+        result = QuantumState.from_density(cut, 0.5 * (rho + rho.conj().T))
     leakage = boundary_leakage(result, EVOLUTION_MARGIN)
     if leakage > config.leakage_tol:
         raise TruncationError(leakage, config.cutoff)
@@ -243,16 +243,47 @@ def _closed_moments(
     )
 
 
+def _evolve_blocks(
+    state: QuantumState, config: DpaConfig,
+) -> list[SectorBlock]:
+    """U_delta(kt) on each populated sector block of the state.
+
+    Runs the checks `from_vector`/`from_density` run on an evolved
+    state: the blocks of a vector are renormalized together; density
+    blocks (U B U^dag) are hermitized, their total trace must be 1
+    within ALGEBRA_TOL and each must be positive semidefinite.
+    """
+    _check_cutoff(state, config)
+    rate = 2.0 * config.kt
+    pairs = _sector_eigenpairs(config.cutoff)
+    evolved = []
+    for block in sector_blocks(state):
+        pair = pairs[block.sector.delta]
+        b = _propagate(block.array, pair, rate)
+        if b.ndim == 2:
+            b = _propagate(b.conj().T, pair, rate).conj().T
+            b = 0.5 * (b + b.conj().T)
+        evolved.append(SectorBlock(block.sector, b))
+    if state.vector is not None:
+        norm = math.sqrt(sum(np.vdot(b.array, b.array).real for b in evolved))
+        return [SectorBlock(b.sector, b.array / norm) for b in evolved]
+    check_density_blocks(evolved)
+    return evolved
+
+
 def oracle_moments(state: QuantumState, config: DpaConfig) -> MomentReport:
     """Brute-force moments: evolve, then measure the hidden set.
 
-    Never raises on truncation trouble; the report is returned with
-    valid=False and the measured leakage so sweeps can flag the row and
-    continue.
+    Only the sector blocks the state populates are evolved and
+    measured; the full evolved state is never formed. Never raises on
+    truncation trouble; the report is returned with valid=False and
+    the measured leakage so sweeps can flag the row and continue.
     """
-    evolved = _evolve_unchecked(state, config)
-    leakage = boundary_leakage(evolved, EVOLUTION_MARGIN)
-    means, variances = hidden_moments(evolved)
+    blocks = _evolve_blocks(state, config)
+    # a sector's last EVOLUTION_MARGIN states are its edge band
+    leakage = float(sum(b.populations()[-EVOLUTION_MARGIN:].sum()
+                        for b in blocks))
+    means, variances = hidden_moments(blocks)
     return MomentReport(
         kt=config.kt,
         mean_h0=means[0], mean_h1=means[1],

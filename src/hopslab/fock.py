@@ -1,18 +1,26 @@
-"""Truncated two-mode Fock space: states, ladder actions, dense operators.
+"""Truncated two-mode Fock space: states, sectors, ladder actions, operators.
 
 The joint space is the tensor product of two truncated oscillators with
 dimensions d_x and d_y; the basis state |n_x, n_y> lives at flat index
 n_x * d_y + n_y, row-major over x then y.
 
-State-level computations run on `apply_ladders`: a ladder operator acts
-on the (d_x, d_y) view of a state vector, or of a matrix with
-Fock-indexed rows, as an index shift times a sqrt(n + 1) weight. No
-d^2 x d^2 matrix is formed for it; means and variances of the hidden
-set are taken this way too (`polarization.hidden_moments`). The dense
-`Operator` type remains for the operator algebra itself: the Stokes
-and hidden sets and their commutator tables. Operations are exact on
-the truncated space; fidelity to the infinite-dimensional physics is
-certified post hoc with boundary_leakage.
+The amplifier generator and all four hidden-set operators conserve the
+imbalance n_x - n_y, so the imbalance sector is the unit of work for
+dynamics and moments. `sector_table` lists, once per cutoff, each
+sector's flat indices |lo_x + m, lo_y + m> and the a_y a_x weights
+along it, plus a flat-index -> sector label; `sector_blocks` splits a
+state into the amplitude slices (vector) or principal blocks (density)
+of only the sectors it populates. Evolution (`dpa`) and the H0..H3
+measure (`polarization.hidden_moments`) run on those blocks.
+
+`apply_ladders` serves the remaining state-level computations: a
+ladder operator acts on the (d_x, d_y) view of a state vector, or of a
+matrix with Fock-indexed rows, as an index shift times a sqrt(n + 1)
+weight. The dense `Operator` type remains for the operator algebra
+itself: the Stokes and hidden sets and their commutator tables.
+Operations are exact on the truncated space; fidelity to the
+infinite-dimensional physics is certified post hoc with
+boundary_leakage.
 """
 
 from __future__ import annotations
@@ -25,9 +33,11 @@ import numpy as np
 ALGEBRA_TOL = 1e-12        # exact-algebra identities (hermiticity, norms)
 LEAKAGE_TOL = 1e-6         # default boundary-population acceptance
 VARIANCE_FLOOR = -1e-9     # cancellation allowance before clamping to zero
+EIGENVALUE_FLOOR = -1e-10  # lowest eigenvalue a density matrix may have
 
 # Full positivity certification is cubic in dimension; above this joint
-# dimension only hermiticity/trace/diagonal checks run.
+# dimension a density that is not sector-block diagonal gets only the
+# hermiticity and trace checks.
 PSD_CHECK_MAX_DIM = 1024
 
 
@@ -142,7 +152,9 @@ class QuantumState:
 
     Build through from_vector / from_density (or fock_state); the
     constructors validate normalization, and for density matrices
-    hermiticity, unit trace, and (up to PSD_CHECK_MAX_DIM) positivity.
+    hermiticity, unit trace, and positivity: per sector block when the
+    matrix has no inter-sector coherences, else on the full matrix up
+    to PSD_CHECK_MAX_DIM.
     """
 
     cutoff: FockCutoff
@@ -170,10 +182,8 @@ class QuantumState:
         m = _as_complex_matrix(rho, cutoff.dim, "density matrix")
         if np.max(np.abs(m - m.conj().T)) > ALGEBRA_TOL:
             raise ValueError("density matrix is not Hermitian within 1e-12")
-        tr = np.trace(m).real
-        if abs(tr - 1.0) > ALGEBRA_TOL:
-            raise ValueError(f"density matrix trace {tr!r} is not 1 within {ALGEBRA_TOL}")
-        _check_positive(m)
+        _require_unit_trace(np.trace(m).real)
+        _check_positive(m, cutoff)
         return cls(cutoff, density=m)
 
     @property
@@ -195,18 +205,130 @@ class QuantumState:
         return np.diag(self.density).real.copy()
 
 
-def _check_positive(m: np.ndarray) -> None:
-    off = m.copy()
-    np.fill_diagonal(off, 0.0)
-    if np.max(np.abs(off)) == 0.0:
-        # diagonal mixture, eigenvalues are the diagonal
-        low = float(np.min(np.diag(m).real))
+def _require_unit_trace(trace: float) -> None:
+    if abs(trace - 1.0) > ALGEBRA_TOL:
+        raise ValueError(
+            f"density matrix trace {trace!r} is not 1 within {ALGEBRA_TOL}")
+
+
+def _require_positive(blocks) -> None:
+    """Raise unless every Hermitian block has eigenvalues >= EIGENVALUE_FLOOR."""
+    low = min(float(np.linalg.eigvalsh(b)[0]) for b in blocks)
+    if low < EIGENVALUE_FLOOR:
+        raise ValueError(
+            f"density matrix has eigenvalue {low:.3e} below {EIGENVALUE_FLOOR}")
+
+
+def _check_positive(m: np.ndarray, cutoff: FockCutoff) -> None:
+    blocks = [m[np.ix_(s.indices, s.indices)]
+              for s in sector_table(cutoff).sectors]
+    if sum(np.count_nonzero(b) for b in blocks) == np.count_nonzero(m):
+        # no inter-sector coherence (diagonal mixtures included): the
+        # spectrum is the union of the sector blocks' spectra
+        _require_positive(blocks)
     elif m.shape[0] <= PSD_CHECK_MAX_DIM:
-        low = float(np.linalg.eigvalsh(m)[0])
-    else:
-        return
-    if low < -1e-10:
-        raise ValueError(f"density matrix has eigenvalue {low:.3e} below -1e-10")
+        _require_positive([m])
+
+
+@dataclass(frozen=True, eq=False)
+class Sector:
+    """One imbalance sector n_x - n_y = delta of a cutoff.
+
+    It is spanned by |lo_x + m, lo_y + m>, m = 0..L-1, and runs until
+    either mode reaches its cutoff, so its last k states are exactly
+    its states within k levels of an edge. `pair_weights[m]` is the
+    a_y a_x matrix element <m|a_y a_x|m+1> = sqrt((lo_x+m+1)(lo_y+m+1)).
+    """
+
+    lo_x: int
+    lo_y: int
+    indices: np.ndarray = field(repr=False)
+    pair_weights: np.ndarray = field(repr=False)
+
+    @property
+    def delta(self) -> int:
+        return self.lo_x - self.lo_y
+
+    @property
+    def photons(self) -> np.ndarray:
+        """n_x + n_y along the sector."""
+        return self.lo_x + self.lo_y + 2.0 * np.arange(self.indices.size)
+
+
+@dataclass(frozen=True, eq=False)
+class SectorTable:
+    """The sectors of a cutoff, delta ascending, and each flat index's sector."""
+
+    sectors: tuple[Sector, ...]
+    label: np.ndarray = field(repr=False)
+
+
+@lru_cache(maxsize=8)
+def sector_table(cutoff: FockCutoff) -> SectorTable:
+    """Build (once per cutoff) the imbalance-sector table of `cutoff`."""
+    d_x, d_y = cutoff.d_x, cutoff.d_y
+    sectors = []
+    for delta in range(-(d_y - 1), d_x):
+        lo_x, lo_y = max(delta, 0), max(-delta, 0)
+        m = np.arange(min(d_x - lo_x, d_y - lo_y))
+        indices = (lo_x + m) * d_y + (lo_y + m)
+        weights = np.sqrt((lo_x + m[:-1] + 1.0) * (lo_y + m[:-1] + 1.0))
+        indices.setflags(write=False)
+        weights.setflags(write=False)
+        sectors.append(Sector(lo_x, lo_y, indices, weights))
+    label = np.subtract.outer(np.arange(d_x), np.arange(d_y)).ravel() + d_y - 1
+    label.setflags(write=False)
+    return SectorTable(tuple(sectors), label)
+
+
+@dataclass(frozen=True, eq=False)
+class SectorBlock:
+    """A state restricted to one sector.
+
+    `array` holds the amplitudes (L,) of a state vector, or the (L, L)
+    principal block of a density matrix, in the sector's order.
+    """
+
+    sector: Sector
+    array: np.ndarray = field(repr=False)
+
+    def populations(self) -> np.ndarray:
+        if self.array.ndim == 1:
+            return np.abs(self.array) ** 2
+        return np.diagonal(self.array).real
+
+
+def populated_sectors(state: QuantumState) -> list[Sector]:
+    """The sectors holding any of the state's population."""
+    table = sector_table(state.cutoff)
+    hits = np.bincount(table.label[state.populations() != 0.0],
+                       minlength=len(table.sectors))
+    return [table.sectors[i] for i in np.flatnonzero(hits)]
+
+
+def sector_blocks(state: QuantumState) -> list[SectorBlock]:
+    """The state's blocks in the sectors it populates.
+
+    Every quantity that conserves the imbalance (H0..H3 and their
+    products, the amplifier evolution, boundary populations) is a sum
+    over these blocks; inter-sector coherences of a density never
+    enter, and unpopulated sectors of a valid state are zero.
+    """
+    x = state.array
+    if x.ndim == 1:
+        return [SectorBlock(s, x[s.indices]) for s in populated_sectors(state)]
+    return [SectorBlock(s, x[np.ix_(s.indices, s.indices)])
+            for s in populated_sectors(state)]
+
+
+def check_density_blocks(blocks: list[SectorBlock]) -> None:
+    """The trace and positivity checks of `from_density`, on sector blocks.
+
+    For a state without inter-sector coherences this is exactly the
+    full-matrix check; blocks must already be Hermitian.
+    """
+    _require_unit_trace(sum(np.trace(b.array).real for b in blocks))
+    _require_positive(b.array for b in blocks)
 
 
 def fock_state(cutoff: FockCutoff, n_x: int, n_y: int) -> QuantumState:

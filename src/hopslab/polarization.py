@@ -9,12 +9,14 @@ carry full hidden polarization. The module also fits density matrices
 against the hidden-polarization criterion and checks the coherence
 factorization law that criterion implies.
 
-Everything evaluated on a state runs on ladder shifts
-(`fock.apply_ladders`): the hidden-set means and variances
-(`hidden_moments`, which the uncertainty products and the dynamics
-oracle share), the criterion fit and the coherence functions. Dense
-d^2 x d^2 matrices are built only by `build_stokes`/`build_hidden`, for
-the commutator tables.
+The hidden-set means and variances (`hidden_moments`, which the
+uncertainty products and the dynamics oracle share) are one measure
+over imbalance-sector blocks (`fock.sector_blocks`): H0 and H1 are
+diagonal on a sector and H2 + iH3 = 2 a_y a_x is a weighted shift
+inside it, so each moment is a weighted sum over three bands of a
+block. The criterion fit and the coherence functions run on ladder
+shifts (`fock.apply_ladders`). Dense d^2 x d^2 matrices are built only
+by `build_stokes`/`build_hidden`, for the commutator tables.
 
 Commutation tables are verified on the interior block (indices at least
 probe_margin below both cutoffs) because truncation necessarily breaks
@@ -26,6 +28,7 @@ form and the corrected form side by side; nothing is silently fixed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -34,6 +37,7 @@ from .fock import (
     FockCutoff,
     Operator,
     QuantumState,
+    SectorBlock,
     annihilation,
     apply_ladders,
     creation,
@@ -41,6 +45,7 @@ from .fock import (
     interior_indices,
     number_operator,
     pair_annihilation,
+    sector_blocks,
 )
 
 RELATION_TOL = 1e-10       # interior residual bound for a closing relation
@@ -115,41 +120,52 @@ def build_hidden(cutoff: FockCutoff, omega_t: float | None = None) -> HiddenSet:
     return HiddenSet(n_y + n_x, n_y - n_x, h2, h3, omega_t=omega_t)
 
 
-def _hidden_action(x: np.ndarray, cutoff: FockCutoff, j: int) -> np.ndarray:
-    """H_j on the Fock index of x, as built by `build_hidden`."""
-    if j < 2:
-        n_x = np.arange(cutoff.d_x, dtype=float)[:, None]
-        n_y = np.arange(cutoff.d_y, dtype=float)
-        diagonal = n_y + n_x if j == 0 else n_y - n_x
-        return diagonal.reshape((-1,) + (1,) * (x.ndim - 1)) * x
-    lowered = apply_ladders(x, cutoff, 1, 1)
-    raised = apply_ladders(x, cutoff, 1, 1, adjoint=True)
-    return lowered + raised if j == 2 else -1j * (lowered - raised)
+def hidden_moments(
+    state: QuantumState | Iterable[SectorBlock],
+) -> tuple[list[float], list[float]]:
+    """Means and variances of H0..H3 (interaction picture).
 
+    Takes a state, or the sector blocks of one (`fock.sector_blocks`).
+    Every H_j conserves the imbalance, so each moment is a sum over the
+    blocks. On a sector, H0 = n_x + n_y is diagonal, H1 = n_y - n_x =
+    -delta is constant, and H2 + iH3 = 2A with A = a_y a_x, which maps
+    m + 1 -> m with the sector's pair weight w_m. With the bands
+    c_k[m] = <m + k|rho|m> of a block:
 
-def hidden_moments(state: QuantumState) -> tuple[list[float], list[float]]:
-    """Means and variances of H0..H3 (interaction picture) on a state.
+        <H2> + i<H3>   = 2 sum_m w_m c_1[m]
+        <H2^2>, <H3^2> = <A A^dag + A^dag A> +- 2 Re <A^2>
+        <A A^dag + A^dag A> = sum_m (w_m^2 + w_{m-1}^2) c_0[m]
+        <A^2>          = sum_m w_m w_{m+1} c_2[m]
 
-    <psi|H|psi> and ||H psi||^2 for a state vector, Tr(H rho) and
-    Tr(H (H rho)) for a density matrix; H acts by ladder shifts, so no
-    operator matrix is formed. A variance in (VARIANCE_FLOOR, 0) is
-    cancellation and clamps to 0; below that is an error.
+    A variance in (VARIANCE_FLOOR, 0) is cancellation and clamps to 0;
+    below that is an error.
     """
-    x, cutoff = state.array, state.cutoff
-    means, variances = [], []
-    for j in range(4):
-        hx = _hidden_action(x, cutoff, j)
+    blocks = sector_blocks(state) if isinstance(state, QuantumState) else state
+    first = np.zeros(4)
+    second = np.zeros(4)
+    for block in blocks:
+        sector, x = block.sector, block.array
+        c0 = block.populations()
         if x.ndim == 1:
-            mean, second = np.vdot(x, hx).real, np.vdot(hx, hx).real
+            c1 = x[1:] * x[:-1].conj()
+            c2 = x[2:] * x[:-2].conj()
         else:
-            mean = np.trace(hx).real
-            second = np.trace(_hidden_action(hx, cutoff, j)).real
-        v = float(second - mean * mean)
-        if v < VARIANCE_FLOOR:
-            raise ArithmeticError(f"variance {v:.3e} below the clamping floor")
-        means.append(float(mean))
-        variances.append(max(v, 0.0))
-    return means, variances
+            c1 = np.diagonal(x, -1)
+            c2 = np.diagonal(x, -2)
+        w, photons = sector.pair_weights, sector.photons
+        population = c0.sum()
+        pair = 2.0 * np.dot(w, c1)
+        pair_sq = 2.0 * np.dot(w[:-1] * w[1:], c2).real
+        symmetric = np.dot(w ** 2, c0[:-1] + c0[1:])
+        first += (np.dot(photons, c0), -sector.delta * population,
+                  pair.real, pair.imag)
+        second += (np.dot(photons ** 2, c0), sector.delta ** 2 * population,
+                   symmetric + pair_sq, symmetric - pair_sq)
+    variances = second - first * first
+    if variances.min() < VARIANCE_FLOOR:
+        raise ArithmeticError(
+            f"variance {variances.min():.3e} below the clamping floor")
+    return first.tolist(), np.maximum(variances, 0.0).tolist()
 
 
 @dataclass(frozen=True)

@@ -222,6 +222,12 @@ def test_usage_errors_exit_two(capsys):
     ["verify", "--cutoff", "2"],
     ["verify", "--seed", "-1"],
     ["ensemble", "--count", "1"],
+    # a 10^12-dimensional joint space: the first state or operator
+    # allocation (7-15 TiB) fails at once
+    ["sweep", "--model", "fock", "--steps", "3", "--oracle",
+     "--cutoff", "1000000"],
+    ["claims", "--cutoff", "1000000"],
+    ["verify", "--cutoff", "1000000"],
 ])
 def test_non_finite_and_overflowing_input_exits_two(argv, capsys):
     with pytest.raises(SystemExit) as excinfo:

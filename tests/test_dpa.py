@@ -1,6 +1,7 @@
 """Tests for parametric-amplifier evolution and moment oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,8 +24,10 @@ from hopslab.fock import (
     fock_state,
     number_operator,
     random_low_excitation_state,
+    sector_table,
 )
 from hopslab.polarization import build_hidden, fit_hops_criterion
+from hopslab.squeezing import thermal_state
 from dense_reference import (
     HeisenbergSolution,
     expectation,
@@ -259,3 +262,43 @@ def test_oracle_agrees_between_vector_and_density_forms(seed):
     for got, want in zip(pure.means + pure.variances,
                          mixed.means + mixed.variances):
         assert got == pytest.approx(want, abs=1e-9)
+
+
+def test_oracle_forms_no_full_size_array():
+    # the 1024 x 1024 evolved density alone would be 16.8 MB; the sector
+    # blocks of a thermal state are a few hundred kB
+    cut = FockCutoff(32, 32)
+    state = thermal_state(cut, 0.5, 0.5)
+    config = DpaConfig(kt=0.3, cutoff=cut)
+    oracle_moments(state, config)  # warm the sector and eigenpair caches
+    tracemalloc.start()
+    try:
+        oracle_moments(state, config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
+
+
+@pytest.mark.parametrize("make_state", [
+    lambda cut: fock_state(cut, 2, 1),
+    lambda cut: thermal_state(cut, 0.3, 0.6),
+], ids=["fock", "thermal"])
+def test_oracle_rows_obey_casimir_identity(make_state):
+    # H1^2 + H2^2 + H3^2 - H0^2 = 2 (1 + H0) away from the cutoff
+    cut = FockCutoff(32, 40)
+    state = make_state(cut)
+    for kt in (0.0, 0.1, 0.2):
+        report = oracle_moments(state, DpaConfig(kt=kt, cutoff=cut))
+        second = [v + m * m for m, v in zip(report.means, report.variances)]
+        residual = sum(second[1:]) - second[0] - 2.0 * (1.0 + report.mean_h0)
+        assert abs(residual) <= 1e-9 * max(1.0, *second), (kt, residual)
+
+
+def test_oracle_ignores_inter_sector_coherences():
+    state, config = _rectangular_mixture()
+    label = sector_table(config.cutoff).label
+    dephased = np.where(label[:, None] == label[None, :], state.density, 0.0)
+    assert np.count_nonzero(dephased) < np.count_nonzero(state.density)
+    assert oracle_moments(state, config) == oracle_moments(
+        QuantumState.from_density(config.cutoff, dephased), config)

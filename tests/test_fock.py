@@ -18,6 +18,7 @@ from hopslab.fock import (
     number_operator,
     pair_annihilation,
     random_low_excitation_state,
+    sector_table,
 )
 from dense_reference import expectation, matrix_exponential, variance
 
@@ -236,6 +237,41 @@ def test_density_positivity_check_full_matrix_path():
     bad = 1.1 * np.outer(v, v.conj()) - 0.1 * np.outer(w, w.conj())
     with pytest.raises(ValueError):
         QuantumState.from_density(cut, bad)
+
+
+def test_density_positivity_check_sector_blocks():
+    # above PSD_CHECK_MAX_DIM (33^2 = 1089) a density without
+    # inter-sector coherences is still checked, block by block
+    cut = FockCutoff(33, 33)
+    vac, pair = cut.index(0, 0), cut.index(1, 1)
+
+    def density(coherence):
+        rho = np.zeros((cut.dim, cut.dim), dtype=complex)
+        rho[vac, vac] = rho[pair, pair] = 0.5
+        rho[vac, pair] = rho[pair, vac] = coherence
+        return rho
+
+    assert not QuantumState.from_density(cut, density(0.4)).is_pure
+    # block [[0.5, 0.9], [0.9, 0.5]] has eigenvalue -0.4
+    with pytest.raises(ValueError, match="eigenvalue"):
+        QuantumState.from_density(cut, density(0.9))
+
+
+def test_sector_table_partitions_the_space():
+    cut = FockCutoff(3, 5)
+    table = sector_table(cut)
+    a_pair = pair_annihilation(cut).matrix
+    seen = []
+    for position, sector in enumerate(table.sectors):
+        n_x, n_y = np.divmod(sector.indices, cut.d_y)
+        assert np.all(n_x - n_y == sector.delta)
+        assert np.all(table.label[sector.indices] == position)
+        np.testing.assert_array_equal(sector.photons, n_x + n_y)
+        np.testing.assert_allclose(
+            sector.pair_weights,
+            a_pair[sector.indices[:-1], sector.indices[1:]], atol=1e-15)
+        seen.extend(sector.indices)
+    assert sorted(seen) == list(range(cut.dim))
 
 
 def test_interior_indices_small_example():

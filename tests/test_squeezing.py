@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from hopslab.dpa import thermal_heisenberg_moments
+import hopslab.squeezing as squeezing
+from hopslab.dpa import oracle_moments, thermal_heisenberg_moments
 from hopslab.fock import FockCutoff, number_operator
 from hopslab.squeezing import (
     FockModel,
@@ -314,3 +315,18 @@ def test_weighted_model_effective_occupations():
     occ_x, occ_y = model.effective_occupations()
     assert occ_x == pytest.approx(WEIGHT_10_10, rel=1e-12)
     assert occ_y == pytest.approx(WEIGHT_20_20, rel=1e-12)
+
+
+def test_sweep_calls_oracle_once_per_row(monkeypatch):
+    # per-row oracle calls are the seam where rows are observed one by one
+    calls = []
+
+    def counting(state, config):
+        calls.append(config.kt)
+        return oracle_moments(state, config)
+
+    monkeypatch.setattr(squeezing, "oracle_moments", counting)
+    curve = sweep(FockModel(1, 0), kt_max=0.3, steps=7, with_oracle=True,
+                  cutoff=FockCutoff(24, 24))
+    assert len(calls) == 7
+    assert calls == list(curve.kt_grid)
