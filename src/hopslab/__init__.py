@@ -28,21 +28,12 @@ from hopslab.dpa import (
 )
 from hopslab.fock import (
     FockCutoff,
-    Operator,
     QuantumState,
-    annihilation,
     boundary_leakage,
-    creation,
     fock_state,
-    number_operator,
-    pair_annihilation,
 )
 from hopslab.polarization import (
     FitUndefinedError,
-    HiddenSet,
-    StokesSet,
-    build_hidden,
-    build_stokes,
     coherence_function,
     factorization_residuals,
     fit_hops_criterion,
@@ -71,25 +62,18 @@ __all__ = [
     "FixedAmplitude",
     "FockCutoff",
     "FockModel",
-    "HiddenSet",
     "HopsEnsembleSpec",
-    "Operator",
     "OrdinaryEnsembleSpec",
     "QuantumState",
     "RayleighAmplitude",
-    "StokesSet",
     "ThermalMixtureModel",
     "TruncationError",
     "WeightedProjectorModel",
-    "annihilation",
     "boundary_leakage",
-    "build_hidden",
-    "build_stokes",
     "claimed_moment_table",
     "classical_hidden",
     "classical_stokes",
     "coherence_function",
-    "creation",
     "evolve",
     "factorization_residuals",
     "fit_hops_criterion",
@@ -97,11 +81,9 @@ __all__ = [
     "heisenberg_moments",
     "hidden_index",
     "hidden_moments",
-    "number_operator",
     "onset_by_bisection",
     "onset_time",
     "oracle_moments",
-    "pair_annihilation",
     "polarization_index",
     "sample_hops",
     "sample_ordinary",

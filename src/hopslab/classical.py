@@ -5,7 +5,8 @@ signs across the two field components, so phase-difference statistics
 (the ordinary Stokes parameters apart from s0, s1) average to zero while
 phase-sum statistics survive. Sampling here is vectorized over numpy
 arrays; FieldEnsemble exposes the samples as a sequence for callers that
-want them one at a time.
+want them one at a time, and `hops_statistics` draws and reduces a
+hidden-polarized ensemble in chunks without holding it.
 
 Estimates come with batch-means standard errors: the stream is cut into
 about sqrt(N) batches and the spread of batch means estimates the error
@@ -16,8 +17,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
+
+ENSEMBLE_CHUNK = 1 << 16   # samples drawn and reduced at a time by hops_statistics
 
 
 class UndefinedIndexError(ArithmeticError):
@@ -133,19 +137,36 @@ class FieldEnsemble:
             complex(self.amp_x[idx]), complex(self.amp_y[idx]))
 
 
+def _hops_chunks(
+    spec: HopsEnsembleSpec, count: int, seed: int, chunk: int,
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The amplitudes of `sample_hops`, `chunk` samples at a time.
+
+    The phases are the seed's first `count` uniform draws and the
+    amplitudes follow them in the same stream. A uniform double takes
+    exactly one 64-bit draw, so a second generator advanced by `count`
+    draws yields the amplitudes alongside the phases, and the samples
+    do not depend on `chunk`.
+    """
+    phases = np.random.default_rng(seed)
+    amplitudes = np.random.default_rng(seed)
+    amplitudes.bit_generator.advance(count)
+    half = 0.5 * spec.delta_h
+    for start in range(0, count, chunk):
+        n = min(chunk, count - start)
+        phi = phases.uniform(0.0, 2.0 * math.pi, n)
+        a0 = spec.amplitude.draw(amplitudes, n)
+        yield (a0 * math.cos(0.5 * spec.chi_h) * np.exp(1j * (phi + half)),
+               a0 * math.sin(0.5 * spec.chi_h) * np.exp(1j * (-phi + half)))
+
+
 def sample_hops(
     spec: HopsEnsembleSpec, count: int, seed: int,
 ) -> FieldEnsemble:
     """Draw a hidden-polarized ensemble, bit-reproducible per seed."""
     if count < 1:
         raise ValueError("count must be at least 1")
-    rng = np.random.default_rng(seed)
-    phi = rng.uniform(0.0, 2.0 * math.pi, count)
-    a0 = spec.amplitude.draw(rng, count)
-    half = 0.5 * spec.delta_h
-    amp_x = a0 * math.cos(0.5 * spec.chi_h) * np.exp(1j * (phi + half))
-    amp_y = a0 * math.sin(0.5 * spec.chi_h) * np.exp(1j * (-phi + half))
-    return FieldEnsemble(amp_x, amp_y)
+    return FieldEnsemble(*next(_hops_chunks(spec, count, seed, count)))
 
 
 def sample_ordinary(
@@ -171,14 +192,6 @@ class EnsembleStats:
     sample_count: int
 
 
-def _batch_standard_error(samples: np.ndarray) -> float:
-    n = samples.shape[0]
-    batches = max(2, math.isqrt(n))
-    size = n // batches
-    means = samples[: batches * size].reshape(batches, size).mean(axis=1)
-    return float(np.std(means, ddof=1) / math.sqrt(batches))
-
-
 def _amplitude_arrays(samples) -> tuple[np.ndarray, np.ndarray]:
     if isinstance(samples, FieldEnsemble):
         return samples.amp_x, samples.amp_y
@@ -187,43 +200,83 @@ def _amplitude_arrays(samples) -> tuple[np.ndarray, np.ndarray]:
     return amp_x, amp_y
 
 
-def _stats_from_components(components: dict[str, np.ndarray]) -> EnsembleStats:
-    n = next(iter(components.values())).shape[0]
-    values = {k: float(np.mean(v)) for k, v in components.items()}
-    errors = {k: _batch_standard_error(v) for k, v in components.items()}
-    return EnsembleStats(values, errors, n)
+def _batch_layout(count: int) -> tuple[int, int]:
+    """(batches, size): the first batches * size samples form the batches."""
+    if count < 2:
+        raise ValueError("need at least 2 samples for error estimates")
+    batches = max(2, math.isqrt(count))
+    return batches, count // batches
+
+
+def _stokes_components(amp_x, amp_y) -> dict[str, np.ndarray]:
+    ix = np.abs(amp_x) ** 2
+    iy = np.abs(amp_y) ** 2
+    cross = 2.0 * np.conj(amp_y) * amp_x
+    return {"s0": iy + ix, "s1": iy - ix, "s2": cross.real, "s3": cross.imag}
+
+
+def _hidden_components(amp_x, amp_y) -> dict[str, np.ndarray]:
+    ix = np.abs(amp_x) ** 2
+    iy = np.abs(amp_y) ** 2
+    pair = 2.0 * amp_y * amp_x
+    return {"h0": iy + ix, "h1": iy - ix, "h2": pair.real, "h3": pair.imag}
+
+
+def _chunk_stats(
+    chunks: Iterable[tuple[np.ndarray, np.ndarray]], count: int,
+    components: Callable[..., dict[str, np.ndarray]],
+) -> EnsembleStats:
+    """Statistics of `components(amp_x, amp_y)` over a stream of samples.
+
+    `chunks` yields (amp_x, amp_y) pairs, `count` samples in all; every
+    chunk but the last holds whole batches (`_batch_layout`), so the
+    batch means, and hence the errors, do not depend on the chunking.
+    """
+    batches, size = _batch_layout(count)
+    sums: dict[str, float] = {}
+    means: dict[str, list[np.ndarray]] = {}
+    start = 0
+    for amp_x, amp_y in chunks:
+        whole = min(max(batches * size - start, 0), amp_x.shape[0])
+        for name, v in components(amp_x, amp_y).items():
+            sums[name] = sums.get(name, 0.0) + np.sum(v)
+            means.setdefault(name, []).append(
+                v[:whole].reshape(-1, size).mean(axis=1))
+        start += amp_x.shape[0]
+    errors = {k: float(np.std(np.concatenate(m), ddof=1) / math.sqrt(batches))
+              for k, m in means.items()}
+    return EnsembleStats({k: float(s / count) for k, s in sums.items()},
+                         errors, count)
 
 
 def classical_stokes(samples) -> EnsembleStats:
     """Ensemble Stokes estimates: s2 + i*s3 = 2<conj(A_y) A_x>."""
     amp_x, amp_y = _amplitude_arrays(samples)
-    if amp_x.shape[0] < 2:
-        raise ValueError("need at least 2 samples for error estimates")
-    ix = np.abs(amp_x) ** 2
-    iy = np.abs(amp_y) ** 2
-    cross = 2.0 * np.conj(amp_y) * amp_x
-    return _stats_from_components({
-        "s0": iy + ix,
-        "s1": iy - ix,
-        "s2": cross.real,
-        "s3": cross.imag,
-    })
+    return _chunk_stats([(amp_x, amp_y)], amp_x.shape[0], _stokes_components)
 
 
 def classical_hidden(samples) -> EnsembleStats:
     """Ensemble hidden estimates: h2 + i*h3 = 2<A_y A_x> (no conjugation)."""
     amp_x, amp_y = _amplitude_arrays(samples)
-    if amp_x.shape[0] < 2:
-        raise ValueError("need at least 2 samples for error estimates")
-    ix = np.abs(amp_x) ** 2
-    iy = np.abs(amp_y) ** 2
-    pair = 2.0 * amp_y * amp_x
-    return _stats_from_components({
-        "h0": iy + ix,
-        "h1": iy - ix,
-        "h2": pair.real,
-        "h3": pair.imag,
-    })
+    return _chunk_stats([(amp_x, amp_y)], amp_x.shape[0], _hidden_components)
+
+
+def hops_statistics(
+    spec: HopsEnsembleSpec, count: int, seed: int,
+) -> EnsembleStats:
+    """s0..s3 and h0..h3 of sample_hops(spec, count, seed) in one table.
+
+    The same numbers as classical_stokes and classical_hidden of that
+    ensemble, but the samples are drawn and reduced in chunks of whole
+    batches, about ENSEMBLE_CHUNK samples each, and never held at once;
+    beyond one chunk only the ~sqrt(count) batch means are kept. The
+    errors are equal; the estimates agree to summation round-off.
+    """
+    _, size = _batch_layout(count)
+    chunk = size * max(1, ENSEMBLE_CHUNK // size)
+    return _chunk_stats(
+        _hops_chunks(spec, count, seed, chunk), count,
+        lambda x, y: {**_stokes_components(x, y), **_hidden_components(x, y)})
 
 
 def polarization_index(

@@ -26,15 +26,11 @@ from .classical import (
     FixedAmplitude,
     HopsEnsembleSpec,
     RayleighAmplitude,
-    classical_hidden,
-    classical_stokes,
-    sample_hops,
+    hops_statistics,
 )
 from .dpa import DpaConfig, evolve, heisenberg_moments, oracle_moments
 from .fock import FockCutoff, fock_state, random_low_excitation_state
 from .polarization import (
-    build_hidden,
-    build_stokes,
     factorization_residuals,
     fit_hops_criterion,
     uncertainty_products,
@@ -269,9 +265,7 @@ def cmd_ensemble(args, parser) -> int:
                      else RayleighAmplitude(args.scale))
         spec = HopsEnsembleSpec(chi_h=args.chi_h, delta_h=args.delta_h,
                                 amplitude=amplitude)
-        ensemble = sample_hops(spec, args.count, seed=args.seed)
-        tables = {"stokes": classical_stokes(ensemble),
-                  "hidden": classical_hidden(ensemble)}
+        stats = hops_statistics(spec, args.count, seed=args.seed)
     except ValueError as exc:
         parser.error(str(exc))
     config = {"command": "ensemble", "chi_h": args.chi_h,
@@ -279,7 +273,7 @@ def cmd_ensemble(args, parser) -> int:
               "count": args.count, "seed": args.seed}
     config["a0" if args.amplitude == "fixed" else "scale"] = (
         args.a0 if args.amplitude == "fixed" else args.scale)
-    _emit(ensemble_csv(tables, config), args.out)
+    _emit(ensemble_csv({"ensemble": stats}, config), args.out)
     return EXIT_OK
 
 
@@ -316,7 +310,7 @@ def _verify_suites(cutoff_dim: int, seed: int):
     """Run every invariant suite; yield (name, hard_pass, detail, notes)."""
     cut = FockCutoff(cutoff_dim, cutoff_dim)
 
-    hidden_rows = verify_hidden_commutators(build_hidden(cut))
+    hidden_rows = verify_hidden_commutators(cut)
     worst = max(r.adjudicated_residual for r in hidden_rows)
     notes = [f"printed form fails, corrected closes: {r.name} "
              f"(printed residual {fmt(r.printed_residual)}, "
@@ -325,7 +319,7 @@ def _verify_suites(cutoff_dim: int, seed: int):
     yield ("hidden-commutators", worst < 1e-10,
            f"max interior residual {fmt(worst)} at {cut}", notes)
 
-    stokes_rows = verify_stokes_commutators(build_stokes(cut))
+    stokes_rows = verify_stokes_commutators(cut)
     worst = max(r.adjudicated_residual for r in stokes_rows)
     notes = [f"printed form fails, corrected closes: {r.name} "
              f"(printed residual {fmt(r.printed_residual)}, "

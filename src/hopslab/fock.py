@@ -1,4 +1,4 @@
-"""Truncated two-mode Fock space: states, sectors, ladder actions, operators.
+"""Truncated two-mode Fock space: states, sectors and ladder actions.
 
 The joint space is the tensor product of two truncated oscillators with
 dimensions d_x and d_y; the basis state |n_x, n_y> lives at flat index
@@ -16,9 +16,9 @@ measure (`polarization.hidden_moments`) run on those blocks.
 `apply_ladders` serves the remaining state-level computations: a
 ladder operator acts on the (d_x, d_y) view of a state vector, or of a
 matrix with Fock-indexed rows, as an index shift times a sqrt(n + 1)
-weight. The dense `Operator` type remains for the operator algebra
-itself: the Stokes and hidden sets and their commutator tables.
-Operations are exact on the truncated space; fidelity to the
+weight. No operator is stored as a joint-dimension matrix: the
+commutator tables (`polarization`) run on the chains each operator set
+conserves. Operations are exact on the truncated space; fidelity to the
 infinite-dimensional physics is certified post hoc with
 boundary_leakage.
 """
@@ -39,10 +39,6 @@ EIGENVALUE_FLOOR = -1e-10  # lowest eigenvalue a density matrix may have
 # dimension a density that is not sector-block diagonal gets only the
 # hermiticity and trace checks.
 PSD_CHECK_MAX_DIM = 1024
-
-
-class DimensionMismatchError(ValueError):
-    """Operands live on different Fock cutoffs."""
 
 
 @dataclass(frozen=True)
@@ -75,75 +71,6 @@ class FockCutoff:
         n_x = np.repeat(np.arange(self.d_x, dtype=float), self.d_y)
         n_y = np.tile(np.arange(self.d_y, dtype=float), self.d_x)
         return n_x, n_y
-
-
-def _as_complex_matrix(m: np.ndarray, dim: int, what: str) -> np.ndarray:
-    a = np.asarray(m, dtype=complex)
-    if a.shape != (dim, dim):
-        raise ValueError(f"{what} has shape {a.shape}, expected {(dim, dim)}")
-    a = np.ascontiguousarray(a)
-    a.flags.writeable = False
-    return a
-
-
-@dataclass(frozen=True)
-class Operator:
-    """Dense complex matrix on the joint truncated space.
-
-    Immutable. Algebra is spelled with the usual Python operators: `+`,
-    `-`, scalar `*`, matrix `@`, plus .dag() and .commutator(). Mixing
-    operators from different cutoffs raises DimensionMismatchError.
-    """
-
-    cutoff: FockCutoff
-    matrix: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "matrix",
-            _as_complex_matrix(self.matrix, self.cutoff.dim, "operator matrix"),
-        )
-
-    def _require_same_cutoff(self, other: "Operator") -> None:
-        if self.cutoff != other.cutoff:
-            raise DimensionMismatchError(
-                f"cutoff mismatch: {self.cutoff} vs {other.cutoff}")
-
-    def dag(self) -> "Operator":
-        return Operator(self.cutoff, self.matrix.conj().T)
-
-    def __add__(self, other: "Operator") -> "Operator":
-        self._require_same_cutoff(other)
-        return Operator(self.cutoff, self.matrix + other.matrix)
-
-    def __sub__(self, other: "Operator") -> "Operator":
-        self._require_same_cutoff(other)
-        return Operator(self.cutoff, self.matrix - other.matrix)
-
-    def __neg__(self) -> "Operator":
-        return Operator(self.cutoff, -self.matrix)
-
-    def __mul__(self, scalar: complex) -> "Operator":
-        return Operator(self.cutoff, self.matrix * complex(scalar))
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other: "Operator") -> "Operator":
-        self._require_same_cutoff(other)
-        return Operator(self.cutoff, self.matrix @ other.matrix)
-
-    def commutator(self, other: "Operator") -> "Operator":
-        self._require_same_cutoff(other)
-        return Operator(
-            self.cutoff,
-            self.matrix @ other.matrix - other.matrix @ self.matrix)
-
-    def is_hermitian(self, tol: float = ALGEBRA_TOL) -> bool:
-        return bool(np.max(np.abs(self.matrix - self.matrix.conj().T)) <= tol)
-
-
-def commutator(a: Operator, b: Operator) -> Operator:
-    return a.commutator(b)
 
 
 @dataclass(frozen=True)
@@ -179,11 +106,18 @@ class QuantumState:
 
     @classmethod
     def from_density(cls, cutoff: FockCutoff, rho: np.ndarray) -> "QuantumState":
-        m = _as_complex_matrix(rho, cutoff.dim, "density matrix")
+        m = np.asarray(rho, dtype=complex)
+        if m.shape != (cutoff.dim, cutoff.dim):
+            raise ValueError(f"density matrix has shape {m.shape}, "
+                             f"expected {(cutoff.dim, cutoff.dim)}")
         if np.max(np.abs(m - m.conj().T)) > ALGEBRA_TOL:
             raise ValueError("density matrix is not Hermitian within 1e-12")
         _require_unit_trace(np.trace(m).real)
         _check_positive(m, cutoff)
+        # copied only now, after the checks' temporaries are gone;
+        # freezing the caller's own array would make it read-only
+        m = np.array(m, order="C")
+        m.flags.writeable = False
         return cls(cutoff, density=m)
 
     @property
@@ -338,12 +272,6 @@ def fock_state(cutoff: FockCutoff, n_x: int, n_y: int) -> QuantumState:
     return QuantumState.from_vector(cutoff, v)
 
 
-def _ladder(d: int) -> np.ndarray:
-    m = np.zeros((d, d), dtype=complex)
-    m[np.arange(d - 1), np.arange(1, d)] = np.sqrt(np.arange(1, d))
-    return m
-
-
 def apply_ladders(
     array: np.ndarray, cutoff: FockCutoff, k_x: int = 0, k_y: int = 0,
     adjoint: bool = False,
@@ -353,7 +281,7 @@ def apply_ladders(
     `array` is a state vector (dim,) or a matrix (dim, k) with
     Fock-indexed rows. On its (d_x, d_y) view each ladder is a shift by
     one level times a sqrt(n + 1) weight; amplitude raised past the top
-    level is dropped, as in the dense `annihilation`/`creation` matrices.
+    level is dropped, as it is by truncated ladder matrices.
     """
     x = np.asarray(array)
     if x.ndim not in (1, 2) or x.shape[0] != cutoff.dim:
@@ -386,47 +314,6 @@ def _ladder_weight(d_x: int, d_y: int, k_x: int, k_y: int) -> np.ndarray:
     return weight
 
 
-def annihilation(cutoff: FockCutoff, mode: str) -> Operator:
-    """Annihilation operator a_x or a_y on the joint space.
-
-    a_x|n_x, n_y> = sqrt(n_x) |n_x - 1, n_y>, likewise for y. Columns at
-    the truncation boundary are simply cut; the algebra is exact away
-    from the top levels.
-    """
-    if mode == "x":
-        m = np.kron(_ladder(cutoff.d_x), np.eye(cutoff.d_y))
-    elif mode == "y":
-        m = np.kron(np.eye(cutoff.d_x), _ladder(cutoff.d_y))
-    else:
-        raise ValueError(f"mode must be 'x' or 'y', got {mode!r}")
-    return Operator(cutoff, m)
-
-
-def creation(cutoff: FockCutoff, mode: str) -> Operator:
-    return annihilation(cutoff, mode).dag()
-
-
-def number_operator(cutoff: FockCutoff, mode: str) -> Operator:
-    n_x, n_y = cutoff.number_diagonals()
-    diag = n_x if mode == "x" else n_y
-    if mode not in ("x", "y"):
-        raise ValueError(f"mode must be 'x' or 'y', got {mode!r}")
-    return Operator(cutoff, np.diag(diag.astype(complex)))
-
-
-def identity(cutoff: FockCutoff) -> Operator:
-    return Operator(cutoff, np.eye(cutoff.dim, dtype=complex))
-
-
-def pair_annihilation(cutoff: FockCutoff) -> Operator:
-    """The product a_y a_x (equivalently a_x a_y) built directly.
-
-    Kronecker structure: a_x a_y = kron(ladder_x, ladder_y), which avoids
-    a joint-dimension matrix product.
-    """
-    return Operator(cutoff, np.kron(_ladder(cutoff.d_x), _ladder(cutoff.d_y)))
-
-
 def boundary_leakage(state: QuantumState, margin: int) -> float:
     """Population within `margin` levels of either truncation edge.
 
@@ -440,15 +327,6 @@ def boundary_leakage(state: QuantumState, margin: int) -> float:
     n_x, n_y = state.cutoff.number_diagonals()
     mask = (n_x >= d_x - margin) | (n_y >= d_y - margin)
     return float(np.sum(state.populations()[mask]))
-
-
-def interior_indices(cutoff: FockCutoff, margin: int) -> np.ndarray:
-    """Flat indices of states at least `margin` levels below both cutoffs."""
-    if not (1 <= margin < min(cutoff.d_x, cutoff.d_y)):
-        raise ValueError(f"margin {margin} out of range for {cutoff}")
-    n_x, n_y = cutoff.number_diagonals()
-    keep = (n_x <= cutoff.d_x - 1 - margin) & (n_y <= cutoff.d_y - 1 - margin)
-    return np.nonzero(keep)[0]
 
 
 def random_low_excitation_state(

@@ -15,10 +15,15 @@ over imbalance-sector blocks (`fock.sector_blocks`): H0 and H1 are
 diagonal on a sector and H2 + iH3 = 2 a_y a_x is a weighted shift
 inside it, so each moment is a weighted sum over three bands of a
 block. The criterion fit and the coherence functions run on ladder
-shifts (`fock.apply_ladders`). Dense d^2 x d^2 matrices are built only
-by `build_stokes`/`build_hidden`, for the commutator tables.
+shifts (`fock.apply_ladders`).
 
-Commutation tables are verified on the interior block (indices at least
+The commutator tables run on the chains each set conserves: imbalance
+sectors for the hidden set (su(1,1)), photon-number shells for the
+Stokes set (su(2)). On every chain a quadruple is two diagonals and one
+weighted one-step shift, so `verify_hidden_commutators(cutoff)` and
+`verify_stokes_commutators(cutoff)` evaluate each relation as batched
+products of zero-padded (chains, L, L) stacks; no d^2 x d^2 matrix is
+formed. Residuals are taken on the interior block (states at least
 probe_margin below both cutoffs) because truncation necessarily breaks
 ladder algebra at the boundary. Where a published relation disagrees in
 sign with the constructed algebra, the verdict table reports the printed
@@ -28,23 +33,16 @@ form and the corrected form side by side; nothing is silently fixed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
 from .fock import (
     VARIANCE_FLOOR,
     FockCutoff,
-    Operator,
     QuantumState,
     SectorBlock,
-    annihilation,
     apply_ladders,
-    creation,
-    identity,
-    interior_indices,
-    number_operator,
-    pair_annihilation,
     sector_blocks,
 )
 
@@ -55,69 +53,6 @@ FIT_DENOMINATOR_FLOOR = 1e-28
 
 class FitUndefinedError(ArithmeticError):
     """The criterion fit has a vanishing denominator (no x-quanta to add)."""
-
-
-@dataclass(frozen=True)
-class StokesSet:
-    s0: Operator
-    s1: Operator
-    s2: Operator
-    s3: Operator
-
-    @property
-    def cutoff(self) -> FockCutoff:
-        return self.s0.cutoff
-
-    def as_tuple(self) -> tuple[Operator, Operator, Operator, Operator]:
-        return (self.s0, self.s1, self.s2, self.s3)
-
-
-@dataclass(frozen=True)
-class HiddenSet:
-    """H0..H3 with a phase convention.
-
-    omega_t None means interaction picture (the e^{2i w t} factor is 1);
-    a float builds the explicit-phase operators, which is only useful for
-    spot-checking that reported quantities are picture-invariant.
-    """
-
-    h0: Operator
-    h1: Operator
-    h2: Operator
-    h3: Operator
-    omega_t: float | None = None
-
-    @property
-    def cutoff(self) -> FockCutoff:
-        return self.h0.cutoff
-
-    def as_tuple(self) -> tuple[Operator, Operator, Operator, Operator]:
-        return (self.h0, self.h1, self.h2, self.h3)
-
-
-def build_stokes(cutoff: FockCutoff) -> StokesSet:
-    """S0 = N_y + N_x, S1 = N_y - N_x, S2 + iS3 = 2 a_y^dag a_x."""
-    n_x = number_operator(cutoff, "x")
-    n_y = number_operator(cutoff, "y")
-    cross = creation(cutoff, "y") @ annihilation(cutoff, "x")
-    s2 = cross + cross.dag()
-    s3 = -1j * (cross - cross.dag())
-    return StokesSet(n_y + n_x, n_y - n_x, s2, s3)
-
-
-def build_hidden(cutoff: FockCutoff, omega_t: float | None = None) -> HiddenSet:
-    """H0 = S0, H1 = S1, H2 + iH3 = 2 e^{2i w t} a_y a_x.
-
-    The interaction picture (omega_t=None) sets the exponential to 1.
-    """
-    n_x = number_operator(cutoff, "x")
-    n_y = number_operator(cutoff, "y")
-    pair = pair_annihilation(cutoff)
-    phase = 1.0 + 0j if omega_t is None else np.exp(2j * omega_t)
-    term = phase * pair
-    h2 = term + term.dag()
-    h3 = -1j * (term - term.dag())
-    return HiddenSet(n_y + n_x, n_y - n_x, h2, h3, omega_t=omega_t)
 
 
 def hidden_moments(
@@ -193,48 +128,103 @@ class RelationCheck:
         return self.adjudicated_residual < self.tol
 
 
-def _interior_max(matrix: np.ndarray, cutoff: FockCutoff, margin: int) -> float:
-    idx = interior_indices(cutoff, margin)
-    return float(np.max(np.abs(matrix[np.ix_(idx, idx)])))
+def _chain_tables(
+    cutoff: FockCutoff, probe_margin: int, hidden: bool,
+) -> tuple[tuple[np.ndarray, ...], Callable[[np.ndarray], float]]:
+    """X0..X3 of one operator set on every chain it conserves.
+
+    A chain is an imbalance sector |lo_x + k, lo_y + k> (delta
+    ascending) for the hidden set, and a photon-number shell
+    |lo + k, N - lo - k> (N ascending) for the Stokes set. On a chain,
+    X0 = diag(n_y + n_x), X1 = diag(n_y - n_x) and X2 + iX3 = 2W, where
+    W maps position k + 1 to k with weight sqrt((n_x+1)(n_y+1)) (a_y a_x)
+    or sqrt((n_x+1) n_y) (a_y^dag a_x), (n_x, n_y) taken at k. The
+    chains are zero-padded to a common length L and stacked as
+    (chains, L, L) arrays; no weight crosses a chain's end, so batched
+    products are the chain blocks of the dense products, which vanish
+    between chains.
+
+    Also returns the residual: max |entry| of a stack over row and
+    column positions with n_x <= d_x-1-probe_margin and
+    n_y <= d_y-1-probe_margin, the interior block of the dense matrix.
+    probe_margin >= 2 is required (the quadratic relations reach two
+    levels past any state they touch), and below min(d_x, d_y) so the
+    interior is not empty.
+    """
+    d_x, d_y = cutoff.d_x, cutoff.d_y
+    if probe_margin < 2:
+        raise ValueError("probe_margin must be at least 2")
+    if probe_margin >= min(d_x, d_y):
+        raise ValueError(
+            f"probe_margin {probe_margin} leaves no interior in {cutoff}")
+    k = np.arange(min(d_x, d_y))
+    if hidden:
+        delta = np.arange(-(d_y - 1), d_x)[:, None]
+        n_x = np.maximum(delta, 0) + k
+        n_y = np.maximum(-delta, 0) + k
+    else:
+        shell = np.arange(d_x + d_y - 1)[:, None]
+        n_x = np.maximum(shell - (d_y - 1), 0) + k
+        n_y = shell - n_x
+    inside = (n_x < d_x) & (n_y >= 0) & (n_y < d_y)
+    # zero on every step that leaves the chain
+    weights = inside[:, 1:] * np.sqrt(
+        (n_x[:, :-1] + 1.0) * np.maximum(n_y[:, :-1] + float(hidden), 0.0))
+    chains, length = n_x.shape
+    diagonal = np.arange(length)
+    x0 = np.zeros((chains, length, length), dtype=complex)
+    x1 = np.zeros_like(x0)
+    shift = np.zeros_like(x0)
+    x0[:, diagonal, diagonal] = (n_y + n_x) * inside
+    x1[:, diagonal, diagonal] = (n_y - n_x) * inside
+    shift[:, diagonal[:-1], diagonal[1:]] = weights
+    back = shift.transpose(0, 2, 1)
+    x2 = shift + back
+    x3 = -1j * (shift - back)
+    interior = inside & (n_x <= d_x - 1 - probe_margin) \
+        & (n_y <= d_y - 1 - probe_margin)
+    block = interior[:, :, None] & interior[:, None, :]
+
+    def residual(stack: np.ndarray) -> float:
+        return float(np.max(np.abs(stack[block])))
+
+    return (x0, x1, x2, x3), residual
+
+
+def _commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return a @ b - b @ a
 
 
 def verify_hidden_commutators(
-    hidden: HiddenSet, probe_margin: int = 2,
+    cutoff: FockCutoff, probe_margin: int = 2,
 ) -> list[RelationCheck]:
-    """Residual table for the hidden-set commutation relations.
+    """Residual table for the hidden-set su(1,1) relations at `cutoff`.
 
-    probe_margin >= 2 is required: the quadratic relations reach two
-    levels past any state they touch.
+    Evaluated on the imbalance sectors, which every H_j conserves.
     """
-    if probe_margin < 2:
-        raise ValueError("probe_margin must be at least 2")
-    h0, h1, h2, h3 = hidden.as_tuple()
-    cut, m = hidden.cutoff, probe_margin
-    one = identity(cut)
+    (h0, h1, h2, h3), res = _chain_tables(cutoff, probe_margin, hidden=True)
+    one = np.eye(h0.shape[-1])
     rows: list[RelationCheck] = []
 
     for name, a, b in (("[H1,H0]", h1, h0), ("[H1,H2]", h1, h2), ("[H1,H3]", h1, h3)):
-        r = _interior_max(a.commutator(b).matrix, cut, m)
+        r = res(_commutator(a, b))
         rows.append(RelationCheck(name, f"{name} = 0", r, f"{name} = 0", r))
 
-    c02 = h0.commutator(h2).matrix
+    c02 = _commutator(h0, h2)
     rows.append(RelationCheck(
         "[H0,H2]",
-        "[H0,H2] = 2i*H3", _interior_max(c02 - 2j * h3.matrix, cut, m),
-        "[H0,H2] = -2i*H3", _interior_max(c02 + 2j * h3.matrix, cut, m)))
+        "[H0,H2] = 2i*H3", res(c02 - 2j * h3),
+        "[H0,H2] = -2i*H3", res(c02 + 2j * h3)))
 
-    c03 = h0.commutator(h3).matrix
-    r03 = _interior_max(c03 - 2j * h2.matrix, cut, m)
+    r03 = res(_commutator(h0, h3) - 2j * h2)
     rows.append(RelationCheck(
         "[H0,H3]", "[H0,H3] = 2i*H2", r03, "[H0,H3] = 2i*H2", r03))
 
-    c23 = h2.commutator(h3).matrix
-    r23 = _interior_max(c23 - 2j * (one + h0).matrix, cut, m)
+    r23 = res(_commutator(h2, h3) - 2j * (one + h0))
     rows.append(RelationCheck(
         "[H2,H3]", "[H2,H3] = 2i*(1+H0)", r23, "[H2,H3] = 2i*(1+H0)", r23))
 
-    ident = (h1 @ h1 + h2 @ h2 + h3 @ h3 - h0 @ h0 - 2.0 * (one + h0)).matrix
-    rid = _interior_max(ident, cut, m)
+    rid = res(h1 @ h1 + h2 @ h2 + h3 @ h3 - h0 @ h0 - 2.0 * (one + h0))
     rows.append(RelationCheck(
         "identity",
         "H1^2+H2^2+H3^2 - H0^2 = 2*(1+H0)", rid,
@@ -243,36 +233,33 @@ def verify_hidden_commutators(
 
 
 def verify_stokes_commutators(
-    stokes: StokesSet, probe_margin: int = 2,
+    cutoff: FockCutoff, probe_margin: int = 2,
 ) -> list[RelationCheck]:
-    """Residual table for the Stokes su(2) relations.
+    """Residual table for the Stokes su(2) relations at `cutoff`.
 
+    Evaluated on the photon-number shells, which every S_j conserves.
     The published table's third cyclic entry is garbled (it repeats the
     second with swapped operands, violating antisymmetry); the cyclic
     closure [S3,S1] = 2i*S2 is adjudicated in its place and both forms
     are reported.
     """
-    if probe_margin < 2:
-        raise ValueError("probe_margin must be at least 2")
-    s0, s1, s2, s3 = stokes.as_tuple()
-    cut, m = stokes.cutoff, probe_margin
+    (s0, s1, s2, s3), res = _chain_tables(cutoff, probe_margin, hidden=False)
     rows: list[RelationCheck] = []
 
     for name, other in (("[S0,S1]", s1), ("[S0,S2]", s2), ("[S0,S3]", s3)):
-        r = _interior_max(s0.commutator(other).matrix, cut, m)
+        r = res(_commutator(s0, other))
         rows.append(RelationCheck(name, f"{name} = 0", r, f"{name} = 0", r))
 
-    r12 = _interior_max(s1.commutator(s2).matrix - 2j * s3.matrix, cut, m)
+    r12 = res(_commutator(s1, s2) - 2j * s3)
     rows.append(RelationCheck(
         "[S1,S2]", "[S1,S2] = 2i*S3", r12, "[S1,S2] = 2i*S3", r12))
 
-    r23 = _interior_max(s2.commutator(s3).matrix - 2j * s1.matrix, cut, m)
+    r23 = res(_commutator(s2, s3) - 2j * s1)
     rows.append(RelationCheck(
         "[S2,S3]", "[S2,S3] = 2i*S1", r23, "[S2,S3] = 2i*S1", r23))
 
-    printed_garbled = _interior_max(
-        s3.commutator(s2).matrix - 2j * s1.matrix, cut, m)
-    cyclic = _interior_max(s3.commutator(s1).matrix - 2j * s2.matrix, cut, m)
+    printed_garbled = res(_commutator(s3, s2) - 2j * s1)
+    cyclic = res(_commutator(s3, s1) - 2j * s2)
     rows.append(RelationCheck(
         "su2 closure", "[S3,S2] = 2i*S1", printed_garbled,
         "[S3,S1] = 2i*S2", cyclic))

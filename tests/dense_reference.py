@@ -1,23 +1,174 @@
-"""Dense reference implementations that tests compare the package against."""
+"""Dense reference implementations that tests compare the package against.
+
+Operators here are full d^2 x d^2 matrices on the joint truncated
+space, built from Kronecker products of single-mode ladder matrices:
+the independent construction the package's sector, shell and
+ladder-shift computations are checked against.
+"""
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
 
-from hopslab.fock import (
-    VARIANCE_FLOOR,
-    DimensionMismatchError,
-    FockCutoff,
-    Operator,
-    QuantumState,
-    pair_annihilation,
-)
+from hopslab.fock import ALGEBRA_TOL, VARIANCE_FLOOR, FockCutoff, QuantumState
 
 UNITARITY_TOL = 1e-10      # default tolerance for exp(anti-Hermitian) checks
 HERMITICITY_TOL = 1e-10    # operators fed to variance must be this Hermitian
 BOGOLIUBOV_TOL = 1e-12
+
+
+class DimensionMismatchError(ValueError):
+    """Operands live on different Fock cutoffs."""
+
+
+@dataclass(frozen=True)
+class Operator:
+    """Dense complex matrix on the joint truncated space.
+
+    Immutable. Algebra is spelled with the usual Python operators: `+`,
+    `-`, scalar `*`, matrix `@`, plus .dag(). Mixing operators from
+    different cutoffs raises DimensionMismatchError.
+    """
+
+    cutoff: FockCutoff
+    matrix: np.ndarray = field(repr=False)
+
+    def __post_init__(self) -> None:
+        m = np.array(self.matrix, dtype=complex, order="C")
+        dim = self.cutoff.dim
+        if m.shape != (dim, dim):
+            raise ValueError(
+                f"operator matrix has shape {m.shape}, expected {(dim, dim)}")
+        m.flags.writeable = False
+        object.__setattr__(self, "matrix", m)
+
+    def _require_same_cutoff(self, other: "Operator") -> None:
+        if self.cutoff != other.cutoff:
+            raise DimensionMismatchError(
+                f"cutoff mismatch: {self.cutoff} vs {other.cutoff}")
+
+    def dag(self) -> "Operator":
+        return Operator(self.cutoff, self.matrix.conj().T)
+
+    def __add__(self, other: "Operator") -> "Operator":
+        self._require_same_cutoff(other)
+        return Operator(self.cutoff, self.matrix + other.matrix)
+
+    def __sub__(self, other: "Operator") -> "Operator":
+        self._require_same_cutoff(other)
+        return Operator(self.cutoff, self.matrix - other.matrix)
+
+    def __mul__(self, scalar: complex) -> "Operator":
+        return Operator(self.cutoff, self.matrix * complex(scalar))
+
+    __rmul__ = __mul__
+
+    def __matmul__(self, other: "Operator") -> "Operator":
+        self._require_same_cutoff(other)
+        return Operator(self.cutoff, self.matrix @ other.matrix)
+
+    def is_hermitian(self, tol: float = ALGEBRA_TOL) -> bool:
+        return bool(np.max(np.abs(self.matrix - self.matrix.conj().T)) <= tol)
+
+
+def commutator(a: Operator, b: Operator) -> Operator:
+    return a @ b - b @ a
+
+
+def _ladder(d: int) -> np.ndarray:
+    m = np.zeros((d, d), dtype=complex)
+    m[np.arange(d - 1), np.arange(1, d)] = np.sqrt(np.arange(1, d))
+    return m
+
+
+def annihilation(cutoff: FockCutoff, mode: str) -> Operator:
+    """a_x or a_y: a_x|n_x, n_y> = sqrt(n_x) |n_x - 1, n_y>, likewise y.
+
+    Columns at the truncation boundary are simply cut; the algebra is
+    exact away from the top levels.
+    """
+    if mode == "x":
+        m = np.kron(_ladder(cutoff.d_x), np.eye(cutoff.d_y))
+    elif mode == "y":
+        m = np.kron(np.eye(cutoff.d_x), _ladder(cutoff.d_y))
+    else:
+        raise ValueError(f"mode must be 'x' or 'y', got {mode!r}")
+    return Operator(cutoff, m)
+
+
+def creation(cutoff: FockCutoff, mode: str) -> Operator:
+    return annihilation(cutoff, mode).dag()
+
+
+def number_operator(cutoff: FockCutoff, mode: str) -> Operator:
+    if mode not in ("x", "y"):
+        raise ValueError(f"mode must be 'x' or 'y', got {mode!r}")
+    n_x, n_y = cutoff.number_diagonals()
+    return Operator(cutoff, np.diag(n_x if mode == "x" else n_y))
+
+
+def pair_annihilation(cutoff: FockCutoff) -> Operator:
+    """a_y a_x = kron(ladder_x, ladder_y), without a joint-dimension product."""
+    return Operator(cutoff, np.kron(_ladder(cutoff.d_x), _ladder(cutoff.d_y)))
+
+
+def interior_indices(cutoff: FockCutoff, margin: int) -> np.ndarray:
+    """Flat indices of states at least `margin` levels below both cutoffs."""
+    if not (1 <= margin < min(cutoff.d_x, cutoff.d_y)):
+        raise ValueError(f"margin {margin} out of range for {cutoff}")
+    n_x, n_y = cutoff.number_diagonals()
+    keep = (n_x <= cutoff.d_x - 1 - margin) & (n_y <= cutoff.d_y - 1 - margin)
+    return np.nonzero(keep)[0]
+
+
+@dataclass(frozen=True)
+class StokesSet:
+    s0: Operator
+    s1: Operator
+    s2: Operator
+    s3: Operator
+
+    def as_tuple(self) -> tuple[Operator, Operator, Operator, Operator]:
+        return (self.s0, self.s1, self.s2, self.s3)
+
+
+@dataclass(frozen=True)
+class HiddenSet:
+    h0: Operator
+    h1: Operator
+    h2: Operator
+    h3: Operator
+
+    def as_tuple(self) -> tuple[Operator, Operator, Operator, Operator]:
+        return (self.h0, self.h1, self.h2, self.h3)
+
+
+def build_stokes(cutoff: FockCutoff) -> StokesSet:
+    """S0 = N_y + N_x, S1 = N_y - N_x, S2 + iS3 = 2 a_y^dag a_x."""
+    n_x = number_operator(cutoff, "x")
+    n_y = number_operator(cutoff, "y")
+    cross = creation(cutoff, "y") @ annihilation(cutoff, "x")
+    s2 = cross + cross.dag()
+    s3 = -1j * (cross - cross.dag())
+    return StokesSet(n_y + n_x, n_y - n_x, s2, s3)
+
+
+def build_hidden(cutoff: FockCutoff, omega_t: float | None = None) -> HiddenSet:
+    """H0 = S0, H1 = S1, H2 + iH3 = 2 e^{2i w t} a_y a_x.
+
+    omega_t None is the interaction picture (the exponential is 1); a
+    float builds the explicit-phase operators, for checking that the
+    package's interaction-picture moments are picture-invariant.
+    """
+    n_x = number_operator(cutoff, "x")
+    n_y = number_operator(cutoff, "y")
+    phase = 1.0 if omega_t is None else np.exp(2j * omega_t)
+    term = phase * pair_annihilation(cutoff)
+    h2 = term + term.dag()
+    h3 = -1j * (term - term.dag())
+    return HiddenSet(n_y + n_x, n_y - n_x, h2, h3)
 
 
 def matrix_exponential(op: Operator, tol: float = UNITARITY_TOL) -> Operator:

@@ -18,8 +18,6 @@ from hopslab.classical import HopsEnsembleSpec, classical_hidden, classical_stok
 from hopslab.dpa import DpaConfig, heisenberg_moments, oracle_moments
 from hopslab.fock import FockCutoff, fock_state, random_low_excitation_state
 from hopslab.polarization import (
-    build_hidden,
-    build_stokes,
     factorization_residuals,
     fit_hops_criterion,
     uncertainty_products,
@@ -134,8 +132,8 @@ def test_operator_algebra_residuals():
     failures, details = [], []
     cut = FockCutoff(16, 16)
     start = time.perf_counter()
-    hidden_rows = verify_hidden_commutators(build_hidden(cut))
-    stokes_rows = verify_stokes_commutators(build_stokes(cut))
+    hidden_rows = verify_hidden_commutators(cut)
+    stokes_rows = verify_stokes_commutators(cut)
     elapsed = time.perf_counter() - start
     for row in hidden_rows + stokes_rows:
         if row.adjudicated_residual >= 1e-10:

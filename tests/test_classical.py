@@ -13,9 +13,11 @@ from hopslab.classical import (
     OrdinaryEnsembleSpec,
     RayleighAmplitude,
     UndefinedIndexError,
+    _hops_chunks,
     classical_hidden,
     classical_stokes,
     hidden_index,
+    hops_statistics,
     polarization_index,
     sample_hops,
     sample_ordinary,
@@ -159,6 +161,42 @@ def test_standard_errors_shrink_like_root_n():
         ratio = small.std_errors[name] / large.std_errors[name]
         # 16x samples should shrink errors about 4x
         assert 2.0 < ratio < 8.0
+
+
+def test_chunked_draws_reproduce_the_one_shot_ensemble():
+    spec = HopsEnsembleSpec(chi_h=1.2, delta_h=0.4,
+                            amplitude=RayleighAmplitude(0.8))
+    count = 1001
+    rng = np.random.default_rng(42)
+    phi = rng.uniform(0.0, 2.0 * math.pi, count)
+    a0 = rng.rayleigh(0.8, count)
+    amp_x = a0 * math.cos(0.6) * np.exp(1j * (phi + 0.2))
+    amp_y = a0 * math.sin(0.6) * np.exp(1j * (-phi + 0.2))
+    ensemble = sample_hops(spec, count, seed=42)
+    np.testing.assert_array_equal(ensemble.amp_x, amp_x)
+    np.testing.assert_array_equal(ensemble.amp_y, amp_y)
+    chunks = list(_hops_chunks(spec, count, 42, 64))
+    assert len(chunks) == 16
+    np.testing.assert_array_equal(np.concatenate([c[0] for c in chunks]), amp_x)
+    np.testing.assert_array_equal(np.concatenate([c[1] for c in chunks]), amp_y)
+
+
+def test_streamed_statistics_match_one_shot():
+    # 300001 samples: batches of 548, five chunks of 119 batches each
+    spec = HopsEnsembleSpec(chi_h=1.1, delta_h=-0.3,
+                            amplitude=RayleighAmplitude(1.0))
+    ensemble = sample_hops(spec, 300_001, seed=5)
+    streamed = hops_statistics(spec, 300_001, seed=5)
+    assert streamed.sample_count == 300_001
+    for want in (classical_stokes(ensemble), classical_hidden(ensemble)):
+        for name, value in want.values.items():
+            assert streamed.std_errors[name] == want.std_errors[name]
+            assert streamed.values[name] == pytest.approx(value, rel=0,
+                                                          abs=1e-14)
+    assert set(streamed.values) == {"s0", "s1", "s2", "s3",
+                                    "h0", "h1", "h2", "h3"}
+    with pytest.raises(ValueError):
+        hops_statistics(spec, 1, seed=5)
 
 
 def test_polarization_index_trivial_cases():

@@ -134,16 +134,32 @@ def test_verify_passes(capsys):
 
 def test_verify_traced_peak_stays_small(tmp_path):
     # hidden-set moments act by ladder shifts; a dense d^2 x d^2 hidden
-    # set at the 40x40 uncertainty probe alone traces over 300 MB
+    # set at the 40x40 uncertainty probe alone traces over 300 MB. The
+    # commutator tables run on chains; dense 56x56 tables trace 1.7 GB
+    for cutoff, bound in ((16, 64e6), (56, 100e6)):
+        tracemalloc.start()
+        try:
+            code = main(["verify", "--cutoff", str(cutoff),
+                         "--out", str(tmp_path / "verify.txt")])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < bound, (cutoff, peak)
+
+
+def test_ensemble_traced_peak_stays_small(tmp_path):
+    # the statistics are drawn and reduced in chunks; holding a million
+    # samples and their component arrays at once traces about 80 MB
     tracemalloc.start()
     try:
-        code = main(["verify", "--cutoff", "16",
-                     "--out", str(tmp_path / "verify.txt")])
+        code = main(["ensemble", "--count", "1000000", "--amplitude",
+                     "rayleigh", "--out", str(tmp_path / "ensemble.csv")])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert code == 0
-    assert peak < 64e6
+    assert peak < 16e6
 
 
 def test_ensemble_csv(capsys):

@@ -22,17 +22,18 @@ from hopslab.fock import (
     QuantumState,
     boundary_leakage,
     fock_state,
-    number_operator,
     random_low_excitation_state,
     sector_table,
 )
-from hopslab.polarization import build_hidden, fit_hops_criterion
+from hopslab.polarization import fit_hops_criterion
 from hopslab.squeezing import thermal_state
 from dense_reference import (
     HeisenbergSolution,
+    build_hidden,
     expectation,
     interaction_hamiltonian,
     matrix_exponential,
+    number_operator,
     variance,
 )
 

@@ -3,24 +3,27 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hopslab.fock import (
-    DimensionMismatchError,
     FockCutoff,
-    Operator,
     QuantumState,
-    annihilation,
     apply_ladders,
     boundary_leakage,
-    commutator,
-    creation,
     fock_state,
-    identity,
-    interior_indices,
-    number_operator,
-    pair_annihilation,
     random_low_excitation_state,
     sector_table,
 )
-from dense_reference import expectation, matrix_exponential, variance
+from dense_reference import (
+    DimensionMismatchError,
+    Operator,
+    annihilation,
+    commutator,
+    creation,
+    expectation,
+    interior_indices,
+    matrix_exponential,
+    number_operator,
+    pair_annihilation,
+    variance,
+)
 
 PROPERTY_EXAMPLES = 40
 
@@ -207,6 +210,17 @@ def test_boundary_leakage_basics():
     assert boundary_leakage(fock_state(cut, 0, 4), 1) == 1.0
     with pytest.raises(ValueError):
         boundary_leakage(fock_state(cut, 0, 0), 5)
+
+
+def test_from_density_leaves_the_callers_array_writable():
+    cut = FockCutoff(3, 3)
+    rho = np.zeros((cut.dim, cut.dim), dtype=complex)
+    rho[0, 0] = 1.0
+    state = QuantumState.from_density(cut, rho)
+    rho[0, 1] = 0.5
+    assert state.density[0, 1] == 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        state.density[0, 1] = 0.5
 
 
 def test_state_validation_rejects_bad_inputs():

@@ -9,11 +9,11 @@ from hopslab.fock import (
     QuantumState,
     fock_state,
     random_low_excitation_state,
+    sector_table,
 )
 from hopslab.polarization import (
     FitUndefinedError,
-    build_hidden,
-    build_stokes,
+    _chain_tables,
     coherence_function,
     factorization_residuals,
     fit_hops_criterion,
@@ -21,7 +21,14 @@ from hopslab.polarization import (
     verify_hidden_commutators,
     verify_stokes_commutators,
 )
-from dense_reference import expectation, variance
+from dense_reference import (
+    build_hidden,
+    build_stokes,
+    expectation,
+    interior_indices,
+    pair_annihilation,
+    variance,
+)
 
 PROPERTY_EXAMPLES = 40
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
@@ -55,8 +62,6 @@ def test_shared_first_two_components():
 
 def test_hidden_cross_term_is_pair_product():
     hidden = build_hidden(CUT8)
-    from hopslab.fock import pair_annihilation
-
     combined = hidden.h2.matrix + 1j * hidden.h3.matrix
     np.testing.assert_allclose(
         combined, 2.0 * pair_annihilation(CUT8).matrix, atol=1e-14)
@@ -65,8 +70,6 @@ def test_hidden_cross_term_is_pair_product():
 def test_explicit_phase_cross_term():
     omega_t = 0.37
     hidden = build_hidden(CUT8, omega_t=omega_t)
-    from hopslab.fock import pair_annihilation
-
     combined = hidden.h2.matrix + 1j * hidden.h3.matrix
     expected = 2.0 * np.exp(2j * omega_t) * pair_annihilation(CUT8).matrix
     np.testing.assert_allclose(combined, expected, atol=1e-14)
@@ -99,7 +102,7 @@ def test_single_quantum_superposition_has_unit_s2():
 
 
 def test_hidden_commutator_table_verdicts():
-    rows = {r.name: r for r in verify_hidden_commutators(build_hidden(CUT12))}
+    rows = {r.name: r for r in verify_hidden_commutators(CUT12)}
     assert set(rows) == {
         "[H1,H0]", "[H1,H2]", "[H1,H3]", "[H0,H2]", "[H0,H3]",
         "[H2,H3]", "identity",
@@ -116,12 +119,12 @@ def test_hidden_commutator_table_verdicts():
 
 def test_quadratic_identity_residual_small():
     rows = {r.name: r
-            for r in verify_hidden_commutators(build_hidden(FockCutoff(16, 16)))}
+            for r in verify_hidden_commutators(FockCutoff(16, 16))}
     assert rows["identity"].adjudicated_residual < 1e-10
 
 
 def test_stokes_commutator_table_verdicts():
-    rows = {r.name: r for r in verify_stokes_commutators(build_stokes(CUT12))}
+    rows = {r.name: r for r in verify_stokes_commutators(CUT12)}
     assert set(rows) == {
         "[S0,S1]", "[S0,S2]", "[S0,S3]", "[S1,S2]", "[S2,S3]", "su2 closure",
     }
@@ -134,9 +137,59 @@ def test_stokes_commutator_table_verdicts():
 
 def test_probe_margin_validation():
     with pytest.raises(ValueError):
-        verify_hidden_commutators(build_hidden(CUT8), probe_margin=1)
+        verify_hidden_commutators(CUT8, probe_margin=1)
     with pytest.raises(ValueError):
-        verify_stokes_commutators(build_stokes(CUT8), probe_margin=0)
+        verify_stokes_commutators(CUT8, probe_margin=0)
+    # an empty interior is an error, not a vacuous pass
+    for cut, margin in ((CUT8, 8), (FockCutoff(5, 9), 5)):
+        for verify in (verify_hidden_commutators, verify_stokes_commutators):
+            with pytest.raises(ValueError, match="no interior"):
+                verify(cut, probe_margin=margin)
+
+
+def _shells(cut):
+    # photon-number shells n_x + n_y = N, N ascending, each by n_x ascending
+    return [np.array([cut.index(n_x, n - n_x)
+                      for n_x in range(max(0, n - cut.d_y + 1),
+                                       min(n, cut.d_x - 1) + 1)])
+            for n in range(cut.d_x + cut.d_y - 1)]
+
+
+@pytest.mark.parametrize("cut", [FockCutoff(7, 10), FockCutoff(12, 9)],
+                         ids=["7x10", "12x9"])
+def test_chain_tables_match_dense_operators(cut):
+    sectors = [s.indices for s in sector_table(cut).sectors]
+    hidden_set, stokes_set = build_hidden(cut), build_stokes(cut)
+    for hidden, dense, chains in ((True, hidden_set, sectors),
+                                  (False, stokes_set, _shells(cut))):
+        stacks, _ = _chain_tables(cut, 2, hidden)
+        assert len(chains) == stacks[0].shape[0]
+        inside = np.zeros((cut.dim, cut.dim), dtype=bool)
+        for idx in chains:
+            inside[np.ix_(idx, idx)] = True
+        for stack, op in zip(stacks, dense.as_tuple()):
+            for block, idx in zip(stack, chains):
+                size = idx.size
+                np.testing.assert_allclose(
+                    block[:size, :size], op.matrix[np.ix_(idx, idx)],
+                    rtol=0, atol=1e-12)
+                assert not block[size:].any() and not block[:, size:].any()
+            assert not op.matrix[~inside].any()
+
+    # the nonzero printed residuals exercise the interior mask
+    idx = interior_indices(cut, 2)
+
+    def interior_max(m):
+        return np.max(np.abs(m[np.ix_(idx, idx)]))
+
+    h0, _, h2, h3 = (op.matrix for op in hidden_set.as_tuple())
+    _, s1, s2, s3 = (op.matrix for op in stokes_set.as_tuple())
+    hidden_rows = {r.name: r for r in verify_hidden_commutators(cut)}
+    stokes_rows = {r.name: r for r in verify_stokes_commutators(cut)}
+    assert hidden_rows["[H0,H2]"].printed_residual == pytest.approx(
+        interior_max(h0 @ h2 - h2 @ h0 - 2j * h3), abs=1e-12)
+    assert stokes_rows["su2 closure"].printed_residual == pytest.approx(
+        interior_max(s3 @ s2 - s2 @ s3 - 2j * s1), abs=1e-12)
 
 
 @given(omega_t=PHASES, seed=SEEDS)

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 import hopslab.squeezing as squeezing
 from hopslab.dpa import oracle_moments, thermal_heisenberg_moments
-from hopslab.fock import FockCutoff, number_operator
+from hopslab.fock import FockCutoff
 from hopslab.squeezing import (
     FockModel,
     MomentClaimTable,
@@ -23,7 +23,7 @@ from hopslab.squeezing import (
     thermal_state,
     thermal_weight,
 )
-from dense_reference import expectation
+from dense_reference import expectation, number_operator
 
 OCCUPATIONS = st.floats(min_value=0.0, max_value=1.0)
 MEAN_PHOTONS = st.floats(min_value=0.0, max_value=20.0)
