@@ -11,7 +11,7 @@ magnitude; that insensitivity is the point of the figure.
 import argparse
 from pathlib import Path
 
-from hopslab.reporting import curve_csv, curve_svg, fmt
+from hopslab.reporting import curve_csv, curve_svg, fmt, sweep_config
 from hopslab.squeezing import (
     FockModel,
     WeightedProjectorModel,
@@ -27,18 +27,6 @@ CASES = (
 )
 
 
-def model_config(model, kt_max, steps):
-    config = {"command": "sweep", "model": model.label,
-              "kt_max": kt_max, "steps": steps,
-              "oracle": 0, "leakage_tol": 1e-6}
-    if isinstance(model, FockModel):
-        config.update(nx=model.n_x, ny=model.n_y)
-    else:
-        config.update(nbar_x=model.nbar_x, nx=model.n_x,
-                      nbar_y=model.nbar_y, ny=model.n_y)
-    return config
-
-
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--outdir", type=Path, default=Path("out"))
@@ -51,7 +39,7 @@ def main() -> None:
           f"{'onset (closed)':>18} {'onset (bisect)':>18}")
     for name, model in CASES:
         curve = sweep(model, kt_max=args.kt_max, steps=args.steps)
-        config = model_config(model, args.kt_max, args.steps)
+        config = sweep_config(model, args.kt_max, args.steps)
         csv_path = args.outdir / f"{name}.csv"
         csv_path.write_text(curve_csv(curve, config))
         svg_path = args.outdir / f"{name}.svg"

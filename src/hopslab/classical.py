@@ -231,22 +231,30 @@ def _chunk_stats(
     `chunks` yields (amp_x, amp_y) pairs, `count` samples in all; every
     chunk but the last holds whole batches (`_batch_layout`), so the
     batch means, and hence the errors, do not depend on the chunking.
+    Raises ValueError when an estimate or an error is not finite, as
+    when the amplitudes are large enough to overflow the components.
     """
     batches, size = _batch_layout(count)
     sums: dict[str, float] = {}
     means: dict[str, list[np.ndarray]] = {}
     start = 0
-    for amp_x, amp_y in chunks:
-        whole = min(max(batches * size - start, 0), amp_x.shape[0])
-        for name, v in components(amp_x, amp_y).items():
-            sums[name] = sums.get(name, 0.0) + np.sum(v)
-            means.setdefault(name, []).append(
-                v[:whole].reshape(-1, size).mean(axis=1))
-        start += amp_x.shape[0]
-    errors = {k: float(np.std(np.concatenate(m), ddof=1) / math.sqrt(batches))
-              for k, m in means.items()}
-    return EnsembleStats({k: float(s / count) for k, s in sums.items()},
-                         errors, count)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for amp_x, amp_y in chunks:
+            whole = min(max(batches * size - start, 0), amp_x.shape[0])
+            for name, v in components(amp_x, amp_y).items():
+                sums[name] = sums.get(name, 0.0) + np.sum(v)
+                means.setdefault(name, []).append(
+                    v[:whole].reshape(-1, size).mean(axis=1))
+            start += amp_x.shape[0]
+        errors = {k: float(np.std(np.concatenate(m), ddof=1)
+                           / math.sqrt(batches))
+                  for k, m in means.items()}
+    values = {k: float(s / count) for k, s in sums.items()}
+    for name in values:
+        if not (math.isfinite(values[name]) and math.isfinite(errors[name])):
+            raise ValueError(
+                f"ensemble {name} is not finite; the amplitudes overflow")
+    return EnsembleStats(values, errors, count)
 
 
 def classical_stokes(samples) -> EnsembleStats:

@@ -6,6 +6,13 @@ results written. Claimed-form discrepancies are reported in output
 tables, never turned into failures; only constructed-algebra invariants
 gate the exit code.
 
+Commands only compute and emit; `main` alone turns bad input into a
+usage error. A value the library rejects (`ValueError`), an overflow
+(`OverflowError`) or a size that cannot fit (`MemoryError`) ends the
+run with exit 2 and one `error:` line, never a traceback. A failed
+numerical invariant (truncation, an undefined fit, a variance below
+the clamping floor) is not bad input and is not caught.
+
 Configuration precedence: command-line flags override `--config` file
 entries (key=value lines, `#` comments ignored), which override
 built-in defaults. Every CSV output echoes the effective configuration
@@ -28,9 +35,18 @@ from .classical import (
     RayleighAmplitude,
     hops_statistics,
 )
-from .dpa import DpaConfig, evolve, heisenberg_moments, oracle_moments
+from .dpa import (
+    DEFAULT_LEAKAGE_TOL,
+    EVOLUTION_MARGIN,
+    DpaConfig,
+    evolve,
+    heisenberg_moments,
+    oracle_moments,
+)
 from .fock import FockCutoff, fock_state, random_low_excitation_state
 from .polarization import (
+    DEFAULT_PROBE_MARGIN,
+    FACTORIZATION_TOL,
     factorization_residuals,
     fit_hops_criterion,
     uncertainty_products,
@@ -44,6 +60,7 @@ from .reporting import (
     curve_svg,
     ensemble_csv,
     fmt,
+    sweep_config,
 )
 from .squeezing import (
     FockModel,
@@ -81,6 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser(
         "sweep", parents=[common],
         help="squeezing function over a kt grid (CSV, optional SVG)")
+    p_sweep.set_defaults(run=cmd_sweep)
     p_sweep.add_argument("--model", choices=("fock", "thermal", "weighted"),
                          default="weighted")
     p_sweep.add_argument("--nx", type=float, default=None,
@@ -98,12 +116,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--cutoff", type=int, default=None,
                          help="per-mode truncation override")
     p_sweep.add_argument("--leakage-tol", dest="leakage_tol", type=float,
-                         default=1e-6)
+                         default=DEFAULT_LEAKAGE_TOL)
     p_sweep.add_argument("--svg", default=None, help="also write an SVG plot")
 
     p_onset = sub.add_parser(
         "onset", parents=[common],
         help="closed-form squeezing onset with bisection cross-check")
+    p_onset.set_defaults(run=cmd_onset)
     p_onset.add_argument("--nx", type=float, default=0.035,
                          help="effective occupation, x mode")
     p_onset.add_argument("--ny", type=float, default=0.035,
@@ -112,6 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser(
         "verify", parents=[common],
         help="run the invariant suites; exit 0 iff all hard checks pass")
+    p_verify.set_defaults(run=cmd_verify)
     p_verify.add_argument("--cutoff", type=int, default=16,
                           help="per-mode dimension for the algebra tables")
     p_verify.add_argument("--seed", type=int, default=7,
@@ -120,6 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ens = sub.add_parser(
         "ensemble", parents=[common],
         help="classical Monte-Carlo Stokes and hidden statistics")
+    p_ens.set_defaults(run=cmd_ensemble)
     p_ens.add_argument("--chi-h", dest="chi_h", type=float,
                        default=0.5 * math.pi)
     p_ens.add_argument("--delta-h", dest="delta_h", type=float, default=0.0)
@@ -135,6 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_claims = sub.add_parser(
         "claims", parents=[common],
         help="adjudicate the claimed closed-form moments")
+    p_claims.set_defaults(run=cmd_claims)
     p_claims.add_argument("--nx", type=float, default=1.0)
     p_claims.add_argument("--ny", type=float, default=2.0)
     p_claims.add_argument("--kt", type=float, default=0.22)
@@ -180,64 +202,42 @@ def _emit(text: str, out: str) -> None:
         Path(out).write_text(text)
 
 
-def _build_model(args, parser):
+def _build_model(args):
     def _as_int(value, default, name):
         value = default if value is None else value
         if not math.isfinite(value) or value < 0 or value != int(value):
-            parser.error(f"{name} must be a non-negative integer")
+            raise ValueError(f"{name} must be a non-negative integer")
         return int(value)
 
-    try:
-        if args.model == "fock":
-            return FockModel(_as_int(args.nx, 0, "--nx"),
-                             _as_int(args.ny, 0, "--ny"))
-        if args.model == "thermal":
-            nbar_x = 0.5 if args.nbar_x is None else args.nbar_x
-            nbar_y = 0.5 if args.nbar_y is None else args.nbar_y
-            return ThermalMixtureModel(nbar_x, nbar_y)
-        nbar_x = 10.0 if args.nbar_x is None else args.nbar_x
-        nbar_y = 10.0 if args.nbar_y is None else args.nbar_y
-        return WeightedProjectorModel(
-            nbar_x, _as_int(args.nx, 10, "--nx"),
-            nbar_y, _as_int(args.ny, 10, "--ny"))
-    except ValueError as exc:
-        parser.error(str(exc))
+    if args.model == "fock":
+        return FockModel(_as_int(args.nx, 0, "--nx"),
+                         _as_int(args.ny, 0, "--ny"))
+    if args.model == "thermal":
+        nbar_x = 0.5 if args.nbar_x is None else args.nbar_x
+        nbar_y = 0.5 if args.nbar_y is None else args.nbar_y
+        return ThermalMixtureModel(nbar_x, nbar_y)
+    nbar_x = 10.0 if args.nbar_x is None else args.nbar_x
+    nbar_y = 10.0 if args.nbar_y is None else args.nbar_y
+    return WeightedProjectorModel(
+        nbar_x, _as_int(args.nx, 10, "--nx"),
+        nbar_y, _as_int(args.ny, 10, "--ny"))
 
 
-def _model_config(model) -> dict:
-    if isinstance(model, FockModel):
-        return {"nx": model.n_x, "ny": model.n_y}
-    if isinstance(model, ThermalMixtureModel):
-        return {"nbar_x": model.nbar_x, "nbar_y": model.nbar_y}
-    return {"nbar_x": model.nbar_x, "nx": model.n_x,
-            "nbar_y": model.nbar_y, "ny": model.n_y}
+def _oracle_cutoff(size: int | None) -> FockCutoff | None:
+    if size is None:
+        return None
+    if size <= EVOLUTION_MARGIN:
+        raise ValueError(f"--cutoff must be at least {EVOLUTION_MARGIN + 1}")
+    return FockCutoff(size, size)
 
 
-def _cutoff_too_large(parser, cutoff) -> None:
-    parser.error(f"--cutoff {cutoff} needs more memory than is available")
-
-
-def cmd_sweep(args, parser) -> int:
-    model = _build_model(args, parser)
-    cutoff = None
-    if args.cutoff is not None:
-        if args.cutoff < 5:
-            parser.error("--cutoff must be at least 5")
-        cutoff = FockCutoff(args.cutoff, args.cutoff)
-    try:
-        curve = sweep(model, kt_max=args.kt_max, steps=args.steps,
-                      with_oracle=args.oracle, cutoff=cutoff,
-                      leakage_tol=args.leakage_tol)
-    except ValueError as exc:
-        parser.error(str(exc))
-    except MemoryError:
-        _cutoff_too_large(parser, args.cutoff)
-    config = {"command": "sweep", "model": model.label,
-              "kt_max": args.kt_max, "steps": args.steps,
-              "oracle": int(args.oracle), "leakage_tol": args.leakage_tol,
-              **_model_config(model)}
-    if args.cutoff is not None:
-        config["cutoff"] = args.cutoff
+def cmd_sweep(args) -> int:
+    model = _build_model(args)
+    curve = sweep(model, kt_max=args.kt_max, steps=args.steps,
+                  with_oracle=args.oracle, cutoff=_oracle_cutoff(args.cutoff),
+                  leakage_tol=args.leakage_tol)
+    config = sweep_config(model, args.kt_max, args.steps, args.oracle,
+                          args.leakage_tol, args.cutoff)
     _emit(curve_csv(curve, config), args.out)
     if args.svg is not None:
         Path(args.svg).write_text(curve_svg(curve))
@@ -246,12 +246,9 @@ def cmd_sweep(args, parser) -> int:
     return EXIT_OK
 
 
-def cmd_onset(args, parser) -> int:
-    try:
-        closed = onset_time(args.nx, args.ny)
-        root = onset_by_bisection(args.nx, args.ny)
-    except ValueError as exc:
-        parser.error(str(exc))
+def cmd_onset(args) -> int:
+    closed = onset_time(args.nx, args.ny)
+    root = onset_by_bisection(args.nx, args.ny)
     line = (f"onset_kt={fmt(closed)} bisection={fmt(root)} "
             f"difference={fmt(abs(closed - root))} "
             f"rounds_to={closed:.2f}\n")
@@ -259,38 +256,24 @@ def cmd_onset(args, parser) -> int:
     return EXIT_OK
 
 
-def cmd_ensemble(args, parser) -> int:
-    try:
-        amplitude = (FixedAmplitude(args.a0) if args.amplitude == "fixed"
-                     else RayleighAmplitude(args.scale))
-        spec = HopsEnsembleSpec(chi_h=args.chi_h, delta_h=args.delta_h,
-                                amplitude=amplitude)
-        stats = hops_statistics(spec, args.count, seed=args.seed)
-    except ValueError as exc:
-        parser.error(str(exc))
+def cmd_ensemble(args) -> int:
+    amplitude = (FixedAmplitude(args.a0) if args.amplitude == "fixed"
+                 else RayleighAmplitude(args.scale))
+    spec = HopsEnsembleSpec(chi_h=args.chi_h, delta_h=args.delta_h,
+                            amplitude=amplitude)
+    stats = hops_statistics(spec, args.count, seed=args.seed)
     config = {"command": "ensemble", "chi_h": args.chi_h,
               "delta_h": args.delta_h, "amplitude": args.amplitude,
               "count": args.count, "seed": args.seed}
     config["a0" if args.amplitude == "fixed" else "scale"] = (
         args.a0 if args.amplitude == "fixed" else args.scale)
-    _emit(ensemble_csv({"ensemble": stats}, config), args.out)
+    _emit(ensemble_csv(stats, config), args.out)
     return EXIT_OK
 
 
-def cmd_claims(args, parser) -> int:
-    cutoff = None
-    if args.cutoff is not None:
-        if args.cutoff < 5:
-            parser.error("--cutoff must be at least 5")
-        cutoff = FockCutoff(args.cutoff, args.cutoff)
-    try:
-        table = claimed_moment_table(args.nx, args.ny, args.kt, cutoff=cutoff)
-    except ValueError as exc:
-        parser.error(str(exc))
-    except OverflowError:
-        parser.error(f"--kt {args.kt!r} overflows the moment formulas")
-    except MemoryError:
-        _cutoff_too_large(parser, args.cutoff)
+def cmd_claims(args) -> int:
+    table = claimed_moment_table(args.nx, args.ny, args.kt,
+                                 cutoff=_oracle_cutoff(args.cutoff))
     config = {"command": "claims", "nx": args.nx, "ny": args.ny,
               "kt": args.kt}
     if args.cutoff is not None:
@@ -310,23 +293,16 @@ def _verify_suites(cutoff_dim: int, seed: int):
     """Run every invariant suite; yield (name, hard_pass, detail, notes)."""
     cut = FockCutoff(cutoff_dim, cutoff_dim)
 
-    hidden_rows = verify_hidden_commutators(cut)
-    worst = max(r.adjudicated_residual for r in hidden_rows)
-    notes = [f"printed form fails, corrected closes: {r.name} "
-             f"(printed residual {fmt(r.printed_residual)}, "
-             f"corrected {r.adjudicated})"
-             for r in hidden_rows if not r.printed_pass]
-    yield ("hidden-commutators", worst < 1e-10,
-           f"max interior residual {fmt(worst)} at {cut}", notes)
-
-    stokes_rows = verify_stokes_commutators(cut)
-    worst = max(r.adjudicated_residual for r in stokes_rows)
-    notes = [f"printed form fails, corrected closes: {r.name} "
-             f"(printed residual {fmt(r.printed_residual)}, "
-             f"corrected {r.adjudicated})"
-             for r in stokes_rows if not r.printed_pass]
-    yield ("stokes-commutators", worst < 1e-10,
-           f"max interior residual {fmt(worst)} at {cut}", notes)
+    for name, table in (("hidden-commutators", verify_hidden_commutators),
+                        ("stokes-commutators", verify_stokes_commutators)):
+        rows = table(cut)
+        worst = max(r.adjudicated_residual for r in rows)
+        notes = [f"printed form fails, corrected closes: {r.name} "
+                 f"(printed residual {fmt(r.printed_residual)}, "
+                 f"corrected {r.adjudicated})"
+                 for r in rows if not r.printed_pass]
+        yield (name, all(r.adjudicated_pass for r in rows),
+               f"max interior residual {fmt(worst)} at {cut}", notes)
 
     probe = FockCutoff(9, 9)
     rng = np.random.default_rng(seed)
@@ -378,30 +354,27 @@ def _verify_suites(cutoff_dim: int, seed: int):
     checks = factorization_residuals(evolved, max_order=2)
     worst_reduced = max(c.reduced_residual for c in checks)
     worst_printed = max(c.printed_residual for c in checks)
-    yield ("coherence-factorization", worst_reduced < 1e-6,
+    yield ("coherence-factorization", worst_reduced < FACTORIZATION_TOL,
            f"max reduced-form residual {fmt(worst_reduced)}",
            [f"published combined-order map deviates by up to "
             f"{fmt(worst_printed)} (reported, not gated)"])
 
 
-def cmd_verify(args, parser) -> int:
-    # the commutator tables probe two levels below the cutoff
-    if args.cutoff < 3:
-        parser.error("--cutoff must be at least 3")
+def cmd_verify(args) -> int:
+    # the commutator tables probe DEFAULT_PROBE_MARGIN levels below it
+    if args.cutoff <= DEFAULT_PROBE_MARGIN:
+        raise ValueError(
+            f"--cutoff must be at least {DEFAULT_PROBE_MARGIN + 1}")
     if args.seed < 0:
-        parser.error("--seed must be non-negative")
+        raise ValueError("--seed must be non-negative")
     lines = [line.lstrip("# ") for line in comment_block(
         {"command": "verify", "cutoff": args.cutoff, "seed": args.seed})]
     all_pass = True
-    try:
-        for name, passed, detail, notes in _verify_suites(args.cutoff,
-                                                          args.seed):
-            all_pass &= passed
-            lines.append(f"{'PASS' if passed else 'FAIL'} {name}: {detail}")
-            for note in notes:
-                lines.append(f"  note {name}: {note}")
-    except MemoryError:
-        _cutoff_too_large(parser, args.cutoff)
+    for name, passed, detail, notes in _verify_suites(args.cutoff, args.seed):
+        all_pass &= passed
+        lines.append(f"{'PASS' if passed else 'FAIL'} {name}: {detail}")
+        for note in notes:
+            lines.append(f"  note {name}: {note}")
     lines.append("VERIFY " + ("PASS" if all_pass else "FAIL"))
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK if all_pass else EXIT_INVARIANT
@@ -417,17 +390,19 @@ def main(argv: list[str] | None = None) -> int:
             print(f"hopslab: cannot read config: {exc}", file=sys.stderr)
             return EXIT_USAGE
         argv = argv[:1] + extra + argv[1:]
+    # built per call, so each run reaches the current cmd_* functions
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "sweep":
-        return cmd_sweep(args, parser)
-    if args.command == "onset":
-        return cmd_onset(args, parser)
-    if args.command == "ensemble":
-        return cmd_ensemble(args, parser)
-    if args.command == "claims":
-        return cmd_claims(args, parser)
-    return cmd_verify(args, parser)
+    try:
+        return args.run(args)
+    except ValueError as exc:
+        parser.error(str(exc))
+    except OverflowError:
+        parser.error("inputs overflow the floating-point range")
+    except MemoryError:
+        what = ("this run" if getattr(args, "cutoff", None) is None
+                else f"--cutoff {args.cutoff}")
+        parser.error(f"{what} needs more memory than is available")
 
 
 if __name__ == "__main__":

@@ -31,7 +31,6 @@ from functools import lru_cache
 import numpy as np
 
 ALGEBRA_TOL = 1e-12        # exact-algebra identities (hermiticity, norms)
-LEAKAGE_TOL = 1e-6         # default boundary-population acceptance
 VARIANCE_FLOOR = -1e-9     # cancellation allowance before clamping to zero
 EIGENVALUE_FLOOR = -1e-10  # lowest eigenvalue a density matrix may have
 

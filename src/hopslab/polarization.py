@@ -32,6 +32,7 @@ form and the corrected form side by side; nothing is silently fixed.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -47,8 +48,11 @@ from .fock import (
 )
 
 RELATION_TOL = 1e-10       # interior residual bound for a closing relation
+DEFAULT_PROBE_MARGIN = 2   # levels below each cutoff the relations reach
 UNCERTAINTY_TOL = 1e-8     # slack scale for the uncertainty inequalities
+FACTORIZATION_TOL = 1e-6   # bound on a reduced-form factorization residual
 FIT_DENOMINATOR_FLOOR = 1e-28
+LIVE_STACKS = 8            # complex (chains, L, L) stacks a table holds
 
 
 class FitUndefinedError(ArithmeticError):
@@ -128,6 +132,14 @@ class RelationCheck:
         return self.adjudicated_residual < self.tol
 
 
+def _physical_memory() -> float:
+    """Bytes of physical memory on this machine (inf where unknown)."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return float("inf")
+
+
 def _chain_tables(
     cutoff: FockCutoff, probe_margin: int, hidden: bool,
 ) -> tuple[tuple[np.ndarray, ...], Callable[[np.ndarray], float]]:
@@ -150,6 +162,10 @@ def _chain_tables(
     probe_margin >= 2 is required (the quadratic relations reach two
     levels past any state they touch), and below min(d_x, d_y) so the
     interior is not empty.
+
+    Raises MemoryError before allocating when LIVE_STACKS such stacks
+    would not fit in physical memory; numpy would otherwise allocate
+    them lazily and exhaust the machine partway through a table.
     """
     d_x, d_y = cutoff.d_x, cutoff.d_y
     if probe_margin < 2:
@@ -157,7 +173,11 @@ def _chain_tables(
     if probe_margin >= min(d_x, d_y):
         raise ValueError(
             f"probe_margin {probe_margin} leaves no interior in {cutoff}")
-    k = np.arange(min(d_x, d_y))
+    chains, length = d_x + d_y - 1, min(d_x, d_y)
+    needed = LIVE_STACKS * chains * length ** 2 * np.dtype(complex).itemsize
+    if needed > _physical_memory():
+        raise MemoryError(f"the {cutoff} tables need {needed / 1e9:.1f} GB")
+    k = np.arange(length)
     if hidden:
         delta = np.arange(-(d_y - 1), d_x)[:, None]
         n_x = np.maximum(delta, 0) + k
@@ -170,7 +190,6 @@ def _chain_tables(
     # zero on every step that leaves the chain
     weights = inside[:, 1:] * np.sqrt(
         (n_x[:, :-1] + 1.0) * np.maximum(n_y[:, :-1] + float(hidden), 0.0))
-    chains, length = n_x.shape
     diagonal = np.arange(length)
     x0 = np.zeros((chains, length, length), dtype=complex)
     x1 = np.zeros_like(x0)
@@ -196,7 +215,7 @@ def _commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def verify_hidden_commutators(
-    cutoff: FockCutoff, probe_margin: int = 2,
+    cutoff: FockCutoff, probe_margin: int = DEFAULT_PROBE_MARGIN,
 ) -> list[RelationCheck]:
     """Residual table for the hidden-set su(1,1) relations at `cutoff`.
 
@@ -233,7 +252,7 @@ def verify_hidden_commutators(
 
 
 def verify_stokes_commutators(
-    cutoff: FockCutoff, probe_margin: int = 2,
+    cutoff: FockCutoff, probe_margin: int = DEFAULT_PROBE_MARGIN,
 ) -> list[RelationCheck]:
     """Residual table for the Stokes su(2) relations at `cutoff`.
 

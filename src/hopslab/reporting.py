@@ -10,7 +10,8 @@ deterministic but carries no precision guarantee.
 from __future__ import annotations
 
 from .classical import EnsembleStats
-from .squeezing import MomentClaimTable, SqueezingCurve
+from .dpa import DEFAULT_LEAKAGE_TOL
+from .squeezing import MomentClaimTable, SqueezingCurve, StateModel
 
 CURVE_COLUMNS = ("kt", "sq", "mean_h0", "mean_h1", "mean_h2", "mean_h3",
                  "var_h0", "var_h1", "var_h2", "var_h3", "leakage",
@@ -42,6 +43,23 @@ def comment_block(config: dict) -> list[str]:
     return lines
 
 
+def sweep_config(
+    model: StateModel, kt_max: float, steps: int, oracle: bool = False,
+    leakage_tol: float = DEFAULT_LEAKAGE_TOL, cutoff: int | None = None,
+) -> dict:
+    """`hopslab sweep`'s configuration (keys are its flags) for `model`."""
+    config = {"command": "sweep", "model": model.label, "kt_max": kt_max,
+              "steps": steps, "oracle": int(oracle),
+              "leakage_tol": leakage_tol}
+    if model.label != "fock":
+        config.update(nbar_x=model.nbar_x, nbar_y=model.nbar_y)
+    if model.label != "thermal":
+        config.update(nx=model.n_x, ny=model.n_y)
+    if cutoff is not None:
+        config["cutoff"] = cutoff
+    return config
+
+
 def curve_csv(curve: SqueezingCurve, config: dict) -> str:
     """Squeezing sweep as CSV: one row per kt grid point."""
     lines = comment_block(config)
@@ -57,15 +75,14 @@ def curve_csv(curve: SqueezingCurve, config: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def ensemble_csv(tables: dict[str, EnsembleStats], config: dict) -> str:
+def ensemble_csv(stats: EnsembleStats, config: dict) -> str:
     """Classical ensemble statistics: component, estimate, error, count."""
     lines = comment_block(config)
     lines.append("component,estimate,std_error,count")
-    for stats in tables.values():
-        for name in stats.values:
-            lines.append(",".join((
-                name, fmt(stats.values[name]), fmt(stats.std_errors[name]),
-                str(stats.sample_count))))
+    for name in stats.values:
+        lines.append(",".join((
+            name, fmt(stats.values[name]), fmt(stats.std_errors[name]),
+            str(stats.sample_count))))
     return "\n".join(lines) + "\n"
 
 

@@ -27,6 +27,7 @@ from typing import Union
 import numpy as np
 
 from .dpa import (
+    DEFAULT_LEAKAGE_TOL,
     DpaConfig,
     MomentReport,
     heisenberg_moments,
@@ -305,6 +306,9 @@ class ThermalMixtureModel:
         for nbar in (self.nbar_x, self.nbar_y):
             if nbar > 0:
                 ratio = nbar / (1.0 + nbar)
+                if ratio == 1.0:
+                    raise ValueError(f"thermal occupation {nbar!r} is too "
+                                     "large: nbar/(1+nbar) rounds to 1")
                 levels = max(levels,
                              math.ceil(math.log(THERMAL_TAIL) / math.log(ratio)))
         return levels
@@ -387,7 +391,7 @@ def sweep(
     steps: int,
     with_oracle: bool = False,
     cutoff: FockCutoff | None = None,
-    leakage_tol: float = 1e-6,
+    leakage_tol: float = DEFAULT_LEAKAGE_TOL,
 ) -> SqueezingCurve:
     """Uniform kt sweep of the squeezing function under one state model.
 

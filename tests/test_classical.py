@@ -199,6 +199,24 @@ def test_streamed_statistics_match_one_shot():
         hops_statistics(spec, 1, seed=5)
 
 
+def test_overflowing_statistics_raise():
+    # |amplitude|^2 overflows to inf, and inf - inf gives NaN components
+    for amplitude in (FixedAmplitude(1e200), RayleighAmplitude(1e300)):
+        spec = HopsEnsembleSpec(chi_h=0.5 * math.pi, delta_h=0.0,
+                                amplitude=amplitude)
+        with pytest.raises(ValueError, match="not finite"):
+            hops_statistics(spec, 100, seed=0)
+        ensemble = sample_hops(spec, 100, seed=0)
+        for stats in (classical_stokes, classical_hidden):
+            with pytest.raises(ValueError, match="not finite"):
+                stats(ensemble)
+    # large but representable amplitudes still give finite statistics
+    spec = HopsEnsembleSpec(chi_h=0.5 * math.pi, delta_h=0.0,
+                            amplitude=FixedAmplitude(1e50))
+    stats = hops_statistics(spec, 100, seed=0)
+    assert all(math.isfinite(v) for v in stats.values.values())
+
+
 def test_polarization_index_trivial_cases():
     assert polarization_index(ClassicalFieldSample(1.0, 0.0)) == 0.0
     assert polarization_index(ClassicalFieldSample(0.7, 0.7)) == pytest.approx(1.0)

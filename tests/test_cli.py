@@ -4,12 +4,14 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import hopslab
+import hopslab.polarization as polarization
 from hopslab.cli import main
 
 
@@ -244,14 +246,54 @@ def test_usage_errors_exit_two(capsys):
      "--cutoff", "1000000"],
     ["claims", "--cutoff", "1000000"],
     ["verify", "--cutoff", "1000000"],
+    # nbar / (1 + nbar) rounds to 1.0, so no cutoff holds the thermal tail
+    ["sweep", "--model", "thermal", "--nbar-x", "1e17", "--nbar-y", "1e17",
+     "--oracle", "--steps", "3"],
+    # |amplitude|^2 overflows: the statistics would be inf and NaN
+    ["ensemble", "--a0", "1e200", "--count", "100"],
+    ["ensemble", "--amplitude", "rayleigh", "--scale", "1e300",
+     "--count", "100"],
 ])
 def test_non_finite_and_overflowing_input_exits_two(argv, capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(argv)
     assert excinfo.value.code == 2
     err = capsys.readouterr().err
-    assert "error:" in err
+    assert err.count("error:") == 1
     assert "Traceback" not in err
+
+
+def test_overflow_error_names_no_flag(capsys):
+    # the overflow comes from the occupations, not from the default --kt
+    with pytest.raises(SystemExit) as excinfo:
+        main(["claims", "--nx", "1e200", "--ny", "1e200"])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "overflow" in err
+    assert "--kt" not in err
+
+
+def test_verify_cutoff_that_cannot_fit_exits_two_before_allocating(
+        monkeypatch, tmp_path, capsys):
+    # the chain tables need about 255 MB at d=100 and 45 MB at d=56
+    monkeypatch.setattr(polarization, "_physical_memory", lambda: 64e6)
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(SystemExit) as excinfo:
+            main(["verify", "--cutoff", "100"])
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert excinfo.value.code == 2
+    assert elapsed < 1.0
+    assert peak < 4e6
+    err = capsys.readouterr().err
+    assert "--cutoff 100 needs more memory than is available" in err
+    for cutoff in (16, 56):
+        assert main(["verify", "--cutoff", str(cutoff),
+                     "--out", str(tmp_path / "verify.txt")]) == 0
 
 
 def test_cli_import_loads_no_scipy():

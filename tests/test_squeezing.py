@@ -304,6 +304,13 @@ def test_sweep_guards_impractical_thermal_cutoff():
               with_oracle=True)
 
 
+def test_thermal_peak_level_needs_a_decaying_tail():
+    # nbar / (1 + nbar) rounds to 1.0: the geometric tail never decays
+    with pytest.raises(ValueError, match="rounds to 1"):
+        ThermalMixtureModel(1e17, 0.5).peak_level()
+    assert ThermalMixtureModel(1e15, 0.5).peak_level() > 10**16
+
+
 def test_curve_grid_must_ascend():
     with pytest.raises(ValueError):
         SqueezingCurve(kt_grid=(0.2, 0.1), sq_values=(1.0, 0.5),
