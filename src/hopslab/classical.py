@@ -3,9 +3,9 @@
 A hidden-polarized ensemble distributes a random phase phi with opposite
 signs across the two field components, so phase-difference statistics
 (the ordinary Stokes parameters apart from s0, s1) average to zero while
-phase-sum statistics survive. Sampling here is vectorized over numpy
-arrays; FieldEnsemble exposes the samples as a sequence for callers that
-want them one at a time, and `hops_statistics` draws and reduces a
+phase-sum statistics survive. An ensemble is a pair of flat amplitude
+arrays (FieldEnsemble), and every statistic and index here is
+vectorized over them; `hops_statistics` draws and reduces a
 hidden-polarized ensemble in chunks without holding it.
 
 Estimates come with batch-means standard errors: the stream is cut into
@@ -26,18 +26,6 @@ ENSEMBLE_CHUNK = 1 << 16   # samples drawn and reduced at a time by hops_statist
 
 class UndefinedIndexError(ArithmeticError):
     """A polarization index with a vanishing reference amplitude."""
-
-
-@dataclass(frozen=True)
-class ClassicalFieldSample:
-    """One realization of the transverse analytic signal."""
-
-    amp_x: complex
-    amp_y: complex
-
-    def __post_init__(self) -> None:
-        if not (np.isfinite(self.amp_x) and np.isfinite(self.amp_y)):
-            raise ValueError("field amplitudes must be finite")
 
 
 @dataclass(frozen=True)
@@ -114,7 +102,7 @@ class OrdinaryEnsembleSpec:
 
 @dataclass(frozen=True)
 class FieldEnsemble:
-    """Sequence of field samples backed by flat amplitude arrays."""
+    """Field samples as flat amplitude arrays, one entry per sample."""
 
     amp_x: np.ndarray
     amp_y: np.ndarray
@@ -131,10 +119,6 @@ class FieldEnsemble:
 
     def __len__(self) -> int:
         return self.amp_x.shape[0]
-
-    def __getitem__(self, idx: int) -> ClassicalFieldSample:
-        return ClassicalFieldSample(
-            complex(self.amp_x[idx]), complex(self.amp_y[idx]))
 
 
 def _hops_chunks(
@@ -192,14 +176,6 @@ class EnsembleStats:
     sample_count: int
 
 
-def _amplitude_arrays(samples) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(samples, FieldEnsemble):
-        return samples.amp_x, samples.amp_y
-    amp_x = np.array([s.amp_x for s in samples], dtype=complex)
-    amp_y = np.array([s.amp_y for s in samples], dtype=complex)
-    return amp_x, amp_y
-
-
 def _batch_layout(count: int) -> tuple[int, int]:
     """(batches, size): the first batches * size samples form the batches."""
     if count < 2:
@@ -222,6 +198,13 @@ def _hidden_components(amp_x, amp_y) -> dict[str, np.ndarray]:
     return {"h0": iy + ix, "h1": iy - ix, "h2": pair.real, "h3": pair.imag}
 
 
+def _spread(means: np.ndarray) -> float:
+    """np.std(means, ddof=1), taken at a power-of-two scale (exact)."""
+    _, exponent = math.frexp(max(means.max(), -means.min()))
+    return float(np.ldexp(np.std(np.ldexp(means, -exponent), ddof=1),
+                          exponent))
+
+
 def _chunk_stats(
     chunks: Iterable[tuple[np.ndarray, np.ndarray]], count: int,
     components: Callable[..., dict[str, np.ndarray]],
@@ -233,6 +216,8 @@ def _chunk_stats(
     batch means, and hence the errors, do not depend on the chunking.
     Raises ValueError when an estimate or an error is not finite, as
     when the amplitudes are large enough to overflow the components.
+    The batch means are scaled by a power of two before their spread
+    is taken, so the error overflows only where an estimate would.
     """
     batches, size = _batch_layout(count)
     sums: dict[str, float] = {}
@@ -246,8 +231,7 @@ def _chunk_stats(
                 means.setdefault(name, []).append(
                     v[:whole].reshape(-1, size).mean(axis=1))
             start += amp_x.shape[0]
-        errors = {k: float(np.std(np.concatenate(m), ddof=1)
-                           / math.sqrt(batches))
+        errors = {k: _spread(np.concatenate(m)) / math.sqrt(batches)
                   for k, m in means.items()}
     values = {k: float(s / count) for k, s in sums.items()}
     for name in values:
@@ -257,16 +241,16 @@ def _chunk_stats(
     return EnsembleStats(values, errors, count)
 
 
-def classical_stokes(samples) -> EnsembleStats:
+def classical_stokes(ensemble: FieldEnsemble) -> EnsembleStats:
     """Ensemble Stokes estimates: s2 + i*s3 = 2<conj(A_y) A_x>."""
-    amp_x, amp_y = _amplitude_arrays(samples)
-    return _chunk_stats([(amp_x, amp_y)], amp_x.shape[0], _stokes_components)
+    return _chunk_stats([(ensemble.amp_x, ensemble.amp_y)], len(ensemble),
+                        _stokes_components)
 
 
-def classical_hidden(samples) -> EnsembleStats:
+def classical_hidden(ensemble: FieldEnsemble) -> EnsembleStats:
     """Ensemble hidden estimates: h2 + i*h3 = 2<A_y A_x> (no conjugation)."""
-    amp_x, amp_y = _amplitude_arrays(samples)
-    return _chunk_stats([(amp_x, amp_y)], amp_x.shape[0], _hidden_components)
+    return _chunk_stats([(ensemble.amp_x, ensemble.amp_y)], len(ensemble),
+                        _hidden_components)
 
 
 def hops_statistics(
@@ -287,38 +271,26 @@ def hops_statistics(
         lambda x, y: {**_stokes_components(x, y), **_hidden_components(x, y)})
 
 
-def polarization_index(
-    sample: ClassicalFieldSample,
-    basis: tuple[np.ndarray, np.ndarray] | None = None,
-) -> complex:
-    """Amplitude ratio of the field in an orthonormal basis pair.
+def _index(amp, reference) -> complex | np.ndarray:
+    amp = np.asarray(amp, dtype=complex)
+    reference = np.asarray(reference, dtype=complex)
+    if not (np.isfinite(amp).all() and np.isfinite(reference).all()):
+        raise ValueError("field amplitudes must be finite")
+    if np.any(reference == 0.0):
+        raise UndefinedIndexError("reference amplitude vanishes")
+    ratio = amp / reference
+    return complex(ratio) if ratio.ndim == 0 else ratio
 
-    Projects onto (e, e_perp) and returns A_perp / A_e. The default
-    basis is the linear (x, y) pair. The pair must satisfy
-    conj(e).e = conj(e_perp).e_perp = 1 and conj(e).e_perp = 0.
+
+def polarization_index(amp_x, amp_y) -> complex | np.ndarray:
+    """Ordinary polarization index A_y / A_x in the linear (x, y) basis.
+
+    Amplitudes are scalars or arrays (an ensemble's amp_x, amp_y).
+    Raises UndefinedIndexError where A_x vanishes.
     """
-    if basis is None:
-        e = np.array([1.0, 0.0], dtype=complex)
-        e_perp = np.array([0.0, 1.0], dtype=complex)
-    else:
-        e = np.asarray(basis[0], dtype=complex)
-        e_perp = np.asarray(basis[1], dtype=complex)
-    if e.shape != (2,) or e_perp.shape != (2,):
-        raise ValueError("basis vectors must be complex pairs")
-    gram = (abs(np.vdot(e, e) - 1.0), abs(np.vdot(e_perp, e_perp) - 1.0),
-            abs(np.vdot(e, e_perp)))
-    if max(gram) > 1e-12:
-        raise ValueError("basis pair is not orthonormal")
-    amp = np.array([sample.amp_x, sample.amp_y])
-    along = np.vdot(e, amp)
-    across = np.vdot(e_perp, amp)
-    if abs(along) == 0.0:
-        raise UndefinedIndexError("reference amplitude vanishes")
-    return complex(across / along)
+    return _index(amp_y, amp_x)
 
 
-def hidden_index(sample: ClassicalFieldSample) -> complex:
+def hidden_index(amp_x, amp_y) -> complex | np.ndarray:
     """Phase-sum analogue of the polarization index: A_y / conj(A_x)."""
-    if abs(sample.amp_x) == 0.0:
-        raise UndefinedIndexError("reference amplitude vanishes")
-    return complex(sample.amp_y / np.conj(sample.amp_x))
+    return _index(amp_y, np.conj(amp_x))

@@ -45,8 +45,8 @@ from .dpa import (
 )
 from .fock import FockCutoff, fock_state, random_low_excitation_state
 from .polarization import (
-    DEFAULT_PROBE_MARGIN,
     FACTORIZATION_TOL,
+    PROBE_MARGIN,
     factorization_residuals,
     fit_hops_criterion,
     uncertainty_products,
@@ -312,7 +312,7 @@ def _verify_suites(cutoff_dim: int, seed: int):
         violations += sum(not p.satisfied() for p in uncertainty_products(state))
     big = FockCutoff(40, 40)
     for kt in (0.1, 0.22, 0.3):
-        evolved = evolve(fock_state(big, 0, 0), DpaConfig(kt=kt, cutoff=big))
+        evolved = evolve(fock_state(big, 0, 0), DpaConfig(kt=kt))
         violations += sum(not p.satisfied()
                           for p in uncertainty_products(evolved))
     yield ("uncertainty-products", violations == 0,
@@ -321,7 +321,7 @@ def _verify_suites(cutoff_dim: int, seed: int):
 
     worst_dev = 0.0
     for kt in (0.1, 0.3):
-        config = DpaConfig(kt=kt, cutoff=big)
+        config = DpaConfig(kt=kt)
         for n_x in range(3):
             for n_y in range(3):
                 numeric = oracle_moments(fock_state(big, n_x, n_y), config)
@@ -340,8 +340,7 @@ def _verify_suites(cutoff_dim: int, seed: int):
     worst_residual = 0.0
     worst_index = 0.0
     for kt in (0.1, 0.22, 0.4):
-        evolved = evolve(fock_state(deep, 0, 0),
-                         DpaConfig(kt=kt, cutoff=deep))
+        evolved = evolve(fock_state(deep, 0, 0), DpaConfig(kt=kt))
         fit = fit_hops_criterion(evolved)
         worst_residual = max(worst_residual, fit.residual)
         worst_index = max(worst_index,
@@ -350,8 +349,8 @@ def _verify_suites(cutoff_dim: int, seed: int):
            f"max residual {fmt(worst_residual)}, "
            f"max index error {fmt(worst_index)}", [])
 
-    evolved = evolve(fock_state(big, 0, 0), DpaConfig(kt=0.22, cutoff=big))
-    checks = factorization_residuals(evolved, max_order=2)
+    evolved = evolve(fock_state(big, 0, 0), DpaConfig(kt=0.22))
+    checks = factorization_residuals(evolved)
     worst_reduced = max(c.reduced_residual for c in checks)
     worst_printed = max(c.printed_residual for c in checks)
     yield ("coherence-factorization", worst_reduced < FACTORIZATION_TOL,
@@ -361,10 +360,9 @@ def _verify_suites(cutoff_dim: int, seed: int):
 
 
 def cmd_verify(args) -> int:
-    # the commutator tables probe DEFAULT_PROBE_MARGIN levels below it
-    if args.cutoff <= DEFAULT_PROBE_MARGIN:
-        raise ValueError(
-            f"--cutoff must be at least {DEFAULT_PROBE_MARGIN + 1}")
+    # the commutator tables probe PROBE_MARGIN levels below it
+    if args.cutoff <= PROBE_MARGIN:
+        raise ValueError(f"--cutoff must be at least {PROBE_MARGIN + 1}")
     if args.seed < 0:
         raise ValueError("--seed must be non-negative")
     lines = [line.lstrip("# ") for line in comment_block(

@@ -18,9 +18,10 @@ blocks, and hands them to the shared H0..H3 measure
 built from the same U_delta applied to its rows (and columns). No
 operator matrix is built here.
 
-Truncation is certified after the fact: the evolved state must keep its
-population clear of the last EVOLUTION_MARGIN levels of either mode,
-else `evolve` raises and `oracle_moments` flags its report invalid.
+The truncation is the state's own cutoff, certified after the fact: the
+evolved state must keep its population clear of the last EVOLUTION_MARGIN
+levels of either mode, else `evolve` raises and `oracle_moments` flags
+its report invalid.
 
 Time enters only through the dimensionless product kt. The Bogoliubov
 coefficients are C = cosh 2kt and S = sinh 2kt, fixed by the acceptance
@@ -64,13 +65,13 @@ class TruncationError(ArithmeticError):
 
 @dataclass(frozen=True)
 class DpaConfig:
-    """Evolution parameters: dimensionless kt, truncation, leakage budget.
+    """Evolution parameters: dimensionless kt and the leakage budget.
 
     kt may be negative (reversal); physical amplification uses kt >= 0.
+    The truncation is the evolved state's own cutoff.
     """
 
     kt: float
-    cutoff: FockCutoff
     leakage_tol: float = DEFAULT_LEAKAGE_TOL
 
     def __post_init__(self) -> None:
@@ -78,10 +79,6 @@ class DpaConfig:
             raise ValueError("kt must be finite")
         if not 0.0 < self.leakage_tol < 1.0:
             raise ValueError("leakage_tol must lie in (0, 1)")
-        if min(self.cutoff.d_x, self.cutoff.d_y) <= EVOLUTION_MARGIN:
-            raise ValueError(
-                f"cutoff must exceed {EVOLUTION_MARGIN} levels per mode "
-                "to certify leakage")
 
 
 @dataclass(frozen=True)
@@ -91,7 +88,9 @@ class MomentReport:
     `leakage` is the certified boundary population of the evolved state
     (identically zero for closed-form reports, which involve no
     truncation); `valid` is False when it exceeded the configured
-    budget and the numbers should not be trusted.
+    budget and the numbers should not be trusted. Every mean and
+    variance is finite: a report of an overflowing input raises
+    ValueError instead.
     """
 
     kt: float
@@ -107,6 +106,9 @@ class MomentReport:
     valid: bool = True
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, self.means + self.variances)):
+            raise ValueError("moments are not finite; the inputs overflow "
+                             "the floating-point range")
         for name in ("var_h0", "var_h1", "var_h2", "var_h3"):
             if getattr(self, name) < 0.0:
                 raise ValueError(f"{name} must be non-negative")
@@ -125,6 +127,10 @@ def _sector_eigenpairs(
     cutoff: FockCutoff,
 ) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     """delta -> eigenvalues and eigenvectors of H_int on that sector."""
+    if min(cutoff.d_x, cutoff.d_y) <= EVOLUTION_MARGIN:
+        raise ValueError(
+            f"cutoff must exceed {EVOLUTION_MARGIN} levels per mode "
+            "to certify leakage")
     pairs = {}
     for sector in sector_table(cutoff).sectors:
         w = sector.pair_weights
@@ -144,11 +150,6 @@ def _propagate(
     return vectors @ (phase * (vectors.T @ x))
 
 
-def _check_cutoff(state: QuantumState, config: DpaConfig) -> None:
-    if state.cutoff != config.cutoff:
-        raise ValueError("state and config cutoffs differ")
-
-
 def evolve(state: QuantumState, config: DpaConfig) -> QuantumState:
     """Apply exp(-i * 2kt * H_int); certify truncation afterwards.
 
@@ -158,8 +159,7 @@ def evolve(state: QuantumState, config: DpaConfig) -> QuantumState:
     config.leakage_tol of its population within EVOLUTION_MARGIN
     levels of either cutoff; enlarge the cutoff and retry in that case.
     """
-    _check_cutoff(state, config)
-    rate, cut = 2.0 * config.kt, config.cutoff
+    rate, cut = 2.0 * config.kt, state.cutoff
     pairs = _sector_eigenpairs(cut)
     sectors = populated_sectors(state)
     x = state.array
@@ -181,7 +181,7 @@ def evolve(state: QuantumState, config: DpaConfig) -> QuantumState:
         result = QuantumState.from_density(cut, 0.5 * (rho + rho.conj().T))
     leakage = boundary_leakage(result, EVOLUTION_MARGIN)
     if leakage > config.leakage_tol:
-        raise TruncationError(leakage, config.cutoff)
+        raise TruncationError(leakage, cut)
     return result
 
 
@@ -253,9 +253,8 @@ def _evolve_blocks(
     blocks (U B U^dag) are hermitized, their total trace must be 1
     within ALGEBRA_TOL and each must be positive semidefinite.
     """
-    _check_cutoff(state, config)
     rate = 2.0 * config.kt
-    pairs = _sector_eigenpairs(config.cutoff)
+    pairs = _sector_eigenpairs(state.cutoff)
     evolved = []
     for block in sector_blocks(state):
         pair = pairs[block.sector.delta]

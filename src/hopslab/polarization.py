@@ -24,7 +24,7 @@ weighted one-step shift, so `verify_hidden_commutators(cutoff)` and
 `verify_stokes_commutators(cutoff)` evaluate each relation as batched
 products of zero-padded (chains, L, L) stacks; no d^2 x d^2 matrix is
 formed. Residuals are taken on the interior block (states at least
-probe_margin below both cutoffs) because truncation necessarily breaks
+PROBE_MARGIN below both cutoffs) because truncation necessarily breaks
 ladder algebra at the boundary. Where a published relation disagrees in
 sign with the constructed algebra, the verdict table reports the printed
 form and the corrected form side by side; nothing is silently fixed.
@@ -48,9 +48,10 @@ from .fock import (
 )
 
 RELATION_TOL = 1e-10       # interior residual bound for a closing relation
-DEFAULT_PROBE_MARGIN = 2   # levels below each cutoff the relations reach
+PROBE_MARGIN = 2           # levels the quadratic relations reach past a state
 UNCERTAINTY_TOL = 1e-8     # slack scale for the uncertainty inequalities
 FACTORIZATION_TOL = 1e-6   # bound on a reduced-form factorization residual
+FACTORIZATION_ORDER = 2    # highest total order on each side of a Gamma
 FIT_DENOMINATOR_FLOOR = 1e-28
 LIVE_STACKS = 8            # complex (chains, L, L) stacks a table holds
 
@@ -141,7 +142,7 @@ def _physical_memory() -> float:
 
 
 def _chain_tables(
-    cutoff: FockCutoff, probe_margin: int, hidden: bool,
+    cutoff: FockCutoff, hidden: bool,
 ) -> tuple[tuple[np.ndarray, ...], Callable[[np.ndarray], float]]:
     """X0..X3 of one operator set on every chain it conserves.
 
@@ -157,22 +158,19 @@ def _chain_tables(
     between chains.
 
     Also returns the residual: max |entry| of a stack over row and
-    column positions with n_x <= d_x-1-probe_margin and
-    n_y <= d_y-1-probe_margin, the interior block of the dense matrix.
-    probe_margin >= 2 is required (the quadratic relations reach two
-    levels past any state they touch), and below min(d_x, d_y) so the
-    interior is not empty.
+    column positions with n_x <= d_x-1-PROBE_MARGIN and
+    n_y <= d_y-1-PROBE_MARGIN, the interior block of the dense matrix.
+    Raises ValueError when min(d_x, d_y) <= PROBE_MARGIN, which leaves
+    the interior empty.
 
     Raises MemoryError before allocating when LIVE_STACKS such stacks
     would not fit in physical memory; numpy would otherwise allocate
     them lazily and exhaust the machine partway through a table.
     """
     d_x, d_y = cutoff.d_x, cutoff.d_y
-    if probe_margin < 2:
-        raise ValueError("probe_margin must be at least 2")
-    if probe_margin >= min(d_x, d_y):
+    if PROBE_MARGIN >= min(d_x, d_y):
         raise ValueError(
-            f"probe_margin {probe_margin} leaves no interior in {cutoff}")
+            f"probe margin {PROBE_MARGIN} leaves no interior in {cutoff}")
     chains, length = d_x + d_y - 1, min(d_x, d_y)
     needed = LIVE_STACKS * chains * length ** 2 * np.dtype(complex).itemsize
     if needed > _physical_memory():
@@ -200,8 +198,8 @@ def _chain_tables(
     back = shift.transpose(0, 2, 1)
     x2 = shift + back
     x3 = -1j * (shift - back)
-    interior = inside & (n_x <= d_x - 1 - probe_margin) \
-        & (n_y <= d_y - 1 - probe_margin)
+    interior = inside & (n_x <= d_x - 1 - PROBE_MARGIN) \
+        & (n_y <= d_y - 1 - PROBE_MARGIN)
     block = interior[:, :, None] & interior[:, None, :]
 
     def residual(stack: np.ndarray) -> float:
@@ -214,14 +212,12 @@ def _commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b - b @ a
 
 
-def verify_hidden_commutators(
-    cutoff: FockCutoff, probe_margin: int = DEFAULT_PROBE_MARGIN,
-) -> list[RelationCheck]:
+def verify_hidden_commutators(cutoff: FockCutoff) -> list[RelationCheck]:
     """Residual table for the hidden-set su(1,1) relations at `cutoff`.
 
     Evaluated on the imbalance sectors, which every H_j conserves.
     """
-    (h0, h1, h2, h3), res = _chain_tables(cutoff, probe_margin, hidden=True)
+    (h0, h1, h2, h3), res = _chain_tables(cutoff, hidden=True)
     one = np.eye(h0.shape[-1])
     rows: list[RelationCheck] = []
 
@@ -251,9 +247,7 @@ def verify_hidden_commutators(
     return rows
 
 
-def verify_stokes_commutators(
-    cutoff: FockCutoff, probe_margin: int = DEFAULT_PROBE_MARGIN,
-) -> list[RelationCheck]:
+def verify_stokes_commutators(cutoff: FockCutoff) -> list[RelationCheck]:
     """Residual table for the Stokes su(2) relations at `cutoff`.
 
     Evaluated on the photon-number shells, which every S_j conserves.
@@ -262,7 +256,7 @@ def verify_stokes_commutators(
     closure [S3,S1] = 2i*S2 is adjudicated in its place and both forms
     are reported.
     """
-    (s0, s1, s2, s3), res = _chain_tables(cutoff, probe_margin, hidden=False)
+    (s0, s1, s2, s3), res = _chain_tables(cutoff, hidden=False)
     rows: list[RelationCheck] = []
 
     for name, other in (("[S0,S1]", s1), ("[S0,S2]", s2), ("[S0,S3]", s3)):
@@ -293,9 +287,9 @@ class UncertaintyProduct:
     lhs: float
     rhs: float
 
-    def satisfied(self, tol: float = UNCERTAINTY_TOL) -> bool:
+    def satisfied(self) -> bool:
         scale = max(1.0, self.lhs, self.rhs)
-        return self.lhs >= self.rhs - tol * scale
+        return self.lhs >= self.rhs - UNCERTAINTY_TOL * scale
 
 
 def uncertainty_products(state: QuantumState) -> list[UncertaintyProduct]:
@@ -394,13 +388,12 @@ class FactorizationCheck:
     printed_residual: float
 
 
-def factorization_residuals(
-    state: QuantumState, max_order: int = 2, fit: HopsFit | None = None,
-) -> list[FactorizationCheck]:
+def factorization_residuals(state: QuantumState) -> list[FactorizationCheck]:
     """Compare coherence functions against both factorized forms.
 
-    For a pure state obeying a_y|psi> = p a_x^dag|psi>, eliminating every
-    y-ladder gives the exact reduction
+    Orders m_x + m_y, n_x + n_y <= FACTORIZATION_ORDER. For a pure state
+    obeying a_y|psi> = p a_x^dag|psi> (p from `fit_hops_criterion`),
+    eliminating every y-ladder gives the exact reduction
 
         Gamma^{(m_x,m_y,n_x,n_y)} = conj(p)^{m_y} p^{n_y}
             <a_x^{m_y} a_x^dag^{m_x} a_x^{n_x} a_x^dag^{n_y}>.
@@ -412,12 +405,12 @@ def factorization_residuals(
     if state.vector is None:
         raise ValueError("factorization check is defined for pure states")
     cut = state.cutoff
-    p = (fit if fit is not None else fit_hops_criterion(state)).p_h
+    p = fit_hops_criterion(state).p_h
     rows: list[FactorizationCheck] = []
-    for m_x in range(max_order + 1):
-        for m_y in range(max_order + 1 - m_x):
-            for n_x in range(max_order + 1):
-                for n_y in range(max_order + 1 - n_x):
+    for m_x in range(FACTORIZATION_ORDER + 1):
+        for m_y in range(FACTORIZATION_ORDER + 1 - m_x):
+            for n_x in range(FACTORIZATION_ORDER + 1):
+                for n_y in range(FACTORIZATION_ORDER + 1 - n_x):
                     gamma = coherence_function(state, m_x, m_y, n_x, n_y)
                     vec = apply_ladders(state.vector, cut, n_y, adjoint=True)
                     vec = apply_ladders(vec, cut, n_x)

@@ -111,7 +111,7 @@ def _g(value: float) -> str:
     return f"{value:.6g}"
 
 
-def curve_svg(curve: SqueezingCurve, title: str = "squeezing sweep") -> str:
+def curve_svg(curve: SqueezingCurve) -> str:
     """Line plot of Sq vs kt with zero line and onset marker."""
     kt_lo, kt_hi = curve.kt_grid[0], curve.kt_grid[-1]
     sq_lo = min(min(curve.sq_values), 0.0)
@@ -137,7 +137,7 @@ def curve_svg(curve: SqueezingCurve, title: str = "squeezing sweep") -> str:
         f'viewBox="0 0 {SVG_WIDTH} {SVG_HEIGHT}">',
         f'<rect width="{SVG_WIDTH}" height="{SVG_HEIGHT}" fill="white"/>',
         f'<text x="{SVG_WIDTH // 2}" y="18" text-anchor="middle" '
-        f'font-size="14">{title} ({curve.state_model} model)</text>',
+        f'font-size="14">squeezing sweep ({curve.state_model} model)</text>',
         # frame
         f'<rect x="{x_lo}" y="{y_hi}" width="{x_hi - x_lo}" '
         f'height="{y_lo - y_hi}" fill="none" stroke="black"/>',

@@ -6,7 +6,8 @@ turns negative, and the crossing has the closed form
 kt = (1/4) asinh(1 + 2 N_x N_y / (1 + N_x + N_y)). Because the
 occupation-dependent term is bounded by 1 on [0,1]^2, the onset is
 pinned near 0.22 regardless of intensity, which is the headline effect
-this module quantifies.
+this module quantifies. `onset_by_bisection` finds the same crossing
+independently, on a bracket grown from [0, 1].
 
 The claimed_* functions transcribe a set of published closed-form moment
 expressions verbatim so they can be adjudicated against the exact
@@ -38,7 +39,6 @@ from .dpa import (
 from .fock import FockCutoff, QuantumState, fock_state
 
 CLAIM_MATCH_TOL = 1e-6       # relative deviation below which values agree
-ONSET_BRACKET = (0.0, 1.0)   # sinh 4 > any occupation term for N <= 3
 ONSET_XTOL = 1e-12
 SWEEP_ONSET_XTOL = 1e-8
 THERMAL_TAIL = 1e-9          # per-mode weight beyond the kept levels
@@ -77,34 +77,37 @@ def thermal_state(
         cutoff, np.diag(weights / weights.sum()).astype(complex))
 
 
+def _occupation_term(n_x: float, n_y: float) -> float:
+    """2 N_x N_y / (1 + N_x + N_y); OverflowError when it is not finite."""
+    _require_occupations(n_x, n_y)
+    term = 2.0 * n_x * n_y / (1.0 + n_x + n_y)
+    if not math.isfinite(term):
+        raise OverflowError(
+            "occupation term 2 N_x N_y / (1 + N_x + N_y) overflows")
+    return term
+
+
 def squeezing_function(kt: float, n_x: float, n_y: float) -> float:
     """Sq = 1 + 2 N_x N_y / (1 + N_x + N_y) - sinh 4kt; negative = squeezed."""
-    _require_occupations(n_x, n_y)
-    return 1.0 + 2.0 * n_x * n_y / (1.0 + n_x + n_y) - math.sinh(4.0 * kt)
+    return 1.0 + _occupation_term(n_x, n_y) - math.sinh(4.0 * kt)
 
 
 def onset_time(n_x: float, n_y: float) -> float:
     """Closed-form zero of the squeezing function in kt."""
-    _require_occupations(n_x, n_y)
-    return 0.25 * math.asinh(1.0 + 2.0 * n_x * n_y / (1.0 + n_x + n_y))
+    return 0.25 * math.asinh(1.0 + _occupation_term(n_x, n_y))
 
 
-def onset_by_bisection(
-    n_x: float, n_y: float,
-    bracket: tuple[float, float] = ONSET_BRACKET,
-    xtol: float = ONSET_XTOL,
-) -> float:
-    """Independent root of Sq(kt) = 0 on a fixed bracket.
+def onset_by_bisection(n_x: float, n_y: float) -> float:
+    """Independent root of Sq(kt) = 0 to ONSET_XTOL; checks the closed form.
 
-    Cross-checks the closed form; raises if the bracket does not
-    straddle the sign change.
+    Sq(0) >= 1, so the bracket [0, hi] starts at hi = 1 and hi doubles
+    until Sq(hi) <= 0. An occupation term that overflows raises
+    OverflowError, as in onset_time.
     """
-    lo, hi = bracket
-    f_lo = squeezing_function(lo, n_x, n_y)
-    f_hi = squeezing_function(hi, n_x, n_y)
-    if not f_lo > 0.0 > f_hi:
-        raise ValueError("bracket does not straddle the squeezing onset")
-    return _bisect(n_x, n_y, lo, hi, xtol)
+    hi = 1.0
+    while squeezing_function(hi, n_x, n_y) > 0.0:
+        hi *= 2.0
+    return _bisect(n_x, n_y, 0.0, hi, ONSET_XTOL)
 
 
 def _bisect(
@@ -242,9 +245,8 @@ def claimed_moment_table(
         if cutoff is None:
             reference = heisenberg_moments(int(n_x), int(n_y), kt)
         else:
-            config = DpaConfig(kt=kt, cutoff=cutoff)
             reference = oracle_moments(
-                fock_state(cutoff, int(n_x), int(n_y)), config)
+                fock_state(cutoff, int(n_x), int(n_y)), DpaConfig(kt=kt))
     rows = []
     reference_values = dict(zip(
         CLAIMED_FORMS, reference.means + reference.variances)) \
@@ -422,8 +424,7 @@ def sweep(
                 "pass an explicit cutoff")
         initial = model.initial_state(cut)
         rows = [oracle_moments(
-            initial, DpaConfig(kt=float(kt), cutoff=cut,
-                               leakage_tol=leakage_tol))
+            initial, DpaConfig(kt=float(kt), leakage_tol=leakage_tol))
             for kt in kt_grid]
     else:
         rows = [model.closed_report(float(kt)) for kt in kt_grid]

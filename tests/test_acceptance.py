@@ -98,7 +98,7 @@ def test_oracle_matches_closed_forms_on_grid():
         state = fock_state(cut, n_x, n_y)
         for kt in kts:
             cells += 1
-            numeric = oracle_moments(state, DpaConfig(kt=kt, cutoff=cut))
+            numeric = oracle_moments(state, DpaConfig(kt=kt))
             closed = heisenberg_moments(n_x, n_y, kt)
             tol = max(1e-8, 10.0 * numeric.leakage)
             cell_ok = True
@@ -170,7 +170,7 @@ def test_uncertainty_inequalities():
     vacuum = fock_state(big, 0, 0)
     for kt in (0.1, 0.22, 0.3):
         from hopslab.dpa import evolve
-        evolved = evolve(vacuum, DpaConfig(kt=kt, cutoff=big))
+        evolved = evolve(vacuum, DpaConfig(kt=kt))
         for item in uncertainty_products(evolved):
             checked += 1
             if not item.satisfied():
@@ -192,7 +192,7 @@ def test_criterion_fit_and_factorization():
     vacuum = fock_state(cut, 0, 0)
     from hopslab.dpa import evolve
     for kt in (0.1, 0.22, 0.4):
-        evolved = evolve(vacuum, DpaConfig(kt=kt, cutoff=cut))
+        evolved = evolve(vacuum, DpaConfig(kt=kt))
         fit = fit_hops_criterion(evolved)
         index_error = abs(abs(fit.p_h) - math.tanh(2.0 * kt))
         details.append(f"kt={kt}: residual {fit.residual:.3e}, "
@@ -202,7 +202,7 @@ def test_criterion_fit_and_factorization():
         if index_error >= 1e-8:
             failures.append(f"kt={kt}: |p_h| = {abs(fit.p_h)!r} vs "
                             f"tanh(2kt) = {math.tanh(2.0 * kt)!r}")
-        for check in factorization_residuals(evolved, max_order=2, fit=fit):
+        for check in factorization_residuals(evolved):
             if check.reduced_residual >= 1e-6:
                 failures.append(
                     f"kt={kt} orders {check.orders}: reduced residual "

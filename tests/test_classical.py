@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hopslab.classical import (
-    ClassicalFieldSample,
+    FieldEnsemble,
     FixedAmplitude,
     HopsEnsembleSpec,
     OrdinaryEnsembleSpec,
@@ -90,16 +90,15 @@ def test_seed_reproducibility():
 
 
 def test_ensemble_sequence_protocol():
+    # an ensemble is two read-only amplitude arrays of its length
     spec = HopsEnsembleSpec(chi_h=1.0, delta_h=0.0)
     ensemble = sample_hops(spec, 10, seed=0)
     assert len(ensemble) == 10
-    sample = ensemble[3]
-    assert isinstance(sample, ClassicalFieldSample)
-    assert sample.amp_x == complex(ensemble.amp_x[3])
-    # list-of-samples input reproduces the array-backed statistics
-    stats_arrays = classical_stokes(ensemble)
-    stats_list = classical_stokes([ensemble[i] for i in range(10)])
-    assert stats_arrays.values == stats_list.values
+    for amp in (ensemble.amp_x, ensemble.amp_y):
+        assert amp.shape == (10,)
+        assert not amp.flags.writeable
+    with pytest.raises(ValueError):
+        FieldEnsemble(np.ones(3), np.ones(4))
 
 
 def test_hops_stokes_vanish_but_hidden_survive():
@@ -210,33 +209,40 @@ def test_overflowing_statistics_raise():
         for stats in (classical_stokes, classical_hidden):
             with pytest.raises(ValueError, match="not finite"):
                 stats(ensemble)
-    # large but representable amplitudes still give finite statistics
-    spec = HopsEnsembleSpec(chi_h=0.5 * math.pi, delta_h=0.0,
-                            amplitude=FixedAmplitude(1e50))
-    stats = hops_statistics(spec, 100, seed=0)
-    assert all(math.isfinite(v) for v in stats.values.values())
+    # large but representable amplitudes still give finite statistics;
+    # at 1e100 the squared batch-mean deviations (1e400) would overflow
+    for a0 in (1e50, 1e100):
+        spec = HopsEnsembleSpec(chi_h=0.5 * math.pi, delta_h=0.0,
+                                amplitude=FixedAmplitude(a0))
+        stats = hops_statistics(spec, 100, seed=0)
+        assert all(math.isfinite(v) for v in stats.values.values())
+        assert all(math.isfinite(e) for e in stats.std_errors.values())
 
 
 def test_polarization_index_trivial_cases():
-    assert polarization_index(ClassicalFieldSample(1.0, 0.0)) == 0.0
-    assert polarization_index(ClassicalFieldSample(0.7, 0.7)) == pytest.approx(1.0)
-    circular = polarization_index(ClassicalFieldSample(0.5, 0.5j))
-    assert circular == pytest.approx(1j)
-
-
-def test_polarization_index_custom_basis():
-    # diagonal basis: a purely diagonal field has zero cross component
-    diag = np.array([1.0, 1.0]) / math.sqrt(2.0)
-    anti = np.array([1.0, -1.0]) / math.sqrt(2.0)
-    sample = ClassicalFieldSample(2.0, 2.0)
-    assert polarization_index(sample, (diag, anti)) == pytest.approx(0.0)
-    with pytest.raises(ValueError):
-        polarization_index(sample, (diag, 2.0 * anti))
+    assert polarization_index(1.0, 0.0) == 0.0
+    assert polarization_index(0.7, 0.7) == pytest.approx(1.0)
+    assert polarization_index(0.5, 0.5j) == pytest.approx(1j)
+    # on arrays, one index per sample: each ensemble's own index is exact
+    ordinary = sample_ordinary(OrdinaryEnsembleSpec(chi=1.0, delta=0.4),
+                               50, seed=3)
+    np.testing.assert_allclose(
+        polarization_index(ordinary.amp_x, ordinary.amp_y),
+        math.tan(0.5) * np.exp(0.4j), rtol=1e-12)
+    hidden = sample_hops(HopsEnsembleSpec(chi_h=1.0, delta_h=0.4), 50, seed=3)
+    np.testing.assert_allclose(
+        hidden_index(hidden.amp_x, hidden.amp_y),
+        math.tan(0.5) * np.exp(0.4j), rtol=1e-12)
 
 
 def test_undefined_indices():
     with pytest.raises(UndefinedIndexError):
-        polarization_index(ClassicalFieldSample(0.0, 1.0))
+        polarization_index(0.0, 1.0)
     with pytest.raises(UndefinedIndexError):
-        hidden_index(ClassicalFieldSample(0.0, 1.0))
-    assert hidden_index(ClassicalFieldSample(1.0, 1.0j)) == pytest.approx(1.0j)
+        hidden_index(0.0, 1.0)
+    # one vanishing A_x leaves the index of an array undefined
+    with pytest.raises(UndefinedIndexError):
+        polarization_index(np.array([1.0, 0.0]), np.array([1.0, 1.0]))
+    assert hidden_index(1.0, 1.0j) == pytest.approx(1.0j)
+    with pytest.raises(ValueError):
+        hidden_index(1.0, math.inf)

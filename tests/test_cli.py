@@ -35,6 +35,15 @@ def test_onset_line(capsys):
     assert "bisection=0.2207479342" in out
 
 
+def test_onset_above_the_unit_bracket(capsys):
+    # Sq(1) > 0 from occupations near 26 on; the onset here is 1.326
+    code, out = run_cli(["onset", "--nx", "100", "--ny", "100"], capsys)
+    assert code == 0
+    fields = dict(item.split("=") for item in out.split())
+    assert float(fields["onset_kt"]) > 1.0
+    assert float(fields["difference"]) <= 1e-12
+
+
 def test_onset_defaults_match_explicit(capsys):
     _, explicit = run_cli(["onset", "--nx", "0.035", "--ny", "0.035"], capsys)
     _, defaulted = run_cli(["onset"], capsys)
@@ -182,6 +191,18 @@ def test_ensemble_csv(capsys):
     assert again == out
 
 
+def test_ensemble_error_stays_finite_with_its_estimate(capsys):
+    # s0 = 1e200 is finite; its error must not overflow on the way
+    code, out = run_cli(["ensemble", "--a0", "1e100", "--count", "100"],
+                        capsys)
+    assert code == 0
+    _, rows = data_rows(out)
+    cells = {row.split(",")[0]: row.split(",")[1:3] for row in rows}
+    assert float(cells["s0"][0]) == pytest.approx(1e200, rel=1e-12)
+    assert all(math.isfinite(float(v)) for pair in cells.values()
+               for v in pair)
+
+
 def test_claims_table(capsys):
     code, out = run_cli(
         ["claims", "--nx", "1", "--ny", "2", "--kt", "0.22"], capsys)
@@ -253,6 +274,10 @@ def test_usage_errors_exit_two(capsys):
     ["ensemble", "--a0", "1e200", "--count", "100"],
     ["ensemble", "--amplitude", "rayleigh", "--scale", "1e300",
      "--count", "100"],
+    # the occupation term 2 N_x N_y / (1 + N_x + N_y) overflows
+    ["onset", "--nx", "1e200", "--ny", "1e200"],
+    # nbar (1 + nbar) overflows the closed-form variances
+    ["sweep", "--model", "thermal", "--nbar-x", "1e300", "--steps", "3"],
 ])
 def test_non_finite_and_overflowing_input_exits_two(argv, capsys):
     with pytest.raises(SystemExit) as excinfo:

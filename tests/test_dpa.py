@@ -44,15 +44,17 @@ VACUUM_MEAN_NX_KT022 = 0.2064206545246978  # sinh(0.44)^2, frozen
 
 
 def test_config_validation():
-    cut = FockCutoff(10, 10)
     with pytest.raises(ValueError):
-        DpaConfig(kt=math.inf, cutoff=cut)
+        DpaConfig(kt=math.inf)
     with pytest.raises(ValueError):
-        DpaConfig(kt=0.1, cutoff=cut, leakage_tol=0.0)
+        DpaConfig(kt=0.1, leakage_tol=0.0)
     with pytest.raises(ValueError):
-        DpaConfig(kt=0.1, cutoff=cut, leakage_tol=1.5)
-    with pytest.raises(ValueError):
-        DpaConfig(kt=0.1, cutoff=FockCutoff(4, 4))
+        DpaConfig(kt=0.1, leakage_tol=1.5)
+    # the truncation is the state's, and must exceed EVOLUTION_MARGIN levels
+    for cut in (FockCutoff(4, 4), FockCutoff(9, 4)):
+        for run in (evolve, oracle_moments):
+            with pytest.raises(ValueError, match="exceed 4 levels"):
+                run(fock_state(cut, 0, 0), DpaConfig(kt=0.1))
 
 
 def test_interaction_hamiltonian_elements():
@@ -69,13 +71,13 @@ def test_zero_time_is_identity():
     cut = FockCutoff(10, 10)
     rng = np.random.default_rng(5)
     state = random_low_excitation_state(cut, 4, rng)
-    frozen = evolve(state, DpaConfig(kt=0.0, cutoff=cut))
+    frozen = evolve(state, DpaConfig(kt=0.0))
     np.testing.assert_allclose(frozen.vector, state.vector, atol=1e-13)
 
 
 def test_vacuum_mean_occupation_at_reference_time():
     cut = FockCutoff(40, 40)
-    evolved = evolve(fock_state(cut, 0, 0), DpaConfig(kt=0.22, cutoff=cut))
+    evolved = evolve(fock_state(cut, 0, 0), DpaConfig(kt=0.22))
     mean_nx = expectation(number_operator(cut, "x"), evolved).real
     assert mean_nx == pytest.approx(VACUUM_MEAN_NX_KT022, abs=1e-9)
     assert mean_nx == pytest.approx(math.sinh(2 * 0.22) ** 2, abs=1e-9)
@@ -85,8 +87,8 @@ def test_reversibility():
     cut = FockCutoff(28, 28)
     rng = np.random.default_rng(12)
     state = random_low_excitation_state(cut, 3, rng)
-    there = evolve(state, DpaConfig(kt=0.25, cutoff=cut))
-    back = evolve(there, DpaConfig(kt=-0.25, cutoff=cut))
+    there = evolve(state, DpaConfig(kt=0.25))
+    back = evolve(there, DpaConfig(kt=-0.25))
     np.testing.assert_allclose(back.vector, state.vector, atol=1e-10)
 
 
@@ -95,7 +97,7 @@ def test_block_propagator_matches_dense_exponential():
     kt = 0.17
     rng = np.random.default_rng(3)
     state = random_low_excitation_state(cut, 3, rng)
-    config = DpaConfig(kt=kt, cutoff=cut, leakage_tol=0.9)
+    config = DpaConfig(kt=kt, leakage_tol=0.9)
     fast = evolve(state, config)
     u = matrix_exponential((-2j * kt) * interaction_hamiltonian(cut))
     slow = u.matrix @ state.vector
@@ -108,7 +110,7 @@ def _rectangular_mixture():
     rng = np.random.default_rng(4)
     rho = sum(w * random_low_excitation_state(cut, 3, rng).density_matrix()
               for w in (0.5, 0.3, 0.2))
-    config = DpaConfig(kt=0.13, cutoff=cut, leakage_tol=0.999)
+    config = DpaConfig(kt=0.13, leakage_tol=0.999)
     return QuantumState.from_density(cut, rho), config
 
 
@@ -116,7 +118,7 @@ def test_density_evolution_matches_dense_exponential():
     state, config = _rectangular_mixture()
     evolved = evolve(state, config)
     u = matrix_exponential(
-        (-2j * config.kt) * interaction_hamiltonian(config.cutoff)).matrix
+        (-2j * config.kt) * interaction_hamiltonian(state.cutoff)).matrix
     np.testing.assert_allclose(
         evolved.density, u @ state.density @ u.conj().T, rtol=0, atol=1e-13)
 
@@ -125,7 +127,7 @@ def test_density_oracle_matches_dense_hidden_set():
     state, config = _rectangular_mixture()
     report = oracle_moments(state, config)
     evolved = evolve(state, config)
-    hidden = build_hidden(config.cutoff).as_tuple()
+    hidden = build_hidden(state.cutoff).as_tuple()
     for op, mean, var in zip(hidden, report.means, report.variances):
         assert mean == pytest.approx(expectation(op, evolved).real, abs=1e-12)
         assert var == pytest.approx(variance(op, evolved), abs=1e-12)
@@ -133,21 +135,22 @@ def test_density_oracle_matches_dense_hidden_set():
 
 def test_moderate_time_keeps_leakage_small():
     cut = FockCutoff(40, 40)
-    evolved = evolve(fock_state(cut, 0, 0), DpaConfig(kt=0.3, cutoff=cut))
+    evolved = evolve(fock_state(cut, 0, 0), DpaConfig(kt=0.3))
     assert boundary_leakage(evolved, 4) < 1e-8
 
 
 def test_truncation_error_carries_leakage():
     cut = FockCutoff(6, 6)
-    config = DpaConfig(kt=0.8, cutoff=cut)
+    config = DpaConfig(kt=0.8)
     with pytest.raises(TruncationError) as excinfo:
         evolve(fock_state(cut, 0, 0), config)
     assert excinfo.value.leakage > config.leakage_tol
+    assert excinfo.value.cutoff == cut
 
 
 def test_mode_imbalance_is_conserved():
     cut = FockCutoff(24, 24)
-    config = DpaConfig(kt=0.3, cutoff=cut)
+    config = DpaConfig(kt=0.3)
     report = oracle_moments(fock_state(cut, 2, 1), config)
     assert report.mean_h1 == pytest.approx(-1.0, abs=1e-9)
     assert report.var_h1 == pytest.approx(0.0, abs=1e-9)
@@ -156,15 +159,14 @@ def test_mode_imbalance_is_conserved():
 
 def test_vacuum_pair_variance_is_unit():
     cut = FockCutoff(24, 24)
-    report = oracle_moments(fock_state(cut, 0, 0),
-                            DpaConfig(kt=0.1, cutoff=cut))
+    report = oracle_moments(fock_state(cut, 0, 0), DpaConfig(kt=0.1))
     assert report.var_h2 == pytest.approx(1.0, abs=1e-9)
 
 
 def test_oracle_matches_closed_forms_on_fock_grid():
     cut = FockCutoff(40, 40)
     for kt in (0.1, 0.3):
-        config = DpaConfig(kt=kt, cutoff=cut)
+        config = DpaConfig(kt=kt)
         for n_x in range(3):
             for n_y in range(3):
                 numeric = oracle_moments(fock_state(cut, n_x, n_y), config)
@@ -186,7 +188,7 @@ def test_thermal_closed_forms_match_mixed_oracle():
     weights = np.kron(wx, wy)
     rho = np.diag(weights / weights.sum()).astype(complex)
     state = QuantumState.from_density(cut, rho)
-    numeric = oracle_moments(state, DpaConfig(kt=kt, cutoff=cut))
+    numeric = oracle_moments(state, DpaConfig(kt=kt))
     closed = thermal_heisenberg_moments(nbar_x, nbar_y, kt)
     assert numeric.valid
     for got, want in zip(numeric.means + numeric.variances,
@@ -212,7 +214,7 @@ def test_bogoliubov_identity():
 def test_evolved_vacuum_satisfies_hidden_criterion():
     cut = FockCutoff(40, 40)
     kt = 0.22
-    evolved = evolve(fock_state(cut, 0, 0), DpaConfig(kt=kt, cutoff=cut))
+    evolved = evolve(fock_state(cut, 0, 0), DpaConfig(kt=kt))
     fit = fit_hops_criterion(evolved)
     assert fit.residual < 1e-10
     assert fit.p_h == pytest.approx(-1j * math.tanh(2 * kt), abs=1e-8)
@@ -224,9 +226,19 @@ def test_moment_report_rejects_negative_variance():
                      var_h0=-0.1, var_h1=0, var_h2=1, var_h3=1, leakage=0.0)
 
 
+def test_moment_report_rejects_non_finite_moments():
+    # nbar (1 + nbar) overflows the variances while the means stay finite
+    with pytest.raises(ValueError, match="not finite"):
+        thermal_heisenberg_moments(1e300, 0.5, 0.1)
+    with pytest.raises(ValueError, match="not finite"):
+        MomentReport(kt=0.0, mean_h0=math.nan, mean_h1=0, mean_h2=0,
+                     mean_h3=0, var_h0=1, var_h1=0, var_h2=1, var_h3=1,
+                     leakage=0.0)
+
+
 def test_oracle_flags_instead_of_raising():
     cut = FockCutoff(6, 6)
-    config = DpaConfig(kt=0.8, cutoff=cut)
+    config = DpaConfig(kt=0.8)
     report = oracle_moments(fock_state(cut, 0, 0), config)
     assert not report.valid
     assert report.leakage > config.leakage_tol
@@ -244,7 +256,7 @@ def test_evolution_composes_over_time(seed, kt):
     cut = FockCutoff(12, 12)
     rng = np.random.default_rng(seed)
     state = random_low_excitation_state(cut, 3, rng)
-    loose = dict(cutoff=cut, leakage_tol=0.9)
+    loose = dict(leakage_tol=0.9)
     once = evolve(state, DpaConfig(kt=kt, **loose))
     half = evolve(state, DpaConfig(kt=0.5 * kt, **loose))
     twice = evolve(half, DpaConfig(kt=0.5 * kt, **loose))
@@ -256,7 +268,7 @@ def test_oracle_agrees_between_vector_and_density_forms(seed):
     cut = FockCutoff(12, 12)
     rng = np.random.default_rng(seed)
     state = random_low_excitation_state(cut, 2, rng)
-    config = DpaConfig(kt=0.2, cutoff=cut, leakage_tol=0.9)
+    config = DpaConfig(kt=0.2, leakage_tol=0.9)
     pure = oracle_moments(state, config)
     mixed = oracle_moments(
         QuantumState.from_density(cut, state.density_matrix()), config)
@@ -270,7 +282,7 @@ def test_oracle_forms_no_full_size_array():
     # blocks of a thermal state are a few hundred kB
     cut = FockCutoff(32, 32)
     state = thermal_state(cut, 0.5, 0.5)
-    config = DpaConfig(kt=0.3, cutoff=cut)
+    config = DpaConfig(kt=0.3)
     oracle_moments(state, config)  # warm the sector and eigenpair caches
     tracemalloc.start()
     try:
@@ -290,7 +302,7 @@ def test_oracle_rows_obey_casimir_identity(make_state):
     cut = FockCutoff(32, 40)
     state = make_state(cut)
     for kt in (0.0, 0.1, 0.2):
-        report = oracle_moments(state, DpaConfig(kt=kt, cutoff=cut))
+        report = oracle_moments(state, DpaConfig(kt=kt))
         second = [v + m * m for m, v in zip(report.means, report.variances)]
         residual = sum(second[1:]) - second[0] - 2.0 * (1.0 + report.mean_h0)
         assert abs(residual) <= 1e-9 * max(1.0, *second), (kt, residual)
@@ -298,8 +310,8 @@ def test_oracle_rows_obey_casimir_identity(make_state):
 
 def test_oracle_ignores_inter_sector_coherences():
     state, config = _rectangular_mixture()
-    label = sector_table(config.cutoff).label
+    label = sector_table(state.cutoff).label
     dephased = np.where(label[:, None] == label[None, :], state.density, 0.0)
     assert np.count_nonzero(dephased) < np.count_nonzero(state.density)
     assert oracle_moments(state, config) == oracle_moments(
-        QuantumState.from_density(config.cutoff, dephased), config)
+        QuantumState.from_density(state.cutoff, dephased), config)

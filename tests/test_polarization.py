@@ -136,15 +136,13 @@ def test_stokes_commutator_table_verdicts():
 
 
 def test_probe_margin_validation():
-    with pytest.raises(ValueError):
-        verify_hidden_commutators(CUT8, probe_margin=1)
-    with pytest.raises(ValueError):
-        verify_stokes_commutators(CUT8, probe_margin=0)
-    # an empty interior is an error, not a vacuous pass
-    for cut, margin in ((CUT8, 8), (FockCutoff(5, 9), 5)):
-        for verify in (verify_hidden_commutators, verify_stokes_commutators):
+    # PROBE_MARGIN = 2: an empty interior is an error, not a vacuous pass
+    for verify in (verify_hidden_commutators, verify_stokes_commutators):
+        for cut in (FockCutoff(2, 2), FockCutoff(2, 9), FockCutoff(9, 2)):
             with pytest.raises(ValueError, match="no interior"):
-                verify(cut, probe_margin=margin)
+                verify(cut)
+        # three levels per mode leave the interior state |0, 0>
+        assert all(row.adjudicated_pass for row in verify(FockCutoff(3, 3)))
 
 
 def _shells(cut):
@@ -162,7 +160,7 @@ def test_chain_tables_match_dense_operators(cut):
     hidden_set, stokes_set = build_hidden(cut), build_stokes(cut)
     for hidden, dense, chains in ((True, hidden_set, sectors),
                                   (False, stokes_set, _shells(cut))):
-        stacks, _ = _chain_tables(cut, 2, hidden)
+        stacks, _ = _chain_tables(cut, hidden)
         assert len(chains) == stacks[0].shape[0]
         inside = np.zeros((cut.dim, cut.dim), dtype=bool)
         for idx in chains:
@@ -326,7 +324,7 @@ def test_coherence_order_guard():
 
 def test_factorization_reduction_on_pair_state():
     state = _geometric_pair_state(CUT12, 0.2)
-    rows = factorization_residuals(state, max_order=2)
+    rows = factorization_residuals(state)
     orders_seen = {row.orders for row in rows}
     assert (0, 0, 0, 0) in orders_seen
     assert (2, 0, 0, 2) in orders_seen

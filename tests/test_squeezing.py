@@ -132,9 +132,18 @@ def test_squeezing_function_strictly_decreasing(n_x, n_y, seed):
         kt_hi, n_x, n_y)
 
 
-def test_onset_bisection_requires_straddling_bracket():
-    with pytest.raises(ValueError):
-        onset_by_bisection(0.0, 0.0, bracket=(0.0, 0.1))
+def test_onset_bisection_derives_its_bracket():
+    # from occupations near 26 on Sq(1) > 0: [0, 1] holds no onset
+    assert squeezing_function(1.0, 100.0, 100.0) > 0.0
+    closed = onset_time(100.0, 100.0)
+    assert closed > 1.0
+    assert abs(onset_by_bisection(100.0, 100.0) - closed) < 1e-12
+    # an occupation term that overflows (inf, or inf / inf) is an error,
+    # not an onset of inf or a bisection that settles on kt = 0
+    for n in (1e200, 1e308):
+        for solve in (onset_time, onset_by_bisection):
+            with pytest.raises(OverflowError):
+                solve(n, n)
 
 
 def test_claim_verdicts_at_mixed_occupations():
