@@ -20,6 +20,7 @@ from hopslab.classical import (
 from hopslab.dpa import (
     DpaConfig,
     TruncationError,
+    boundary_leakage,
     evolve,
     heisenberg_moments,
     oracle_moments,
@@ -29,7 +30,6 @@ from hopslab.dpa import (
 from hopslab.fock import (
     FockCutoff,
     QuantumState,
-    boundary_leakage,
     fock_state,
 )
 from hopslab.polarization import (

@@ -10,18 +10,19 @@ every evolution time.
 
 `oracle_moments`, the brute-force oracle against which the closed-form
 Heisenberg moments are checked, never forms the evolved state: it
-evolves only the sector blocks the initial state populates (U b for a
-vector, U B U^dag for a density block), applies the checks that
-`QuantumState.from_vector`/`from_density` would have run to those
-blocks, and hands them to the shared H0..H3 measure
-`polarization.hidden_moments`. `evolve` returns a full QuantumState,
-built from the same U_delta applied to its rows (and columns). No
-operator matrix is built here.
+evolves only the state's populated sector blocks (`QuantumState.blocks`),
+which are weighted columns (G, p) for pure and mixed states alike, as
+(U G, p). It applies the checks that `QuantumState.from_vector` /
+`from_density` would have run to those blocks and hands them to the
+shared H0..H3 measure `polarization.hidden_moments`. `evolve` returns a
+full QuantumState, built from the same U_delta applied to its rows (and
+columns), since only that form carries a density's inter-sector
+coherences. No operator matrix is built here.
 
-The truncation is the state's own cutoff, certified after the fact: the
-evolved state must keep its population clear of the last EVOLUTION_MARGIN
-levels of either mode, else `evolve` raises and `oracle_moments` flags
-its report invalid.
+The truncation is the state's own cutoff, certified after the fact by
+`boundary_leakage`: the evolved state must keep its population clear of
+the last EVOLUTION_MARGIN levels of either mode, else `evolve` raises
+and `oracle_moments` flags its report invalid.
 
 Time enters only through the dimensionless product kt. The Bogoliubov
 coefficients are C = cosh 2kt and S = sinh 2kt, fixed by the acceptance
@@ -34,6 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterable
 
 import numpy as np
 
@@ -41,10 +43,7 @@ from .fock import (
     FockCutoff,
     QuantumState,
     SectorBlock,
-    boundary_leakage,
-    check_density_blocks,
-    populated_sectors,
-    sector_blocks,
+    require_unit_trace,
     sector_table,
 )
 from .polarization import hidden_moments
@@ -161,7 +160,7 @@ def evolve(state: QuantumState, config: DpaConfig) -> QuantumState:
     """
     rate, cut = 2.0 * config.kt, state.cutoff
     pairs = _sector_eigenpairs(cut)
-    sectors = populated_sectors(state)
+    sectors = [block.sector for block in state.blocks]
     x = state.array
     rows = np.zeros(x.shape, dtype=complex)
     for sector in sectors:
@@ -179,10 +178,23 @@ def evolve(state: QuantumState, config: DpaConfig) -> QuantumState:
                 rows[:, sector.indices].conj().T, pairs[sector.delta],
                 rate).conj().T
         result = QuantumState.from_density(cut, 0.5 * (rho + rho.conj().T))
-    leakage = boundary_leakage(result, EVOLUTION_MARGIN)
+    leakage = boundary_leakage(result)
     if leakage > config.leakage_tol:
         raise TruncationError(leakage, cut)
     return result
+
+
+def boundary_leakage(state: QuantumState | Iterable[SectorBlock]) -> float:
+    """Population within EVOLUTION_MARGIN levels of either truncation edge.
+
+    The certificate that a truncated computation approximates the
+    untruncated physics: small leakage means the state never felt the
+    boundary. Takes a state, or the sector blocks of one; a sector's
+    last EVOLUTION_MARGIN states are exactly its states that close to
+    an edge.
+    """
+    blocks = state.blocks if isinstance(state, QuantumState) else state
+    return float(sum(b.populations()[-EVOLUTION_MARGIN:].sum() for b in blocks))
 
 
 def heisenberg_moments(n_x: int, n_y: int, kt: float) -> MomentReport:
@@ -226,6 +238,8 @@ def _closed_moments(
 
     A Fock state has spread 0, which adds exactly 0.0 to its variances.
     """
+    if not math.isfinite(kt):
+        raise ValueError("kt must be finite")
     c4 = math.cosh(4.0 * kt)
     s4 = math.sinh(4.0 * kt)
     pair_var = 1.0 + n_x + n_y + 2.0 * n_x * n_y
@@ -246,28 +260,28 @@ def _closed_moments(
 def _evolve_blocks(
     state: QuantumState, config: DpaConfig,
 ) -> list[SectorBlock]:
-    """U_delta(kt) on each populated sector block of the state.
+    """U_delta(kt) on the columns of each populated sector block.
 
-    Runs the checks `from_vector`/`from_density` run on an evolved
-    state: the blocks of a vector are renormalized together; density
-    blocks (U B U^dag) are hermitized, their total trace must be 1
-    within ALGEBRA_TOL and each must be positive semidefinite.
+    The weights p are kept, and U G is orthonormal where G is, so an
+    evolved density block has exactly the spectrum `state.blocks`
+    checked. The remaining checks `from_vector`/`from_density` run on
+    an evolved state: the blocks of a vector are renormalized together;
+    the trace of a density, sum_r p_r |U G_r|^2, must be 1 within
+    ALGEBRA_TOL.
     """
     rate = 2.0 * config.kt
     pairs = _sector_eigenpairs(state.cutoff)
-    evolved = []
-    for block in sector_blocks(state):
-        pair = pairs[block.sector.delta]
-        b = _propagate(block.array, pair, rate)
-        if b.ndim == 2:
-            b = _propagate(b.conj().T, pair, rate).conj().T
-            b = 0.5 * (b + b.conj().T)
-        evolved.append(SectorBlock(block.sector, b))
-    if state.vector is not None:
-        norm = math.sqrt(sum(np.vdot(b.array, b.array).real for b in evolved))
-        return [SectorBlock(b.sector, b.array / norm) for b in evolved]
-    check_density_blocks(evolved)
-    return evolved
+    evolved = [SectorBlock(b.sector,
+                           _propagate(b.columns, pairs[b.sector.delta], rate),
+                           b.weights)
+               for b in state.blocks]
+    total = sum(np.vdot(b.columns, b.columns * b.weights).real for b in evolved)
+    if state.vector is None:
+        require_unit_trace(total)
+        return evolved
+    # rounding drift only: the truncated generator is exactly unitary
+    norm = math.sqrt(total)
+    return [SectorBlock(b.sector, b.columns / norm, b.weights) for b in evolved]
 
 
 def oracle_moments(state: QuantumState, config: DpaConfig) -> MomentReport:
@@ -279,9 +293,7 @@ def oracle_moments(state: QuantumState, config: DpaConfig) -> MomentReport:
     the measured leakage so sweeps can flag the row and continue.
     """
     blocks = _evolve_blocks(state, config)
-    # a sector's last EVOLUTION_MARGIN states are its edge band
-    leakage = float(sum(b.populations()[-EVOLUTION_MARGIN:].sum()
-                        for b in blocks))
+    leakage = boundary_leakage(blocks)
     means, variances = hidden_moments(blocks)
     return MomentReport(
         kt=config.kt,

@@ -8,10 +8,11 @@ The amplifier generator and all four hidden-set operators conserve the
 imbalance n_x - n_y, so the imbalance sector is the unit of work for
 dynamics and moments. `sector_table` lists, once per cutoff, each
 sector's flat indices |lo_x + m, lo_y + m> and the a_y a_x weights
-along it, plus a flat-index -> sector label; `sector_blocks` splits a
-state into the amplitude slices (vector) or principal blocks (density)
-of only the sectors it populates. Evolution (`dpa`) and the H0..H3
-measure (`polarization.hidden_moments`) run on those blocks.
+along it, plus a flat-index -> sector label. `QuantumState.blocks`
+holds, once per state, the sectors it populates as weighted columns
+(`SectorBlock`), pure or mixed. Evolution and its truncation
+certificate (`dpa`) and the H0..H3 measure
+(`polarization.hidden_moments`) run on those blocks alone.
 
 `apply_ladders` serves the remaining state-level computations: a
 ladder operator acts on the (d_x, d_y) view of a state vector, or of a
@@ -20,13 +21,14 @@ weight. No operator is stored as a joint-dimension matrix: the
 commutator tables (`polarization`) run on the chains each operator set
 conserves. Operations are exact on the truncated space; fidelity to the
 infinite-dimensional physics is certified post hoc with
-boundary_leakage.
+`dpa.boundary_leakage`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from numbers import Integral
 
 import numpy as np
 
@@ -38,6 +40,9 @@ EIGENVALUE_FLOOR = -1e-10  # lowest eigenvalue a density matrix may have
 # dimension a density that is not sector-block diagonal gets only the
 # hermiticity and trace checks.
 PSD_CHECK_MAX_DIM = 1024
+# Rows per slab of the hermiticity test: its temporaries stay a slab in
+# size, not a second and third copy of the matrix
+HERMITICITY_SLAB = 64
 
 
 @dataclass(frozen=True)
@@ -53,6 +58,8 @@ class FockCutoff:
     d_y: int
 
     def __post_init__(self) -> None:
+        if not (isinstance(self.d_x, Integral) and isinstance(self.d_y, Integral)):
+            raise ValueError(f"cutoff dimensions must be integers, got {self}")
         if self.d_x < 2 or self.d_y < 2:
             raise ValueError(f"cutoff must be at least 2 per mode, got {self}")
 
@@ -61,15 +68,11 @@ class FockCutoff:
         return self.d_x * self.d_y
 
     def index(self, n_x: int, n_y: int) -> int:
+        if not (isinstance(n_x, Integral) and isinstance(n_y, Integral)):
+            raise ValueError(f"photon numbers must be integers, got {n_x!r}, {n_y!r}")
         if not (0 <= n_x < self.d_x and 0 <= n_y < self.d_y):
             raise ValueError(f"|{n_x},{n_y}> outside cutoff {self}")
         return n_x * self.d_y + n_y
-
-    def number_diagonals(self) -> tuple[np.ndarray, np.ndarray]:
-        """Diagonals of N_x and N_y in the flat basis."""
-        n_x = np.repeat(np.arange(self.d_x, dtype=float), self.d_y)
-        n_y = np.tile(np.arange(self.d_y, dtype=float), self.d_x)
-        return n_x, n_y
 
 
 @dataclass(frozen=True)
@@ -109,9 +112,11 @@ class QuantumState:
         if m.shape != (cutoff.dim, cutoff.dim):
             raise ValueError(f"density matrix has shape {m.shape}, "
                              f"expected {(cutoff.dim, cutoff.dim)}")
-        if np.max(np.abs(m - m.conj().T)) > ALGEBRA_TOL:
-            raise ValueError("density matrix is not Hermitian within 1e-12")
-        _require_unit_trace(np.trace(m).real)
+        for lo in range(0, cutoff.dim, HERMITICITY_SLAB):
+            rows = slice(lo, lo + HERMITICITY_SLAB)
+            if np.max(np.abs(m[rows] - m[:, rows].conj().T)) > ALGEBRA_TOL:
+                raise ValueError("density matrix is not Hermitian within 1e-12")
+        require_unit_trace(np.trace(m).real)
         _check_positive(m, cutoff)
         # copied only now, after the checks' temporaries are gone;
         # freezing the caller's own array would make it read-only
@@ -137,16 +142,45 @@ class QuantumState:
         assert self.density is not None
         return np.diag(self.density).real.copy()
 
+    @cached_property
+    def blocks(self) -> tuple[SectorBlock, ...]:
+        """The state in each sector it populates, as weighted columns.
 
-def _require_unit_trace(trace: float) -> None:
+        Built once per state; its arrays are read-only. Every quantity
+        that conserves the imbalance (H0..H3 and their products, the
+        amplifier evolution, boundary populations) is a sum over these
+        blocks; inter-sector coherences of a density never enter, and
+        unpopulated sectors of a valid state are zero. Raises
+        ValueError when a density block has an eigenvalue below
+        EIGENVALUE_FLOOR.
+        """
+        table = sector_table(self.cutoff)
+        hits = np.bincount(table.label[self.populations() != 0.0],
+                           minlength=len(table.sectors))
+        blocks = []
+        for position in np.flatnonzero(hits):
+            sector = table.sectors[position]
+            if self.vector is not None:
+                columns, weights = self.vector[sector.indices][:, None], np.ones(1)
+            else:
+                weights, columns = np.linalg.eigh(
+                    self.density[np.ix_(sector.indices, sector.indices)])
+                _require_positive(weights[0])
+            columns.setflags(write=False)
+            weights.setflags(write=False)
+            blocks.append(SectorBlock(sector, columns, weights))
+        return tuple(blocks)
+
+
+def require_unit_trace(trace: float) -> None:
+    """Raise unless a density's `trace` is 1 within ALGEBRA_TOL."""
     if abs(trace - 1.0) > ALGEBRA_TOL:
         raise ValueError(
             f"density matrix trace {trace!r} is not 1 within {ALGEBRA_TOL}")
 
 
-def _require_positive(blocks) -> None:
-    """Raise unless every Hermitian block has eigenvalues >= EIGENVALUE_FLOOR."""
-    low = min(float(np.linalg.eigvalsh(b)[0]) for b in blocks)
+def _require_positive(low: float) -> None:
+    """Raise unless the lowest eigenvalue `low` is >= EIGENVALUE_FLOOR."""
     if low < EIGENVALUE_FLOOR:
         raise ValueError(
             f"density matrix has eigenvalue {low:.3e} below {EIGENVALUE_FLOOR}")
@@ -158,9 +192,9 @@ def _check_positive(m: np.ndarray, cutoff: FockCutoff) -> None:
     if sum(np.count_nonzero(b) for b in blocks) == np.count_nonzero(m):
         # no inter-sector coherence (diagonal mixtures included): the
         # spectrum is the union of the sector blocks' spectra
-        _require_positive(blocks)
+        _require_positive(min(np.linalg.eigvalsh(b)[0] for b in blocks))
     elif m.shape[0] <= PSD_CHECK_MAX_DIM:
-        _require_positive([m])
+        _require_positive(np.linalg.eigvalsh(m)[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,22 +204,19 @@ class Sector:
     It is spanned by |lo_x + m, lo_y + m>, m = 0..L-1, and runs until
     either mode reaches its cutoff, so its last k states are exactly
     its states within k levels of an edge. `pair_weights[m]` is the
-    a_y a_x matrix element <m|a_y a_x|m+1> = sqrt((lo_x+m+1)(lo_y+m+1)).
+    a_y a_x matrix element <m|a_y a_x|m+1> = sqrt((lo_x+m+1)(lo_y+m+1)),
+    and `photons[m]` is n_x + n_y = lo_x + lo_y + 2m.
     """
 
     lo_x: int
     lo_y: int
     indices: np.ndarray = field(repr=False)
     pair_weights: np.ndarray = field(repr=False)
+    photons: np.ndarray = field(repr=False)
 
     @property
     def delta(self) -> int:
         return self.lo_x - self.lo_y
-
-    @property
-    def photons(self) -> np.ndarray:
-        """n_x + n_y along the sector."""
-        return self.lo_x + self.lo_y + 2.0 * np.arange(self.indices.size)
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,9 +237,10 @@ def sector_table(cutoff: FockCutoff) -> SectorTable:
         m = np.arange(min(d_x - lo_x, d_y - lo_y))
         indices = (lo_x + m) * d_y + (lo_y + m)
         weights = np.sqrt((lo_x + m[:-1] + 1.0) * (lo_y + m[:-1] + 1.0))
-        indices.setflags(write=False)
-        weights.setflags(write=False)
-        sectors.append(Sector(lo_x, lo_y, indices, weights))
+        photons = lo_x + lo_y + 2.0 * m
+        for array in (indices, weights, photons):
+            array.setflags(write=False)
+        sectors.append(Sector(lo_x, lo_y, indices, weights, photons))
     label = np.subtract.outer(np.arange(d_x), np.arange(d_y)).ravel() + d_y - 1
     label.setflags(write=False)
     return SectorTable(tuple(sectors), label)
@@ -216,52 +248,26 @@ def sector_table(cutoff: FockCutoff) -> SectorTable:
 
 @dataclass(frozen=True, eq=False)
 class SectorBlock:
-    """A state restricted to one sector.
+    """A state restricted to one sector, as weighted columns.
 
-    `array` holds the amplitudes (L,) of a state vector, or the (L, L)
-    principal block of a density matrix, in the sector's order.
+    The block is G diag(p) G^dag, with `columns` G of shape (L, r) in
+    the sector's order and `weights` p of shape (r,): one column of
+    weight 1 for a state vector, the eigenpairs of the principal block
+    for a density matrix.
     """
 
     sector: Sector
-    array: np.ndarray = field(repr=False)
+    columns: np.ndarray = field(repr=False)
+    weights: np.ndarray = field(repr=False)
+
+    def band(self, k: int) -> np.ndarray:
+        """c_k[m] = <m + k|block|m> = sum_r p_r G[m + k, r] conj(G[m, r])."""
+        g = self.columns
+        return (g[k:] * g[:g.shape[0] - k].conj()) @ self.weights
 
     def populations(self) -> np.ndarray:
-        if self.array.ndim == 1:
-            return np.abs(self.array) ** 2
-        return np.diagonal(self.array).real
-
-
-def populated_sectors(state: QuantumState) -> list[Sector]:
-    """The sectors holding any of the state's population."""
-    table = sector_table(state.cutoff)
-    hits = np.bincount(table.label[state.populations() != 0.0],
-                       minlength=len(table.sectors))
-    return [table.sectors[i] for i in np.flatnonzero(hits)]
-
-
-def sector_blocks(state: QuantumState) -> list[SectorBlock]:
-    """The state's blocks in the sectors it populates.
-
-    Every quantity that conserves the imbalance (H0..H3 and their
-    products, the amplifier evolution, boundary populations) is a sum
-    over these blocks; inter-sector coherences of a density never
-    enter, and unpopulated sectors of a valid state are zero.
-    """
-    x = state.array
-    if x.ndim == 1:
-        return [SectorBlock(s, x[s.indices]) for s in populated_sectors(state)]
-    return [SectorBlock(s, x[np.ix_(s.indices, s.indices)])
-            for s in populated_sectors(state)]
-
-
-def check_density_blocks(blocks: list[SectorBlock]) -> None:
-    """The trace and positivity checks of `from_density`, on sector blocks.
-
-    For a state without inter-sector coherences this is exactly the
-    full-matrix check; blocks must already be Hermitian.
-    """
-    _require_unit_trace(sum(np.trace(b.array).real for b in blocks))
-    _require_positive(b.array for b in blocks)
+        """c_0, the block's diagonal: sum_r p_r |G[m, r]|^2."""
+        return (np.abs(self.columns) ** 2) @ self.weights
 
 
 def fock_state(cutoff: FockCutoff, n_x: int, n_y: int) -> QuantumState:
@@ -311,21 +317,6 @@ def _ladder_weight(d_x: int, d_y: int, k_x: int, k_y: int) -> np.ndarray:
     weight = np.sqrt(np.outer(rise_x.prod(axis=1), rise_y.prod(axis=1)))
     weight.setflags(write=False)
     return weight
-
-
-def boundary_leakage(state: QuantumState, margin: int) -> float:
-    """Population within `margin` levels of either truncation edge.
-
-    The certificate that a truncated computation approximates the
-    untruncated physics: small leakage means the state never felt the
-    boundary.
-    """
-    d_x, d_y = state.cutoff.d_x, state.cutoff.d_y
-    if not (1 <= margin < min(d_x, d_y)):
-        raise ValueError(f"margin {margin} must satisfy 1 <= margin < {min(d_x, d_y)}")
-    n_x, n_y = state.cutoff.number_diagonals()
-    mask = (n_x >= d_x - margin) | (n_y >= d_y - margin)
-    return float(np.sum(state.populations()[mask]))
 
 
 def random_low_excitation_state(

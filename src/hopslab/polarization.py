@@ -11,7 +11,7 @@ factorization law that criterion implies.
 
 The hidden-set means and variances (`hidden_moments`, which the
 uncertainty products and the dynamics oracle share) are one measure
-over imbalance-sector blocks (`fock.sector_blocks`): H0 and H1 are
+over imbalance-sector blocks (`QuantumState.blocks`): H0 and H1 are
 diagonal on a sector and H2 + iH3 = 2 a_y a_x is a weighted shift
 inside it, so each moment is a weighted sum over three bands of a
 block. The criterion fit and the coherence functions run on ladder
@@ -44,7 +44,6 @@ from .fock import (
     QuantumState,
     SectorBlock,
     apply_ladders,
-    sector_blocks,
 )
 
 RELATION_TOL = 1e-10       # interior residual bound for a closing relation
@@ -65,12 +64,12 @@ def hidden_moments(
 ) -> tuple[list[float], list[float]]:
     """Means and variances of H0..H3 (interaction picture).
 
-    Takes a state, or the sector blocks of one (`fock.sector_blocks`).
+    Takes a state, or the sector blocks of one (`QuantumState.blocks`).
     Every H_j conserves the imbalance, so each moment is a sum over the
     blocks. On a sector, H0 = n_x + n_y is diagonal, H1 = n_y - n_x =
     -delta is constant, and H2 + iH3 = 2A with A = a_y a_x, which maps
     m + 1 -> m with the sector's pair weight w_m. With the bands
-    c_k[m] = <m + k|rho|m> of a block:
+    c_k[m] = <m + k|rho|m> of a block (`SectorBlock.band`):
 
         <H2> + i<H3>   = 2 sum_m w_m c_1[m]
         <H2^2>, <H3^2> = <A A^dag + A^dag A> +- 2 Re <A^2>
@@ -80,27 +79,21 @@ def hidden_moments(
     A variance in (VARIANCE_FLOOR, 0) is cancellation and clamps to 0;
     below that is an error.
     """
-    blocks = sector_blocks(state) if isinstance(state, QuantumState) else state
-    first = np.zeros(4)
-    second = np.zeros(4)
+    blocks = state.blocks if isinstance(state, QuantumState) else state
+    sums = []
     for block in blocks:
-        sector, x = block.sector, block.array
-        c0 = block.populations()
-        if x.ndim == 1:
-            c1 = x[1:] * x[:-1].conj()
-            c2 = x[2:] * x[:-2].conj()
-        else:
-            c1 = np.diagonal(x, -1)
-            c2 = np.diagonal(x, -2)
+        sector = block.sector
+        c0, c1, c2 = block.populations(), block.band(1), block.band(2)
         w, photons = sector.pair_weights, sector.photons
         population = c0.sum()
         pair = 2.0 * np.dot(w, c1)
         pair_sq = 2.0 * np.dot(w[:-1] * w[1:], c2).real
         symmetric = np.dot(w ** 2, c0[:-1] + c0[1:])
-        first += (np.dot(photons, c0), -sector.delta * population,
-                  pair.real, pair.imag)
-        second += (np.dot(photons ** 2, c0), sector.delta ** 2 * population,
-                   symmetric + pair_sq, symmetric - pair_sq)
+        sums.append((np.dot(photons, c0), -sector.delta * population,
+                     pair.real, pair.imag,
+                     np.dot(photons ** 2, c0), sector.delta ** 2 * population,
+                     symmetric + pair_sq, symmetric - pair_sq))
+    first, second = np.array(sums).sum(axis=0).reshape(2, 4)
     variances = second - first * first
     if variances.min() < VARIANCE_FLOOR:
         raise ArithmeticError(

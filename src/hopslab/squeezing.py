@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Union
 
 import numpy as np
@@ -66,6 +67,13 @@ def _require_occupations(*values: float) -> None:
                 f"occupations must be finite and non-negative, got {value!r}")
 
 
+def _require_photon_numbers(*values: int) -> None:
+    for value in values:
+        if not (isinstance(value, Integral) and value >= 0):
+            raise ValueError(
+                f"photon numbers must be non-negative integers, got {value!r}")
+
+
 def thermal_state(
     cutoff: FockCutoff, nbar_x: float, nbar_y: float,
 ) -> QuantumState:
@@ -73,8 +81,11 @@ def thermal_state(
     w_x = np.array([thermal_weight(nbar_x, n) for n in range(cutoff.d_x)])
     w_y = np.array([thermal_weight(nbar_y, n) for n in range(cutoff.d_y)])
     weights = np.kron(w_x, w_y)
-    return QuantumState.from_density(
-        cutoff, np.diag(weights / weights.sum()).astype(complex))
+    # filled in place: a real diagonal matrix cast to complex would be a
+    # second full-size temporary
+    rho = np.zeros((cutoff.dim, cutoff.dim), dtype=complex)
+    np.fill_diagonal(rho, weights / weights.sum())
+    return QuantumState.from_density(cutoff, rho)
 
 
 def _occupation_term(n_x: float, n_y: float) -> float:
@@ -272,7 +283,7 @@ class FockModel:
     label = "fock"
 
     def __post_init__(self) -> None:
-        _require_occupations(self.n_x, self.n_y)
+        _require_photon_numbers(self.n_x, self.n_y)
 
     def effective_occupations(self) -> tuple[float, float]:
         return float(self.n_x), float(self.n_y)
@@ -340,7 +351,8 @@ class WeightedProjectorModel:
     label = "weighted"
 
     def __post_init__(self) -> None:
-        _require_occupations(self.nbar_x, self.n_x, self.nbar_y, self.n_y)
+        _require_occupations(self.nbar_x, self.nbar_y)
+        _require_photon_numbers(self.n_x, self.n_y)
 
     def effective_occupations(self) -> tuple[float, float]:
         return (thermal_weight(self.nbar_x, self.n_x),

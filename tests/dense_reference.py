@@ -77,6 +77,13 @@ def commutator(a: Operator, b: Operator) -> Operator:
     return a @ b - b @ a
 
 
+def number_diagonals(cutoff: FockCutoff) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonals of N_x and N_y in the flat basis."""
+    n_x = np.repeat(np.arange(cutoff.d_x, dtype=float), cutoff.d_y)
+    n_y = np.tile(np.arange(cutoff.d_y, dtype=float), cutoff.d_x)
+    return n_x, n_y
+
+
 def _ladder(d: int) -> np.ndarray:
     m = np.zeros((d, d), dtype=complex)
     m[np.arange(d - 1), np.arange(1, d)] = np.sqrt(np.arange(1, d))
@@ -105,7 +112,7 @@ def creation(cutoff: FockCutoff, mode: str) -> Operator:
 def number_operator(cutoff: FockCutoff, mode: str) -> Operator:
     if mode not in ("x", "y"):
         raise ValueError(f"mode must be 'x' or 'y', got {mode!r}")
-    n_x, n_y = cutoff.number_diagonals()
+    n_x, n_y = number_diagonals(cutoff)
     return Operator(cutoff, np.diag(n_x if mode == "x" else n_y))
 
 
@@ -118,7 +125,7 @@ def interior_indices(cutoff: FockCutoff, margin: int) -> np.ndarray:
     """Flat indices of states at least `margin` levels below both cutoffs."""
     if not (1 <= margin < min(cutoff.d_x, cutoff.d_y)):
         raise ValueError(f"margin {margin} out of range for {cutoff}")
-    n_x, n_y = cutoff.number_diagonals()
+    n_x, n_y = number_diagonals(cutoff)
     keep = (n_x <= cutoff.d_x - 1 - margin) & (n_y <= cutoff.d_y - 1 - margin)
     return np.nonzero(keep)[0]
 

@@ -11,6 +11,7 @@ from hopslab.dpa import (
     DpaConfig,
     MomentReport,
     TruncationError,
+    boundary_leakage,
     evolve,
     heisenberg_moments,
     oracle_moments,
@@ -20,13 +21,12 @@ from hopslab.dpa import (
 from hopslab.fock import (
     FockCutoff,
     QuantumState,
-    boundary_leakage,
     fock_state,
     random_low_excitation_state,
     sector_table,
 )
 from hopslab.polarization import fit_hops_criterion
-from hopslab.squeezing import thermal_state
+from hopslab.squeezing import ThermalMixtureModel, sweep, thermal_state
 from dense_reference import (
     HeisenbergSolution,
     build_hidden,
@@ -46,6 +46,9 @@ VACUUM_MEAN_NX_KT022 = 0.2064206545246978  # sinh(0.44)^2, frozen
 def test_config_validation():
     with pytest.raises(ValueError):
         DpaConfig(kt=math.inf)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="kt must be finite"):
+            heisenberg_moments(0, 0, bad)
     with pytest.raises(ValueError):
         DpaConfig(kt=0.1, leakage_tol=0.0)
     with pytest.raises(ValueError):
@@ -114,6 +117,66 @@ def _rectangular_mixture():
     return QuantumState.from_density(cut, rho), config
 
 
+def test_blocks_are_weighted_columns():
+    state, _ = _rectangular_mixture()
+    assert state.blocks is state.blocks
+    assert sum(b.populations().sum() for b in state.blocks) == pytest.approx(
+        1.0, abs=1e-14)
+    for block in state.blocks:
+        g, p, rows = block.columns, block.weights, block.sector.indices
+        assert not (g.flags.writeable or p.flags.writeable)
+        np.testing.assert_allclose(
+            (g * p) @ g.conj().T, state.density[np.ix_(rows, rows)],
+            rtol=0, atol=1e-14)
+    pure = random_low_excitation_state(state.cutoff, 3,
+                                       np.random.default_rng(5))
+    for block in pure.blocks:
+        assert block.columns.shape == (block.sector.indices.size, 1)
+        np.testing.assert_array_equal(
+            block.columns[:, 0], pure.vector[block.sector.indices])
+        np.testing.assert_array_equal(block.weights, [1.0])
+
+
+def test_thermal_sweep_decomposes_blocks_once(monkeypatch):
+    cut = FockCutoff(10, 10)
+    model = ThermalMixtureModel(0.3, 0.6)
+    sweep(model, 0.5, 2, with_oracle=True, cutoff=cut)  # warm per-cutoff caches
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        def counting(*args, _original=getattr(np.linalg, name), **kwargs):
+            calls.append(1)
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counting)
+
+    def decompositions(steps):
+        calls.clear()
+        sweep(model, 0.5, steps, with_oracle=True, cutoff=cut)
+        return len(calls)
+
+    assert decompositions(20) == decompositions(2) > 0
+
+
+def test_oracle_checks_the_blocks_it_evolves():
+    # built directly, so from_density's checks never ran
+    cut = FockCutoff(16, 16)
+    vac, pair = cut.index(0, 0), cut.index(1, 1)
+
+    def direct(low, trace):
+        rho = np.zeros((cut.dim, cut.dim), dtype=complex)
+        rho[vac, vac], rho[pair, pair] = trace - low, low
+        return QuantumState(cut, density=rho)
+
+    config = DpaConfig(kt=0.1)
+    with pytest.raises(ValueError, match="eigenvalue"):
+        oracle_moments(direct(-0.1, 1.0), config)
+    with pytest.raises(ValueError, match="trace"):
+        oracle_moments(direct(0.0, 1.1), config)
+    # inside EIGENVALUE_FLOOR: from_density accepts it, so it evolves
+    accepted = QuantumState.from_density(cut, direct(-5e-11, 1.0).density)
+    assert oracle_moments(accepted, config).valid
+    evolve(accepted, config)
+
+
 def test_density_evolution_matches_dense_exponential():
     state, config = _rectangular_mixture()
     evolved = evolve(state, config)
@@ -136,7 +199,7 @@ def test_density_oracle_matches_dense_hidden_set():
 def test_moderate_time_keeps_leakage_small():
     cut = FockCutoff(40, 40)
     evolved = evolve(fock_state(cut, 0, 0), DpaConfig(kt=0.3))
-    assert boundary_leakage(evolved, 4) < 1e-8
+    assert boundary_leakage(evolved) < 1e-8
 
 
 def test_truncation_error_carries_leakage():

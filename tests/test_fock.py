@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hopslab.dpa import boundary_leakage
 from hopslab.fock import (
     FockCutoff,
     QuantumState,
     apply_ladders,
-    boundary_leakage,
     fock_state,
     random_low_excitation_state,
     sector_table,
@@ -33,9 +33,17 @@ def test_cutoff_validation():
         FockCutoff(1, 4)
     with pytest.raises(ValueError):
         FockCutoff(4, 0)
+    with pytest.raises(ValueError, match="integers"):
+        FockCutoff(2.5, 3)
     cut = FockCutoff(3, 5)
     assert cut.dim == 15
     assert cut.index(2, 4) == 2 * 5 + 4
+    assert cut.index(np.int64(2), 4) == 2 * 5 + 4
+    for n_x in (1.5, 1.0):
+        with pytest.raises(ValueError, match="integers"):
+            cut.index(n_x, 0)
+        with pytest.raises(ValueError, match="integers"):
+            fock_state(cut, n_x, 0)
 
 
 def test_fock_state_uses_row_major_index():
@@ -203,13 +211,13 @@ def test_matrix_exponential_rejects_non_finite():
 
 
 def test_boundary_leakage_basics():
-    cut = FockCutoff(5, 5)
-    assert boundary_leakage(fock_state(cut, 0, 0), 1) == 0.0
-    assert boundary_leakage(fock_state(cut, 0, 0), 4) == 0.0
-    assert boundary_leakage(fock_state(cut, 4, 0), 1) == 1.0
-    assert boundary_leakage(fock_state(cut, 0, 4), 1) == 1.0
-    with pytest.raises(ValueError):
-        boundary_leakage(fock_state(cut, 0, 0), 5)
+    # the band is the last EVOLUTION_MARGIN = 4 levels of either mode
+    cut = FockCutoff(5, 6)
+    assert boundary_leakage(fock_state(cut, 0, 0)) == 0.0
+    assert boundary_leakage(fock_state(cut, 0, 1)) == 0.0
+    assert boundary_leakage(fock_state(cut, 1, 0)) == 1.0
+    assert boundary_leakage(fock_state(cut, 0, 2)) == 1.0
+    assert boundary_leakage(fock_state(cut, 4, 5)) == 1.0
 
 
 def test_from_density_leaves_the_callers_array_writable():

@@ -26,6 +26,7 @@ from dense_reference import (
     build_stokes,
     expectation,
     interior_indices,
+    number_diagonals,
     pair_annihilation,
     variance,
 )
@@ -41,7 +42,7 @@ CUT12 = FockCutoff(12, 12)
 
 def _free_evolve(state, omega_t):
     # free evolution is diagonal: each |n_x, n_y> picks up e^{-i w t (n_x+n_y)}
-    n_x, n_y = state.cutoff.number_diagonals()
+    n_x, n_y = number_diagonals(state.cutoff)
     phased = np.exp(-1j * omega_t * (n_x + n_y)) * state.vector
     return QuantumState.from_vector(state.cutoff, phased)
 

@@ -1,6 +1,7 @@
 """Tests for squeezing analysis: weights, onset, claims, sweeps."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -81,6 +82,20 @@ def test_thermal_state_mean_occupation():
     mean_y = expectation(number_operator(cut, "y"), state).real
     assert mean_x == pytest.approx(0.4, abs=1e-9)
     assert mean_y == pytest.approx(0.8, abs=1e-9)
+
+
+def test_thermal_state_holds_no_extra_full_size_array():
+    # the matrix built and the copy the state keeps; the hermiticity
+    # test runs in slabs, so nothing else reaches full size
+    cut = FockCutoff(40, 40)
+    thermal_state(cut, 0.5, 0.5)  # warm the sector table
+    tracemalloc.start()
+    try:
+        state = thermal_state(cut, 0.5, 0.5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.2 * state.density.nbytes
 
 
 def test_squeezing_function_reference_points():
@@ -215,6 +230,10 @@ def test_sweep_validation():
         FockModel(-1, 0)
     with pytest.raises(ValueError):
         ThermalMixtureModel(-0.1, 0.0)
+    with pytest.raises(ValueError, match="integers"):
+        FockModel(1.5, 0)
+    with pytest.raises(ValueError, match="integers"):
+        WeightedProjectorModel(10.0, 10, 10.0, 1.5)
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError):
             FockModel(bad, 0)
