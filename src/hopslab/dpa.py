@@ -14,10 +14,16 @@ evolves only the state's populated sector blocks (`QuantumState.blocks`),
 which are weighted columns (G, p) for pure and mixed states alike, as
 (U G, p). It applies the checks that `QuantumState.from_vector` /
 `from_density` would have run to those blocks and hands them to the
-shared H0..H3 measure `polarization.hidden_moments`. `evolve` returns a
-full QuantumState, built from the same U_delta applied to its rows (and
-columns), since only that form carries a density's inter-sector
-coherences. No operator matrix is built here.
+shared H0..H3 measure `polarization.hidden_moments`; the trace check,
+the certificate and the measure all read each evolved block's
+populations, computed once when the block is built. Oracle and
+closed-form rows are one record, `MomentReport(kt, means, variances,
+leakage, valid)`, with the eight moments named once, in
+`MOMENT_NAMES`.
+
+`evolve` returns a full QuantumState, built from the same U_delta
+applied to its rows (and columns), since only that form carries a
+density's inter-sector coherences. No operator matrix is built here.
 
 The truncation is the state's own cutoff, certified after the fact by
 `boundary_leakage`: the evolved state must keep its population clear of
@@ -43,6 +49,8 @@ from .fock import (
     FockCutoff,
     QuantumState,
     SectorBlock,
+    require_occupations,
+    require_photon_numbers,
     require_unit_trace,
     sector_table,
 )
@@ -80,10 +88,16 @@ class DpaConfig:
             raise ValueError("leakage_tol must lie in (0, 1)")
 
 
+MOMENT_NAMES = ("mean_h0", "mean_h1", "mean_h2", "mean_h3",
+                "var_h0", "var_h1", "var_h2", "var_h3")
+
+
 @dataclass(frozen=True)
 class MomentReport:
     """All eight moments of the hidden set for one evolution time.
 
+    `means` and `variances` are 4-tuples of floats for H0..H3, so
+    `means + variances` lists the moments in `MOMENT_NAMES` order.
     `leakage` is the certified boundary population of the evolved state
     (identically zero for closed-form reports, which involve no
     truncation); `valid` is False when it exceeded the configured
@@ -93,14 +107,8 @@ class MomentReport:
     """
 
     kt: float
-    mean_h0: float
-    mean_h1: float
-    mean_h2: float
-    mean_h3: float
-    var_h0: float
-    var_h1: float
-    var_h2: float
-    var_h3: float
+    means: tuple[float, float, float, float]
+    variances: tuple[float, float, float, float]
     leakage: float
     valid: bool = True
 
@@ -108,17 +116,9 @@ class MomentReport:
         if not all(map(math.isfinite, self.means + self.variances)):
             raise ValueError("moments are not finite; the inputs overflow "
                              "the floating-point range")
-        for name in ("var_h0", "var_h1", "var_h2", "var_h3"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be non-negative")
-
-    @property
-    def means(self) -> tuple[float, float, float, float]:
-        return (self.mean_h0, self.mean_h1, self.mean_h2, self.mean_h3)
-
-    @property
-    def variances(self) -> tuple[float, float, float, float]:
-        return (self.var_h0, self.var_h1, self.var_h2, self.var_h3)
+        if min(self.variances) < 0.0:
+            raise ValueError(
+                f"variances must be non-negative, got {self.variances}")
 
 
 @lru_cache(maxsize=8)
@@ -194,7 +194,7 @@ def boundary_leakage(state: QuantumState | Iterable[SectorBlock]) -> float:
     an edge.
     """
     blocks = state.blocks if isinstance(state, QuantumState) else state
-    return float(sum(b.populations()[-EVOLUTION_MARGIN:].sum() for b in blocks))
+    return float(sum(b.populations[-EVOLUTION_MARGIN:].sum() for b in blocks))
 
 
 def heisenberg_moments(n_x: int, n_y: int, kt: float) -> MomentReport:
@@ -210,8 +210,7 @@ def heisenberg_moments(n_x: int, n_y: int, kt: float) -> MomentReport:
 
     No truncation is involved; the report always carries zero leakage.
     """
-    if n_x < 0 or n_y < 0 or n_x != int(n_x) or n_y != int(n_y):
-        raise ValueError("occupations must be non-negative integers")
+    require_photon_numbers(n_x, n_y)
     return _closed_moments(n_x, n_y, 0.0, kt)
 
 
@@ -225,8 +224,7 @@ def thermal_heisenberg_moments(
     v_m = nbar_m (1 + nbar_m) to each variance through the usual
     law-of-total-variance split.
     """
-    if nbar_x < 0 or nbar_y < 0:
-        raise ValueError("thermal occupations must be non-negative")
+    require_occupations(nbar_x, nbar_y)
     spread = nbar_x * (1.0 + nbar_x) + nbar_y * (1.0 + nbar_y)
     return _closed_moments(nbar_x, nbar_y, spread, kt)
 
@@ -243,18 +241,11 @@ def _closed_moments(
     c4 = math.cosh(4.0 * kt)
     s4 = math.sinh(4.0 * kt)
     pair_var = 1.0 + n_x + n_y + 2.0 * n_x * n_y
-    return MomentReport(
-        kt=kt,
-        mean_h0=(n_x + n_y) * c4 + 2.0 * math.sinh(2.0 * kt) ** 2,
-        mean_h1=float(n_y - n_x),
-        mean_h2=0.0,
-        mean_h3=-(1.0 + n_x + n_y) * s4,
-        var_h0=s4**2 * pair_var + c4**2 * spread,
-        var_h1=spread,
-        var_h2=pair_var,
-        var_h3=c4**2 * pair_var + s4**2 * spread,
-        leakage=0.0,
-    )
+    means = ((n_x + n_y) * c4 + 2.0 * math.sinh(2.0 * kt) ** 2,
+             float(n_y - n_x), 0.0, -(1.0 + n_x + n_y) * s4)
+    variances = (s4**2 * pair_var + c4**2 * spread, spread, pair_var,
+                 c4**2 * pair_var + s4**2 * spread)
+    return MomentReport(kt, means, variances, leakage=0.0)
 
 
 def _evolve_blocks(
@@ -265,23 +256,22 @@ def _evolve_blocks(
     The weights p are kept, and U G is orthonormal where G is, so an
     evolved density block has exactly the spectrum `state.blocks`
     checked. The remaining checks `from_vector`/`from_density` run on
-    an evolved state: the blocks of a vector are renormalized together;
-    the trace of a density, sum_r p_r |U G_r|^2, must be 1 within
-    ALGEBRA_TOL.
+    an evolved state: the blocks of a vector are renormalized together
+    (U is exactly unitary, so scaling G scales U G alike); the trace of
+    a density, sum_r p_r |U G_r|^2, must be 1 within ALGEBRA_TOL. Each
+    evolved block's populations are computed once, when it is built.
     """
     rate = 2.0 * config.kt
     pairs = _sector_eigenpairs(state.cutoff)
-    evolved = [SectorBlock(b.sector,
-                           _propagate(b.columns, pairs[b.sector.delta], rate),
-                           b.weights)
+    scale = 1.0
+    if state.vector is not None:
+        scale = 1.0 / math.sqrt(sum(b.populations.sum() for b in state.blocks))
+    evolved = [SectorBlock(b.sector, _propagate(
+                   scale * b.columns, pairs[b.sector.delta], rate), b.weights)
                for b in state.blocks]
-    total = sum(np.vdot(b.columns, b.columns * b.weights).real for b in evolved)
     if state.vector is None:
-        require_unit_trace(total)
-        return evolved
-    # rounding drift only: the truncated generator is exactly unitary
-    norm = math.sqrt(total)
-    return [SectorBlock(b.sector, b.columns / norm, b.weights) for b in evolved]
+        require_unit_trace(sum(b.populations.sum() for b in evolved))
+    return evolved
 
 
 def oracle_moments(state: QuantumState, config: DpaConfig) -> MomentReport:
@@ -295,15 +285,8 @@ def oracle_moments(state: QuantumState, config: DpaConfig) -> MomentReport:
     blocks = _evolve_blocks(state, config)
     leakage = boundary_leakage(blocks)
     means, variances = hidden_moments(blocks)
-    return MomentReport(
-        kt=config.kt,
-        mean_h0=means[0], mean_h1=means[1],
-        mean_h2=means[2], mean_h3=means[3],
-        var_h0=variances[0], var_h1=variances[1],
-        var_h2=variances[2], var_h3=variances[3],
-        leakage=leakage,
-        valid=leakage <= config.leakage_tol,
-    )
+    return MomentReport(config.kt, means, variances, leakage,
+                        valid=leakage <= config.leakage_tol)
 
 
 def suggest_cutoff(n_max: int, kt: float) -> FockCutoff:

@@ -10,9 +10,15 @@ dynamics and moments. `sector_table` lists, once per cutoff, each
 sector's flat indices |lo_x + m, lo_y + m> and the a_y a_x weights
 along it, plus a flat-index -> sector label. `QuantumState.blocks`
 holds, once per state, the sectors it populates as weighted columns
-(`SectorBlock`), pure or mixed. Evolution and its truncation
-certificate (`dpa`) and the H0..H3 measure
-(`polarization.hidden_moments`) run on those blocks alone.
+(`SectorBlock`), pure or mixed; a block computes its populations c_0
+once, when it is built. Evolution and its truncation certificate
+(`dpa`) and the H0..H3 measure (`polarization.hidden_moments`) run on
+those blocks alone.
+
+`require_photon_numbers` (integers >= 0) and `require_occupations`
+(finite means >= 0) are the package's one statement of those input
+rules; states, closed forms, thermal weights and state models all
+call them.
 
 `apply_ladders` serves the remaining state-level computations: a
 ladder operator acts on the (d_x, d_y) view of a state vector, or of a
@@ -26,6 +32,7 @@ infinite-dimensional physics is certified post hoc with
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from numbers import Integral
@@ -68,9 +75,8 @@ class FockCutoff:
         return self.d_x * self.d_y
 
     def index(self, n_x: int, n_y: int) -> int:
-        if not (isinstance(n_x, Integral) and isinstance(n_y, Integral)):
-            raise ValueError(f"photon numbers must be integers, got {n_x!r}, {n_y!r}")
-        if not (0 <= n_x < self.d_x and 0 <= n_y < self.d_y):
+        require_photon_numbers(n_x, n_y)
+        if not (n_x < self.d_x and n_y < self.d_y):
             raise ValueError(f"|{n_x},{n_y}> outside cutoff {self}")
         return n_x * self.d_y + n_y
 
@@ -89,10 +95,6 @@ class QuantumState:
     cutoff: FockCutoff
     vector: np.ndarray | None = field(default=None, repr=False)
     density: np.ndarray | None = field(default=None, repr=False)
-
-    @property
-    def is_pure(self) -> bool:
-        return self.vector is not None
 
     @classmethod
     def from_vector(cls, cutoff: FockCutoff, vec: np.ndarray) -> "QuantumState":
@@ -129,12 +131,6 @@ class QuantumState:
         """The state vector if pure, else the density matrix."""
         return self.vector if self.vector is not None else self.density
 
-    def density_matrix(self) -> np.ndarray:
-        if self.vector is not None:
-            return np.outer(self.vector, self.vector.conj())
-        assert self.density is not None
-        return self.density
-
     def populations(self) -> np.ndarray:
         """Diagonal occupation probabilities in the flat Fock basis."""
         if self.vector is not None:
@@ -170,6 +166,22 @@ class QuantumState:
             weights.setflags(write=False)
             blocks.append(SectorBlock(sector, columns, weights))
         return tuple(blocks)
+
+
+def require_photon_numbers(*values: int) -> None:
+    """Raise unless every value is an integer (`numbers.Integral`) >= 0."""
+    for value in values:
+        if not (isinstance(value, Integral) and value >= 0):
+            raise ValueError(
+                f"photon numbers must be non-negative integers, got {value!r}")
+
+
+def require_occupations(*values: float) -> None:
+    """Raise unless every value is a finite mean occupation >= 0."""
+    for value in values:
+        if not (math.isfinite(value) and value >= 0):
+            raise ValueError(
+                f"occupations must be finite and non-negative, got {value!r}")
 
 
 def require_unit_trace(trace: float) -> None:
@@ -253,21 +265,26 @@ class SectorBlock:
     The block is G diag(p) G^dag, with `columns` G of shape (L, r) in
     the sector's order and `weights` p of shape (r,): one column of
     weight 1 for a state vector, the eigenpairs of the principal block
-    for a density matrix.
+    for a density matrix. `populations` is c_0, the block's diagonal
+    sum_r p_r |G[m, r]|^2, computed once when the block is built and
+    read-only; the trace, the truncation certificate and the moments
+    all read it.
     """
 
     sector: Sector
     columns: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
+    populations: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        populations = (np.abs(self.columns) ** 2) @ self.weights
+        populations.setflags(write=False)
+        object.__setattr__(self, "populations", populations)
 
     def band(self, k: int) -> np.ndarray:
         """c_k[m] = <m + k|block|m> = sum_r p_r G[m + k, r] conj(G[m, r])."""
         g = self.columns
         return (g[k:] * g[:g.shape[0] - k].conj()) @ self.weights
-
-    def populations(self) -> np.ndarray:
-        """c_0, the block's diagonal: sum_r p_r |G[m, r]|^2."""
-        return (np.abs(self.columns) ** 2) @ self.weights
 
 
 def fock_state(cutoff: FockCutoff, n_x: int, n_y: int) -> QuantumState:

@@ -61,8 +61,8 @@ class FitUndefinedError(ArithmeticError):
 
 def hidden_moments(
     state: QuantumState | Iterable[SectorBlock],
-) -> tuple[list[float], list[float]]:
-    """Means and variances of H0..H3 (interaction picture).
+) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Means and variances of H0..H3 (interaction picture), as 4-tuples.
 
     Takes a state, or the sector blocks of one (`QuantumState.blocks`).
     Every H_j conserves the imbalance, so each moment is a sum over the
@@ -83,7 +83,7 @@ def hidden_moments(
     sums = []
     for block in blocks:
         sector = block.sector
-        c0, c1, c2 = block.populations(), block.band(1), block.band(2)
+        c0, c1, c2 = block.populations, block.band(1), block.band(2)
         w, photons = sector.pair_weights, sector.photons
         population = c0.sum()
         pair = 2.0 * np.dot(w, c1)
@@ -98,7 +98,7 @@ def hidden_moments(
     if variances.min() < VARIANCE_FLOOR:
         raise ArithmeticError(
             f"variance {variances.min():.3e} below the clamping floor")
-    return first.tolist(), np.maximum(variances, 0.0).tolist()
+    return tuple(first.tolist()), tuple(np.maximum(variances, 0.0).tolist())
 
 
 @dataclass(frozen=True)

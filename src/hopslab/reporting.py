@@ -10,12 +10,10 @@ deterministic but carries no precision guarantee.
 from __future__ import annotations
 
 from .classical import EnsembleStats
-from .dpa import DEFAULT_LEAKAGE_TOL
+from .dpa import DEFAULT_LEAKAGE_TOL, MOMENT_NAMES
 from .squeezing import MomentClaimTable, SqueezingCurve, StateModel
 
-CURVE_COLUMNS = ("kt", "sq", "mean_h0", "mean_h1", "mean_h2", "mean_h3",
-                 "var_h0", "var_h1", "var_h2", "var_h3", "leakage",
-                 "valid", "model")
+CURVE_COLUMNS = ("kt", "sq", *MOMENT_NAMES, "leakage", "valid", "model")
 
 SVG_WIDTH = 640
 SVG_HEIGHT = 400
@@ -66,8 +64,7 @@ def curve_csv(curve: SqueezingCurve, config: dict) -> str:
     lines.append(",".join(CURVE_COLUMNS))
     for kt, sq, row in zip(curve.kt_grid, curve.sq_values, curve.moment_rows):
         cells = [fmt(kt), fmt(sq)]
-        cells.extend(fmt(v) for v in row.means)
-        cells.extend(fmt(v) for v in row.variances)
+        cells.extend(fmt(v) for v in row.means + row.variances)
         cells.append(fmt(row.leakage))
         cells.append(str(int(row.valid)))
         cells.append(curve.state_model)

@@ -6,8 +6,10 @@ turns negative, and the crossing has the closed form
 kt = (1/4) asinh(1 + 2 N_x N_y / (1 + N_x + N_y)). Because the
 occupation-dependent term is bounded by 1 on [0,1]^2, the onset is
 pinned near 0.22 regardless of intensity, which is the headline effect
-this module quantifies. `onset_by_bisection` finds the same crossing
-independently, on a bracket grown from [0, 1].
+this module quantifies. Since Sq is strictly decreasing in kt with
+Sq(0) >= 1, a sweep's onset is this closed form whenever it lies on the
+swept range. `onset_by_bisection` finds the same crossing
+independently, on a bracket grown from [0, 1], as a cross-check.
 
 The claimed_* functions transcribe a set of published closed-form moment
 expressions verbatim so they can be adjudicated against the exact
@@ -23,13 +25,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral
 from typing import Union
 
 import numpy as np
 
 from .dpa import (
     DEFAULT_LEAKAGE_TOL,
+    MOMENT_NAMES,
     DpaConfig,
     MomentReport,
     heisenberg_moments,
@@ -37,11 +39,16 @@ from .dpa import (
     suggest_cutoff,
     thermal_heisenberg_moments,
 )
-from .fock import FockCutoff, QuantumState, fock_state
+from .fock import (
+    FockCutoff,
+    QuantumState,
+    fock_state,
+    require_occupations,
+    require_photon_numbers,
+)
 
 CLAIM_MATCH_TOL = 1e-6       # relative deviation below which values agree
 ONSET_XTOL = 1e-12
-SWEEP_ONSET_XTOL = 1e-8
 THERMAL_TAIL = 1e-9          # per-mode weight beyond the kept levels
 MAX_SUGGESTED_DIM = 80
 
@@ -51,27 +58,12 @@ def thermal_weight(n_bar: float, n: int) -> float:
 
     Computed in log space so large n stays finite.
     """
-    _require_occupations(n_bar)
-    if n < 0 or n != int(n):
-        raise ValueError("photon number must be a non-negative integer")
+    require_occupations(n_bar)
+    require_photon_numbers(n)
     if n_bar == 0.0:
         return 1.0 if n == 0 else 0.0
     log_w = n * math.log(n_bar) - (1 + n) * math.log1p(n_bar)
     return math.exp(log_w)
-
-
-def _require_occupations(*values: float) -> None:
-    for value in values:
-        if not (math.isfinite(value) and value >= 0):
-            raise ValueError(
-                f"occupations must be finite and non-negative, got {value!r}")
-
-
-def _require_photon_numbers(*values: int) -> None:
-    for value in values:
-        if not (isinstance(value, Integral) and value >= 0):
-            raise ValueError(
-                f"photon numbers must be non-negative integers, got {value!r}")
 
 
 def thermal_state(
@@ -90,7 +82,7 @@ def thermal_state(
 
 def _occupation_term(n_x: float, n_y: float) -> float:
     """2 N_x N_y / (1 + N_x + N_y); OverflowError when it is not finite."""
-    _require_occupations(n_x, n_y)
+    require_occupations(n_x, n_y)
     term = 2.0 * n_x * n_y / (1.0 + n_x + n_y)
     if not math.isfinite(term):
         raise OverflowError(
@@ -115,17 +107,10 @@ def onset_by_bisection(n_x: float, n_y: float) -> float:
     until Sq(hi) <= 0. An occupation term that overflows raises
     OverflowError, as in onset_time.
     """
-    hi = 1.0
+    lo, hi = 0.0, 1.0
     while squeezing_function(hi, n_x, n_y) > 0.0:
         hi *= 2.0
-    return _bisect(n_x, n_y, 0.0, hi, ONSET_XTOL)
-
-
-def _bisect(
-    n_x: float, n_y: float, lo: float, hi: float, xtol: float,
-) -> float:
-    """Halve [lo, hi], where Sq(lo) > 0 >= Sq(hi), until it is below xtol."""
-    while hi - lo > xtol:
+    while hi - lo > ONSET_XTOL:
         mid = 0.5 * (lo + hi)
         if squeezing_function(mid, n_x, n_y) > 0.0:
             lo = mid
@@ -171,16 +156,9 @@ def claimed_var_h3(n_x: float, n_y: float, kt: float) -> float:
             - math.sinh(4 * kt) ** 2 * (n_y + n_x) ** 2)
 
 
-CLAIMED_FORMS = {
-    "mean_h0": claimed_mean_h0,
-    "mean_h1": claimed_mean_h1,
-    "mean_h2": claimed_mean_h2,
-    "mean_h3": claimed_mean_h3,
-    "var_h0": claimed_var_h0,
-    "var_h1": claimed_var_h1,
-    "var_h2": claimed_var_h2,
-    "var_h3": claimed_var_h3,
-}
+CLAIMED_FORMS = dict(zip(MOMENT_NAMES, (
+    claimed_mean_h0, claimed_mean_h1, claimed_mean_h2, claimed_mean_h3,
+    claimed_var_h0, claimed_var_h1, claimed_var_h2, claimed_var_h3)))
 
 
 @dataclass(frozen=True)
@@ -208,19 +186,6 @@ class MomentClaimTable:
     rows: tuple[ClaimVerdict, ...]
     reference: MomentReport | None
 
-    def row(self, name: str) -> ClaimVerdict:
-        for row in self.rows:
-            if row.name == name:
-                return row
-        raise KeyError(name)
-
-    def verdict_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for row in self.rows:
-            if row.verdict is not None:
-                counts[row.verdict] = counts.get(row.verdict, 0) + 1
-        return counts
-
 
 def _classify(claimed: float, reference: float) -> tuple[str, float]:
     scale = max(1.0, abs(claimed), abs(reference))
@@ -247,7 +212,7 @@ def claimed_moment_table(
     empty, since no definite quantum state is specified. Raises
     ValueError on negative or non-finite occupations or a non-finite kt.
     """
-    _require_occupations(n_x, n_y)
+    require_occupations(n_x, n_y)
     if not math.isfinite(kt):
         raise ValueError(f"kt must be finite, got {kt!r}")
     integer_point = float(n_x).is_integer() and float(n_y).is_integer()
@@ -283,7 +248,7 @@ class FockModel:
     label = "fock"
 
     def __post_init__(self) -> None:
-        _require_photon_numbers(self.n_x, self.n_y)
+        require_photon_numbers(self.n_x, self.n_y)
 
     def effective_occupations(self) -> tuple[float, float]:
         return float(self.n_x), float(self.n_y)
@@ -308,7 +273,7 @@ class ThermalMixtureModel:
     label = "thermal"
 
     def __post_init__(self) -> None:
-        _require_occupations(self.nbar_x, self.nbar_y)
+        require_occupations(self.nbar_x, self.nbar_y)
 
     def effective_occupations(self) -> tuple[float, float]:
         return self.nbar_x, self.nbar_y
@@ -351,8 +316,8 @@ class WeightedProjectorModel:
     label = "weighted"
 
     def __post_init__(self) -> None:
-        _require_occupations(self.nbar_x, self.nbar_y)
-        _require_photon_numbers(self.n_x, self.n_y)
+        require_occupations(self.nbar_x, self.nbar_y)
+        require_photon_numbers(self.n_x, self.n_y)
 
     def effective_occupations(self) -> tuple[float, float]:
         return (thermal_weight(self.nbar_x, self.n_x),
@@ -386,19 +351,6 @@ class SqueezingCurve:
             raise ValueError("kt grid must ascend")
 
 
-def _locate_onset(n_x: float, n_y: float, kt_grid, sq_values) -> float | None:
-    for i in range(len(kt_grid) - 1):
-        a, b = sq_values[i], sq_values[i + 1]
-        if a == 0.0:
-            return float(kt_grid[i])
-        if a > 0.0 > b:
-            return _bisect(n_x, n_y, float(kt_grid[i]), float(kt_grid[i + 1]),
-                           SWEEP_ONSET_XTOL)
-    if sq_values and sq_values[-1] == 0.0:
-        return float(kt_grid[-1])
-    return None
-
-
 def sweep(
     model: StateModel,
     kt_max: float,
@@ -412,7 +364,9 @@ def sweep(
     Moment rows come from the closed Heisenberg forms, or from the
     brute-force oracle when with_oracle is set (rows whose leakage
     exceeds the budget are flagged invalid and the sweep continues).
-    The onset is located by grid sign change plus bisection refinement.
+    The onset is the closed form `onset_time` when it lies within
+    kt_max, else None. leakage_tol must lie in (0, 1), as in DpaConfig,
+    whether or not oracle rows use it.
     """
     if not (math.isfinite(kt_max) and kt_max > 0):
         raise ValueError("kt_max must be positive and finite")
@@ -423,6 +377,8 @@ def sweep(
         raise ValueError(f"kt_max {kt_max!r} overflows sinh(4 kt)^2") from None
     if steps < 2:
         raise ValueError("steps must be at least 2")
+    # DpaConfig owns the leakage_tol rule; closed-form sweeps obey it too
+    DpaConfig(kt=kt_max, leakage_tol=leakage_tol)
     kt_grid = np.linspace(0.0, kt_max, steps)
     occ_x, occ_y = model.effective_occupations()
     sq_values = [squeezing_function(kt, occ_x, occ_y) for kt in kt_grid]
@@ -441,11 +397,11 @@ def sweep(
     else:
         rows = [model.closed_report(float(kt)) for kt in kt_grid]
 
-    onset = _locate_onset(occ_x, occ_y, kt_grid, sq_values)
+    onset = onset_time(occ_x, occ_y)
     return SqueezingCurve(
         kt_grid=tuple(float(kt) for kt in kt_grid),
         sq_values=tuple(float(s) for s in sq_values),
         moment_rows=tuple(rows),
-        onset=onset,
+        onset=onset if onset <= kt_max else None,
         state_model=model.label,
     )

@@ -3,7 +3,8 @@
 Operators here are full d^2 x d^2 matrices on the joint truncated
 space, built from Kronecker products of single-mode ladder matrices:
 the independent construction the package's sector, shell and
-ladder-shift computations are checked against.
+ladder-shift computations are checked against. A few small state and
+claim-table accessors that only tests need live here too.
 """
 
 import math
@@ -71,6 +72,34 @@ class Operator:
 
     def is_hermitian(self, tol: float = ALGEBRA_TOL) -> bool:
         return bool(np.max(np.abs(self.matrix - self.matrix.conj().T)) <= tol)
+
+
+def is_pure(state: QuantumState) -> bool:
+    return state.vector is not None
+
+
+def density_matrix(state: QuantumState) -> np.ndarray:
+    """The state's density matrix; a vector's outer product with itself."""
+    if state.vector is not None:
+        return np.outer(state.vector, state.vector.conj())
+    return state.density
+
+
+def claim_row(table, name: str):
+    """The `ClaimVerdict` row of a `MomentClaimTable` called `name`."""
+    for row in table.rows:
+        if row.name == name:
+            return row
+    raise KeyError(name)
+
+
+def verdict_counts(table) -> dict[str, int]:
+    """How many rows of a `MomentClaimTable` carry each verdict."""
+    counts: dict[str, int] = {}
+    for row in table.rows:
+        if row.verdict is not None:
+            counts[row.verdict] = counts.get(row.verdict, 0) + 1
+    return counts
 
 
 def commutator(a: Operator, b: Operator) -> Operator:

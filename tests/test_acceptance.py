@@ -25,6 +25,7 @@ from hopslab.polarization import (
     verify_stokes_commutators,
 )
 from hopslab.squeezing import claimed_moment_table, onset_time, thermal_weight
+from dense_reference import claim_row, verdict_counts
 
 MOMENT_NAMES = ("mean_h0", "mean_h1", "mean_h2", "mean_h3",
                 "var_h0", "var_h1", "var_h2", "var_h3")
@@ -264,10 +265,11 @@ def test_claim_verdicts():
         details.append(f"{row.name}: {row.verdict} "
                        f"(deviation {row.deviation:.3e})")
     for name in ("mean_h0", "mean_h1", "mean_h2"):
-        if table.row(name).verdict != "matches":
-            failures.append(f"{name} verdict {table.row(name).verdict!r}, "
-                            f"expected 'matches'")
-    if table.row("mean_h3").verdict not in ("matches", "sign_flip"):
-        failures.append(f"mean_h3 verdict {table.row('mean_h3').verdict!r}")
-    details.append(f"verdict counts: {table.verdict_counts()}")
+        verdict = claim_row(table, name).verdict
+        if verdict != "matches":
+            failures.append(f"{name} verdict {verdict!r}, expected 'matches'")
+    if claim_row(table, "mean_h3").verdict not in ("matches", "sign_flip"):
+        failures.append(
+            f"mean_h3 verdict {claim_row(table, 'mean_h3').verdict!r}")
+    details.append(f"verdict counts: {verdict_counts(table)}")
     _finish("claim-verdicts", failures, details)

@@ -278,6 +278,9 @@ def test_usage_errors_exit_two(capsys):
     ["onset", "--nx", "1e200", "--ny", "1e200"],
     # nbar (1 + nbar) overflows the closed-form variances
     ["sweep", "--model", "thermal", "--nbar-x", "1e300", "--steps", "3"],
+    # DpaConfig's leakage_tol rule holds without --oracle too
+    ["sweep", "--leakage-tol", "nan", "--steps", "3"],
+    ["sweep", "--model", "fock", "--leakage-tol", "0", "--steps", "3"],
 ])
 def test_non_finite_and_overflowing_input_exits_two(argv, capsys):
     with pytest.raises(SystemExit) as excinfo:

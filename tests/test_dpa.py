@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hopslab.dpa import (
+    MOMENT_NAMES,
     DpaConfig,
     MomentReport,
     TruncationError,
+    _evolve_blocks,
     boundary_leakage,
     evolve,
     heisenberg_moments,
@@ -30,6 +32,7 @@ from hopslab.squeezing import ThermalMixtureModel, sweep, thermal_state
 from dense_reference import (
     HeisenbergSolution,
     build_hidden,
+    density_matrix,
     expectation,
     interaction_hamiltonian,
     matrix_exponential,
@@ -49,6 +52,14 @@ def test_config_validation():
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="kt must be finite"):
             heisenberg_moments(0, 0, bad)
+    # photon numbers are integers, occupations finite; integer-valued
+    # floats are not photon numbers
+    for bad in (math.nan, math.inf, -1, 1.0):
+        with pytest.raises(ValueError, match="photon numbers"):
+            heisenberg_moments(bad, 0, 0.1)
+    for bad in (math.nan, math.inf, -0.5):
+        with pytest.raises(ValueError, match="occupations"):
+            thermal_heisenberg_moments(bad, 0.0, 0.1)
     with pytest.raises(ValueError):
         DpaConfig(kt=0.1, leakage_tol=0.0)
     with pytest.raises(ValueError):
@@ -111,7 +122,7 @@ def _rectangular_mixture():
     # d_x != d_y, so a mix-up of the two mode axes cannot cancel out
     cut = FockCutoff(7, 10)
     rng = np.random.default_rng(4)
-    rho = sum(w * random_low_excitation_state(cut, 3, rng).density_matrix()
+    rho = sum(w * density_matrix(random_low_excitation_state(cut, 3, rng))
               for w in (0.5, 0.3, 0.2))
     config = DpaConfig(kt=0.13, leakage_tol=0.999)
     return QuantumState.from_density(cut, rho), config
@@ -120,7 +131,7 @@ def _rectangular_mixture():
 def test_blocks_are_weighted_columns():
     state, _ = _rectangular_mixture()
     assert state.blocks is state.blocks
-    assert sum(b.populations().sum() for b in state.blocks) == pytest.approx(
+    assert sum(b.populations.sum() for b in state.blocks) == pytest.approx(
         1.0, abs=1e-14)
     for block in state.blocks:
         g, p, rows = block.columns, block.weights, block.sector.indices
@@ -135,6 +146,23 @@ def test_blocks_are_weighted_columns():
         np.testing.assert_array_equal(
             block.columns[:, 0], pure.vector[block.sector.indices])
         np.testing.assert_array_equal(block.weights, [1.0])
+
+
+@pytest.mark.parametrize("make_state", [
+    lambda cut: random_low_excitation_state(cut, 3, np.random.default_rng(6)),
+    lambda cut: thermal_state(cut, 0.3, 0.6),
+], ids=["vector", "density"])
+def test_block_populations_are_read_only_diagonals(make_state):
+    state = make_state(FockCutoff(12, 14))
+    evolved = _evolve_blocks(state, DpaConfig(kt=0.2, leakage_tol=0.9))
+    for blocks in (state.blocks, evolved):
+        for block in blocks:
+            assert not block.populations.flags.writeable
+            np.testing.assert_allclose(block.populations, block.band(0).real,
+                                       rtol=0, atol=1e-15)
+        # the evolved vector was renormalized, the density trace-checked
+        assert sum(b.populations.sum() for b in blocks) == pytest.approx(
+            1.0, abs=1e-14)
 
 
 def test_thermal_sweep_decomposes_blocks_once(monkeypatch):
@@ -215,15 +243,15 @@ def test_mode_imbalance_is_conserved():
     cut = FockCutoff(24, 24)
     config = DpaConfig(kt=0.3)
     report = oracle_moments(fock_state(cut, 2, 1), config)
-    assert report.mean_h1 == pytest.approx(-1.0, abs=1e-9)
-    assert report.var_h1 == pytest.approx(0.0, abs=1e-9)
-    assert heisenberg_moments(2, 1, 0.3).mean_h1 == -1.0
+    assert report.means[1] == pytest.approx(-1.0, abs=1e-9)
+    assert report.variances[1] == pytest.approx(0.0, abs=1e-9)
+    assert heisenberg_moments(2, 1, 0.3).means[1] == -1.0
 
 
 def test_vacuum_pair_variance_is_unit():
     cut = FockCutoff(24, 24)
     report = oracle_moments(fock_state(cut, 0, 0), DpaConfig(kt=0.1))
-    assert report.var_h2 == pytest.approx(1.0, abs=1e-9)
+    assert report.variances[2] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_oracle_matches_closed_forms_on_fock_grid():
@@ -285,8 +313,8 @@ def test_evolved_vacuum_satisfies_hidden_criterion():
 
 def test_moment_report_rejects_negative_variance():
     with pytest.raises(ValueError):
-        MomentReport(kt=0.0, mean_h0=0, mean_h1=0, mean_h2=0, mean_h3=0,
-                     var_h0=-0.1, var_h1=0, var_h2=1, var_h3=1, leakage=0.0)
+        MomentReport(kt=0.0, means=(0.0, 0.0, 0.0, 0.0),
+                     variances=(-0.1, 0.0, 1.0, 1.0), leakage=0.0)
 
 
 def test_moment_report_rejects_non_finite_moments():
@@ -294,9 +322,21 @@ def test_moment_report_rejects_non_finite_moments():
     with pytest.raises(ValueError, match="not finite"):
         thermal_heisenberg_moments(1e300, 0.5, 0.1)
     with pytest.raises(ValueError, match="not finite"):
-        MomentReport(kt=0.0, mean_h0=math.nan, mean_h1=0, mean_h2=0,
-                     mean_h3=0, var_h0=1, var_h1=0, var_h2=1, var_h3=1,
-                     leakage=0.0)
+        MomentReport(kt=0.0, means=(math.nan, 0.0, 0.0, 0.0),
+                     variances=(1.0, 0.0, 1.0, 1.0), leakage=0.0)
+
+
+def test_reports_hold_tuples_of_floats():
+    cut = FockCutoff(16, 16)
+    for report in (heisenberg_moments(1, 2, 0.2),
+                   thermal_heisenberg_moments(0.3, 0.0, 0.2),
+                   oracle_moments(fock_state(cut, 1, 2), DpaConfig(kt=0.2)),
+                   oracle_moments(thermal_state(cut, 0.3, 0.1),
+                                  DpaConfig(kt=0.2))):
+        for moments in (report.means, report.variances):
+            assert type(moments) is tuple and len(moments) == 4
+            assert all(type(value) is float for value in moments)
+        assert len(report.means + report.variances) == len(MOMENT_NAMES)
 
 
 def test_oracle_flags_instead_of_raising():
@@ -334,7 +374,7 @@ def test_oracle_agrees_between_vector_and_density_forms(seed):
     config = DpaConfig(kt=0.2, leakage_tol=0.9)
     pure = oracle_moments(state, config)
     mixed = oracle_moments(
-        QuantumState.from_density(cut, state.density_matrix()), config)
+        QuantumState.from_density(cut, density_matrix(state)), config)
     for got, want in zip(pure.means + pure.variances,
                          mixed.means + mixed.variances):
         assert got == pytest.approx(want, abs=1e-9)
@@ -367,7 +407,7 @@ def test_oracle_rows_obey_casimir_identity(make_state):
     for kt in (0.0, 0.1, 0.2):
         report = oracle_moments(state, DpaConfig(kt=kt))
         second = [v + m * m for m, v in zip(report.means, report.variances)]
-        residual = sum(second[1:]) - second[0] - 2.0 * (1.0 + report.mean_h0)
+        residual = sum(second[1:]) - second[0] - 2.0 * (1.0 + report.means[0])
         assert abs(residual) <= 1e-9 * max(1.0, *second), (kt, residual)
 
 

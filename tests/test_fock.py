@@ -17,8 +17,10 @@ from dense_reference import (
     annihilation,
     commutator,
     creation,
+    density_matrix,
     expectation,
     interior_indices,
+    is_pure,
     matrix_exponential,
     number_operator,
     pair_annihilation,
@@ -44,6 +46,8 @@ def test_cutoff_validation():
             cut.index(n_x, 0)
         with pytest.raises(ValueError, match="integers"):
             fock_state(cut, n_x, 0)
+    with pytest.raises(ValueError, match="non-negative integers"):
+        cut.index(-1, 0)
 
 
 def test_fock_state_uses_row_major_index():
@@ -126,7 +130,7 @@ def test_expectation_mixed_matches_pure():
     cut = FockCutoff(3, 3)
     rng = np.random.default_rng(3)
     psi = random_low_excitation_state(cut, 1, rng)
-    rho = QuantumState.from_density(cut, psi.density_matrix())
+    rho = QuantumState.from_density(cut, density_matrix(psi))
     op = number_operator(cut, "y")
     assert expectation(op, rho) == pytest.approx(expectation(op, psi), abs=1e-12)
 
@@ -145,8 +149,8 @@ def test_variance_rejects_non_hermitian():
 def test_variance_mixed_state_path():
     cut = FockCutoff(4, 4)
     # equal mixture of |0,0> and |2,0>: <N_x> = 1, <N_x^2> = 2
-    rho = 0.5 * fock_state(cut, 0, 0).density_matrix() \
-        + 0.5 * fock_state(cut, 2, 0).density_matrix()
+    rho = 0.5 * density_matrix(fock_state(cut, 0, 0)) \
+        + 0.5 * density_matrix(fock_state(cut, 2, 0))
     state = QuantumState.from_density(cut, rho)
     assert variance(number_operator(cut, "x"), state) == pytest.approx(1.0, abs=1e-12)
 
@@ -253,7 +257,7 @@ def test_density_positivity_check_full_matrix_path():
     v /= np.linalg.norm(v)
     rho = np.outer(v, v.conj())
     state = QuantumState.from_density(cut, rho)
-    assert not state.is_pure
+    assert not is_pure(state)
     # rank-one projector with a negative admixture fails the eigen check
     w = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
     bad = 1.1 * np.outer(v, v.conj()) - 0.1 * np.outer(w, w.conj())
@@ -273,7 +277,7 @@ def test_density_positivity_check_sector_blocks():
         rho[vac, pair] = rho[pair, vac] = coherence
         return rho
 
-    assert not QuantumState.from_density(cut, density(0.4)).is_pure
+    assert not is_pure(QuantumState.from_density(cut, density(0.4)))
     # block [[0.5, 0.9], [0.9, 0.5]] has eigenvalue -0.4
     with pytest.raises(ValueError, match="eigenvalue"):
         QuantumState.from_density(cut, density(0.9))
@@ -308,11 +312,11 @@ def test_evolution_preserves_trace_and_positivity():
     h = pair_annihilation(cut)
     h = h + h.dag()
     u = matrix_exponential(-1j * 0.2 * h).matrix
-    rho = 0.5 * fock_state(cut, 0, 0).density_matrix() \
-        + 0.5 * fock_state(cut, 1, 1).density_matrix()
+    rho = 0.5 * density_matrix(fock_state(cut, 0, 0)) \
+        + 0.5 * density_matrix(fock_state(cut, 1, 1))
     evolved = u @ rho @ u.conj().T
     assert np.trace(evolved).real == pytest.approx(1.0, abs=1e-10)
-    assert QuantumState.from_density(cut, evolved).is_pure is False
+    assert is_pure(QuantumState.from_density(cut, evolved)) is False
 
 
 CUTOFF_DIMS = st.integers(min_value=3, max_value=7)

@@ -24,6 +24,7 @@ from hopslab.polarization import (
 from dense_reference import (
     build_hidden,
     build_stokes,
+    density_matrix,
     expectation,
     interior_indices,
     number_diagonals,
@@ -267,7 +268,7 @@ def test_fit_agrees_between_vector_and_density_forms(seed):
     cut = FockCutoff(6, 6)
     rng = np.random.default_rng(seed)
     state = random_low_excitation_state(cut, 3, rng)
-    as_density = QuantumState.from_density(cut, state.density_matrix())
+    as_density = QuantumState.from_density(cut, density_matrix(state))
     fit_vec = fit_hops_criterion(state)
     fit_rho = fit_hops_criterion(as_density)
     assert abs(fit_vec.p_h - fit_rho.p_h) < 1e-10
@@ -306,7 +307,7 @@ def test_coherence_pure_and_density_paths_agree(seed):
     cut = FockCutoff(6, 6)
     rng = np.random.default_rng(seed)
     state = random_low_excitation_state(cut, 3, rng)
-    as_density = QuantumState.from_density(cut, state.density_matrix())
+    as_density = QuantumState.from_density(cut, density_matrix(state))
     for orders in ((1, 0, 1, 0), (0, 1, 1, 0), (1, 1, 0, 2), (2, 0, 0, 0)):
         pure = coherence_function(state, *orders)
         mixed = coherence_function(as_density, *orders)

@@ -24,7 +24,12 @@ from hopslab.squeezing import (
     thermal_state,
     thermal_weight,
 )
-from dense_reference import expectation, number_operator
+from dense_reference import (
+    claim_row,
+    expectation,
+    number_operator,
+    verdict_counts,
+)
 
 OCCUPATIONS = st.floats(min_value=0.0, max_value=1.0)
 MEAN_PHOTONS = st.floats(min_value=0.0, max_value=20.0)
@@ -62,6 +67,9 @@ def test_thermal_weight_edge_cases():
         thermal_weight(-1.0, 0)
     with pytest.raises(ValueError):
         thermal_weight(1.0, -2)
+    for bad in (math.inf, math.nan, 2.0):
+        with pytest.raises(ValueError, match="photon numbers"):
+            thermal_weight(0.5, bad)
 
 
 @given(n_bar=MEAN_PHOTONS)
@@ -175,10 +183,10 @@ def test_claim_verdicts_at_mixed_occupations():
         "var_h3": "mismatch",
     }
     for name, verdict in expected.items():
-        assert table.row(name).verdict == verdict, (
-            name, table.row(name))
-    assert table.verdict_counts() == {"matches": 4, "sign_flip": 1,
-                                      "mismatch": 3}
+        assert claim_row(table, name).verdict == verdict, (
+            name, claim_row(table, name))
+    assert verdict_counts(table) == {"matches": 4, "sign_flip": 1,
+                                     "mismatch": 3}
 
 
 def test_claim_verdicts_at_vacuum():
@@ -211,12 +219,12 @@ def test_claim_table_without_reference():
     for row in table.rows:
         assert row.reference is None
         assert row.verdict is None
-    assert table.verdict_counts() == {}
+    assert verdict_counts(table) == {}
 
 
 def test_claimed_constant_of_motion_value():
     table = claimed_moment_table(1, 2, 0.4)
-    row = table.row("mean_h1")
+    row = claim_row(table, "mean_h1")
     assert row.claimed == 1.0
     assert row.reference == 1.0
 
@@ -278,6 +286,17 @@ def test_weighted_model_reproduces_figure_onsets():
 def test_sweep_without_sign_change_has_no_onset():
     curve = sweep(FockModel(0, 0), kt_max=0.1, steps=20)
     assert curve.onset is None
+
+
+@pytest.mark.parametrize("model", [
+    FockModel(2, 1),
+    WeightedProjectorModel(10.0, 10, 10.0, 10),
+    ThermalMixtureModel(0.5, 0.25),
+], ids=["fock", "weighted", "thermal"])
+def test_sweep_onset_is_the_closed_form(model):
+    expected = onset_time(*model.effective_occupations())
+    assert sweep(model, 0.5, 100).onset == expected
+    assert sweep(model, 0.1, 100).onset is None
 
 
 def test_sweep_closed_rows_carry_zero_leakage():
