@@ -12,18 +12,21 @@ every evolution time.
 Heisenberg moments are checked, never forms the evolved state: it
 evolves only the state's populated sector blocks (`QuantumState.blocks`),
 which are weighted columns (G, p) for pure and mixed states alike, as
-(U G, p). It applies the checks that `QuantumState.from_vector` /
-`from_density` would have run to those blocks and hands them to the
-shared H0..H3 measure `polarization.hidden_moments`; the trace check,
-the certificate and the measure all read each evolved block's
-populations, computed once when the block is built. Oracle and
-closed-form rows are one record, `MomentReport(kt, means, variances,
-leakage, valid)`, with the eight moments named once, in
-`MOMENT_NAMES`.
+(U G, p). U G keeps the spectrum p that `state.blocks` certified, so
+the one check left is unit total population (`require_unit_trace`),
+for vectors and densities alike. The blocks then go to the shared
+H0..H3 measure `polarization.hidden_moments`; the trace check, the
+certificate and the measure all read each evolved block's populations,
+computed once when the block is built. Oracle and closed-form rows are
+one record, `MomentReport(kt, means, variances, leakage, valid)`, with
+the eight moments named once, in `MOMENT_NAMES`.
 
 `evolve` returns a full QuantumState, built from the same U_delta
 applied to its rows (and columns), since only that form carries a
-density's inter-sector coherences. No operator matrix is built here.
+density's inter-sector coherences. An evolved density is
+eigendecomposed once, per populated sector, by `from_density`; those
+are the blocks `boundary_leakage` then reads. No operator matrix is
+built here.
 
 The truncation is the state's own cutoff, certified after the fact by
 `boundary_leakage`: the evolved state must keep its population clear of
@@ -255,22 +258,17 @@ def _evolve_blocks(
 
     The weights p are kept, and U G is orthonormal where G is, so an
     evolved density block has exactly the spectrum `state.blocks`
-    checked. The remaining checks `from_vector`/`from_density` run on
-    an evolved state: the blocks of a vector are renormalized together
-    (U is exactly unitary, so scaling G scales U G alike); the trace of
-    a density, sum_r p_r |U G_r|^2, must be 1 within ALGEBRA_TOL. Each
-    evolved block's populations are computed once, when it is built.
+    checked. The total population of the evolved blocks, sum_r p_r
+    |U G_r|^2 (|v|^2 for a vector), must be 1 within ALGEBRA_TOL, as
+    `require_unit_trace` asks of every state. Each evolved block's
+    populations are computed once, when it is built.
     """
     rate = 2.0 * config.kt
     pairs = _sector_eigenpairs(state.cutoff)
-    scale = 1.0
-    if state.vector is not None:
-        scale = 1.0 / math.sqrt(sum(b.populations.sum() for b in state.blocks))
     evolved = [SectorBlock(b.sector, _propagate(
-                   scale * b.columns, pairs[b.sector.delta], rate), b.weights)
+                   b.columns, pairs[b.sector.delta], rate), b.weights)
                for b in state.blocks]
-    if state.vector is None:
-        require_unit_trace(sum(b.populations.sum() for b in evolved))
+    require_unit_trace(sum(b.populations.sum() for b in evolved))
     return evolved
 
 

@@ -43,10 +43,6 @@ ALGEBRA_TOL = 1e-12        # exact-algebra identities (hermiticity, norms)
 VARIANCE_FLOOR = -1e-9     # cancellation allowance before clamping to zero
 EIGENVALUE_FLOOR = -1e-10  # lowest eigenvalue a density matrix may have
 
-# Full positivity certification is cubic in dimension; above this joint
-# dimension a density that is not sector-block diagonal gets only the
-# hermiticity and trace checks.
-PSD_CHECK_MAX_DIM = 1024
 # Rows per slab of the hermiticity test: its temporaries stay a slab in
 # size, not a second and third copy of the matrix
 HERMITICITY_SLAB = 64
@@ -85,11 +81,14 @@ class FockCutoff:
 class QuantumState:
     """Pure state vector or density matrix on the joint space.
 
-    Build through from_vector / from_density (or fock_state); the
-    constructors validate normalization, and for density matrices
-    hermiticity, unit trace, and positivity: per sector block when the
-    matrix has no inter-sector coherences, else on the full matrix up
-    to PSD_CHECK_MAX_DIM.
+    Build through from_vector / from_density (or fock_state). Both
+    constructors require unit total population (|v|^2 or the trace,
+    `require_unit_trace`); from_density also requires hermiticity and
+    positivity. Positivity is certified by the sector blocks
+    (`blocks`), whose eigendecomposition rejects an eigenvalue below
+    EIGENVALUE_FLOOR; only a density with nonzero entries outside its
+    populated blocks (inter-sector coherences) also has its full
+    spectrum checked, at any size.
     """
 
     cutoff: FockCutoff
@@ -101,12 +100,11 @@ class QuantumState:
         v = np.asarray(vec, dtype=complex).reshape(-1)
         if v.shape != (cutoff.dim,):
             raise ValueError(f"state vector length {v.size}, expected {cutoff.dim}")
-        norm = np.linalg.norm(v)
-        if abs(norm - 1.0) > ALGEBRA_TOL:
-            raise ValueError(f"state vector norm {norm!r} is not 1 within {ALGEBRA_TOL}")
         v = v.copy()
         v.flags.writeable = False
-        return cls(cutoff, vector=v)
+        state = cls(cutoff, vector=v)
+        require_unit_trace(state.populations().sum())
+        return state
 
     @classmethod
     def from_density(cls, cutoff: FockCutoff, rho: np.ndarray) -> "QuantumState":
@@ -116,15 +114,26 @@ class QuantumState:
                              f"expected {(cutoff.dim, cutoff.dim)}")
         for lo in range(0, cutoff.dim, HERMITICITY_SLAB):
             rows = slice(lo, lo + HERMITICITY_SLAB)
-            if np.max(np.abs(m[rows] - m[:, rows].conj().T)) > ALGEBRA_TOL:
-                raise ValueError("density matrix is not Hermitian within 1e-12")
-        require_unit_trace(np.trace(m).real)
-        _check_positive(m, cutoff)
-        # copied only now, after the checks' temporaries are gone;
+            with np.errstate(invalid="ignore"):  # inf - inf is NaN
+                skew = np.max(np.abs(m[rows] - m[:, rows].conj().T))
+            if not skew <= ALGEBRA_TOL:  # a NaN or inf entry fails too
+                raise ValueError("density matrix is not finite and Hermitian "
+                                 "within 1e-12")
+        # copied only now, after the check's temporaries are gone;
         # freezing the caller's own array would make it read-only
         m = np.array(m, order="C")
         m.flags.writeable = False
-        return cls(cutoff, density=m)
+        state = cls(cutoff, density=m)
+        require_unit_trace(state.populations().sum())
+        # the blocks' eigh certifies positivity unless nonzero entries
+        # lie outside them (inter-sector coherences); then the full
+        # spectrum is checked too
+        inside = sum(np.count_nonzero(m[np.ix_(b.sector.indices,
+                                                b.sector.indices)])
+                     for b in state.blocks)
+        if inside < np.count_nonzero(m):
+            _require_positive(np.linalg.eigvalsh(m)[0])
+        return state
 
     @property
     def array(self) -> np.ndarray:
@@ -185,10 +194,14 @@ def require_occupations(*values: float) -> None:
 
 
 def require_unit_trace(trace: float) -> None:
-    """Raise unless a density's `trace` is 1 within ALGEBRA_TOL."""
-    if abs(trace - 1.0) > ALGEBRA_TOL:
+    """Raise unless a state's `trace`, its total population, is 1.
+
+    The one normalization rule, within ALGEBRA_TOL, for the |v|^2 of a
+    vector and the trace of a density alike; a NaN trace fails it.
+    """
+    if not abs(trace - 1.0) <= ALGEBRA_TOL:
         raise ValueError(
-            f"density matrix trace {trace!r} is not 1 within {ALGEBRA_TOL}")
+            f"state trace {trace!r} is not 1 within {ALGEBRA_TOL}")
 
 
 def _require_positive(low: float) -> None:
@@ -196,17 +209,6 @@ def _require_positive(low: float) -> None:
     if low < EIGENVALUE_FLOOR:
         raise ValueError(
             f"density matrix has eigenvalue {low:.3e} below {EIGENVALUE_FLOOR}")
-
-
-def _check_positive(m: np.ndarray, cutoff: FockCutoff) -> None:
-    blocks = [m[np.ix_(s.indices, s.indices)]
-              for s in sector_table(cutoff).sectors]
-    if sum(np.count_nonzero(b) for b in blocks) == np.count_nonzero(m):
-        # no inter-sector coherence (diagonal mixtures included): the
-        # spectrum is the union of the sector blocks' spectra
-        _require_positive(min(np.linalg.eigvalsh(b)[0] for b in blocks))
-    elif m.shape[0] <= PSD_CHECK_MAX_DIM:
-        _require_positive(np.linalg.eigvalsh(m)[0])
 
 
 @dataclass(frozen=True, eq=False)

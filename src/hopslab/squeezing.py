@@ -366,7 +366,8 @@ def sweep(
     exceeds the budget are flagged invalid and the sweep continues).
     The onset is the closed form `onset_time` when it lies within
     kt_max, else None. leakage_tol must lie in (0, 1), as in DpaConfig,
-    whether or not oracle rows use it.
+    whether or not oracle rows use it; a cutoff sizes oracle rows only,
+    so passing one without with_oracle raises ValueError.
     """
     if not (math.isfinite(kt_max) and kt_max > 0):
         raise ValueError("kt_max must be positive and finite")
@@ -377,6 +378,9 @@ def sweep(
         raise ValueError(f"kt_max {kt_max!r} overflows sinh(4 kt)^2") from None
     if steps < 2:
         raise ValueError("steps must be at least 2")
+    if cutoff is not None and not with_oracle:
+        raise ValueError("a cutoff sizes oracle rows only; closed-form "
+                         "rows use none")
     # DpaConfig owns the leakage_tol rule; closed-form sweeps obey it too
     DpaConfig(kt=kt_max, leakage_tol=leakage_tol)
     kt_grid = np.linspace(0.0, kt_max, steps)

@@ -13,6 +13,7 @@ import pytest
 import hopslab
 import hopslab.polarization as polarization
 from hopslab.cli import main
+from hopslab.dpa import EVOLUTION_MARGIN
 
 
 def run_cli(argv, capsys):
@@ -246,6 +247,27 @@ def test_usage_errors_exit_two(capsys):
         main([])
     assert excinfo.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, message", [
+    # closed-form rows use no cutoff
+    (["sweep", "--cutoff", "100", "--steps", "3"], "oracle rows only"),
+    (["sweep", "--model", "fock", "--oracle", "--cutoff", "4", "--steps", "3"],
+     f"cutoff must exceed {EVOLUTION_MARGIN} levels per mode"),
+    (["sweep", "--model", "fock", "--nx", "-1", "--steps", "3"],
+     "photon numbers must be non-negative integers"),
+    (["sweep", "--model", "fock", "--nx", "nan", "--steps", "3"],
+     "photon numbers must be non-negative integers"),
+    (["sweep", "--ny", "1.5", "--steps", "3"],
+     "photon numbers must be non-negative integers"),
+], ids=["cutoff-without-oracle", "cutoff-inside-margin", "negative-nx",
+        "nan-nx", "fractional-ny"])
+def test_library_rules_exit_two_with_the_library_message(argv, message,
+                                                         capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

@@ -160,7 +160,7 @@ def test_block_populations_are_read_only_diagonals(make_state):
             assert not block.populations.flags.writeable
             np.testing.assert_allclose(block.populations, block.band(0).real,
                                        rtol=0, atol=1e-15)
-        # the evolved vector was renormalized, the density trace-checked
+        # the evolved blocks of either kind were trace-checked
         assert sum(b.populations.sum() for b in blocks) == pytest.approx(
             1.0, abs=1e-14)
 
@@ -182,6 +182,15 @@ def test_thermal_sweep_decomposes_blocks_once(monkeypatch):
         return len(calls)
 
     assert decompositions(20) == decompositions(2) > 0
+    # one eigh per populated sector (all 19 here): the blocks certify
+    # positivity, and an evolved density is decomposed by from_density
+    # alone, for the blocks boundary_leakage reads
+    calls.clear()
+    state = thermal_state(cut, 0.3, 0.6)
+    assert len(state.blocks) == len(calls) == 19
+    calls.clear()
+    evolved = evolve(state, DpaConfig(kt=0.2, leakage_tol=0.9))
+    assert len(evolved.blocks) == len(calls) == 19
 
 
 def test_oracle_checks_the_blocks_it_evolves():

@@ -248,6 +248,21 @@ def test_state_validation_rejects_bad_inputs():
     negative = np.diag([1.2, -0.2, 0.0, 0.0]).astype(complex)
     with pytest.raises(ValueError):
         QuantumState.from_density(cut, negative)
+    # one rule for both: total population |v|^2 or trace 1 within 1e-12
+    vacuum = fock_state(cut, 0, 0).vector
+    QuantumState.from_vector(cut, (1.0 + 3e-13) * vacuum)
+    with pytest.raises(ValueError, match="trace"):
+        QuantumState.from_vector(cut, (1.0 + 7e-13) * vacuum)
+    for bad in (np.nan, np.inf):
+        vector = vacuum.copy()
+        vector[1] = bad
+        with pytest.raises(ValueError, match="trace"):
+            QuantumState.from_vector(cut, vector)
+        for entry in ((1, 1), (0, 1)):
+            rho = density_matrix(fock_state(cut, 0, 0))
+            rho[entry] = bad
+            with pytest.raises(ValueError, match="finite"):
+                QuantumState.from_density(cut, rho)
 
 
 def test_density_positivity_check_full_matrix_path():
@@ -266,8 +281,8 @@ def test_density_positivity_check_full_matrix_path():
 
 
 def test_density_positivity_check_sector_blocks():
-    # above PSD_CHECK_MAX_DIM (33^2 = 1089) a density without
-    # inter-sector coherences is still checked, block by block
+    # a density without inter-sector coherences is checked block by
+    # block, at any size (here 33^2 = 1089)
     cut = FockCutoff(33, 33)
     vac, pair = cut.index(0, 0), cut.index(1, 1)
 
@@ -279,6 +294,25 @@ def test_density_positivity_check_sector_blocks():
 
     assert not is_pure(QuantumState.from_density(cut, density(0.4)))
     # block [[0.5, 0.9], [0.9, 0.5]] has eigenvalue -0.4
+    with pytest.raises(ValueError, match="eigenvalue"):
+        QuantumState.from_density(cut, density(0.9))
+
+
+def test_density_positivity_check_coherent_density_at_any_size():
+    # |0,0> and |1,0> lie in different sectors, so the coherence between
+    # them sits outside every block and the full spectrum is checked
+    cut = FockCutoff(33, 33)
+    vac, single = cut.index(0, 0), cut.index(1, 0)
+
+    def density(coherence):
+        rho = np.zeros((cut.dim, cut.dim), dtype=complex)
+        rho[vac, vac] = rho[single, single] = 0.5
+        rho[vac, single] = rho[single, vac] = coherence
+        return rho
+
+    assert not is_pure(QuantumState.from_density(cut, density(0.4)))
+    # [[0.5, 0.9], [0.9, 0.5]] has eigenvalue -0.4, though each
+    # one-entry block is positive
     with pytest.raises(ValueError, match="eigenvalue"):
         QuantumState.from_density(cut, density(0.9))
 
