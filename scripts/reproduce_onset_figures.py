@@ -11,7 +11,7 @@ magnitude; that insensitivity is the point of the figure.
 import argparse
 from pathlib import Path
 
-from hopslab.reporting import curve_csv, curve_svg, fmt, sweep_config
+from hopslab.reporting import curve_csv, curve_svg, fmt
 from hopslab.squeezing import (
     FockModel,
     WeightedProjectorModel,
@@ -39,9 +39,8 @@ def main() -> None:
           f"{'onset (closed)':>18} {'onset (bisect)':>18}")
     for name, model in CASES:
         curve = sweep(model, kt_max=args.kt_max, steps=args.steps)
-        config = sweep_config(model, args.kt_max, args.steps)
         csv_path = args.outdir / f"{name}.csv"
-        csv_path.write_text(curve_csv(curve, config))
+        csv_path.write_text(curve_csv(curve))
         svg_path = args.outdir / f"{name}.svg"
         svg_path.write_text(curve_svg(curve))
         w_x, w_y = model.effective_occupations()

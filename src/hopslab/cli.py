@@ -8,14 +8,16 @@ gate the exit code.
 
 Commands only compute and emit; `main` alone turns bad input into a
 usage error. A value the library rejects (`ValueError`), an overflow
-(`OverflowError`) or a size that cannot fit (`MemoryError`) ends the
-run with exit 2 and one `error:` line, never a traceback. A failed
-numerical invariant (truncation, an undefined fit, a variance below
-the clamping floor) is not bad input and is not caught.
+(`OverflowError`), a size that cannot fit (`MemoryError`) or an output
+path that cannot be written (`OSError`) ends the run with exit 2 and
+one `error:` line, never a traceback. A failed numerical invariant
+(truncation, an undefined fit, a variance below the clamping floor) is
+not bad input and is not caught.
 
 Configuration precedence: command-line flags override `--config` file
 entries (key=value lines, `#` comments ignored), which override
-built-in defaults. Every CSV output echoes the effective configuration
+built-in defaults; a sweep's model parameters default to the model's
+own field defaults. Every CSV output echoes the effective configuration
 as sorted `# key=value` lines, and that block minus the `command` line
 is itself a valid config file.
 """
@@ -25,6 +27,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -52,18 +55,16 @@ from .polarization import (
     verify_stokes_commutators,
 )
 from .reporting import (
+    FIELD_KEYS,
     claims_csv,
     comment_block,
     curve_csv,
     curve_svg,
     ensemble_csv,
     fmt,
-    sweep_config,
 )
 from .squeezing import (
-    FockModel,
-    ThermalMixtureModel,
-    WeightedProjectorModel,
+    STATE_MODELS,
     claimed_moment_table,
     onset_by_bisection,
     onset_time,
@@ -97,11 +98,11 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep", parents=[common],
         help="squeezing function over a kt grid (CSV, optional SVG)")
     p_sweep.set_defaults(run=cmd_sweep)
-    p_sweep.add_argument("--model", choices=("fock", "thermal", "weighted"),
+    p_sweep.add_argument("--model", choices=tuple(STATE_MODELS),
                          default="weighted")
-    p_sweep.add_argument("--nx", type=float, default=None,
+    p_sweep.add_argument("--nx", type=int, default=None,
                          help="photon number, x mode (fock/weighted)")
-    p_sweep.add_argument("--ny", type=float, default=None,
+    p_sweep.add_argument("--ny", type=int, default=None,
                          help="photon number, y mode (fock/weighted)")
     p_sweep.add_argument("--nbar-x", dest="nbar_x", type=float, default=None,
                          help="mean occupation, x mode (thermal/weighted)")
@@ -201,21 +202,11 @@ def _emit(text: str, out: str) -> None:
 
 
 def _build_model(args):
-    def _as_int(value, default):
-        # integral floats become ints; the model rejects everything else
-        value = default if value is None else value
-        return int(value) if float(value).is_integer() else value
-
-    if args.model == "fock":
-        return FockModel(_as_int(args.nx, 0), _as_int(args.ny, 0))
-    if args.model == "thermal":
-        nbar_x = 0.5 if args.nbar_x is None else args.nbar_x
-        nbar_y = 0.5 if args.nbar_y is None else args.nbar_y
-        return ThermalMixtureModel(nbar_x, nbar_y)
-    nbar_x = 10.0 if args.nbar_x is None else args.nbar_x
-    nbar_y = 10.0 if args.nbar_y is None else args.nbar_y
-    return WeightedProjectorModel(nbar_x, _as_int(args.nx, 10),
-                                  nbar_y, _as_int(args.ny, 10))
+    model = STATE_MODELS[args.model]
+    given = {field.name: getattr(args, FIELD_KEYS.get(field.name, field.name))
+             for field in fields(model)}
+    return model(**{name: value for name, value in given.items()
+                    if value is not None})
 
 
 def _oracle_cutoff(size: int | None) -> FockCutoff | None:
@@ -223,13 +214,10 @@ def _oracle_cutoff(size: int | None) -> FockCutoff | None:
 
 
 def cmd_sweep(args) -> int:
-    model = _build_model(args)
-    curve = sweep(model, kt_max=args.kt_max, steps=args.steps,
+    curve = sweep(_build_model(args), kt_max=args.kt_max, steps=args.steps,
                   with_oracle=args.oracle, cutoff=_oracle_cutoff(args.cutoff),
                   leakage_tol=args.leakage_tol)
-    config = sweep_config(model, args.kt_max, args.steps, args.oracle,
-                          args.leakage_tol, args.cutoff)
-    _emit(curve_csv(curve, config), args.out)
+    _emit(curve_csv(curve), args.out)
     if args.svg is not None:
         Path(args.svg).write_text(curve_svg(curve))
     if any(not row.valid for row in curve.moment_rows):
@@ -384,6 +372,8 @@ def main(argv: list[str] | None = None) -> int:
         return args.run(args)
     except ValueError as exc:
         parser.error(str(exc))
+    except OSError as exc:
+        parser.error(f"cannot write output: {exc}")
     except OverflowError:
         parser.error("inputs overflow the floating-point range")
     except MemoryError:

@@ -73,7 +73,7 @@ class FockCutoff:
     def index(self, n_x: int, n_y: int) -> int:
         require_photon_numbers(n_x, n_y)
         if not (n_x < self.d_x and n_y < self.d_y):
-            raise ValueError(f"|{n_x},{n_y}> outside cutoff {self}")
+            raise ValueError(f"photon numbers outside cutoff {self}")
         return n_x * self.d_y + n_y
 
 

@@ -3,17 +3,22 @@
 CSV is the canonical output: a sorted `# key=value` comment block
 echoing the effective configuration, one header row, then data rows
 with floats in shortest round-trip form (repr). Identical inputs
-produce byte-identical text. SVG is presentation-only; its geometry is
-deterministic but carries no precision guarantee.
+produce byte-identical text. `curve_csv` takes only the curve: its
+block, down to the cutoff the oracle rows used, is read off the curve.
+SVG is presentation-only; its geometry is deterministic but carries no
+precision guarantee.
 """
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 from .classical import EnsembleStats
-from .dpa import DEFAULT_LEAKAGE_TOL, MOMENT_NAMES
-from .squeezing import MomentClaimTable, SqueezingCurve, StateModel
+from .dpa import MOMENT_NAMES
+from .squeezing import MomentClaimTable, SqueezingCurve
 
 CURVE_COLUMNS = ("kt", "sq", *MOMENT_NAMES, "leakage", "valid", "model")
+FIELD_KEYS = {"n_x": "nx", "n_y": "ny"}  # config keys that differ from fields
 
 SVG_WIDTH = 640
 SVG_HEIGHT = 400
@@ -41,25 +46,24 @@ def comment_block(config: dict) -> list[str]:
     return lines
 
 
-def sweep_config(
-    model: StateModel, kt_max: float, steps: int, oracle: bool = False,
-    leakage_tol: float = DEFAULT_LEAKAGE_TOL, cutoff: int | None = None,
-) -> dict:
-    """`hopslab sweep`'s configuration (keys are its flags) for `model`."""
-    config = {"command": "sweep", "model": model.label, "kt_max": kt_max,
-              "steps": steps, "oracle": int(oracle),
-              "leakage_tol": leakage_tol}
-    if model.label != "fock":
-        config.update(nbar_x=model.nbar_x, nbar_y=model.nbar_y)
-    if model.label != "thermal":
-        config.update(nx=model.n_x, ny=model.n_y)
-    if cutoff is not None:
-        config["cutoff"] = cutoff
-    return config
+def curve_csv(curve: SqueezingCurve) -> str:
+    """Squeezing sweep as CSV: `hopslab sweep`'s flags, one row per kt.
 
-
-def curve_csv(curve: SqueezingCurve, config: dict) -> str:
-    """Squeezing sweep as CSV: one row per kt grid point."""
+    ValueError for a non-square oracle cutoff, which `--cutoff` cannot set.
+    """
+    model = curve.model
+    config = {"command": "sweep", "model": model.label,
+              "kt_max": curve.kt_grid[-1], "steps": len(curve.kt_grid),
+              "oracle": int(curve.cutoff is not None),
+              "leakage_tol": curve.leakage_tol}
+    # model fields under their flag names: photon numbers are --nx/--ny
+    config.update((FIELD_KEYS.get(field.name, field.name),
+                   getattr(model, field.name)) for field in fields(model))
+    if curve.cutoff is not None:
+        if curve.cutoff.d_x != curve.cutoff.d_y:
+            raise ValueError(f"{curve.cutoff} is not square; --cutoff "
+                             "cannot reproduce it")
+        config["cutoff"] = curve.cutoff.d_x
     lines = comment_block(config)
     lines.append(",".join(CURVE_COLUMNS))
     for kt, sq, row in zip(curve.kt_grid, curve.sq_values, curve.moment_rows):
@@ -67,7 +71,7 @@ def curve_csv(curve: SqueezingCurve, config: dict) -> str:
         cells.extend(fmt(v) for v in row.means + row.variances)
         cells.append(fmt(row.leakage))
         cells.append(str(int(row.valid)))
-        cells.append(curve.state_model)
+        cells.append(model.label)
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
@@ -134,7 +138,7 @@ def curve_svg(curve: SqueezingCurve) -> str:
         f'viewBox="0 0 {SVG_WIDTH} {SVG_HEIGHT}">',
         f'<rect width="{SVG_WIDTH}" height="{SVG_HEIGHT}" fill="white"/>',
         f'<text x="{SVG_WIDTH // 2}" y="18" text-anchor="middle" '
-        f'font-size="14">squeezing sweep ({curve.state_model} model)</text>',
+        f'font-size="14">squeezing sweep ({curve.model.label} model)</text>',
         # frame
         f'<rect x="{x_lo}" y="{y_hi}" width="{x_hi - x_lo}" '
         f'height="{y_lo - y_hi}" fill="none" stroke="black"/>',

@@ -17,15 +17,15 @@ dynamics; their verdicts (matches / sign_flip / mismatch) are computed,
 never asserted. The effective occupations N are deliberately
 model-dependent: the source material is ambiguous about whether a
 thermal mixture, a single Fock projector, or a scalar thermal weight is
-intended, so all three state models are provided and every curve is
-tagged with the one it used.
+intended, so all three state models are provided (`STATE_MODELS`), and
+every curve records the model, oracle cutoff and leakage_tol it used.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Union, get_args
 
 import numpy as np
 
@@ -238,20 +238,8 @@ def claimed_moment_table(
     return MomentClaimTable(n_x, n_y, kt, tuple(rows), reference)
 
 
-@dataclass(frozen=True)
-class FockModel:
-    """Pure |n_x, n_y> initial state; occupations are the photon numbers."""
-
-    n_x: int
-    n_y: int
-
-    label = "fock"
-
-    def __post_init__(self) -> None:
-        require_photon_numbers(self.n_x, self.n_y)
-
-    def effective_occupations(self) -> tuple[float, float]:
-        return float(self.n_x), float(self.n_y)
+class _BareProjector:
+    """Oracle and closed-form rows of the bare projector |n_x, n_y>."""
 
     def peak_level(self) -> int:
         return max(self.n_x, self.n_y)
@@ -264,11 +252,27 @@ class FockModel:
 
 
 @dataclass(frozen=True)
+class FockModel(_BareProjector):
+    """Pure |n_x, n_y> initial state; occupations are the photon numbers."""
+
+    n_x: int = 0
+    n_y: int = 0
+
+    label = "fock"
+
+    def __post_init__(self) -> None:
+        require_photon_numbers(self.n_x, self.n_y)
+
+    def effective_occupations(self) -> tuple[float, float]:
+        return float(self.n_x), float(self.n_y)
+
+
+@dataclass(frozen=True)
 class ThermalMixtureModel:
     """Proper two-mode thermal density matrix with means (nbar_x, nbar_y)."""
 
-    nbar_x: float
-    nbar_y: float
+    nbar_x: float = 0.5
+    nbar_y: float = 0.5
 
     label = "thermal"
 
@@ -299,7 +303,7 @@ class ThermalMixtureModel:
 
 
 @dataclass(frozen=True)
-class WeightedProjectorModel:
+class WeightedProjectorModel(_BareProjector):
     """Scalar thermal weights as effective occupations.
 
     The occupations fed to the squeezing function are the geometric
@@ -308,10 +312,10 @@ class WeightedProjectorModel:
     figures (e.g. w(10, 10) = 0.035).
     """
 
-    nbar_x: float
-    n_x: int
-    nbar_y: float
-    n_y: int
+    nbar_x: float = 10.0
+    n_x: int = 10
+    nbar_y: float = 10.0
+    n_y: int = 10
 
     label = "weighted"
 
@@ -323,28 +327,26 @@ class WeightedProjectorModel:
         return (thermal_weight(self.nbar_x, self.n_x),
                 thermal_weight(self.nbar_y, self.n_y))
 
-    def peak_level(self) -> int:
-        return max(self.n_x, self.n_y)
-
-    def initial_state(self, cutoff: FockCutoff) -> QuantumState:
-        return fock_state(cutoff, self.n_x, self.n_y)
-
-    def closed_report(self, kt: float) -> MomentReport:
-        return heisenberg_moments(self.n_x, self.n_y, kt)
-
 
 StateModel = Union[FockModel, ThermalMixtureModel, WeightedProjectorModel]
+STATE_MODELS = {model.label: model for model in get_args(StateModel)}
 
 
 @dataclass(frozen=True)
 class SqueezingCurve:
-    """One squeezing sweep: grid, Sq values, moment rows, located onset."""
+    """One squeezing sweep: grid, Sq values, moment rows, located onset.
+
+    It records its inputs: the model, the cutoff its oracle rows used
+    (passed or suggested; None for closed-form rows) and leakage_tol.
+    """
 
     kt_grid: tuple[float, ...]
     sq_values: tuple[float, ...]
     moment_rows: tuple[MomentReport, ...]
     onset: float | None
-    state_model: str
+    model: StateModel
+    cutoff: FockCutoff | None
+    leakage_tol: float
 
     def __post_init__(self) -> None:
         if list(self.kt_grid) != sorted(self.kt_grid):
@@ -367,7 +369,8 @@ def sweep(
     The onset is the closed form `onset_time` when it lies within
     kt_max, else None. leakage_tol must lie in (0, 1), as in DpaConfig,
     whether or not oracle rows use it; a cutoff sizes oracle rows only,
-    so passing one without with_oracle raises ValueError.
+    so passing one without with_oracle raises ValueError; without one,
+    oracle rows use `suggest_cutoff`'s.
     """
     if not (math.isfinite(kt_max) and kt_max > 0):
         raise ValueError("kt_max must be positive and finite")
@@ -388,13 +391,13 @@ def sweep(
     sq_values = [squeezing_function(kt, occ_x, occ_y) for kt in kt_grid]
 
     if with_oracle:
-        cut = cutoff if cutoff is not None else suggest_cutoff(
-            model.peak_level(), kt_max)
-        if cutoff is None and cut.d_x > MAX_SUGGESTED_DIM:
-            raise ValueError(
-                f"suggested cutoff {cut.d_x} per mode is impractical; "
-                "pass an explicit cutoff")
-        initial = model.initial_state(cut)
+        if cutoff is None:
+            cutoff = suggest_cutoff(model.peak_level(), kt_max)
+            if cutoff.d_x > MAX_SUGGESTED_DIM:
+                raise ValueError(
+                    f"suggested cutoff {cutoff.d_x} per mode is impractical; "
+                    "pass an explicit cutoff")
+        initial = model.initial_state(cutoff)
         rows = [oracle_moments(
             initial, DpaConfig(kt=float(kt), leakage_tol=leakage_tol))
             for kt in kt_grid]
@@ -407,5 +410,7 @@ def sweep(
         sq_values=tuple(float(s) for s in sq_values),
         moment_rows=tuple(rows),
         onset=onset if onset <= kt_max else None,
-        state_model=model.label,
+        model=model,
+        cutoff=cutoff,
+        leakage_tol=leakage_tol,
     )

@@ -94,17 +94,28 @@ def test_config_file_precedence(tmp_path, capsys):
     assert len(rows) == 7
 
 
-def test_config_roundtrip_through_echo(tmp_path):
+@pytest.mark.parametrize("argv, echoed", [
+    (["sweep", "--model", "fock", "--nx", "1", "--ny", "1",
+      "--kt-max", "0.4", "--steps", "6"], "oracle=0"),
+    # the header names the cutoff the oracle suggested for itself
+    (["sweep", "--model", "fock", "--oracle", "--steps", "3"], "cutoff=31"),
+    (["claims"], "kt=0.22"),
+    (["claims", "--cutoff", "20"], "cutoff=20"),
+    (["ensemble", "--count", "200", "--seed", "4"], "a0=1.0"),
+    (["ensemble", "--amplitude", "rayleigh", "--scale", "0.5",
+      "--count", "200"], "scale=0.5"),
+], ids=["closed-sweep", "oracle-sweep", "claims", "claims-cutoff",
+        "ensemble-fixed", "ensemble-rayleigh"])
+def test_config_roundtrip_through_echo(argv, echoed, tmp_path):
     first = tmp_path / "first.csv"
-    assert main(["sweep", "--model", "fock", "--nx", "1", "--ny", "1",
-                 "--kt-max", "0.4", "--steps", "6",
-                 "--out", str(first)]) == 0
-    echoed = [line[2:] for line in first.read_text().splitlines()
-              if line.startswith("# ")]
+    assert main(argv + ["--out", str(first)]) == 0
+    echoed_lines = [line[2:] for line in first.read_text().splitlines()
+                    if line.startswith("# ")]
+    assert echoed in echoed_lines
     config = tmp_path / "echo.cfg"
-    config.write_text("\n".join(echoed) + "\n")
+    config.write_text("\n".join(echoed_lines) + "\n")
     second = tmp_path / "second.csv"
-    assert main(["sweep", "--config", str(config),
+    assert main([argv[0], "--config", str(config),
                  "--out", str(second)]) == 0
     assert first.read_bytes() == second.read_bytes()
 
@@ -256,12 +267,7 @@ def test_usage_errors_exit_two(capsys):
      f"cutoff must exceed {EVOLUTION_MARGIN} levels per mode"),
     (["sweep", "--model", "fock", "--nx", "-1", "--steps", "3"],
      "photon numbers must be non-negative integers"),
-    (["sweep", "--model", "fock", "--nx", "nan", "--steps", "3"],
-     "photon numbers must be non-negative integers"),
-    (["sweep", "--ny", "1.5", "--steps", "3"],
-     "photon numbers must be non-negative integers"),
-], ids=["cutoff-without-oracle", "cutoff-inside-margin", "negative-nx",
-        "nan-nx", "fractional-ny"])
+], ids=["cutoff-without-oracle", "cutoff-inside-margin", "negative-nx"])
 def test_library_rules_exit_two_with_the_library_message(argv, message,
                                                          capsys):
     with pytest.raises(SystemExit) as excinfo:
@@ -303,10 +309,43 @@ def test_library_rules_exit_two_with_the_library_message(argv, message,
     # DpaConfig's leakage_tol rule holds without --oracle too
     ["sweep", "--leakage-tol", "nan", "--steps", "3"],
     ["sweep", "--model", "fock", "--leakage-tol", "0", "--steps", "3"],
+    # photon numbers are parsed as integers
+    ["sweep", "--model", "fock", "--nx", "nan", "--steps", "3"],
+    ["sweep", "--ny", "1.5", "--steps", "3"],
 ])
 def test_non_finite_and_overflowing_input_exits_two(argv, capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(argv)
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--model", "fock", "--nx", "1e300", "--steps", "3"],
+    # an integral float occupation is read as the photon number |1e300, 1>
+    ["claims", "--nx", "1e300", "--ny", "1", "--cutoff", "10"],
+], ids=["sweep", "claims"])
+def test_huge_photon_number_exits_two_with_a_short_line(argv, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if "error:" in line]
+    assert len(errors) == 1
+    assert len(errors[0]) < 100, errors[0]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["onset"], "--out"),
+    (["sweep", "--steps", "3", "--out", "-"], "--svg"),
+], ids=["onset-out", "sweep-svg"])
+def test_unwritable_output_exits_two(argv, flag, tmp_path, capsys):
+    # exit 1 is reserved for a failed verification
+    target = tmp_path / "missing" / "output"
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv + [flag, str(target)])
     assert excinfo.value.code == 2
     err = capsys.readouterr().err
     assert err.count("error:") == 1

@@ -2,6 +2,7 @@
 
 import math
 import re
+import shlex
 from pathlib import Path
 
 import hopslab
@@ -27,6 +28,21 @@ def test_onset_example_matches_the_command(capsys):
              if line.startswith("# onset_kt=")]
     assert main(["onset", "--nx", "0.035", "--ny", "0.035"]) == 0
     assert shown == ["# " + capsys.readouterr().out.rstrip("\n")]
+
+
+def test_every_documented_command_runs(tmp_path, monkeypatch, capsys):
+    block = re.search(r"## Command line.*?```sh\n(.*?)```", README,
+                      re.DOTALL)
+    assert block is not None
+    commands = [line.split("#", 1)[0] for line in block.group(1).splitlines()
+                if line.startswith("hopslab ")]
+    assert len(commands) == 6
+    # outputs such as curve.csv land in a scratch directory, in order,
+    # since the --config line reads the curve the line before wrote
+    monkeypatch.chdir(tmp_path)
+    for command in commands:
+        assert main(shlex.split(command)[1:]) == 0, command
+    capsys.readouterr()
 
 
 def test_every_exported_name_is_documented():

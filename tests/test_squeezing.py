@@ -8,8 +8,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 import hopslab.squeezing as squeezing
-from hopslab.dpa import oracle_moments, thermal_heisenberg_moments
+from hopslab.dpa import (
+    DEFAULT_LEAKAGE_TOL,
+    oracle_moments,
+    suggest_cutoff,
+    thermal_heisenberg_moments,
+)
 from hopslab.fock import FockCutoff
+from hopslab.reporting import curve_csv
 from hopslab.squeezing import (
     FockModel,
     MomentClaimTable,
@@ -260,7 +266,7 @@ def test_sweep_validation():
 
 def test_vacuum_sweep_onset():
     curve = sweep(FockModel(0, 0), kt_max=0.5, steps=100)
-    assert curve.state_model == "fock"
+    assert curve.model.label == "fock"
     assert curve.onset == pytest.approx(ONSET_VACUUM, abs=1e-7)
     assert len(curve.kt_grid) == 100
     assert len(curve.moment_rows) == 100
@@ -277,7 +283,7 @@ def test_weighted_model_reproduces_figure_onsets():
                   kt_max=0.5, steps=80)
     unequal = sweep(WeightedProjectorModel(1, 1, 20, 20),
                     kt_max=0.5, steps=80)
-    assert equal.state_model == "weighted"
+    assert equal.model.label == "weighted"
     assert equal.onset == pytest.approx(ONSET_EQUAL_INTENSITY_FIGURE, abs=1e-7)
     assert unequal.onset == pytest.approx(
         ONSET_UNEQUAL_INTENSITY_FIGURE, abs=1e-7)
@@ -301,7 +307,7 @@ def test_sweep_onset_is_the_closed_form(model):
 
 def test_sweep_closed_rows_carry_zero_leakage():
     curve = sweep(ThermalMixtureModel(0.5, 0.25), kt_max=0.4, steps=10)
-    assert curve.state_model == "thermal"
+    assert curve.model.label == "thermal"
     for row in curve.moment_rows:
         assert row.leakage == 0.0
         assert row.valid
@@ -361,7 +367,22 @@ def test_thermal_peak_level_needs_a_decaying_tail():
 def test_curve_grid_must_ascend():
     with pytest.raises(ValueError):
         SqueezingCurve(kt_grid=(0.2, 0.1), sq_values=(1.0, 0.5),
-                       moment_rows=(), onset=None, state_model="fock")
+                       moment_rows=(), onset=None, model=FockModel(),
+                       cutoff=None, leakage_tol=1e-6)
+
+
+def test_curve_records_its_inputs():
+    model = FockModel(1, 0)
+    curve = sweep(model, kt_max=0.3, steps=3, with_oracle=True)
+    assert curve.model == model
+    assert curve.cutoff == suggest_cutoff(1, 0.3)
+    assert curve.leakage_tol == DEFAULT_LEAKAGE_TOL
+    assert sweep(model, kt_max=0.3, steps=3).cutoff is None
+    # --cutoff sets both modes, so a header cannot name a lopsided one
+    lopsided = sweep(model, kt_max=0.3, steps=3, with_oracle=True,
+                     cutoff=FockCutoff(24, 20))
+    with pytest.raises(ValueError, match="not square"):
+        curve_csv(lopsided)
 
 
 def test_weighted_model_effective_occupations():
