@@ -17,7 +17,9 @@ not bad input and is not caught.
 Configuration precedence: command-line flags override `--config` file
 entries (key=value lines, `#` comments ignored), which override
 built-in defaults; a sweep's model parameters default to the model's
-own field defaults. Every CSV output echoes the effective configuration
+own field defaults, and a model flag the chosen model lacks (`--nx`
+for the thermal model, say) is a usage error, as is an unreadable
+`--config` file. Every CSV output echoes the effective configuration
 as sorted `# key=value` lines, and that block minus the `command` line
 is itself a valid config file.
 """
@@ -73,7 +75,7 @@ from .squeezing import (
 
 EXIT_OK = 0
 EXIT_INVARIANT = 1
-EXIT_USAGE = 2
+EXIT_USAGE = 2          # the status of argparse's parser.error
 EXIT_TRUNCATION = 3
 
 # config-file keys for store_true flags: value decides presence
@@ -202,11 +204,21 @@ def _emit(text: str, out: str) -> None:
 
 
 def _build_model(args):
+    """The --model's state model; ValueError names a flag it does not take."""
     model = STATE_MODELS[args.model]
-    given = {field.name: getattr(args, FIELD_KEYS.get(field.name, field.name))
-             for field in fields(model)}
-    return model(**{name: value for name, value in given.items()
-                    if value is not None})
+    own = {field.name for field in fields(model)}
+    given = {}
+    for name in dict.fromkeys(field.name for other in STATE_MODELS.values()
+                              for field in fields(other)):
+        key = FIELD_KEYS.get(name, name)
+        value = getattr(args, key)
+        if value is None:
+            continue
+        if name not in own:
+            raise ValueError(f"--{key.replace('_', '-')} does not apply to "
+                             f"--model {args.model}")
+        given[name] = value
+    return model(**given)
 
 
 def _oracle_cutoff(size: int | None) -> FockCutoff | None:
@@ -357,16 +369,15 @@ def cmd_verify(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
+    # built per call, so each run reaches the current cmd_* functions
+    parser = build_parser()
     config_path = _prescan_config(argv)
     if config_path is not None:
         try:
             extra = _load_config_args(config_path)
         except OSError as exc:
-            print(f"hopslab: cannot read config: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+            parser.error(f"cannot read config: {exc}")
         argv = argv[:1] + extra + argv[1:]
-    # built per call, so each run reaches the current cmd_* functions
-    parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.run(args)

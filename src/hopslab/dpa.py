@@ -4,29 +4,32 @@ The interaction-picture generator H_int = a_x^dag a_y^dag + a_x a_y
 creates and destroys quanta pairwise, so it conserves the mode
 imbalance n_x - n_y. On each imbalance sector (`fock.sector_table`) it
 is a real symmetric tridiagonal matrix with zero diagonal and the
-sector's a_y a_x weights off it; its eigenpairs are computed once per
-cutoff and give the one per-sector propagator U_delta(kt), reused for
-every evolution time.
+sector's a_y a_x weights off it. Its eigenpairs are computed once per
+cutoff, unpadded, and gathered once per set of populated sectors into
+zero-padded stacks; `_propagate` applies U(kt) = V diag(e^{-i 2kt E})
+V^T to a stack of sectors at once, for every evolution time.
 
 `oracle_moments`, the brute-force oracle against which the closed-form
 Heisenberg moments are checked, never forms the evolved state: it
-evolves only the state's populated sector blocks (`QuantumState.blocks`),
-which are weighted columns (G, p) for pure and mixed states alike, as
-(U G, p). U G keeps the spectrum p that `state.blocks` certified, so
-the one check left is unit total population (`require_unit_trace`),
-for vectors and densities alike. The blocks then go to the shared
-H0..H3 measure `polarization.hidden_moments`; the trace check, the
-certificate and the measure all read each evolved block's populations,
-computed once when the block is built. Oracle and closed-form rows are
-one record, `MomentReport(kt, means, variances, leakage, valid)`, with
-the eight moments named once, in `MOMENT_NAMES`.
+evolves only the state's stack of populated sectors
+(`QuantumState.blocks`), which are weighted columns (G, p) for pure
+and mixed states alike, as (U G, p), a slab of sectors at a time. U G
+keeps the spectrum p that `state.blocks` certified, so the one check
+left is unit total population (`require_unit_trace`), for vectors and
+densities alike. Each evolved slab goes to the shared H0..H3 measure
+`polarization.hidden_sums`; the trace check, the certificate and the
+measure all read the slab's populations, computed once when it is
+built. A row costs a fixed number of array operations per slab,
+whatever the number of sectors. Oracle and closed-form rows are one
+record, `MomentReport(kt, means, variances, leakage, valid)`, with the
+eight moments named once, in `MOMENT_NAMES`.
 
-`evolve` returns a full QuantumState, built from the same U_delta
-applied to its rows (and columns), since only that form carries a
-density's inter-sector coherences. An evolved density is
-eigendecomposed once, per populated sector, by `from_density`; those
-are the blocks `boundary_leakage` then reads. No operator matrix is
-built here.
+`evolve` returns a full QuantumState, built from the same `_propagate`
+applied to its rows (and columns), gathered a slab of sectors at a
+time, since only that form carries a density's inter-sector
+coherences. An evolved density is eigendecomposed once, per populated
+sector, by `from_density`; that stack is what `boundary_leakage` then
+reads. No operator matrix is built here.
 
 The truncation is the state's own cutoff, certified after the fact by
 `boundary_leakage`: the evolved state must keep its population clear of
@@ -44,22 +47,22 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
 
 import numpy as np
 
 from .fock import (
+    EVOLUTION_MARGIN,
+    STACK_SLAB,
     FockCutoff,
     QuantumState,
-    SectorBlock,
+    SectorStack,
     require_occupations,
     require_photon_numbers,
     require_unit_trace,
     sector_table,
 )
-from .polarization import hidden_moments
+from .polarization import hidden_moments, hidden_sums
 
-EVOLUTION_MARGIN = 4           # boundary band whose population certifies truncation
 DEFAULT_LEAKAGE_TOL = 1e-6
 
 
@@ -127,59 +130,102 @@ class MomentReport:
 @lru_cache(maxsize=8)
 def _sector_eigenpairs(
     cutoff: FockCutoff,
-) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    """delta -> eigenvalues and eigenvectors of H_int on that sector."""
+) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Eigenvalues and eigenvectors of H_int on each sector, table order.
+
+    Unpadded: sector s has L_s of each.
+    """
     if min(cutoff.d_x, cutoff.d_y) <= EVOLUTION_MARGIN:
         raise ValueError(
             f"cutoff must exceed {EVOLUTION_MARGIN} levels per mode "
             "to certify leakage")
-    pairs = {}
-    for sector in sector_table(cutoff).sectors:
-        w = sector.pair_weights
+    table = sector_table(cutoff)
+    lengths = (table.indices >= 0).sum(axis=1)
+    pairs = []
+    for length, w in zip(lengths, table.pair_weights):
+        w = w[:length - 1]
         values, vectors = np.linalg.eigh(np.diag(w, 1) + np.diag(w, -1))
         values.setflags(write=False)
         vectors.setflags(write=False)
-        pairs[sector.delta] = (values, vectors)
-    return pairs
+        pairs.append((values, vectors))
+    return tuple(pairs)
+
+
+@lru_cache(maxsize=4)
+def _stacked_eigenpairs(
+    cutoff: FockCutoff, positions: tuple[int, ...],
+) -> tuple[np.ndarray, np.ndarray]:
+    """The sectors `positions`' eigenpairs, zero-padded as a SectorStack.
+
+    Eigenvalues (S, L) and eigenvectors (S, L, L); the padding rows and
+    columns of the eigenvectors are zero, so the padded propagator
+    maps a sector's padding to zero and reads nothing from it.
+    """
+    pairs = [_sector_eigenpairs(cutoff)[s] for s in positions]
+    size = max((values.size for values, _ in pairs), default=1)
+    values = np.zeros((len(pairs), size))
+    vectors = np.zeros((len(pairs), size, size))
+    for s, (sector_values, sector_vectors) in enumerate(pairs):
+        n = sector_values.size
+        values[s, :n], vectors[s, :n, :n] = sector_values, sector_vectors
+    values.setflags(write=False)
+    vectors.setflags(write=False)
+    return values, vectors
 
 
 def _propagate(
-    x: np.ndarray, eigenpair: tuple[np.ndarray, np.ndarray], rate: float,
+    x: np.ndarray, values: np.ndarray, vectors: np.ndarray, kt: float,
 ) -> np.ndarray:
-    """U_delta = exp(-i * rate * H_int) on the sector index (rows) of x."""
-    values, vectors = eigenpair
-    phase = np.exp(-1j * rate * values).reshape((-1,) + (1,) * (x.ndim - 1))
-    return vectors @ (phase * (vectors.T @ x))
+    """U = exp(-i 2kt H_int) on the sector index (axis 1) of a stack.
+
+    U = V diag(exp(-i 2kt E)) V^T from the stacked eigenpairs (E, V).
+    `x` is (S, L, k) with a contiguous last axis. V is real, so both
+    products run on the real and imaginary parts of x at once, as one
+    real stack.
+    """
+    moved = (vectors.transpose(0, 2, 1) @ x.view(float)).view(complex)
+    moved *= np.exp(-1j * (2.0 * kt) * values)[:, :, None]
+    return (vectors @ moved.view(float)).view(complex)
 
 
 def evolve(state: QuantumState, config: DpaConfig) -> QuantumState:
     """Apply exp(-i * 2kt * H_int); certify truncation afterwards.
 
-    U_delta acts on the rows, and for a density also on the columns, of
-    each populated sector. Raises TruncationError (carrying the
-    measured leakage) when the evolved state holds more than
-    config.leakage_tol of its population within EVOLUTION_MARGIN
-    levels of either cutoff; enlarge the cutoff and retry in that case.
+    U acts on the rows, and for a density also on the columns, of each
+    populated sector, a slab of sectors at a time. Raises
+    TruncationError (carrying the measured leakage) when the evolved
+    state holds more than config.leakage_tol of its population within
+    EVOLUTION_MARGIN levels of either cutoff; enlarge the cutoff and
+    retry in that case.
     """
-    rate, cut = 2.0 * config.kt, state.cutoff
-    pairs = _sector_eigenpairs(cut)
-    sectors = [block.sector for block in state.blocks]
+    cut, stack = state.cutoff, state.blocks
+    values, vectors = _stacked_eigenpairs(cut, stack.positions)
+
+    def on_rows(x: np.ndarray) -> np.ndarray:
+        # a valid state is zero outside its populated sectors' rows; a
+        # padding index (-1) gathers a row the padded V never reads.
+        # Columns of x go a block at a time, so a gathered block holds
+        # at most STACK_SLAB entries
+        out = np.zeros(x.shape, dtype=complex)
+        for rows, n in stack.slabs:
+            indices = stack.indices[rows, :n]
+            real = indices >= 0
+            width = max(1, STACK_SLAB // indices.size)
+            for start in range(0, x.shape[1], width):
+                block = slice(start, start + width)
+                moved = _propagate(x[indices, block], values[rows, :n],
+                                   vectors[rows, :n, :n], config.kt)
+                out[indices[real], block] = moved[real]
+        return out
+
     x = state.array
-    rows = np.zeros(x.shape, dtype=complex)
-    for sector in sectors:
-        rows[sector.indices] = _propagate(
-            x[sector.indices], pairs[sector.delta], rate)
     if state.vector is not None:
+        rows = on_rows(x[:, None])[:, 0]
         # rounding drift only: the truncated generator is exactly unitary
         result = QuantumState.from_vector(cut, rows / np.linalg.norm(rows))
     else:
-        # U rho U^dag = (U (U rho)^dag)^dag; a valid density is zero
-        # outside the populated sectors' rows and columns
-        rho = np.zeros(x.shape, dtype=complex)
-        for sector in sectors:
-            rho[:, sector.indices] = _propagate(
-                rows[:, sector.indices].conj().T, pairs[sector.delta],
-                rate).conj().T
+        # U rho U^dag = (U (U rho)^dag)^dag
+        rho = on_rows(on_rows(x).conj().T).conj().T
         result = QuantumState.from_density(cut, 0.5 * (rho + rho.conj().T))
     leakage = boundary_leakage(result)
     if leakage > config.leakage_tol:
@@ -187,17 +233,17 @@ def evolve(state: QuantumState, config: DpaConfig) -> QuantumState:
     return result
 
 
-def boundary_leakage(state: QuantumState | Iterable[SectorBlock]) -> float:
+def boundary_leakage(state: QuantumState | SectorStack) -> float:
     """Population within EVOLUTION_MARGIN levels of either truncation edge.
 
     The certificate that a truncated computation approximates the
     untruncated physics: small leakage means the state never felt the
-    boundary. Takes a state, or the sector blocks of one; a sector's
-    last EVOLUTION_MARGIN states are exactly its states that close to
-    an edge.
+    boundary. Takes a state, or a stack of sectors (`SectorStack`),
+    whose `edge` mask marks each sector's last EVOLUTION_MARGIN
+    states, exactly its states that close to an edge.
     """
-    blocks = state.blocks if isinstance(state, QuantumState) else state
-    return float(sum(b.populations[-EVOLUTION_MARGIN:].sum() for b in blocks))
+    stack = state.blocks if isinstance(state, QuantumState) else state
+    return float(np.vdot(stack.populations, stack.edge))
 
 
 def heisenberg_moments(n_x: int, n_y: int, kt: float) -> MomentReport:
@@ -251,38 +297,32 @@ def _closed_moments(
     return MomentReport(kt, means, variances, leakage=0.0)
 
 
-def _evolve_blocks(
-    state: QuantumState, config: DpaConfig,
-) -> list[SectorBlock]:
-    """U_delta(kt) on the columns of each populated sector block.
-
-    The weights p are kept, and U G is orthonormal where G is, so an
-    evolved density block has exactly the spectrum `state.blocks`
-    checked. The total population of the evolved blocks, sum_r p_r
-    |U G_r|^2 (|v|^2 for a vector), must be 1 within ALGEBRA_TOL, as
-    `require_unit_trace` asks of every state. Each evolved block's
-    populations are computed once, when it is built.
-    """
-    rate = 2.0 * config.kt
-    pairs = _sector_eigenpairs(state.cutoff)
-    evolved = [SectorBlock(b.sector, _propagate(
-                   b.columns, pairs[b.sector.delta], rate), b.weights)
-               for b in state.blocks]
-    require_unit_trace(sum(b.populations.sum() for b in evolved))
-    return evolved
-
-
 def oracle_moments(state: QuantumState, config: DpaConfig) -> MomentReport:
     """Brute-force moments: evolve, then measure the hidden set.
 
-    Only the sector blocks the state populates are evolved and
-    measured; the full evolved state is never formed. Never raises on
-    truncation trouble; the report is returned with valid=False and
-    the measured leakage so sweeps can flag the row and continue.
+    Only the sectors the state populates (`state.blocks`) are evolved
+    and measured, as (U G, p), a slab of sectors at a time; the full
+    evolved state is never formed. The weights p are kept, and U G is
+    orthonormal where G is, so an evolved density block has exactly
+    the spectrum `state.blocks` checked. The evolved total population,
+    sum_r p_r |U G_r|^2 (|v|^2 for a vector), must be 1 within
+    ALGEBRA_TOL, as `require_unit_trace` asks of every state. Never
+    raises on truncation trouble; the report is returned with
+    valid=False and the measured leakage so sweeps can flag the row
+    and continue.
     """
-    blocks = _evolve_blocks(state, config)
-    leakage = boundary_leakage(blocks)
-    means, variances = hidden_moments(blocks)
+    stack = state.blocks
+    values, vectors = _stacked_eigenpairs(state.cutoff, stack.positions)
+    trace = leakage = sums = 0.0
+    for rows, n in stack.slabs:
+        part = stack.slab(rows, n)
+        evolved = part.with_columns(_propagate(
+            part.columns, values[rows, :n], vectors[rows, :n, :n], config.kt))
+        trace += evolved.populations.sum()
+        leakage += boundary_leakage(evolved)
+        sums = sums + hidden_sums(evolved)
+    require_unit_trace(trace)
+    means, variances = hidden_moments(sums)
     return MomentReport(config.kt, means, variances, leakage,
                         valid=leakage <= config.leakage_tol)
 

@@ -6,14 +6,17 @@ n_x * d_y + n_y, row-major over x then y.
 
 The amplifier generator and all four hidden-set operators conserve the
 imbalance n_x - n_y, so the imbalance sector is the unit of work for
-dynamics and moments. `sector_table` lists, once per cutoff, each
-sector's flat indices |lo_x + m, lo_y + m> and the a_y a_x weights
-along it, plus a flat-index -> sector label. `QuantumState.blocks`
-holds, once per state, the sectors it populates as weighted columns
-(`SectorBlock`), pure or mixed; a block computes its populations c_0
-once, when it is built. Evolution and its truncation certificate
-(`dpa`) and the H0..H3 measure (`polarization.hidden_moments`) run on
-those blocks alone.
+dynamics and moments. `sector_table` stacks, once per cutoff, every
+sector's flat indices |lo_x + m, lo_y + m>, the a_y a_x weights along
+it, its photon numbers and its edge band, zero-padded to a common
+length, plus a flat-index -> sector label. `QuantumState.blocks` holds,
+once per state, the sectors it populates as one `SectorStack` of
+weighted columns, pure or mixed, padded to the longest populated
+sector; the stack computes its populations c_0 once, on first use.
+Evolution and its truncation certificate (`dpa`) and the H0..H3 measure
+(`polarization.hidden_moments`) run on that stack alone, as a fixed
+number of array operations per slab of STACK_SLAB entries, whatever
+the number of sectors.
 
 `require_photon_numbers` (integers >= 0) and `require_occupations`
 (finite means >= 0) are the package's one statement of those input
@@ -43,9 +46,14 @@ ALGEBRA_TOL = 1e-12        # exact-algebra identities (hermiticity, norms)
 VARIANCE_FLOOR = -1e-9     # cancellation allowance before clamping to zero
 EIGENVALUE_FLOOR = -1e-10  # lowest eigenvalue a density matrix may have
 
+EVOLUTION_MARGIN = 4       # edge band whose population certifies truncation
+
 # Rows per slab of the hermiticity test: its temporaries stay a slab in
 # size, not a second and third copy of the matrix
 HERMITICITY_SLAB = 64
+# Complex entries per slab of a sector stack: a computation that holds
+# a few copies of the columns holds them a slab at a time
+STACK_SLAB = 2**14
 
 
 @dataclass(frozen=True)
@@ -126,12 +134,13 @@ class QuantumState:
         state = cls(cutoff, density=m)
         require_unit_trace(state.populations().sum())
         # the blocks' eigh certifies positivity unless nonzero entries
-        # lie outside them (inter-sector coherences); then the full
-        # spectrum is checked too
-        inside = sum(np.count_nonzero(m[np.ix_(b.sector.indices,
-                                                b.sector.indices)])
-                     for b in state.blocks)
-        if inside < np.count_nonzero(m):
+        # lie outside them (inter-sector coherences, or a sector with
+        # an empty diagonal); then the full spectrum is checked too
+        populated = state.blocks.positions
+        label = sector_table(cutoff).label
+        rows, cols = np.nonzero(m)
+        if not (np.array_equal(label[rows], label[cols])
+                and np.isin(label[rows], populated).all()):
             _require_positive(np.linalg.eigvalsh(m)[0])
         return state
 
@@ -148,33 +157,46 @@ class QuantumState:
         return np.diag(self.density).real.copy()
 
     @cached_property
-    def blocks(self) -> tuple[SectorBlock, ...]:
-        """The state in each sector it populates, as weighted columns.
+    def blocks(self) -> SectorStack:
+        """The sectors the state populates, stacked as weighted columns.
 
         Built once per state; its arrays are read-only. Every quantity
         that conserves the imbalance (H0..H3 and their products, the
-        amplifier evolution, boundary populations) is a sum over these
-        blocks; inter-sector coherences of a density never enter, and
-        unpopulated sectors of a valid state are zero. Raises
-        ValueError when a density block has an eigenvalue below
-        EIGENVALUE_FLOOR.
+        amplifier evolution, boundary populations) is a sum over this
+        stack; inter-sector coherences of a density never enter, and
+        unpopulated sectors of a valid state are zero. A density block
+        is decomposed by one `eigh` per populated sector, on the block
+        itself rather than a zero-padded copy, whose padding zeros
+        would be near-degenerate with tiny weights. Raises ValueError
+        when a density block has an eigenvalue below EIGENVALUE_FLOOR.
         """
         table = sector_table(self.cutoff)
         hits = np.bincount(table.label[self.populations() != 0.0],
-                           minlength=len(table.sectors))
-        blocks = []
-        for position in np.flatnonzero(hits):
-            sector = table.sectors[position]
-            if self.vector is not None:
-                columns, weights = self.vector[sector.indices][:, None], np.ones(1)
-            else:
-                weights, columns = np.linalg.eigh(
-                    self.density[np.ix_(sector.indices, sector.indices)])
-                _require_positive(weights[0])
-            columns.setflags(write=False)
-            weights.setflags(write=False)
-            blocks.append(SectorBlock(sector, columns, weights))
-        return tuple(blocks)
+                           minlength=table.delta.size)
+        positions = np.flatnonzero(hits)
+        real = table.indices[positions] >= 0
+        size = int(real.sum(axis=1).max(initial=1))
+        indices = table.indices[positions, :size]
+        if self.vector is not None:
+            columns = np.where(real[:, :size], self.vector[indices],
+                               0.0)[:, :, None]
+            weights = np.ones((positions.size, 1))
+        else:
+            columns = np.zeros((positions.size, size, size), dtype=complex)
+            weights = np.zeros((positions.size, size))
+            for s, row in enumerate(indices):
+                sector = row[row >= 0]
+                p, g = np.linalg.eigh(self.density[np.ix_(sector, sector)])
+                _require_positive(p[0])
+                n = sector.size
+                weights[s, :n], columns[s, :n, :n] = p, g
+        arrays = (indices, columns, weights,
+                  table.pair_weights[positions, :size - 1],
+                  table.photons[positions, :size], table.delta[positions],
+                  table.edge[positions, :size])
+        for array in arrays:
+            array.setflags(write=False)
+        return SectorStack(tuple(positions.tolist()), *arrays)
 
 
 def require_photon_numbers(*values: int) -> None:
@@ -212,32 +234,31 @@ def _require_positive(low: float) -> None:
 
 
 @dataclass(frozen=True, eq=False)
-class Sector:
-    """One imbalance sector n_x - n_y = delta of a cutoff.
+class SectorTable:
+    """The imbalance sectors of a cutoff, stacked and zero-padded.
 
-    It is spanned by |lo_x + m, lo_y + m>, m = 0..L-1, and runs until
-    either mode reaches its cutoff, so its last k states are exactly
-    its states within k levels of an edge. `pair_weights[m]` is the
-    a_y a_x matrix element <m|a_y a_x|m+1> = sqrt((lo_x+m+1)(lo_y+m+1)),
-    and `photons[m]` is n_x + n_y = lo_x + lo_y + 2m.
+    Row s is the sector n_x - n_y = delta[s], delta ascending. It is
+    spanned by |lo_x + m, lo_y + m>, m = 0..L_s-1, with lo_x =
+    max(delta, 0) and lo_y = max(-delta, 0), and runs until either mode
+    reaches its cutoff, so its last k states are exactly its states
+    within k levels of an edge. Rows are padded to the longest sector,
+    min(d_x, d_y):
+
+    - `indices[s, m]`: the flat index of |lo_x + m, lo_y + m>, -1 past
+      the sector's end;
+    - `pair_weights[s, m]`: the a_y a_x element <m|a_y a_x|m+1> =
+      sqrt((lo_x+m+1)(lo_y+m+1)), 0 past the end;
+    - `photons[s, m]`: n_x + n_y = lo_x + lo_y + 2m, 0 past the end;
+    - `edge[s, m]`: True on the sector's last EVOLUTION_MARGIN states.
+
+    `label` maps each flat index to its sector's row.
     """
 
-    lo_x: int
-    lo_y: int
+    delta: np.ndarray = field(repr=False)
     indices: np.ndarray = field(repr=False)
     pair_weights: np.ndarray = field(repr=False)
     photons: np.ndarray = field(repr=False)
-
-    @property
-    def delta(self) -> int:
-        return self.lo_x - self.lo_y
-
-
-@dataclass(frozen=True, eq=False)
-class SectorTable:
-    """The sectors of a cutoff, delta ascending, and each flat index's sector."""
-
-    sectors: tuple[Sector, ...]
+    edge: np.ndarray = field(repr=False)
     label: np.ndarray = field(repr=False)
 
 
@@ -245,48 +266,109 @@ class SectorTable:
 def sector_table(cutoff: FockCutoff) -> SectorTable:
     """Build (once per cutoff) the imbalance-sector table of `cutoff`."""
     d_x, d_y = cutoff.d_x, cutoff.d_y
-    sectors = []
-    for delta in range(-(d_y - 1), d_x):
-        lo_x, lo_y = max(delta, 0), max(-delta, 0)
-        m = np.arange(min(d_x - lo_x, d_y - lo_y))
-        indices = (lo_x + m) * d_y + (lo_y + m)
-        weights = np.sqrt((lo_x + m[:-1] + 1.0) * (lo_y + m[:-1] + 1.0))
-        photons = lo_x + lo_y + 2.0 * m
-        for array in (indices, weights, photons):
-            array.setflags(write=False)
-        sectors.append(Sector(lo_x, lo_y, indices, weights, photons))
-    label = np.subtract.outer(np.arange(d_x), np.arange(d_y)).ravel() + d_y - 1
-    label.setflags(write=False)
-    return SectorTable(tuple(sectors), label)
+    delta = np.arange(-(d_y - 1), d_x)
+    n_x = np.maximum(delta, 0)[:, None] + np.arange(min(d_x, d_y))
+    n_y = n_x - delta[:, None]
+    inside = (n_x < d_x) & (n_y < d_y)
+    length = inside.sum(axis=1, keepdims=True)
+    table = SectorTable(
+        delta,
+        np.where(inside, n_x * d_y + n_y, -1),
+        np.where(inside[:, 1:],
+                 np.sqrt((n_x[:, :-1] + 1.0) * (n_y[:, :-1] + 1.0)), 0.0),
+        np.where(inside, n_x + n_y, 0).astype(float),
+        inside & (np.arange(n_x.shape[1]) >= length - EVOLUTION_MARGIN),
+        np.subtract.outer(np.arange(d_x), np.arange(d_y)).ravel() + d_y - 1)
+    for array in vars(table).values():
+        array.setflags(write=False)
+    return table
 
 
 @dataclass(frozen=True, eq=False)
-class SectorBlock:
-    """A state restricted to one sector, as weighted columns.
+class SectorStack:
+    """The S sectors a state populates, as weighted columns.
 
-    The block is G diag(p) G^dag, with `columns` G of shape (L, r) in
-    the sector's order and `weights` p of shape (r,): one column of
+    Sector s holds the block G_s diag(p_s) G_s^dag: one column of
     weight 1 for a state vector, the eigenpairs of the principal block
-    for a density matrix. `populations` is c_0, the block's diagonal
-    sum_r p_r |G[m, r]|^2, computed once when the block is built and
-    read-only; the trace, the truncation certificate and the moments
-    all read it.
+    for a density matrix. The sectors are rows `positions` of the
+    cutoff's `sector_table`, zero-padded to the longest of them, L:
+
+    - `columns` G, shape (S, L, r), in each sector's order;
+    - `weights` p, shape (S, r);
+    - `populations` c_0[s, m] = sum_r p_r |G[s, m, r]|^2, shape (S, L),
+      computed once, on first use;
+    - the sector constants, gathered from the table once: `indices`
+      (S, L), `pair_weights` (S, L - 1), `photons` (S, L), `delta` (S,)
+      and the `edge` mask (S, L).
+
+    Padding is zero in G, p, c_0 and every constant but `indices`
+    (-1), so a sum over the padded stack is the sum over the sectors.
+    The arrays are read-only. Computations that would hold a few
+    stacks of temporaries run a slab of sectors at a time (`slabs`).
     """
 
-    sector: Sector
+    positions: tuple[int, ...]
+    indices: np.ndarray = field(repr=False)
     columns: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
-    populations: np.ndarray = field(init=False, repr=False)
+    pair_weights: np.ndarray = field(repr=False)
+    photons: np.ndarray = field(repr=False)
+    delta: np.ndarray = field(repr=False)
+    edge: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        populations = (np.abs(self.columns) ** 2) @ self.weights
-        populations.setflags(write=False)
-        object.__setattr__(self, "populations", populations)
+        self.columns.setflags(write=False)
 
-    def band(self, k: int) -> np.ndarray:
-        """c_k[m] = <m + k|block|m> = sum_r p_r G[m + k, r] conj(G[m, r])."""
-        g = self.columns
-        return (g[k:] * g[:g.shape[0] - k].conj()) @ self.weights
+    @cached_property
+    def populations(self) -> np.ndarray:
+        """c_0[s, m] = sum_r p_r |G[s, m, r]|^2, computed on first use."""
+        populations = ((np.abs(self.columns) ** 2)
+                       @ self.weights[:, :, None])[:, :, 0]
+        populations.setflags(write=False)
+        return populations
+
+    @cached_property
+    def slabs(self) -> tuple[tuple[slice, int], ...]:
+        """Consecutive ranges of sectors, each with its longest length.
+
+        A range, trimmed to its longest sector's length n (`slab`),
+        holds at most STACK_SLAB column entries, or is one sector.
+        Sectors come in delta order, whose lengths rise and then fall,
+        so a range of neighbours pads little.
+        """
+        ranks = self.columns.shape[2]
+        plan, start, longest = [], 0, 0
+        for s, n in enumerate((self.indices >= 0).sum(axis=1).tolist()):
+            grown = max(longest, n)
+            if s > start and (s + 1 - start) * grown * min(ranks, grown) \
+                    > STACK_SLAB:
+                plan.append((slice(start, s), longest))
+                start, grown = s, n
+            longest = grown
+        plan.append((slice(start, len(self.positions)), longest))
+        return tuple(plan)
+
+    def slab(self, rows: slice, length: int) -> SectorStack:
+        """The sectors `rows`, trimmed to `length` states, as a stack.
+
+        Trimming drops only padding when `length` is the longest of
+        them: a sector of L_s states has at most L_s columns.
+        """
+        if (rows.indices(len(self.positions)) == (0, len(self.positions), 1)
+                and length == self.indices.shape[1]):
+            return self
+        ranks = min(self.columns.shape[2], length)
+        return SectorStack(
+            self.positions[rows], self.indices[rows, :length],
+            self.columns[rows, :length, :ranks], self.weights[rows, :ranks],
+            self.pair_weights[rows, :length - 1], self.photons[rows, :length],
+            self.delta[rows], self.edge[rows, :length])
+
+    def with_columns(self, columns: np.ndarray) -> SectorStack:
+        """The same sectors and weights with new columns, U G say."""
+        return SectorStack(self.positions, self.indices, columns,
+                           self.weights, self.pair_weights, self.photons,
+                           self.delta, self.edge)
 
 
 def fock_state(cutoff: FockCutoff, n_x: int, n_y: int) -> QuantumState:

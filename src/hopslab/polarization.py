@@ -11,11 +11,12 @@ factorization law that criterion implies.
 
 The hidden-set means and variances (`hidden_moments`, which the
 uncertainty products and the dynamics oracle share) are one measure
-over imbalance-sector blocks (`QuantumState.blocks`): H0 and H1 are
-diagonal on a sector and H2 + iH3 = 2 a_y a_x is a weighted shift
-inside it, so each moment is a weighted sum over three bands of a
-block. The criterion fit and the coherence functions run on ladder
-shifts (`fock.apply_ladders`).
+over a state's stack of imbalance sectors (`QuantumState.blocks`): H0
+and H1 are diagonal on a sector and H2 + iH3 = 2 a_y a_x is a weighted
+shift inside it, so each moment is a weighted sum over three bands of
+the stack, taken for all sectors at once (`hidden_sums`). The
+criterion fit and the coherence functions run on ladder shifts
+(`fock.apply_ladders`).
 
 The commutator tables run on the chains each set conserves: imbalance
 sectors for the hidden set (su(1,1)), photon-number shells for the
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -42,7 +43,7 @@ from .fock import (
     VARIANCE_FLOOR,
     FockCutoff,
     QuantumState,
-    SectorBlock,
+    SectorStack,
     apply_ladders,
 )
 
@@ -59,41 +60,54 @@ class FitUndefinedError(ArithmeticError):
     """The criterion fit has a vanishing denominator (no x-quanta to add)."""
 
 
-def hidden_moments(
-    state: QuantumState | Iterable[SectorBlock],
-) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Means and variances of H0..H3 (interaction picture), as 4-tuples.
+def hidden_sums(stack: SectorStack) -> np.ndarray:
+    """<H_j> and <H_j^2> of H0..H3 summed over a stack's sectors, (2, 4).
 
-    Takes a state, or the sector blocks of one (`QuantumState.blocks`).
     Every H_j conserves the imbalance, so each moment is a sum over the
-    blocks. On a sector, H0 = n_x + n_y is diagonal, H1 = n_y - n_x =
-    -delta is constant, and H2 + iH3 = 2A with A = a_y a_x, which maps
-    m + 1 -> m with the sector's pair weight w_m. With the bands
-    c_k[m] = <m + k|rho|m> of a block (`SectorBlock.band`):
+    sectors, and the sums of a state's slabs add up to its moments. On
+    a sector, H0 = n_x + n_y is diagonal, H1 = n_y - n_x = -delta is
+    constant, and H2 + iH3 = 2A with A = a_y a_x, which maps m + 1 -> m
+    with the sector's pair weight w_m. With the bands
+    c_k[m] = <m + k|rho|m> = sum_r p_r G[m + k, r] conj(G[m, r]):
 
         <H2> + i<H3>   = 2 sum_m w_m c_1[m]
         <H2^2>, <H3^2> = <A A^dag + A^dag A> +- 2 Re <A^2>
         <A A^dag + A^dag A> = sum_m (w_m^2 + w_{m-1}^2) c_0[m]
         <A^2>          = sum_m w_m w_{m+1} c_2[m]
 
-    A variance in (VARIANCE_FLOOR, 0) is cancellation and clamps to 0;
-    below that is an error.
+    A fixed number of array operations on the whole stack, whatever
+    its number of sectors; the zero padding adds nothing.
     """
-    blocks = state.blocks if isinstance(state, QuantumState) else state
-    sums = []
-    for block in blocks:
-        sector = block.sector
-        c0, c1, c2 = block.populations, block.band(1), block.band(2)
-        w, photons = sector.pair_weights, sector.photons
-        population = c0.sum()
-        pair = 2.0 * np.dot(w, c1)
-        pair_sq = 2.0 * np.dot(w[:-1] * w[1:], c2).real
-        symmetric = np.dot(w ** 2, c0[:-1] + c0[1:])
-        sums.append((np.dot(photons, c0), -sector.delta * population,
-                     pair.real, pair.imag,
-                     np.dot(photons ** 2, c0), sector.delta ** 2 * population,
-                     symmetric + pair_sq, symmetric - pair_sq))
-    first, second = np.array(sums).sum(axis=0).reshape(2, 4)
+    g, p, c0, w = (stack.columns, stack.weights[:, :, None],
+                   stack.populations, stack.pair_weights)
+    c1 = ((g[:, 1:] * g[:, :-1].conj()) @ p)[:, :, 0]
+    c2 = ((g[:, 2:] * g[:, :-2].conj()) @ p)[:, :, 0]
+    photons, delta, population = stack.photons, stack.delta, c0.sum(axis=1)
+    pair = 2.0 * np.vdot(w, c1)
+    pair_sq = 2.0 * np.vdot(w[:, :-1] * w[:, 1:], c2).real
+    symmetric = np.vdot(w * w, c0[:, :-1] + c0[:, 1:])
+    return np.array([
+        (np.vdot(photons, c0), -np.vdot(delta, population),
+         pair.real, pair.imag),
+        (np.vdot(photons * photons, c0), np.vdot(delta * delta, population),
+         symmetric + pair_sq, symmetric - pair_sq)])
+
+
+def hidden_moments(
+    state: QuantumState | np.ndarray,
+) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Means and variances of H0..H3 (interaction picture), as 4-tuples.
+
+    Takes a state, whose sector stack (`QuantumState.blocks`) is
+    measured a slab at a time, or the total of `hidden_sums` over the
+    slabs of one. A variance in (VARIANCE_FLOOR, 0) is cancellation and
+    clamps to 0; below that is an error.
+    """
+    sums = state
+    if isinstance(state, QuantumState):
+        stack = state.blocks
+        sums = sum(hidden_sums(stack.slab(*plan)) for plan in stack.slabs)
+    first, second = sums
     variances = second - first * first
     if variances.min() < VARIANCE_FLOOR:
         raise ArithmeticError(

@@ -238,6 +238,17 @@ def claimed_moment_table(
     return MomentClaimTable(n_x, n_y, kt, tuple(rows), reference)
 
 
+def _store_occupations(model) -> None:
+    """Check a model's nbar_x, nbar_y and store them as floats.
+
+    An integer occupation is stored, and echoed by `curve_csv`, as the
+    float a replay of that echo parses.
+    """
+    require_occupations(model.nbar_x, model.nbar_y)
+    for name in ("nbar_x", "nbar_y"):
+        object.__setattr__(model, name, float(getattr(model, name)))
+
+
 class _BareProjector:
     """Oracle and closed-form rows of the bare projector |n_x, n_y>."""
 
@@ -277,7 +288,7 @@ class ThermalMixtureModel:
     label = "thermal"
 
     def __post_init__(self) -> None:
-        require_occupations(self.nbar_x, self.nbar_y)
+        _store_occupations(self)
 
     def effective_occupations(self) -> tuple[float, float]:
         return self.nbar_x, self.nbar_y
@@ -320,7 +331,7 @@ class WeightedProjectorModel(_BareProjector):
     label = "weighted"
 
     def __post_init__(self) -> None:
-        require_occupations(self.nbar_x, self.nbar_y)
+        _store_occupations(self)
         require_photon_numbers(self.n_x, self.n_y)
 
     def effective_occupations(self) -> tuple[float, float]:

@@ -14,6 +14,8 @@ import hopslab
 import hopslab.polarization as polarization
 from hopslab.cli import main
 from hopslab.dpa import EVOLUTION_MARGIN
+from hopslab.reporting import curve_csv
+from hopslab.squeezing import WeightedProjectorModel, sweep
 
 
 def run_cli(argv, capsys):
@@ -104,11 +106,23 @@ def test_config_file_precedence(tmp_path, capsys):
     (["ensemble", "--count", "200", "--seed", "4"], "a0=1.0"),
     (["ensemble", "--amplitude", "rayleigh", "--scale", "0.5",
       "--count", "200"], "scale=0.5"),
+    (["sweep", "--model", "thermal", "--nbar-x", "0.3", "--steps", "4"],
+     "nbar_x=0.3"),
+    (["sweep", "--model", "weighted", "--ny", "3", "--steps", "4"], "ny=3"),
+    # built in Python: integer occupations are echoed as the floats
+    # a replay parses
+    (lambda: curve_csv(sweep(WeightedProjectorModel(10, 10, 10, 10), 0.5, 5)),
+     "nbar_x=10.0"),
 ], ids=["closed-sweep", "oracle-sweep", "claims", "claims-cutoff",
-        "ensemble-fixed", "ensemble-rayleigh"])
+        "ensemble-fixed", "ensemble-rayleigh", "thermal-sweep",
+        "weighted-sweep", "python-weighted-sweep"])
 def test_config_roundtrip_through_echo(argv, echoed, tmp_path):
     first = tmp_path / "first.csv"
-    assert main(argv + ["--out", str(first)]) == 0
+    if callable(argv):
+        first.write_text(argv())
+        argv = ["sweep"]
+    else:
+        assert main(argv + ["--out", str(first)]) == 0
     echoed_lines = [line[2:] for line in first.read_text().splitlines()
                     if line.startswith("# ")]
     assert echoed in echoed_lines
@@ -267,7 +281,13 @@ def test_usage_errors_exit_two(capsys):
      f"cutoff must exceed {EVOLUTION_MARGIN} levels per mode"),
     (["sweep", "--model", "fock", "--nx", "-1", "--steps", "3"],
      "photon numbers must be non-negative integers"),
-], ids=["cutoff-without-oracle", "cutoff-inside-margin", "negative-nx"])
+    # a model flag the chosen model lacks is named, not ignored
+    (["sweep", "--model", "thermal", "--nx", "3", "--steps", "3"],
+     "--nx does not apply to --model thermal"),
+    (["sweep", "--model", "fock", "--nbar-x", "3"],
+     "--nbar-x does not apply to --model fock"),
+], ids=["cutoff-without-oracle", "cutoff-inside-margin", "negative-nx",
+        "thermal-nx", "fock-nbar-x"])
 def test_library_rules_exit_two_with_the_library_message(argv, message,
                                                          capsys):
     with pytest.raises(SystemExit) as excinfo:
@@ -312,6 +332,8 @@ def test_library_rules_exit_two_with_the_library_message(argv, message,
     # photon numbers are parsed as integers
     ["sweep", "--model", "fock", "--nx", "nan", "--steps", "3"],
     ["sweep", "--ny", "1.5", "--steps", "3"],
+    # an unreadable config file goes through the same error line
+    ["sweep", "--config", "/nonexistent/x.cfg"],
 ])
 def test_non_finite_and_overflowing_input_exits_two(argv, capsys):
     with pytest.raises(SystemExit) as excinfo:
@@ -398,6 +420,10 @@ def test_cli_import_loads_no_scipy():
 
 
 def test_missing_config_file(capsys):
-    code = main(["sweep", "--config", "/nonexistent/path.cfg"])
-    captured = capsys.readouterr()
-    assert code == 2
+    with pytest.raises(SystemExit) as excinfo:
+        main(["sweep", "--config", "/nonexistent/path.cfg"])
+    assert excinfo.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if "error:" in line]
+    assert len(errors) == 1
+    assert errors[0].startswith("hopslab: error: cannot read config: ")

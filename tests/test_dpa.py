@@ -8,11 +8,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hopslab.dpa import (
+    EVOLUTION_MARGIN,
     MOMENT_NAMES,
     DpaConfig,
     MomentReport,
     TruncationError,
-    _evolve_blocks,
+    _propagate,
+    _stacked_eigenpairs,
     boundary_leakage,
     evolve,
     heisenberg_moments,
@@ -128,41 +130,106 @@ def _rectangular_mixture():
     return QuantumState.from_density(cut, rho), config
 
 
+def _short_sector_mixture():
+    # full support on a 5 x 9 cutoff: its outer sectors are shorter
+    # than EVOLUTION_MARGIN, so each of their states is an edge state
+    cut = FockCutoff(5, 9)
+    rng = np.random.default_rng(8)
+    g = rng.standard_normal((cut.dim, 6)).view(complex)
+    rho = g @ g.conj().T
+    return (QuantumState.from_density(cut, rho / np.trace(rho).real),
+            DpaConfig(kt=0.11, leakage_tol=0.999))
+
+
+def _coherent_density():
+    # a superposition's projector: coherences between sectors
+    cut = FockCutoff(9, 8)
+    state = random_low_excitation_state(cut, 3, np.random.default_rng(9))
+    return (QuantumState.from_density(cut, density_matrix(state)),
+            DpaConfig(kt=0.17, leakage_tol=0.999))
+
+
+def _dilute_thermal():
+    # weights down to ~1e-22, near-degenerate with zero
+    return (thermal_state(FockCutoff(16, 16), 0.035, 0.035),
+            DpaConfig(kt=0.3, leakage_tol=0.999))
+
+
+STACK_CASES = pytest.mark.parametrize("make_case", [
+    _rectangular_mixture, _short_sector_mixture, _coherent_density,
+    _dilute_thermal,
+], ids=["rectangular", "short-sectors", "coherences", "thermal-0.035"])
+
+
+def _dense_evolution(state, config):
+    u = matrix_exponential(
+        (-2j * config.kt) * interaction_hamiltonian(state.cutoff)).matrix
+    rho = density_matrix(state)
+    return QuantumState(state.cutoff, density=u @ rho @ u.conj().T)
+
+
+def _evolved_stack(state, config):
+    stack = state.blocks
+    values, vectors = _stacked_eigenpairs(state.cutoff, stack.positions)
+    return stack.with_columns(
+        _propagate(stack.columns, values, vectors, config.kt))
+
+
+def _gathered(stack, array):
+    """array[i] at each entry of the stack's sectors, zero in the padding."""
+    return np.where(stack.indices >= 0, array[stack.indices], 0.0)
+
+
 def test_blocks_are_weighted_columns():
     state, _ = _rectangular_mixture()
-    assert state.blocks is state.blocks
-    assert sum(b.populations.sum() for b in state.blocks) == pytest.approx(
-        1.0, abs=1e-14)
-    for block in state.blocks:
-        g, p, rows = block.columns, block.weights, block.sector.indices
-        assert not (g.flags.writeable or p.flags.writeable)
-        np.testing.assert_allclose(
-            (g * p) @ g.conj().T, state.density[np.ix_(rows, rows)],
-            rtol=0, atol=1e-14)
-    pure = random_low_excitation_state(state.cutoff, 3,
-                                       np.random.default_rng(5))
-    for block in pure.blocks:
-        assert block.columns.shape == (block.sector.indices.size, 1)
-        np.testing.assert_array_equal(
-            block.columns[:, 0], pure.vector[block.sector.indices])
-        np.testing.assert_array_equal(block.weights, [1.0])
+    stack = state.blocks
+    assert stack is state.blocks
+    assert stack.populations.sum() == pytest.approx(1.0, abs=1e-14)
+    g, p, idx = stack.columns, stack.weights, stack.indices
+    for array in (g, p, stack.populations, idx, stack.pair_weights,
+                  stack.photons, stack.delta, stack.edge):
+        assert not array.flags.writeable
+    real = (idx >= 0)[:, :, None] & (idx >= 0)[:, None, :]
+    dense_blocks = np.where(real, state.density[idx[:, :, None],
+                                                idx[:, None, :]], 0.0)
+    np.testing.assert_allclose(
+        (g * p[:, None, :]) @ g.conj().transpose(0, 2, 1), dense_blocks,
+        rtol=0, atol=1e-14)
+    # full support, so a padding index (-1) would read a nonzero entry
+    v = np.random.default_rng(5).standard_normal(2 * state.cutoff.dim)
+    pure = QuantumState.from_vector(
+        state.cutoff, v.view(complex) / np.linalg.norm(v))
+    stack = pure.blocks
+    assert stack.columns.shape == stack.indices.shape + (1,)
+    np.testing.assert_array_equal(stack.columns[:, :, 0],
+                                  _gathered(stack, pure.vector))
+    np.testing.assert_array_equal(stack.weights, 1.0)
 
 
 @pytest.mark.parametrize("make_state", [
     lambda cut: random_low_excitation_state(cut, 3, np.random.default_rng(6)),
     lambda cut: thermal_state(cut, 0.3, 0.6),
-], ids=["vector", "density"])
+    lambda cut: _short_sector_mixture()[0],
+    lambda cut: thermal_state(FockCutoff(16, 16), 0.035, 0.035),
+    lambda cut: _coherent_density()[0],
+], ids=["vector", "density", "short-sectors", "thermal-0.035",
+        "coherences"])
 def test_block_populations_are_read_only_diagonals(make_state):
     state = make_state(FockCutoff(12, 14))
-    evolved = _evolve_blocks(state, DpaConfig(kt=0.2, leakage_tol=0.9))
-    for blocks in (state.blocks, evolved):
-        for block in blocks:
-            assert not block.populations.flags.writeable
-            np.testing.assert_allclose(block.populations, block.band(0).real,
-                                       rtol=0, atol=1e-15)
-        # the evolved blocks of either kind were trace-checked
-        assert sum(b.populations.sum() for b in blocks) == pytest.approx(
-            1.0, abs=1e-14)
+    config = DpaConfig(kt=0.2, leakage_tol=0.9)
+    evolved = _evolved_stack(state, config)
+    dense = _dense_evolution(state, config)
+    for stack, whole in ((state.blocks, state), (evolved, dense)):
+        assert not stack.populations.flags.writeable
+        g, p = stack.columns, stack.weights
+        diagonal = np.einsum("smr,sr,smr->sm", g, p, g.conj()).real
+        np.testing.assert_allclose(stack.populations, diagonal,
+                                   rtol=0, atol=1e-15)
+        np.testing.assert_allclose(
+            stack.populations, _gathered(stack, np.diag(
+                density_matrix(whole)).real), rtol=0, atol=1e-12)
+        # unit trace, evolved or not, for vectors and densities alike
+        assert stack.populations.sum() == pytest.approx(1.0, abs=1e-14)
 
 
 def test_thermal_sweep_decomposes_blocks_once(monkeypatch):
@@ -187,10 +254,10 @@ def test_thermal_sweep_decomposes_blocks_once(monkeypatch):
     # alone, for the blocks boundary_leakage reads
     calls.clear()
     state = thermal_state(cut, 0.3, 0.6)
-    assert len(state.blocks) == len(calls) == 19
+    assert len(state.blocks.positions) == len(calls) == 19
     calls.clear()
     evolved = evolve(state, DpaConfig(kt=0.2, leakage_tol=0.9))
-    assert len(evolved.blocks) == len(calls) == 19
+    assert len(evolved.blocks.positions) == len(calls) == 19
 
 
 def test_oracle_checks_the_blocks_it_evolves():
@@ -223,14 +290,24 @@ def test_density_evolution_matches_dense_exponential():
         evolved.density, u @ state.density @ u.conj().T, rtol=0, atol=1e-13)
 
 
-def test_density_oracle_matches_dense_hidden_set():
-    state, config = _rectangular_mixture()
+@STACK_CASES
+def test_density_oracle_matches_dense_hidden_set(make_case):
+    state, config = make_case()
     report = oracle_moments(state, config)
-    evolved = evolve(state, config)
+    evolved = _dense_evolution(state, config)
     hidden = build_hidden(state.cutoff).as_tuple()
     for op, mean, var in zip(hidden, report.means, report.variances):
         assert mean == pytest.approx(expectation(op, evolved).real, abs=1e-12)
         assert var == pytest.approx(variance(op, evolved), abs=1e-12)
+    # the certificate: population within EVOLUTION_MARGIN levels of an edge
+    cut = state.cutoff
+    n_x, n_y = np.divmod(np.arange(cut.dim), cut.d_y)
+    edge = ((n_x >= cut.d_x - EVOLUTION_MARGIN)
+            | (n_y >= cut.d_y - EVOLUTION_MARGIN))
+    leakage = np.diag(evolved.density).real[edge].sum()
+    assert report.leakage == pytest.approx(leakage, abs=1e-12)
+    assert boundary_leakage(evolve(state, config)) == pytest.approx(
+        leakage, abs=1e-12)
 
 
 def test_moderate_time_keeps_leakage_small():

@@ -298,6 +298,18 @@ def test_density_positivity_check_sector_blocks():
         QuantumState.from_density(cut, density(0.9))
 
 
+def test_density_positivity_check_covers_unpopulated_sectors():
+    # |1,0> and |2,1> share a sector whose diagonal is empty, so no block
+    # is built for it; its coherence sends the density to the full check
+    cut = FockCutoff(5, 5)
+    rho = np.zeros((cut.dim, cut.dim), dtype=complex)
+    rho[0, 0] = 1.0
+    low, high = cut.index(1, 0), cut.index(2, 1)
+    rho[low, high] = rho[high, low] = 0.1
+    with pytest.raises(ValueError, match="eigenvalue"):
+        QuantumState.from_density(cut, rho)
+
+
 def test_density_positivity_check_coherent_density_at_any_size():
     # |0,0> and |1,0> lie in different sectors, so the coherence between
     # them sits outside every block and the full spectrum is checked
@@ -321,17 +333,26 @@ def test_sector_table_partitions_the_space():
     cut = FockCutoff(3, 5)
     table = sector_table(cut)
     a_pair = pair_annihilation(cut).matrix
-    seen = []
-    for position, sector in enumerate(table.sectors):
-        n_x, n_y = np.divmod(sector.indices, cut.d_y)
-        assert np.all(n_x - n_y == sector.delta)
-        assert np.all(table.label[sector.indices] == position)
-        np.testing.assert_array_equal(sector.photons, n_x + n_y)
-        np.testing.assert_allclose(
-            sector.pair_weights,
-            a_pair[sector.indices[:-1], sector.indices[1:]], atol=1e-15)
-        seen.extend(sector.indices)
-    assert sorted(seen) == list(range(cut.dim))
+    real = table.indices >= 0
+    n_x, n_y = np.divmod(table.indices, cut.d_y)
+    np.testing.assert_array_equal(table.delta, np.arange(-4, 3))
+    assert np.all((n_x - n_y == table.delta[:, None])[real])
+    rows = np.broadcast_to(np.arange(table.delta.size)[:, None], real.shape)
+    np.testing.assert_array_equal(table.label[table.indices[real]], rows[real])
+    np.testing.assert_array_equal(table.photons, np.where(real, n_x + n_y, 0))
+    # a sector's states run consecutively from its first
+    assert np.all(real[:, :-1] >= real[:, 1:])
+    steps = real[:, 1:]
+    np.testing.assert_allclose(
+        table.pair_weights[steps],
+        a_pair[table.indices[:, :-1][steps], table.indices[:, 1:][steps]],
+        atol=1e-15)
+    assert not table.pair_weights[~steps].any()
+    assert sorted(table.indices[real]) == list(range(cut.dim))
+    # the edge band: the last EVOLUTION_MARGIN = 4 states of each sector
+    np.testing.assert_array_equal(
+        table.edge, real & (real.sum(axis=1, keepdims=True)
+                            - np.arange(real.shape[1]) <= 4))
 
 
 def test_interior_indices_small_example():
