@@ -5,31 +5,42 @@ creates and destroys quanta pairwise, so it conserves the mode
 imbalance n_x - n_y. On each imbalance sector (`fock.sector_table`) it
 is a real symmetric tridiagonal matrix with zero diagonal and the
 sector's a_y a_x weights off it. Its eigenpairs are computed once per
-cutoff, unpadded, and gathered once per set of populated sectors into
-zero-padded stacks; `_propagate` applies U(kt) = V diag(e^{-i 2kt E})
-V^T to a stack of sectors at once, for every evolution time.
+cutoff, unpadded (`_sector_eigenpairs`).
+
+Everything about a state's evolution that does not depend on kt is
+computed once per state, as its plan (`_plan`): for each slab of the
+state's stack of populated sectors (`QuantumState.blocks`,
+`SectorStack.slabs`), the slab's eigenpairs (E, V) trimmed to its
+longest sector, its weighted columns G already in the eigenbasis,
+W = V^T G, and the constants of the H0..H3 measure
+(`polarization.HiddenMeasure`). A plan is found by the identity of the
+state's stack through a weak reference, so it lives exactly as long as
+the state. `_propagate` is then U(kt) = V diag(e^{-i 2kt E}) W: one
+phase and one real product per slab, for every evolution time.
 
 `oracle_moments`, the brute-force oracle against which the closed-form
-Heisenberg moments are checked, never forms the evolved state: it
-evolves only the state's stack of populated sectors
-(`QuantumState.blocks`), which are weighted columns (G, p) for pure
-and mixed states alike, as (U G, p), a slab of sectors at a time. U G
-keeps the spectrum p that `state.blocks` certified, so the one check
-left is unit total population (`require_unit_trace`), for vectors and
-densities alike. Each evolved slab goes to the shared H0..H3 measure
-`polarization.hidden_sums`; the trace check, the certificate and the
-measure all read the slab's populations, computed once when it is
-built. A row costs a fixed number of array operations per slab,
-whatever the number of sectors. Oracle and closed-form rows are one
-record, `MomentReport(kt, means, variances, leakage, valid)`, with the
-eight moments named once, in `MOMENT_NAMES`.
+Heisenberg moments are checked, never forms the evolved state: each
+row evolves the plan's slabs, (U G, p) for pure and mixed states
+alike, and measures them with the shared `polarization.hidden_sums`.
+U G keeps the spectrum p that `state.blocks` certified, so the one
+check left is unit total population (`require_unit_trace`), for
+vectors and densities alike. The total population, the edge population
+that certifies the truncation and the diagonal moments come from one
+product of the evolved populations with the measure's constant matrix,
+so a row costs a fixed number of array operations per slab, whatever
+the number of sectors, and every check still runs on every row.
+Oracle and closed-form rows are one record,
+`MomentReport(kt, means, variances, leakage, valid)`, with the eight
+moments named once, in `MOMENT_NAMES`.
 
 `evolve` returns a full QuantumState, built from the same `_propagate`
-applied to its rows (and columns), gathered a slab of sectors at a
-time, since only that form carries a density's inter-sector
-coherences. An evolved density is eigendecomposed once, per populated
-sector, by `from_density`; that stack is what `boundary_leakage` then
-reads. No operator matrix is built here.
+and the same trimmed eigenpairs (`_slab_eigenpairs`), applied to its
+rows (and columns), gathered a slab of sectors at a time, since only
+that form carries a density's inter-sector coherences. It builds no
+plan: a state is usually evolved once. An evolved density is
+eigendecomposed once, per populated sector, by `from_density`; that
+stack is what `boundary_leakage` then reads. No operator matrix is
+built here.
 
 The truncation is the state's own cutoff, certified after the fact by
 `boundary_leakage`: the evolved state must keep its population clear of
@@ -45,6 +56,7 @@ applies exp(-i * (2 kt) * H_int).
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -61,7 +73,7 @@ from .fock import (
     require_unit_trace,
     sector_table,
 )
-from .polarization import hidden_moments, hidden_sums
+from .polarization import HiddenMeasure, hidden_moments, hidden_sums
 
 DEFAULT_LEAKAGE_TOL = 1e-6
 
@@ -151,55 +163,99 @@ def _sector_eigenpairs(
     return tuple(pairs)
 
 
-@lru_cache(maxsize=4)
-def _stacked_eigenpairs(
-    cutoff: FockCutoff, positions: tuple[int, ...],
+def _slab_eigenpairs(
+    cutoff: FockCutoff, positions: tuple[int, ...], length: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The sectors `positions`' eigenpairs, zero-padded as a SectorStack.
+    """The sectors `positions`' eigenpairs, zero-padded to `length`.
 
-    Eigenvalues (S, L) and eigenvectors (S, L, L); the padding rows and
-    columns of the eigenvectors are zero, so the padded propagator
-    maps a sector's padding to zero and reads nothing from it.
+    Eigenvalues (S, length) and eigenvectors (S, length, length), from
+    `_sector_eigenpairs`; `length` is the longest of the sectors, so a
+    slab of sectors is trimmed as `SectorStack.slab` trims it. The
+    padding rows and columns of the eigenvectors are zero, so the
+    padded propagator maps a sector's padding to zero and reads nothing
+    from it.
     """
-    pairs = [_sector_eigenpairs(cutoff)[s] for s in positions]
-    size = max((values.size for values, _ in pairs), default=1)
-    values = np.zeros((len(pairs), size))
-    vectors = np.zeros((len(pairs), size, size))
-    for s, (sector_values, sector_vectors) in enumerate(pairs):
+    pairs = _sector_eigenpairs(cutoff)
+    values = np.zeros((len(positions), length))
+    vectors = np.zeros((len(positions), length, length))
+    for s, position in enumerate(positions):
+        sector_values, sector_vectors = pairs[position]
         n = sector_values.size
         values[s, :n], vectors[s, :n, :n] = sector_values, sector_vectors
-    values.setflags(write=False)
-    vectors.setflags(write=False)
     return values, vectors
 
 
-def _propagate(
-    x: np.ndarray, values: np.ndarray, vectors: np.ndarray, kt: float,
-) -> np.ndarray:
-    """U = exp(-i 2kt H_int) on the sector index (axis 1) of a stack.
+@dataclass(frozen=True, eq=False)
+class _SlabPlan:
+    """One slab of a state's sectors, ready to evolve to any kt.
 
-    U = V diag(exp(-i 2kt E)) V^T from the stacked eigenpairs (E, V).
-    `x` is (S, L, k) with a contiguous last axis. V is real, so both
-    products run on the real and imaginary parts of x at once, as one
-    real stack.
+    The slab's eigenpairs E and V (`_slab_eigenpairs`), its columns in
+    the eigenbasis, `moved` W = V^T G, and the constants of its H0..H3
+    measure.
     """
-    moved = (vectors.transpose(0, 2, 1) @ x.view(float)).view(complex)
-    moved *= np.exp(-1j * (2.0 * kt) * values)[:, :, None]
-    return (vectors @ moved.view(float)).view(complex)
+
+    values: np.ndarray
+    vectors: np.ndarray
+    moved: np.ndarray
+    measure: HiddenMeasure
+
+
+# plans die with their stack; a plan holds arrays only, never the stack
+_PLANS: weakref.WeakKeyDictionary[SectorStack, tuple[_SlabPlan, ...]] = \
+    weakref.WeakKeyDictionary()
+
+
+def _plan(state: QuantumState) -> tuple[_SlabPlan, ...]:
+    """The state's slabs, planned once per state (per `state.blocks`)."""
+    cut, stack = state.cutoff, state.blocks
+    plan = _PLANS.get(stack)
+    if plan is None:
+        slabs = []
+        for rows, n in stack.slabs:
+            slab = stack.slab(rows, n)
+            values, vectors = _slab_eigenpairs(cut, slab.positions, n)
+            slabs.append(_SlabPlan(values, vectors,
+                                   _eigenbasis(slab.columns, vectors),
+                                   HiddenMeasure.of(slab)))
+        plan = _PLANS[stack] = tuple(slabs)
+    return plan
+
+
+def _eigenbasis(x: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """W = V^T x on the sector index (axis 1) of a stack (S, L, k).
+
+    `x` has a contiguous last axis. V is real, so the product runs on
+    the real and imaginary parts of x at once, as one real stack.
+    """
+    return (vectors.transpose(0, 2, 1) @ x.view(float)).view(complex)
+
+
+def _propagate(
+    moved: np.ndarray, values: np.ndarray, vectors: np.ndarray, kt: float,
+) -> np.ndarray:
+    """U x for U = exp(-i 2kt H_int), from x's eigenbasis coordinates.
+
+    U x = V diag(exp(-i 2kt E)) W with W = V^T x (`_eigenbasis`), from
+    the eigenpairs (E, V) of a stack of sectors; one real product.
+    """
+    phased = moved * np.exp(-1j * (2.0 * kt) * values)[:, :, None]
+    return (vectors @ phased.view(float)).view(complex)
 
 
 def evolve(state: QuantumState, config: DpaConfig) -> QuantumState:
     """Apply exp(-i * 2kt * H_int); certify truncation afterwards.
 
     U acts on the rows, and for a density also on the columns, of each
-    populated sector, a slab of sectors at a time. Raises
-    TruncationError (carrying the measured leakage) when the evolved
-    state holds more than config.leakage_tol of its population within
-    EVOLUTION_MARGIN levels of either cutoff; enlarge the cutoff and
-    retry in that case.
+    populated sector, a slab of sectors at a time, with the slab's
+    trimmed eigenpairs (`_slab_eigenpairs`). Raises TruncationError
+    (carrying the measured leakage) when the evolved state holds more
+    than config.leakage_tol of its population within EVOLUTION_MARGIN
+    levels of either cutoff; enlarge the cutoff and retry in that case.
     """
     cut, stack = state.cutoff, state.blocks
-    values, vectors = _stacked_eigenpairs(cut, stack.positions)
+    slabs = [(stack.indices[rows, :n],
+              *_slab_eigenpairs(cut, stack.positions[rows], n))
+             for rows, n in stack.slabs]
 
     def on_rows(x: np.ndarray) -> np.ndarray:
         # a valid state is zero outside its populated sectors' rows; a
@@ -207,15 +263,14 @@ def evolve(state: QuantumState, config: DpaConfig) -> QuantumState:
         # Columns of x go a block at a time, so a gathered block holds
         # at most STACK_SLAB entries
         out = np.zeros(x.shape, dtype=complex)
-        for rows, n in stack.slabs:
-            indices = stack.indices[rows, :n]
+        for indices, values, vectors in slabs:
             real = indices >= 0
             width = max(1, STACK_SLAB // indices.size)
             for start in range(0, x.shape[1], width):
                 block = slice(start, start + width)
-                moved = _propagate(x[indices, block], values[rows, :n],
-                                   vectors[rows, :n, :n], config.kt)
-                out[indices[real], block] = moved[real]
+                moved = _eigenbasis(x[indices, block], vectors)
+                out[indices[real], block] = _propagate(
+                    moved, values, vectors, config.kt)[real]
         return out
 
     x = state.array
@@ -302,27 +357,24 @@ def oracle_moments(state: QuantumState, config: DpaConfig) -> MomentReport:
 
     Only the sectors the state populates (`state.blocks`) are evolved
     and measured, as (U G, p), a slab of sectors at a time; the full
-    evolved state is never formed. The weights p are kept, and U G is
+    evolved state is never formed. The state's plan, built on its
+    first row and kept while the state lives, holds each slab's
+    eigenpairs and W = V^T G, so a row is one phase, one real product
+    and one `hidden_sums` per slab. The weights p are kept, and U G is
     orthonormal where G is, so an evolved density block has exactly
     the spectrum `state.blocks` checked. The evolved total population,
     sum_r p_r |U G_r|^2 (|v|^2 for a vector), must be 1 within
-    ALGEBRA_TOL, as `require_unit_trace` asks of every state. Never
-    raises on truncation trouble; the report is returned with
-    valid=False and the measured leakage so sweeps can flag the row
-    and continue.
+    ALGEBRA_TOL, as `require_unit_trace` asks of every state, on every
+    row. Never raises on truncation trouble; the report is returned
+    with valid=False and the measured leakage so sweeps can flag the
+    row and continue.
     """
-    stack = state.blocks
-    values, vectors = _stacked_eigenpairs(state.cutoff, stack.positions)
-    trace = leakage = sums = 0.0
-    for rows, n in stack.slabs:
-        part = stack.slab(rows, n)
-        evolved = part.with_columns(_propagate(
-            part.columns, values[rows, :n], vectors[rows, :n, :n], config.kt))
-        trace += evolved.populations.sum()
-        leakage += boundary_leakage(evolved)
-        sums = sums + hidden_sums(evolved)
-    require_unit_trace(trace)
+    sums = sum(hidden_sums(slab.measure, _propagate(
+        slab.moved, slab.values, slab.vectors, config.kt))
+        for slab in _plan(state))
+    require_unit_trace(sums[0])
     means, variances = hidden_moments(sums)
+    leakage = float(sums[1])
     return MomentReport(config.kt, means, variances, leakage,
                         valid=leakage <= config.leakage_tol)
 

@@ -364,12 +364,6 @@ class SectorStack:
             self.pair_weights[rows, :length - 1], self.photons[rows, :length],
             self.delta[rows], self.edge[rows, :length])
 
-    def with_columns(self, columns: np.ndarray) -> SectorStack:
-        """The same sectors and weights with new columns, U G say."""
-        return SectorStack(self.positions, self.indices, columns,
-                           self.weights, self.pair_weights, self.photons,
-                           self.delta, self.edge)
-
 
 def fock_state(cutoff: FockCutoff, n_x: int, n_y: int) -> QuantumState:
     """The basis state |n_x, n_y>."""

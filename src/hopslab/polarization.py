@@ -14,9 +14,11 @@ uncertainty products and the dynamics oracle share) are one measure
 over a state's stack of imbalance sectors (`QuantumState.blocks`): H0
 and H1 are diagonal on a sector and H2 + iH3 = 2 a_y a_x is a weighted
 shift inside it, so each moment is a weighted sum over three bands of
-the stack, taken for all sectors at once (`hidden_sums`). The
-criterion fit and the coherence functions run on ladder shifts
-(`fock.apply_ladders`).
+the stack, taken for all sectors at once (`hidden_sums`). The weights
+of those sums are constants of the stack (`HiddenMeasure`), built once
+and reused for every set of columns on it, such as the dynamics
+oracle's evolved columns at each kt. The criterion fit and the
+coherence functions run on ladder shifts (`fock.apply_ladders`).
 
 The commutator tables run on the chains each set conserves: imbalance
 sectors for the hidden set (su(1,1)), photon-number shells for the
@@ -34,7 +36,7 @@ form and the corrected form side by side; nothing is silently fixed.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -60,14 +62,63 @@ class FitUndefinedError(ArithmeticError):
     """The criterion fit has a vanishing denominator (no x-quanta to add)."""
 
 
-def hidden_sums(stack: SectorStack) -> np.ndarray:
-    """<H_j> and <H_j^2> of H0..H3 summed over a stack's sectors, (2, 4).
+@dataclass(frozen=True, eq=False)
+class HiddenMeasure:
+    """The constants of the H0..H3 measure on one stack of sectors.
 
-    Every H_j conserves the imbalance, so each moment is a sum over the
-    sectors, and the sums of a state's slabs add up to its moments. On
-    a sector, H0 = n_x + n_y is diagonal, H1 = n_y - n_x = -delta is
-    constant, and H2 + iH3 = 2A with A = a_y a_x, which maps m + 1 -> m
-    with the sector's pair weight w_m. With the bands
+    Built once per stack (`of`) from its sector constants and weights
+    p, so that `hidden_sums` of any columns on those sectors, the
+    stack's own G or evolved ones U G, is a fixed number of products:
+
+    - `diagonal`, (7, S L): the rows whose dot with c_0 gives the
+      total population, the edge population (the stack's `edge` mask),
+      <H0>, <H1>, <H0^2>, <H1^2> and <A A^dag + A^dag A>;
+    - `squares`, (S, 2r, 1): p_r twice for each column r, once for its
+      real and once for its imaginary part, so that it takes the
+      squares of G's real view to c_0 = sum_r p_r (Re G_r^2 + Im G_r^2);
+    - `pair` 2 w_m p_r, (S, L - 1, r), and `pair_square`
+      2 w_m w_{m+1} p_r, (S, L - 2, r), the band weights of 2<A> and
+      2<A^2>.
+
+    Zero on the padding, like the stack's own constants.
+    """
+
+    diagonal: np.ndarray = field(repr=False)
+    squares: np.ndarray = field(repr=False)
+    pair: np.ndarray = field(repr=False)
+    pair_square: np.ndarray = field(repr=False)
+
+    @classmethod
+    def of(cls, stack: SectorStack) -> HiddenMeasure:
+        """The measure of `stack`'s sectors and weights."""
+        real = stack.indices >= 0
+        w, p = stack.pair_weights, stack.weights[:, None, :]
+        photons, delta = stack.photons, stack.delta[:, None] * real
+        symmetric = np.zeros(real.shape)
+        symmetric[:, :-1] += w * w
+        symmetric[:, 1:] += w * w
+        diagonal = np.array([real, stack.edge, photons, -delta,
+                             photons * photons, delta * delta, symmetric],
+                            dtype=float).reshape(7, -1)
+        measure = cls(diagonal, np.repeat(p, 2, axis=2).transpose(0, 2, 1),
+                      2.0 * w[:, :, None] * p,
+                      2.0 * (w[:, :-1] * w[:, 1:])[:, :, None] * p)
+        for array in vars(measure).values():
+            array.setflags(write=False)
+        return measure
+
+
+def hidden_sums(measure: HiddenMeasure, columns: np.ndarray) -> np.ndarray:
+    """Population, edge population, <H_j> and <H_j^2> of columns, (10,).
+
+    `columns` G, (S, L, r), lie on the sectors `measure` was built for,
+    with its weights p; the sums run over every sector, so the sums of
+    a state's slabs add up to its totals. In order: the population
+    sum_r p_r |G_r|^2, the part of it on the edge mask, <H0>..<H3> and
+    <H0^2>..<H3^2>. Every H_j conserves the imbalance. On a sector,
+    H0 = n_x + n_y is diagonal, H1 = n_y - n_x = -delta is constant,
+    and H2 + iH3 = 2A with A = a_y a_x, which maps m + 1 -> m with the
+    sector's pair weight w_m. With the bands
     c_k[m] = <m + k|rho|m> = sum_r p_r G[m + k, r] conj(G[m, r]):
 
         <H2> + i<H3>   = 2 sum_m w_m c_1[m]
@@ -75,22 +126,21 @@ def hidden_sums(stack: SectorStack) -> np.ndarray:
         <A A^dag + A^dag A> = sum_m (w_m^2 + w_{m-1}^2) c_0[m]
         <A^2>          = sum_m w_m w_{m+1} c_2[m]
 
-    A fixed number of array operations on the whole stack, whatever
-    its number of sectors; the zero padding adds nothing.
+    c_0 = sum_r p_r (Re G_r^2 + Im G_r^2) is one square of G's real
+    view and one product with `measure.squares`; all seven sums that
+    are diagonal in the sector basis come from one product of c_0 with
+    `measure.diagonal`; c_1 and c_2 enter through two band dots. A
+    fixed number of array operations on the whole stack, whatever its
+    number of sectors; the zero padding adds nothing.
     """
-    g, p, c0, w = (stack.columns, stack.weights[:, :, None],
-                   stack.populations, stack.pair_weights)
-    c1 = ((g[:, 1:] * g[:, :-1].conj()) @ p)[:, :, 0]
-    c2 = ((g[:, 2:] * g[:, :-2].conj()) @ p)[:, :, 0]
-    photons, delta, population = stack.photons, stack.delta, c0.sum(axis=1)
-    pair = 2.0 * np.vdot(w, c1)
-    pair_sq = 2.0 * np.vdot(w[:, :-1] * w[:, 1:], c2).real
-    symmetric = np.vdot(w * w, c0[:, :-1] + c0[:, 1:])
-    return np.array([
-        (np.vdot(photons, c0), -np.vdot(delta, population),
-         pair.real, pair.imag),
-        (np.vdot(photons * photons, c0), np.vdot(delta * delta, population),
-         symmetric + pair_sq, symmetric - pair_sq)])
+    g = columns
+    c0 = np.square(g.view(float)) @ measure.squares
+    population, edge, h0, h1, h0_sq, h1_sq, symmetric = \
+        measure.diagonal @ c0.ravel()
+    pair = np.vdot(g[:, :-1] * measure.pair, g[:, 1:])
+    pair_sq = np.vdot(g[:, :-2] * measure.pair_square, g[:, 2:]).real
+    return np.array([population, edge, h0, h1, pair.real, pair.imag,
+                     h0_sq, h1_sq, symmetric + pair_sq, symmetric - pair_sq])
 
 
 def hidden_moments(
@@ -105,9 +155,11 @@ def hidden_moments(
     """
     sums = state
     if isinstance(state, QuantumState):
-        stack = state.blocks
-        sums = sum(hidden_sums(stack.slab(*plan)) for plan in stack.slabs)
-    first, second = sums
+        stack, sums = state.blocks, 0.0
+        for rows, n in stack.slabs:
+            slab = stack.slab(rows, n)
+            sums = sums + hidden_sums(HiddenMeasure.of(slab), slab.columns)
+    first, second = sums[2:6], sums[6:]
     variances = second - first * first
     if variances.min() < VARIANCE_FLOOR:
         raise ArithmeticError(

@@ -1,20 +1,24 @@
 """Tests for parametric-amplifier evolution and moment oracles."""
 
+import dataclasses
+import gc
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from hopslab import fock
 from hopslab.dpa import (
     EVOLUTION_MARGIN,
     MOMENT_NAMES,
     DpaConfig,
     MomentReport,
     TruncationError,
+    _plan,
     _propagate,
-    _stacked_eigenpairs,
     boundary_leakage,
     evolve,
     heisenberg_moments,
@@ -155,10 +159,12 @@ def _dilute_thermal():
             DpaConfig(kt=0.3, leakage_tol=0.999))
 
 
-STACK_CASES = pytest.mark.parametrize("make_case", [
-    _rectangular_mixture, _short_sector_mixture, _coherent_density,
-    _dilute_thermal,
-], ids=["rectangular", "short-sectors", "coherences", "thermal-0.035"])
+STACK_MAKERS = {"rectangular": _rectangular_mixture,
+                 "short-sectors": _short_sector_mixture,
+                 "coherences": _coherent_density,
+                 "thermal-0.035": _dilute_thermal}
+STACK_CASES = pytest.mark.parametrize(
+    "make_case", list(STACK_MAKERS.values()), ids=list(STACK_MAKERS))
 
 
 def _dense_evolution(state, config):
@@ -170,9 +176,11 @@ def _dense_evolution(state, config):
 
 def _evolved_stack(state, config):
     stack = state.blocks
-    values, vectors = _stacked_eigenpairs(state.cutoff, stack.positions)
-    return stack.with_columns(
-        _propagate(stack.columns, values, vectors, config.kt))
+    columns = np.zeros_like(stack.columns)
+    for (rows, n), slab in zip(stack.slabs, _plan(state)):
+        columns[rows, :n, :slab.moved.shape[2]] = _propagate(
+            slab.moved, slab.values, slab.vectors, config.kt)
+    return dataclasses.replace(stack, columns=columns)
 
 
 def _gathered(stack, array):
@@ -271,14 +279,73 @@ def test_oracle_checks_the_blocks_it_evolves():
         return QuantumState(cut, density=rho)
 
     config = DpaConfig(kt=0.1)
-    with pytest.raises(ValueError, match="eigenvalue"):
-        oracle_moments(direct(-0.1, 1.0), config)
-    with pytest.raises(ValueError, match="trace"):
-        oracle_moments(direct(0.0, 1.1), config)
+    negative, heavy = direct(-0.1, 1.0), direct(0.0, 1.1)
+    # twice: the second call finds the state's plan built
+    for _ in range(2):
+        with pytest.raises(ValueError, match="eigenvalue"):
+            oracle_moments(negative, config)
+        with pytest.raises(ValueError, match="trace"):
+            oracle_moments(heavy, config)
     # inside EIGENVALUE_FLOOR: from_density accepts it, so it evolves
     accepted = QuantumState.from_density(cut, direct(-5e-11, 1.0).density)
     assert oracle_moments(accepted, config).valid
     evolve(accepted, config)
+
+
+def _thermal_24():
+    return (thermal_state(FockCutoff(24, 24), 0.5, 0.5),
+            DpaConfig(kt=0.3, leakage_tol=0.999))
+
+
+@pytest.mark.parametrize(
+    "make_case", [*STACK_MAKERS.values(), _thermal_24],
+    ids=[*STACK_MAKERS, "thermal-0.5-d24"])
+def test_rows_agree_across_many_slabs(make_case, monkeypatch):
+    # a stack plans its slabs once, when first asked, so each state is
+    # built after STACK_SLAB is set
+    monkeypatch.setattr(fock, "STACK_SLAB", 2**62)
+    state, config = make_case()
+    assert len(state.blocks.slabs) == 1
+    whole = oracle_moments(state, config)
+    whole_evolved = evolve(state, config).array
+    monkeypatch.setattr(fock, "STACK_SLAB", 64)
+    state, config = make_case()
+    assert len(state.blocks.slabs) > 2
+    split = oracle_moments(state, config)
+    assert split.valid == whole.valid
+    for got, want in zip(split.means + split.variances + (split.leakage,),
+                         whole.means + whole.variances + (whole.leakage,)):
+        assert got == pytest.approx(want, rel=1e-13, abs=1e-13)
+    np.testing.assert_allclose(evolve(state, config).array, whole_evolved,
+                               rtol=0, atol=1e-13)
+
+
+def test_plan_belongs_to_its_state():
+    # two states on the same sector: a plan found by the sectors alone,
+    # not by the state, would give one of them the other's rows
+    cut = FockCutoff(16, 16)
+
+    def superposition():
+        v = np.zeros(cut.dim, dtype=complex)
+        v[[cut.index(1, 0), cut.index(2, 1)]] = math.sqrt(0.5)
+        return QuantumState.from_vector(cut, v)
+
+    def single():
+        return fock_state(cut, 1, 0)
+
+    first, second = single(), superposition()
+    assert first.blocks.positions == second.blocks.positions
+    config = DpaConfig(kt=0.2)
+    for _ in range(2):
+        for state, make in ((first, single), (second, superposition)):
+            assert oracle_moments(state, config) == oracle_moments(make(),
+                                                                   config)
+    assert oracle_moments(first, config) != oracle_moments(second, config)
+    # the plan dies with its state and does not keep it alive
+    stack = weakref.ref(first.blocks)
+    del first
+    gc.collect()
+    assert stack() is None
 
 
 def test_density_evolution_matches_dense_exponential():
