@@ -8,15 +8,14 @@ sector's a_y a_x weights off it. Its eigenpairs are computed once per
 cutoff, unpadded (`_sector_eigenpairs`).
 
 Everything about a state's evolution that does not depend on kt is
-computed once per state, as its plan (`_plan`): for each slab of the
-state's stack of populated sectors (`QuantumState.blocks`,
-`SectorStack.slabs`), the slab's eigenpairs (E, V) trimmed to its
-longest sector, its weighted columns G already in the eigenbasis,
-W = V^T G, and the constants of the H0..H3 measure
-(`polarization.HiddenMeasure`). A plan is found by the identity of the
-state's stack through a weak reference, so it lives exactly as long as
-the state. `_propagate` is then U(kt) = V diag(e^{-i 2kt E}) W: one
-phase and one real product per slab, for every evolution time.
+computed once per slab of its populated sectors (`QuantumState.blocks`,
+partitioned by `fock`), as the slab's plan (`_plan`): its eigenpairs
+(E, V), padded as the slab is (`_slab_eigenpairs`), its weighted
+columns G already in the eigenbasis, W = V^T G, and the constants of
+the H0..H3 measure (`polarization.HiddenMeasure`). A plan is found by
+the identity of its slab through a weak reference, so it lives exactly
+as long as the state. `_propagate` is then U(kt) = V diag(e^{-i 2kt E})
+W: one phase and one real product per slab, for every evolution time.
 
 `oracle_moments`, the brute-force oracle against which the closed-form
 Heisenberg moments are checked, never forms the evolved state: each
@@ -34,12 +33,12 @@ Oracle and closed-form rows are one record,
 moments named once, in `MOMENT_NAMES`.
 
 `evolve` returns a full QuantumState, built from the same `_propagate`
-and the same trimmed eigenpairs (`_slab_eigenpairs`), applied to its
-rows (and columns), gathered a slab of sectors at a time, since only
-that form carries a density's inter-sector coherences. It builds no
-plan: a state is usually evolved once. An evolved density is
-eigendecomposed once, per populated sector, by `from_density`; that
-stack is what `boundary_leakage` then reads. No operator matrix is
+and the same slab eigenpairs (`_slab_eigenpairs`), applied to its rows
+(and columns), gathered a slab of sectors at a time, since only that
+form carries a density's inter-sector coherences. It builds no plan: a
+state is usually evolved once. An evolved density is eigendecomposed
+once, per populated sector, by `from_density`; those slabs are what
+`boundary_leakage` then reads. No operator matrix is
 built here.
 
 The truncation is the state's own cutoff, certified after the fact by
@@ -164,21 +163,20 @@ def _sector_eigenpairs(
 
 
 def _slab_eigenpairs(
-    cutoff: FockCutoff, positions: tuple[int, ...], length: int,
+    cutoff: FockCutoff, slab: SectorStack,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The sectors `positions`' eigenpairs, zero-padded to `length`.
+    """The slab's eigenpairs, zero-padded as the slab is, to its L.
 
-    Eigenvalues (S, length) and eigenvectors (S, length, length), from
-    `_sector_eigenpairs`; `length` is the longest of the sectors, so a
-    slab of sectors is trimmed as `SectorStack.slab` trims it. The
-    padding rows and columns of the eigenvectors are zero, so the
-    padded propagator maps a sector's padding to zero and reads nothing
-    from it.
+    Eigenvalues (S, L) and eigenvectors (S, L, L), from
+    `_sector_eigenpairs`. The padding rows and columns of the
+    eigenvectors are zero, so the padded propagator maps a sector's
+    padding to zero and reads nothing from it.
     """
     pairs = _sector_eigenpairs(cutoff)
-    values = np.zeros((len(positions), length))
-    vectors = np.zeros((len(positions), length, length))
-    for s, position in enumerate(positions):
+    count, length = slab.indices.shape
+    values = np.zeros((count, length))
+    vectors = np.zeros((count, length, length))
+    for s, position in enumerate(slab.positions):
         sector_values, sector_vectors = pairs[position]
         n = sector_values.size
         values[s, :n], vectors[s, :n, :n] = sector_values, sector_vectors
@@ -200,24 +198,19 @@ class _SlabPlan:
     measure: HiddenMeasure
 
 
-# plans die with their stack; a plan holds arrays only, never the stack
-_PLANS: weakref.WeakKeyDictionary[SectorStack, tuple[_SlabPlan, ...]] = \
+# plans die with their slab; a plan holds arrays only, never the slab
+_PLANS: weakref.WeakKeyDictionary[SectorStack, _SlabPlan] = \
     weakref.WeakKeyDictionary()
 
 
-def _plan(state: QuantumState) -> tuple[_SlabPlan, ...]:
-    """The state's slabs, planned once per state (per `state.blocks`)."""
-    cut, stack = state.cutoff, state.blocks
-    plan = _PLANS.get(stack)
+def _plan(cutoff: FockCutoff, slab: SectorStack) -> _SlabPlan:
+    """One slab of a state's `blocks`, planned once per slab."""
+    plan = _PLANS.get(slab)
     if plan is None:
-        slabs = []
-        for rows, n in stack.slabs:
-            slab = stack.slab(rows, n)
-            values, vectors = _slab_eigenpairs(cut, slab.positions, n)
-            slabs.append(_SlabPlan(values, vectors,
-                                   _eigenbasis(slab.columns, vectors),
-                                   HiddenMeasure.of(slab)))
-        plan = _PLANS[stack] = tuple(slabs)
+        values, vectors = _slab_eigenpairs(cutoff, slab)
+        plan = _PLANS[slab] = _SlabPlan(
+            values, vectors, _eigenbasis(slab.columns, vectors),
+            HiddenMeasure.of(slab))
     return plan
 
 
@@ -247,15 +240,14 @@ def evolve(state: QuantumState, config: DpaConfig) -> QuantumState:
 
     U acts on the rows, and for a density also on the columns, of each
     populated sector, a slab of sectors at a time, with the slab's
-    trimmed eigenpairs (`_slab_eigenpairs`). Raises TruncationError
+    eigenpairs (`_slab_eigenpairs`). Raises TruncationError
     (carrying the measured leakage) when the evolved state holds more
     than config.leakage_tol of its population within EVOLUTION_MARGIN
     levels of either cutoff; enlarge the cutoff and retry in that case.
     """
-    cut, stack = state.cutoff, state.blocks
-    slabs = [(stack.indices[rows, :n],
-              *_slab_eigenpairs(cut, stack.positions[rows], n))
-             for rows, n in stack.slabs]
+    cut = state.cutoff
+    slabs = [(slab.indices, *_slab_eigenpairs(cut, slab))
+             for slab in state.blocks]
 
     def on_rows(x: np.ndarray) -> np.ndarray:
         # a valid state is zero outside its populated sectors' rows; a
@@ -288,17 +280,17 @@ def evolve(state: QuantumState, config: DpaConfig) -> QuantumState:
     return result
 
 
-def boundary_leakage(state: QuantumState | SectorStack) -> float:
+def boundary_leakage(state: QuantumState) -> float:
     """Population within EVOLUTION_MARGIN levels of either truncation edge.
 
     The certificate that a truncated computation approximates the
     untruncated physics: small leakage means the state never felt the
-    boundary. Takes a state, or a stack of sectors (`SectorStack`),
-    whose `edge` mask marks each sector's last EVOLUTION_MARGIN
-    states, exactly its states that close to an edge.
+    boundary. Read from the state's slabs (`blocks`), whose `edge` mask
+    marks each sector's last EVOLUTION_MARGIN states, exactly its
+    states that close to an edge.
     """
-    stack = state.blocks if isinstance(state, QuantumState) else state
-    return float(np.vdot(stack.populations, stack.edge))
+    return float(sum(np.vdot(slab.populations, slab.edge)
+                     for slab in state.blocks))
 
 
 def heisenberg_moments(n_x: int, n_y: int, kt: float) -> MomentReport:
@@ -357,8 +349,8 @@ def oracle_moments(state: QuantumState, config: DpaConfig) -> MomentReport:
 
     Only the sectors the state populates (`state.blocks`) are evolved
     and measured, as (U G, p), a slab of sectors at a time; the full
-    evolved state is never formed. The state's plan, built on its
-    first row and kept while the state lives, holds each slab's
+    evolved state is never formed. Each slab's plan (`_plan`), built
+    on the state's first row and kept while the state lives, holds its
     eigenpairs and W = V^T G, so a row is one phase, one real product
     and one `hidden_sums` per slab. The weights p are kept, and U G is
     orthonormal where G is, so an evolved density block has exactly
@@ -369,9 +361,9 @@ def oracle_moments(state: QuantumState, config: DpaConfig) -> MomentReport:
     with valid=False and the measured leakage so sweeps can flag the
     row and continue.
     """
-    sums = sum(hidden_sums(slab.measure, _propagate(
-        slab.moved, slab.values, slab.vectors, config.kt))
-        for slab in _plan(state))
+    plans = [_plan(state.cutoff, slab) for slab in state.blocks]
+    sums = sum(hidden_sums(plan.measure, _propagate(
+        plan.moved, plan.values, plan.vectors, config.kt)) for plan in plans)
     require_unit_trace(sums[0])
     means, variances = hidden_moments(sums)
     leakage = float(sums[1])
@@ -380,7 +372,14 @@ def oracle_moments(state: QuantumState, config: DpaConfig) -> MomentReport:
 
 
 def suggest_cutoff(n_max: int, kt: float) -> FockCutoff:
-    """Per-mode dimension comfortably above the amplified occupation."""
+    """Per-mode dimension comfortably above the amplified occupation.
+
+    `n_max` is a photon number (`require_photon_numbers`); a NaN or
+    infinite kt raises ValueError.
+    """
+    require_photon_numbers(n_max)
+    if not math.isfinite(kt):
+        raise ValueError("kt must be finite")
     grown = 10.0 * math.sinh(2.0 * abs(kt)) ** 2
     d = n_max + 1 + math.ceil(grown) + 16
     return FockCutoff(d, d)

@@ -10,13 +10,14 @@ dynamics and moments. `sector_table` stacks, once per cutoff, every
 sector's flat indices |lo_x + m, lo_y + m>, the a_y a_x weights along
 it, its photon numbers and its edge band, zero-padded to a common
 length, plus a flat-index -> sector label. `QuantumState.blocks` holds,
-once per state, the sectors it populates as one `SectorStack` of
-weighted columns, pure or mixed, padded to the longest populated
-sector; the stack computes its populations c_0 once, on first use.
-Evolution and its truncation certificate (`dpa`) and the H0..H3 measure
-(`polarization.hidden_moments`) run on that stack alone, as a fixed
-number of array operations per slab of STACK_SLAB entries, whatever
-the number of sectors.
+once per state, the sectors it populates as weighted columns, pure or
+mixed, in slabs: each slab is one `SectorStack` of consecutive sectors,
+at most STACK_SLAB column entries, padded only to its own longest
+sector, and computes its populations c_0 once, on first use. The
+partition into slabs is made here, once, and nowhere else. Evolution
+and its truncation certificate (`dpa`) and the H0..H3 measure
+(`polarization.hidden_moments`) iterate over the slabs, as a fixed
+number of array operations per slab, whatever the number of sectors.
 
 `require_photon_numbers` (integers >= 0) and `require_occupations`
 (finite means >= 0) are the package's one statement of those input
@@ -51,8 +52,8 @@ EVOLUTION_MARGIN = 4       # edge band whose population certifies truncation
 # Rows per slab of the hermiticity test: its temporaries stay a slab in
 # size, not a second and third copy of the matrix
 HERMITICITY_SLAB = 64
-# Complex entries per slab of a sector stack: a computation that holds
-# a few copies of the columns holds them a slab at a time
+# Complex column entries per slab of `QuantumState.blocks`: a computation
+# that holds a few copies of the columns holds them a slab at a time
 STACK_SLAB = 2**14
 
 
@@ -136,7 +137,7 @@ class QuantumState:
         # the blocks' eigh certifies positivity unless nonzero entries
         # lie outside them (inter-sector coherences, or a sector with
         # an empty diagonal); then the full spectrum is checked too
-        populated = state.blocks.positions
+        populated = [s for slab in state.blocks for s in slab.positions]
         label = sector_table(cutoff).label
         rows, cols = np.nonzero(m)
         if not (np.array_equal(label[rows], label[cols])
@@ -157,15 +158,20 @@ class QuantumState:
         return np.diag(self.density).real.copy()
 
     @cached_property
-    def blocks(self) -> SectorStack:
-        """The sectors the state populates, stacked as weighted columns.
+    def blocks(self) -> tuple[SectorStack, ...]:
+        """The sectors the state populates, as slabs of weighted columns.
 
-        Built once per state; its arrays are read-only. Every quantity
+        Built once per state; their arrays are read-only. Every quantity
         that conserves the imbalance (H0..H3 and their products, the
-        amplifier evolution, boundary populations) is a sum over this
-        stack; inter-sector coherences of a density never enter, and
-        unpopulated sectors of a valid state are zero. A density block
-        is decomposed by one `eigh` per populated sector, on the block
+        amplifier evolution, boundary populations) is a sum over these
+        slabs; inter-sector coherences of a density never enter, and
+        unpopulated sectors of a valid state are zero. A slab is a
+        `SectorStack` of consecutive populated sectors, zero-padded to
+        its own longest sector, L. Sectors come in delta order, whose
+        lengths rise and then fall, so neighbours pad little; a slab
+        holds at most STACK_SLAB column entries (S L for a vector,
+        S L^2 for a density), or is one sector. A density block is
+        decomposed by one `eigh` per populated sector, on the block
         itself rather than a zero-padded copy, whose padding zeros
         would be near-degenerate with tiny weights. Raises ValueError
         when a density block has an eigenvalue below EIGENVALUE_FLOOR.
@@ -174,11 +180,27 @@ class QuantumState:
         hits = np.bincount(table.label[self.populations() != 0.0],
                            minlength=table.delta.size)
         positions = np.flatnonzero(hits)
-        real = table.indices[positions] >= 0
-        size = int(real.sum(axis=1).max(initial=1))
+        lengths = (table.indices[positions] >= 0).sum(axis=1).tolist()
+        bounds, longest = [0], 0
+        for s, n in enumerate(lengths):
+            longest = max(longest, n)
+            ranks = longest if self.vector is None else 1
+            if s > bounds[-1] and (s + 1 - bounds[-1]) * longest * ranks \
+                    > STACK_SLAB:
+                bounds.append(s)
+                longest = n
+        bounds.append(len(lengths))
+        return tuple(self._slab(table, positions[lo:hi],
+                                max(lengths[lo:hi], default=1))
+                     for lo, hi in zip(bounds, bounds[1:]))
+
+    def _slab(
+        self, table: SectorTable, positions: np.ndarray, size: int,
+    ) -> SectorStack:
+        """The sectors `positions` of `table`, padded to `size` states."""
         indices = table.indices[positions, :size]
         if self.vector is not None:
-            columns = np.where(real[:, :size], self.vector[indices],
+            columns = np.where(indices >= 0, self.vector[indices],
                                0.0)[:, :, None]
             weights = np.ones((positions.size, 1))
         else:
@@ -286,12 +308,13 @@ def sector_table(cutoff: FockCutoff) -> SectorTable:
 
 @dataclass(frozen=True, eq=False)
 class SectorStack:
-    """The S sectors a state populates, as weighted columns.
+    """One slab of a state's populated sectors, as weighted columns.
 
     Sector s holds the block G_s diag(p_s) G_s^dag: one column of
     weight 1 for a state vector, the eigenpairs of the principal block
-    for a density matrix. The sectors are rows `positions` of the
-    cutoff's `sector_table`, zero-padded to the longest of them, L:
+    for a density matrix. The S sectors are consecutive rows
+    `positions` of the cutoff's `sector_table`, zero-padded to the
+    longest of them, L (`QuantumState.blocks` partitions a state):
 
     - `columns` G, shape (S, L, r), in each sector's order;
     - `weights` p, shape (S, r);
@@ -302,9 +325,8 @@ class SectorStack:
       and the `edge` mask (S, L).
 
     Padding is zero in G, p, c_0 and every constant but `indices`
-    (-1), so a sum over the padded stack is the sum over the sectors.
-    The arrays are read-only. Computations that would hold a few
-    stacks of temporaries run a slab of sectors at a time (`slabs`).
+    (-1), so a sum over the padded slab is the sum over its sectors.
+    The arrays are read-only.
     """
 
     positions: tuple[int, ...]
@@ -326,43 +348,6 @@ class SectorStack:
                        @ self.weights[:, :, None])[:, :, 0]
         populations.setflags(write=False)
         return populations
-
-    @cached_property
-    def slabs(self) -> tuple[tuple[slice, int], ...]:
-        """Consecutive ranges of sectors, each with its longest length.
-
-        A range, trimmed to its longest sector's length n (`slab`),
-        holds at most STACK_SLAB column entries, or is one sector.
-        Sectors come in delta order, whose lengths rise and then fall,
-        so a range of neighbours pads little.
-        """
-        ranks = self.columns.shape[2]
-        plan, start, longest = [], 0, 0
-        for s, n in enumerate((self.indices >= 0).sum(axis=1).tolist()):
-            grown = max(longest, n)
-            if s > start and (s + 1 - start) * grown * min(ranks, grown) \
-                    > STACK_SLAB:
-                plan.append((slice(start, s), longest))
-                start, grown = s, n
-            longest = grown
-        plan.append((slice(start, len(self.positions)), longest))
-        return tuple(plan)
-
-    def slab(self, rows: slice, length: int) -> SectorStack:
-        """The sectors `rows`, trimmed to `length` states, as a stack.
-
-        Trimming drops only padding when `length` is the longest of
-        them: a sector of L_s states has at most L_s columns.
-        """
-        if (rows.indices(len(self.positions)) == (0, len(self.positions), 1)
-                and length == self.indices.shape[1]):
-            return self
-        ranks = min(self.columns.shape[2], length)
-        return SectorStack(
-            self.positions[rows], self.indices[rows, :length],
-            self.columns[rows, :length, :ranks], self.weights[rows, :ranks],
-            self.pair_weights[rows, :length - 1], self.photons[rows, :length],
-            self.delta[rows], self.edge[rows, :length])
 
 
 def fock_state(cutoff: FockCutoff, n_x: int, n_y: int) -> QuantumState:

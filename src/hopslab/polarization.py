@@ -11,14 +11,15 @@ factorization law that criterion implies.
 
 The hidden-set means and variances (`hidden_moments`, which the
 uncertainty products and the dynamics oracle share) are one measure
-over a state's stack of imbalance sectors (`QuantumState.blocks`): H0
+over a state's slabs of imbalance sectors (`QuantumState.blocks`): H0
 and H1 are diagonal on a sector and H2 + iH3 = 2 a_y a_x is a weighted
 shift inside it, so each moment is a weighted sum over three bands of
-the stack, taken for all sectors at once (`hidden_sums`). The weights
-of those sums are constants of the stack (`HiddenMeasure`), built once
-and reused for every set of columns on it, such as the dynamics
-oracle's evolved columns at each kt. The criterion fit and the
-coherence functions run on ladder shifts (`fock.apply_ladders`).
+a slab, taken for all its sectors at once (`hidden_sums`), and summed
+over the slabs. The weights of those sums are constants of a slab
+(`HiddenMeasure`), built once and reused for every set of columns on
+it, such as the dynamics oracle's evolved columns at each kt. The
+criterion fit and the coherence functions run on ladder shifts
+(`fock.apply_ladders`).
 
 The commutator tables run on the chains each set conserves: imbalance
 sectors for the hidden set (su(1,1)), photon-number shells for the
@@ -64,14 +65,14 @@ class FitUndefinedError(ArithmeticError):
 
 @dataclass(frozen=True, eq=False)
 class HiddenMeasure:
-    """The constants of the H0..H3 measure on one stack of sectors.
+    """The constants of the H0..H3 measure on one slab of sectors.
 
-    Built once per stack (`of`) from its sector constants and weights
+    Built once per slab (`of`) from its sector constants and weights
     p, so that `hidden_sums` of any columns on those sectors, the
-    stack's own G or evolved ones U G, is a fixed number of products:
+    slab's own G or evolved ones U G, is a fixed number of products:
 
     - `diagonal`, (7, S L): the rows whose dot with c_0 gives the
-      total population, the edge population (the stack's `edge` mask),
+      total population, the edge population (the slab's `edge` mask),
       <H0>, <H1>, <H0^2>, <H1^2> and <A A^dag + A^dag A>;
     - `squares`, (S, 2r, 1): p_r twice for each column r, once for its
       real and once for its imaginary part, so that it takes the
@@ -80,7 +81,7 @@ class HiddenMeasure:
       2 w_m w_{m+1} p_r, (S, L - 2, r), the band weights of 2<A> and
       2<A^2>.
 
-    Zero on the padding, like the stack's own constants.
+    Zero on the padding, like the slab's own constants.
     """
 
     diagonal: np.ndarray = field(repr=False)
@@ -89,15 +90,15 @@ class HiddenMeasure:
     pair_square: np.ndarray = field(repr=False)
 
     @classmethod
-    def of(cls, stack: SectorStack) -> HiddenMeasure:
-        """The measure of `stack`'s sectors and weights."""
-        real = stack.indices >= 0
-        w, p = stack.pair_weights, stack.weights[:, None, :]
-        photons, delta = stack.photons, stack.delta[:, None] * real
+    def of(cls, slab: SectorStack) -> HiddenMeasure:
+        """The measure of `slab`'s sectors and weights."""
+        real = slab.indices >= 0
+        w, p = slab.pair_weights, slab.weights[:, None, :]
+        photons, delta = slab.photons, slab.delta[:, None] * real
         symmetric = np.zeros(real.shape)
         symmetric[:, :-1] += w * w
         symmetric[:, 1:] += w * w
-        diagonal = np.array([real, stack.edge, photons, -delta,
+        diagonal = np.array([real, slab.edge, photons, -delta,
                              photons * photons, delta * delta, symmetric],
                             dtype=float).reshape(7, -1)
         measure = cls(diagonal, np.repeat(p, 2, axis=2).transpose(0, 2, 1),
@@ -130,7 +131,7 @@ def hidden_sums(measure: HiddenMeasure, columns: np.ndarray) -> np.ndarray:
     view and one product with `measure.squares`; all seven sums that
     are diagonal in the sector basis come from one product of c_0 with
     `measure.diagonal`; c_1 and c_2 enter through two band dots. A
-    fixed number of array operations on the whole stack, whatever its
+    fixed number of array operations on the whole slab, whatever its
     number of sectors; the zero padding adds nothing.
     """
     g = columns
@@ -148,17 +149,15 @@ def hidden_moments(
 ) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Means and variances of H0..H3 (interaction picture), as 4-tuples.
 
-    Takes a state, whose sector stack (`QuantumState.blocks`) is
-    measured a slab at a time, or the total of `hidden_sums` over the
+    Takes a state, whose slabs of sectors (`QuantumState.blocks`) are
+    measured one at a time, or the total of `hidden_sums` over the
     slabs of one. A variance in (VARIANCE_FLOOR, 0) is cancellation and
     clamps to 0; below that is an error.
     """
     sums = state
     if isinstance(state, QuantumState):
-        stack, sums = state.blocks, 0.0
-        for rows, n in stack.slabs:
-            slab = stack.slab(rows, n)
-            sums = sums + hidden_sums(HiddenMeasure.of(slab), slab.columns)
+        sums = sum(hidden_sums(HiddenMeasure.of(slab), slab.columns)
+                   for slab in state.blocks)
     first, second = sums[2:6], sums[6:]
     variances = second - first * first
     if variances.min() < VARIANCE_FLOOR:

@@ -91,7 +91,12 @@ def _occupation_term(n_x: float, n_y: float) -> float:
 
 
 def squeezing_function(kt: float, n_x: float, n_y: float) -> float:
-    """Sq = 1 + 2 N_x N_y / (1 + N_x + N_y) - sinh 4kt; negative = squeezed."""
+    """Sq = 1 + 2 N_x N_y / (1 + N_x + N_y) - sinh 4kt; negative = squeezed.
+
+    A NaN or infinite kt raises ValueError.
+    """
+    if not math.isfinite(kt):
+        raise ValueError("kt must be finite")
     return 1.0 + _occupation_term(n_x, n_y) - math.sinh(4.0 * kt)
 
 

@@ -33,7 +33,7 @@ from hopslab.fock import (
     random_low_excitation_state,
     sector_table,
 )
-from hopslab.polarization import fit_hops_criterion
+from hopslab.polarization import fit_hops_criterion, hidden_moments
 from hopslab.squeezing import ThermalMixtureModel, sweep, thermal_state
 from dense_reference import (
     HeisenbergSolution,
@@ -174,13 +174,14 @@ def _dense_evolution(state, config):
     return QuantumState(state.cutoff, density=u @ rho @ u.conj().T)
 
 
-def _evolved_stack(state, config):
-    stack = state.blocks
-    columns = np.zeros_like(stack.columns)
-    for (rows, n), slab in zip(stack.slabs, _plan(state)):
-        columns[rows, :n, :slab.moved.shape[2]] = _propagate(
-            slab.moved, slab.values, slab.vectors, config.kt)
-    return dataclasses.replace(stack, columns=columns)
+def _evolved_slabs(state, config):
+    """The state's slabs, with their columns evolved to config.kt."""
+    slabs = []
+    for slab in state.blocks:
+        plan = _plan(state.cutoff, slab)
+        slabs.append(dataclasses.replace(slab, columns=_propagate(
+            plan.moved, plan.values, plan.vectors, config.kt)))
+    return tuple(slabs)
 
 
 def _gathered(stack, array):
@@ -190,28 +191,56 @@ def _gathered(stack, array):
 
 def test_blocks_are_weighted_columns():
     state, _ = _rectangular_mixture()
-    stack = state.blocks
-    assert stack is state.blocks
-    assert stack.populations.sum() == pytest.approx(1.0, abs=1e-14)
-    g, p, idx = stack.columns, stack.weights, stack.indices
-    for array in (g, p, stack.populations, idx, stack.pair_weights,
-                  stack.photons, stack.delta, stack.edge):
-        assert not array.flags.writeable
-    real = (idx >= 0)[:, :, None] & (idx >= 0)[:, None, :]
-    dense_blocks = np.where(real, state.density[idx[:, :, None],
-                                                idx[:, None, :]], 0.0)
-    np.testing.assert_allclose(
-        (g * p[:, None, :]) @ g.conj().transpose(0, 2, 1), dense_blocks,
-        rtol=0, atol=1e-14)
+    slabs = state.blocks
+    assert slabs is state.blocks
+    assert sum(stack.populations.sum() for stack in slabs) == pytest.approx(
+        1.0, abs=1e-14)
+    for stack in slabs:
+        g, p, idx = stack.columns, stack.weights, stack.indices
+        for array in (g, p, stack.populations, idx, stack.pair_weights,
+                      stack.photons, stack.delta, stack.edge):
+            assert not array.flags.writeable
+        real = (idx >= 0)[:, :, None] & (idx >= 0)[:, None, :]
+        dense_blocks = np.where(real, state.density[idx[:, :, None],
+                                                    idx[:, None, :]], 0.0)
+        np.testing.assert_allclose(
+            (g * p[:, None, :]) @ g.conj().transpose(0, 2, 1), dense_blocks,
+            rtol=0, atol=1e-14)
     # full support, so a padding index (-1) would read a nonzero entry
     v = np.random.default_rng(5).standard_normal(2 * state.cutoff.dim)
     pure = QuantumState.from_vector(
         state.cutoff, v.view(complex) / np.linalg.norm(v))
-    stack = pure.blocks
-    assert stack.columns.shape == stack.indices.shape + (1,)
-    np.testing.assert_array_equal(stack.columns[:, :, 0],
-                                  _gathered(stack, pure.vector))
-    np.testing.assert_array_equal(stack.weights, 1.0)
+    for stack in pure.blocks:
+        assert stack.columns.shape == stack.indices.shape + (1,)
+        np.testing.assert_array_equal(stack.columns[:, :, 0],
+                                      _gathered(stack, pure.vector))
+        np.testing.assert_array_equal(stack.weights, 1.0)
+
+
+@pytest.mark.parametrize("make_state", [
+    lambda: thermal_state(FockCutoff(50, 50), 0.5, 0.5),
+    lambda: random_low_excitation_state(FockCutoff(160, 170), 150,
+                                        np.random.default_rng(8)),
+], ids=["thermal-d50", "vector"])
+def test_slabs_pad_only_to_their_own_longest_sector(make_state):
+    state = make_state()
+    slabs = state.blocks
+    assert len(slabs) > 1
+    # consecutive slabs cover the populated sectors once, in table order
+    table = sector_table(state.cutoff)
+    populated = np.flatnonzero(np.bincount(
+        table.label[state.populations() != 0.0], minlength=table.delta.size))
+    assert [s for stack in slabs for s in stack.positions] == \
+        populated.tolist()
+    for stack in slabs:
+        count, length = stack.indices.shape
+        assert (stack.indices >= 0).sum(axis=1).max() == length
+        assert stack.columns.shape[:2] == (count, length)
+        assert stack.columns.size <= fock.STACK_SLAB or count == 1
+    if state.density is not None:
+        # 3.96 MB when every slab was cut from one stack padded to the
+        # longest populated sector
+        assert sum(stack.columns.nbytes for stack in slabs) < 2.5e6
 
 
 @pytest.mark.parametrize("make_state", [
@@ -225,19 +254,27 @@ def test_blocks_are_weighted_columns():
 def test_block_populations_are_read_only_diagonals(make_state):
     state = make_state(FockCutoff(12, 14))
     config = DpaConfig(kt=0.2, leakage_tol=0.9)
-    evolved = _evolved_stack(state, config)
+    evolved = _evolved_slabs(state, config)
     dense = _dense_evolution(state, config)
-    for stack, whole in ((state.blocks, state), (evolved, dense)):
-        assert not stack.populations.flags.writeable
-        g, p = stack.columns, stack.weights
-        diagonal = np.einsum("smr,sr,smr->sm", g, p, g.conj()).real
-        np.testing.assert_allclose(stack.populations, diagonal,
-                                   rtol=0, atol=1e-15)
-        np.testing.assert_allclose(
-            stack.populations, _gathered(stack, np.diag(
-                density_matrix(whole)).real), rtol=0, atol=1e-12)
+    for slabs, whole in ((state.blocks, state), (evolved, dense)):
+        diagonal_of_whole = np.diag(density_matrix(whole)).real
+        for stack in slabs:
+            assert not stack.populations.flags.writeable
+            g, p = stack.columns, stack.weights
+            diagonal = np.einsum("smr,sr,smr->sm", g, p, g.conj()).real
+            np.testing.assert_allclose(stack.populations, diagonal,
+                                       rtol=0, atol=1e-15)
+            np.testing.assert_allclose(
+                stack.populations, _gathered(stack, diagonal_of_whole),
+                rtol=0, atol=1e-12)
         # unit trace, evolved or not, for vectors and densities alike
-        assert stack.populations.sum() == pytest.approx(1.0, abs=1e-14)
+        assert sum(stack.populations.sum() for stack in slabs) == \
+            pytest.approx(1.0, abs=1e-14)
+
+
+def _sectors(state):
+    """The number of sectors in the state's slabs."""
+    return sum(len(stack.positions) for stack in state.blocks)
 
 
 def test_thermal_sweep_decomposes_blocks_once(monkeypatch):
@@ -262,10 +299,10 @@ def test_thermal_sweep_decomposes_blocks_once(monkeypatch):
     # alone, for the blocks boundary_leakage reads
     calls.clear()
     state = thermal_state(cut, 0.3, 0.6)
-    assert len(state.blocks.positions) == len(calls) == 19
+    assert _sectors(state) == len(calls) == 19
     calls.clear()
     evolved = evolve(state, DpaConfig(kt=0.2, leakage_tol=0.9))
-    assert len(evolved.blocks.positions) == len(calls) == 19
+    assert _sectors(evolved) == len(calls) == 19
 
 
 def test_oracle_checks_the_blocks_it_evolves():
@@ -301,23 +338,32 @@ def _thermal_24():
     "make_case", [*STACK_MAKERS.values(), _thermal_24],
     ids=[*STACK_MAKERS, "thermal-0.5-d24"])
 def test_rows_agree_across_many_slabs(make_case, monkeypatch):
-    # a stack plans its slabs once, when first asked, so each state is
-    # built after STACK_SLAB is set
+    # a state is cut into slabs once, when its blocks are first asked
+    # for, so each state is built after STACK_SLAB is set
+    def rows(state, config):
+        evolved = evolve(state, config)
+        means, variances = hidden_moments(state)
+        return (oracle_moments(state, config), evolved.array,
+                means + variances + (boundary_leakage(evolved),))
+
     monkeypatch.setattr(fock, "STACK_SLAB", 2**62)
     state, config = make_case()
-    assert len(state.blocks.slabs) == 1
-    whole = oracle_moments(state, config)
-    whole_evolved = evolve(state, config).array
+    assert len(state.blocks) == 1
+    whole, whole_evolved, whole_state = rows(state, config)
     monkeypatch.setattr(fock, "STACK_SLAB", 64)
     state, config = make_case()
-    assert len(state.blocks.slabs) > 2
-    split = oracle_moments(state, config)
+    assert len(state.blocks) > 2
+    split, split_evolved, split_state = rows(state, config)
     assert split.valid == whole.valid
     for got, want in zip(split.means + split.variances + (split.leakage,),
                          whole.means + whole.variances + (whole.leakage,)):
         assert got == pytest.approx(want, rel=1e-13, abs=1e-13)
-    np.testing.assert_allclose(evolve(state, config).array, whole_evolved,
+    np.testing.assert_allclose(split_evolved, whole_evolved,
                                rtol=0, atol=1e-13)
+    # the state's own moments and the evolved state's certificate read
+    # every slab too
+    for got, want in zip(split_state, whole_state):
+        assert got == pytest.approx(want, rel=1e-13, abs=1e-13)
 
 
 def test_plan_belongs_to_its_state():
@@ -334,7 +380,7 @@ def test_plan_belongs_to_its_state():
         return fock_state(cut, 1, 0)
 
     first, second = single(), superposition()
-    assert first.blocks.positions == second.blocks.positions
+    assert first.blocks[0].positions == second.blocks[0].positions
     config = DpaConfig(kt=0.2)
     for _ in range(2):
         for state, make in ((first, single), (second, superposition)):
@@ -342,10 +388,10 @@ def test_plan_belongs_to_its_state():
                                                                    config)
     assert oracle_moments(first, config) != oracle_moments(second, config)
     # the plan dies with its state and does not keep it alive
-    stack = weakref.ref(first.blocks)
+    slab = weakref.ref(first.blocks[0])
     del first
     gc.collect()
-    assert stack() is None
+    assert slab() is None
 
 
 def test_density_evolution_matches_dense_exponential():
@@ -505,6 +551,17 @@ def test_suggest_cutoff_grows_with_time():
     large = suggest_cutoff(2, 0.8)
     assert small.d_x >= 2 + 17
     assert large.d_x > small.d_x
+
+
+@pytest.mark.parametrize("n_max, kt, message", [
+    (-10, 0.1, "photon numbers"),
+    (2.5, 0.1, "photon numbers"),
+    (0, math.nan, "kt must be finite"),
+    (0, math.inf, "kt must be finite"),
+])
+def test_suggest_cutoff_rejects_bad_input(n_max, kt, message):
+    with pytest.raises(ValueError, match=message):
+        suggest_cutoff(n_max, kt)
 
 
 @given(seed=SEEDS, kt=SMALL_KT)

@@ -120,6 +120,10 @@ def test_squeezing_function_reference_points():
     assert squeezing_function(0.0, 3.0, 7.0) > 0.0
     with pytest.raises(ValueError):
         squeezing_function(0.1, -0.5, 0.0)
+    # as heisenberg_moments: no nan or -inf for a non-finite time
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="kt must be finite"):
+            squeezing_function(bad, 0.035, 0.035)
 
 
 def test_onset_reference_points():
