@@ -4,28 +4,30 @@ The interaction-picture generator H_int = a_x^dag a_y^dag + a_x a_y
 creates and destroys quanta pairwise, so it conserves the mode
 imbalance n_x - n_y. On each imbalance sector (`fock.sector_table`) it
 is a real symmetric tridiagonal matrix with zero diagonal and the
-sector's a_y a_x weights off it. Its eigenpairs are computed once per
-cutoff, unpadded (`_sector_eigenpairs`).
+sector's a_y a_x weights off it. That chain depends only on |delta|
+and its length, so its eigenpairs are computed once per chain, when a
+state first populates it, and shared by delta and -delta and across
+cutoffs (`_chain_eigenpairs`).
 
 Everything about a state's evolution that does not depend on kt is
 computed once per slab of its populated sectors (`QuantumState.blocks`,
 partitioned by `fock`), as the slab's plan (`_plan`): its eigenpairs
-(E, V), padded as the slab is (`_slab_eigenpairs`), its weighted
-columns G already in the eigenbasis, W = V^T G, and the constants of
-the H0..H3 measure (`polarization.HiddenMeasure`). A plan is found by
+(E, V), padded as the slab is (`_slab_eigenpairs`), and its weighted
+columns G already in the eigenbasis, W = V^T G. A plan is found by
 the identity of its slab through a weak reference, so it lives exactly
 as long as the state. `_propagate` is then U(kt) = V diag(e^{-i 2kt E})
 W: one phase and one real product per slab, for every evolution time.
 
 `oracle_moments`, the brute-force oracle against which the closed-form
 Heisenberg moments are checked, never forms the evolved state: each
-row evolves the plan's slabs, (U G, p) for pure and mixed states
-alike, and measures them with the shared `polarization.hidden_sums`.
-U G keeps the spectrum p that `state.blocks` certified, so the one
+row evolves the plan's slabs, U G for pure and mixed states alike,
+and measures them with the shared `polarization.hidden_sums`, which
+reads the sector constants the slab gathered from its cutoff's table.
+U G keeps the spectrum that `state.blocks` certified, so the one
 check left is unit total population (`require_unit_trace`), for
 vectors and densities alike. The total population, the edge population
 that certifies the truncation and the diagonal moments come from one
-product of the evolved populations with the measure's constant matrix,
+product of the evolved populations with the slab's constant matrix,
 so a row costs a fixed number of array operations per slab, whatever
 the number of sectors, and every check still runs on every row.
 Oracle and closed-form rows are one record,
@@ -72,9 +74,10 @@ from .fock import (
     require_unit_trace,
     sector_table,
 )
-from .polarization import HiddenMeasure, hidden_moments, hidden_sums
+from .polarization import hidden_moments, hidden_sums
 
 DEFAULT_LEAKAGE_TOL = 1e-6
+MAX_SUGGESTED_DIM = 80  # largest per-mode cutoff `suggest_cutoff` gives
 
 
 class TruncationError(ArithmeticError):
@@ -138,28 +141,21 @@ class MomentReport:
                 f"variances must be non-negative, got {self.variances}")
 
 
-@lru_cache(maxsize=8)
-def _sector_eigenpairs(
-    cutoff: FockCutoff,
-) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Eigenvalues and eigenvectors of H_int on each sector, table order.
+@lru_cache(maxsize=1024)
+def _chain_eigenpairs(rise: int, length: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors of H_int on one sector's chain.
 
-    Unpadded: sector s has L_s of each.
+    The sector of imbalance +-`rise` and `length` states, whose a_y a_x
+    weights are sqrt((m + 1)(m + rise + 1)), m = 0..length-2. The chain
+    depends on nothing else, so sectors delta and -delta share it, and
+    so do cutoffs that give a sector the same length.
     """
-    if min(cutoff.d_x, cutoff.d_y) <= EVOLUTION_MARGIN:
-        raise ValueError(
-            f"cutoff must exceed {EVOLUTION_MARGIN} levels per mode "
-            "to certify leakage")
-    table = sector_table(cutoff)
-    lengths = (table.indices >= 0).sum(axis=1)
-    pairs = []
-    for length, w in zip(lengths, table.pair_weights):
-        w = w[:length - 1]
-        values, vectors = np.linalg.eigh(np.diag(w, 1) + np.diag(w, -1))
-        values.setflags(write=False)
-        vectors.setflags(write=False)
-        pairs.append((values, vectors))
-    return tuple(pairs)
+    m = np.arange(length - 1.0)
+    w = np.sqrt((m + 1.0) * (m + rise + 1.0))
+    values, vectors = np.linalg.eigh(np.diag(w, 1) + np.diag(w, -1))
+    values.setflags(write=False)
+    vectors.setflags(write=False)
+    return values, vectors
 
 
 def _slab_eigenpairs(
@@ -167,19 +163,22 @@ def _slab_eigenpairs(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The slab's eigenpairs, zero-padded as the slab is, to its L.
 
-    Eigenvalues (S, L) and eigenvectors (S, L, L), from
-    `_sector_eigenpairs`. The padding rows and columns of the
+    Eigenvalues (S, L) and eigenvectors (S, L, L), from each sector's
+    chain (`_chain_eigenpairs`). The padding rows and columns of the
     eigenvectors are zero, so the padded propagator maps a sector's
     padding to zero and reads nothing from it.
     """
-    pairs = _sector_eigenpairs(cutoff)
+    if min(cutoff.d_x, cutoff.d_y) <= EVOLUTION_MARGIN:
+        raise ValueError(
+            f"cutoff must exceed {EVOLUTION_MARGIN} levels per mode "
+            "to certify leakage")
+    delta = sector_table(cutoff).delta
     count, length = slab.indices.shape
     values = np.zeros((count, length))
     vectors = np.zeros((count, length, length))
-    for s, position in enumerate(slab.positions):
-        sector_values, sector_vectors = pairs[position]
-        n = sector_values.size
-        values[s, :n], vectors[s, :n, :n] = sector_values, sector_vectors
+    for s, n in enumerate((slab.indices >= 0).sum(axis=1).tolist()):
+        rise = abs(int(delta[slab.positions[s]]))
+        values[s, :n], vectors[s, :n, :n] = _chain_eigenpairs(rise, n)
     return values, vectors
 
 
@@ -187,15 +186,13 @@ def _slab_eigenpairs(
 class _SlabPlan:
     """One slab of a state's sectors, ready to evolve to any kt.
 
-    The slab's eigenpairs E and V (`_slab_eigenpairs`), its columns in
-    the eigenbasis, `moved` W = V^T G, and the constants of its H0..H3
-    measure.
+    The slab's eigenpairs E and V (`_slab_eigenpairs`) and its columns
+    in the eigenbasis, `moved` W = V^T G.
     """
 
     values: np.ndarray
     vectors: np.ndarray
     moved: np.ndarray
-    measure: HiddenMeasure
 
 
 # plans die with their slab; a plan holds arrays only, never the slab
@@ -209,8 +206,7 @@ def _plan(cutoff: FockCutoff, slab: SectorStack) -> _SlabPlan:
     if plan is None:
         values, vectors = _slab_eigenpairs(cutoff, slab)
         plan = _PLANS[slab] = _SlabPlan(
-            values, vectors, _eigenbasis(slab.columns, vectors),
-            HiddenMeasure.of(slab))
+            values, vectors, _eigenbasis(slab.columns, vectors))
     return plan
 
 
@@ -348,25 +344,27 @@ def oracle_moments(state: QuantumState, config: DpaConfig) -> MomentReport:
     """Brute-force moments: evolve, then measure the hidden set.
 
     Only the sectors the state populates (`state.blocks`) are evolved
-    and measured, as (U G, p), a slab of sectors at a time; the full
+    and measured, as U G, a slab of sectors at a time; the full
     evolved state is never formed. Each slab's plan (`_plan`), built
     on the state's first row and kept while the state lives, holds its
     eigenpairs and W = V^T G, so a row is one phase, one real product
-    and one `hidden_sums` per slab. The weights p are kept, and U G is
-    orthonormal where G is, so an evolved density block has exactly
-    the spectrum `state.blocks` checked. The evolved total population,
-    sum_r p_r |U G_r|^2 (|v|^2 for a vector), must be 1 within
+    and one `hidden_sums` per slab. U is unitary on each sector, so an
+    evolved density block U G G^dag U^dag has exactly the spectrum
+    `state.blocks` checked. The evolved total population,
+    sum_r |U G_r|^2 (|v|^2 for a vector), must be 1 within
     ALGEBRA_TOL, as `require_unit_trace` asks of every state, on every
     row. Never raises on truncation trouble; the report is returned
     with valid=False and the measured leakage so sweeps can flag the
     row and continue.
     """
-    plans = [_plan(state.cutoff, slab) for slab in state.blocks]
-    sums = sum(hidden_sums(plan.measure, _propagate(
-        plan.moved, plan.values, plan.vectors, config.kt)) for plan in plans)
-    require_unit_trace(sums[0])
-    means, variances = hidden_moments(sums)
-    leakage = float(sums[1])
+    rows = []
+    for slab in state.blocks:
+        plan = _plan(state.cutoff, slab)
+        rows.append(hidden_sums(slab, _propagate(
+            plan.moved, plan.values, plan.vectors, config.kt)))
+    require_unit_trace(sum(row[0] for row in rows))
+    means, variances = hidden_moments(rows)
+    leakage = sum(row[1] for row in rows)
     return MomentReport(config.kt, means, variances, leakage,
                         valid=leakage <= config.leakage_tol)
 
@@ -375,11 +373,17 @@ def suggest_cutoff(n_max: int, kt: float) -> FockCutoff:
     """Per-mode dimension comfortably above the amplified occupation.
 
     `n_max` is a photon number (`require_photon_numbers`); a NaN or
-    infinite kt raises ValueError.
+    infinite kt raises ValueError, and so does a dimension above
+    MAX_SUGGESTED_DIM: pass an explicit cutoff for a larger space.
     """
     require_photon_numbers(n_max)
     if not math.isfinite(kt):
         raise ValueError("kt must be finite")
-    grown = 10.0 * math.sinh(2.0 * abs(kt)) ** 2
-    d = n_max + 1 + math.ceil(grown) + 16
+    try:
+        d = n_max + 17 + math.ceil(10.0 * math.sinh(2.0 * abs(kt)) ** 2)
+    except OverflowError:  # sinh 2kt, its square or its ceiling
+        d = math.inf
+    if d > MAX_SUGGESTED_DIM:
+        raise ValueError(f"suggested cutoff {d} per mode is impractical; "
+                         "pass an explicit cutoff")
     return FockCutoff(d, d)

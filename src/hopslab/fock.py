@@ -7,14 +7,15 @@ n_x * d_y + n_y, row-major over x then y.
 The amplifier generator and all four hidden-set operators conserve the
 imbalance n_x - n_y, so the imbalance sector is the unit of work for
 dynamics and moments. `sector_table` stacks, once per cutoff, every
-sector's flat indices |lo_x + m, lo_y + m>, the a_y a_x weights along
-it, its photon numbers and its edge band, zero-padded to a common
-length, plus a flat-index -> sector label. `QuantumState.blocks` holds,
-once per state, the sectors it populates as weighted columns, pure or
-mixed, in slabs: each slab is one `SectorStack` of consecutive sectors,
-at most STACK_SLAB column entries, padded only to its own longest
-sector, and computes its populations c_0 once, on first use. The
-partition into slabs is made here, once, and nowhere else. Evolution
+sector's flat indices |lo_x + m, lo_y + m>, its a_y a_x weights, photon
+numbers, edge band and H0..H3 measure constants, zero-padded to a
+common length, plus a flat-index -> sector label. `QuantumState.blocks`
+holds, once per state, the sectors it populates as columns G sqrt(p),
+whose outer product is the block, pure or mixed, in slabs: each slab
+is one `SectorStack` of consecutive sectors, at most STACK_SLAB column
+entries, padded only to its own longest sector, with the table's
+constants gathered once. The partition into slabs is made here, once,
+and nowhere else. Evolution
 and its truncation certificate (`dpa`) and the H0..H3 measure
 (`polarization.hidden_moments`) iterate over the slabs, as a fixed
 number of array operations per slab, whatever the number of sectors.
@@ -38,7 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from numbers import Integral
 
 import numpy as np
@@ -170,11 +171,8 @@ class QuantumState:
         its own longest sector, L. Sectors come in delta order, whose
         lengths rise and then fall, so neighbours pad little; a slab
         holds at most STACK_SLAB column entries (S L for a vector,
-        S L^2 for a density), or is one sector. A density block is
-        decomposed by one `eigh` per populated sector, on the block
-        itself rather than a zero-padded copy, whose padding zeros
-        would be near-degenerate with tiny weights. Raises ValueError
-        when a density block has an eigenvalue below EIGENVALUE_FLOOR.
+        S L^2 for a density), or is one sector. A vector's columns are
+        its amplitude slices, a density's come from `_folded`.
         """
         table = sector_table(self.cutoff)
         hits = np.bincount(table.label[self.populations() != 0.0],
@@ -190,35 +188,39 @@ class QuantumState:
                 bounds.append(s)
                 longest = n
         bounds.append(len(lengths))
-        return tuple(self._slab(table, positions[lo:hi],
-                                max(lengths[lo:hi], default=1))
-                     for lo, hi in zip(bounds, bounds[1:]))
+        slabs = [positions[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+        indices = [table.indices[slab, :max(lengths[lo:hi], default=1)]
+                   for slab, lo, hi in zip(slabs, bounds, bounds[1:])]
+        columns = self._folded(indices) if self.vector is None else [
+            np.where(i >= 0, self.vector[i], 0.0)[:, :, None] for i in indices]
+        return tuple(map(partial(_slab, table), slabs, indices, columns))
 
-    def _slab(
-        self, table: SectorTable, positions: np.ndarray, size: int,
-    ) -> SectorStack:
-        """The sectors `positions` of `table`, padded to `size` states."""
-        indices = table.indices[positions, :size]
-        if self.vector is not None:
-            columns = np.where(indices >= 0, self.vector[indices],
-                               0.0)[:, :, None]
-            weights = np.ones((positions.size, 1))
-        else:
-            columns = np.zeros((positions.size, size, size), dtype=complex)
-            weights = np.zeros((positions.size, size))
-            for s, row in enumerate(indices):
-                sector = row[row >= 0]
-                p, g = np.linalg.eigh(self.density[np.ix_(sector, sector)])
+    def _folded(self, indices: list[np.ndarray]) -> list[np.ndarray]:
+        """Each slab's density blocks as columns G sqrt(p), (S, L, L).
+
+        One `eigh` per sector, on the unpadded block (padding zeros
+        would be near-degenerate with tiny weights). An eigenvalue
+        below EIGENVALUE_FLOOR raises ValueError; one above it but
+        below 0 clamps to 0, and the kept weights of all the sectors
+        scale by sum p / sum max(p, 0) to keep the blocks' trace.
+        """
+        columns, dropped = [], 0.0
+        for slab in indices:
+            g = np.zeros(slab.shape + slab.shape[1:], dtype=complex)
+            for s, row in enumerate(slab):
+                block = np.ix_(row[row >= 0], row[row >= 0])
+                p, vectors = np.linalg.eigh(self.density[block])
                 _require_positive(p[0])
-                n = sector.size
-                weights[s, :n], columns[s, :n, :n] = p, g
-        arrays = (indices, columns, weights,
-                  table.pair_weights[positions, :size - 1],
-                  table.photons[positions, :size], table.delta[positions],
-                  table.edge[positions, :size])
-        for array in arrays:
-            array.setflags(write=False)
-        return SectorStack(tuple(positions.tolist()), *arrays)
+                if p[0] < 0.0:
+                    dropped += p[p < 0.0].sum()
+                    p = np.maximum(p, 0.0)
+                g[s, :p.size, :p.size] = vectors * np.sqrt(p)
+            columns.append(g)
+        kept = sum(np.vdot(g, g).real for g in columns)
+        if dropped and kept:  # sum p / sum max(p, 0), over every sector
+            for g in columns:
+                g *= math.sqrt(max(kept + dropped, 0.0) / kept)
+        return columns
 
 
 def require_photon_numbers(*values: int) -> None:
@@ -271,7 +273,14 @@ class SectorTable:
     - `pair_weights[s, m]`: the a_y a_x element <m|a_y a_x|m+1> =
       sqrt((lo_x+m+1)(lo_y+m+1)), 0 past the end;
     - `photons[s, m]`: n_x + n_y = lo_x + lo_y + 2m, 0 past the end;
-    - `edge[s, m]`: True on the sector's last EVOLUTION_MARGIN states.
+    - `edge[s, m]`: True on the sector's last EVOLUTION_MARGIN states;
+    - the constants of the H0..H3 measure (`polarization.hidden_sums`):
+      `diagonal`, (5, S, L), the rows whose dot with the populations
+      gives the total population, the edge population, <H0>, <H1>
+      and <A A^dag + A^dag A> (A = a_y a_x): 1, the edge mask, the
+      photon numbers, -delta and w_m^2 + w_{m-1}^2; `pair` 2 w_m and
+      `pair_square` 2 w_m w_{m+1}, (S, L), the band weights of 2<A>
+      and 2<A^2>; all 0 from the sector's last step on.
 
     `label` maps each flat index to its sector's row.
     """
@@ -282,6 +291,9 @@ class SectorTable:
     photons: np.ndarray = field(repr=False)
     edge: np.ndarray = field(repr=False)
     label: np.ndarray = field(repr=False)
+    diagonal: np.ndarray = field(repr=False)
+    pair: np.ndarray = field(repr=False)
+    pair_square: np.ndarray = field(repr=False)
 
 
 @lru_cache(maxsize=8)
@@ -293,14 +305,19 @@ def sector_table(cutoff: FockCutoff) -> SectorTable:
     n_y = n_x - delta[:, None]
     inside = (n_x < d_x) & (n_y < d_y)
     length = inside.sum(axis=1, keepdims=True)
+    w = np.where(inside[:, 1:],
+                 np.sqrt((n_x[:, :-1] + 1.0) * (n_y[:, :-1] + 1.0)), 0.0)
+    photons = np.where(inside, n_x + n_y, 0).astype(float)
+    edge = inside & (np.arange(n_x.shape[1]) >= length - EVOLUTION_MARGIN)
+    step = np.pad(w * w, ((0, 0), (0, 1)))
     table = SectorTable(
-        delta,
-        np.where(inside, n_x * d_y + n_y, -1),
-        np.where(inside[:, 1:],
-                 np.sqrt((n_x[:, :-1] + 1.0) * (n_y[:, :-1] + 1.0)), 0.0),
-        np.where(inside, n_x + n_y, 0).astype(float),
-        inside & (np.arange(n_x.shape[1]) >= length - EVOLUTION_MARGIN),
-        np.subtract.outer(np.arange(d_x), np.arange(d_y)).ravel() + d_y - 1)
+        delta, np.where(inside, n_x * d_y + n_y, -1), w, photons, edge,
+        np.subtract.outer(np.arange(d_x), np.arange(d_y)).ravel() + d_y - 1,
+        np.array([inside, edge, photons, -delta[:, None] * inside,
+                  step + np.roll(step, 1, axis=1)], dtype=float),
+        # complex, so that a product with complex columns casts nothing
+        np.pad(2.0 * w, ((0, 0), (0, 1))).astype(complex),
+        np.pad(2.0 * (w[:, :-1] * w[:, 1:]), ((0, 0), (0, 2))).astype(complex))
     for array in vars(table).values():
         array.setflags(write=False)
     return table
@@ -310,44 +327,61 @@ def sector_table(cutoff: FockCutoff) -> SectorTable:
 class SectorStack:
     """One slab of a state's populated sectors, as weighted columns.
 
-    Sector s holds the block G_s diag(p_s) G_s^dag: one column of
-    weight 1 for a state vector, the eigenpairs of the principal block
-    for a density matrix. The S sectors are consecutive rows
+    Sector s holds the block G_s G_s^dag: a state vector's amplitude
+    slice, or a density's block eigenvectors, each scaled by the square
+    root of its eigenvalue. The S sectors are consecutive rows
     `positions` of the cutoff's `sector_table`, zero-padded to the
     longest of them, L (`QuantumState.blocks` partitions a state):
 
     - `columns` G, shape (S, L, r), in each sector's order;
-    - `weights` p, shape (S, r);
-    - `populations` c_0[s, m] = sum_r p_r |G[s, m, r]|^2, shape (S, L),
+    - `populations` c_0[s, m] = sum_r |G[s, m, r]|^2, shape (S, L),
       computed once, on first use;
     - the sector constants, gathered from the table once: `indices`
-      (S, L), `pair_weights` (S, L - 1), `photons` (S, L), `delta` (S,)
-      and the `edge` mask (S, L).
+      (S, L), and the measure's `diagonal` (5, S L), `pair` (S L - 1,
+      1) and `pair_square` (S L - 2, 1), flat over the sectors laid end
+      to end, whose zeros at each sector's end keep a band inside its
+      sector; `edge` (S, L) is the diagonal's second row.
 
-    Padding is zero in G, p, c_0 and every constant but `indices`
-    (-1), so a sum over the padded slab is the sum over its sectors.
-    The arrays are read-only.
+    Padding is zero in G, c_0 and every constant but `indices` (-1),
+    so a sum over the padded slab is the sum over its sectors. The
+    arrays are read-only.
     """
 
     positions: tuple[int, ...]
     indices: np.ndarray = field(repr=False)
     columns: np.ndarray = field(repr=False)
-    weights: np.ndarray = field(repr=False)
-    pair_weights: np.ndarray = field(repr=False)
-    photons: np.ndarray = field(repr=False)
-    delta: np.ndarray = field(repr=False)
-    edge: np.ndarray = field(repr=False)
+    diagonal: np.ndarray = field(repr=False)
+    pair: np.ndarray = field(repr=False)
+    pair_square: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
         self.columns.setflags(write=False)
 
+    @property
+    def edge(self) -> np.ndarray:
+        return self.diagonal[1].reshape(self.indices.shape)
+
     @cached_property
     def populations(self) -> np.ndarray:
-        """c_0[s, m] = sum_r p_r |G[s, m, r]|^2, computed on first use."""
-        populations = ((np.abs(self.columns) ** 2)
-                       @ self.weights[:, :, None])[:, :, 0]
+        """c_0[s, m] = sum_r |G[s, m, r]|^2, computed on first use."""
+        populations = np.square(self.columns.view(float)).sum(axis=2)
         populations.setflags(write=False)
         return populations
+
+
+def _slab(
+    table: SectorTable, positions: np.ndarray, indices: np.ndarray,
+    columns: np.ndarray,
+) -> SectorStack:
+    """The sectors `positions` of `table`, padded as `indices` is."""
+    size = indices.shape[1]
+    constants = (table.diagonal[:, positions, :size].reshape(5, -1),
+                 table.pair[positions, :size].reshape(-1, 1)[:-1],
+                 table.pair_square[positions, :size].reshape(-1, 1)[:-2])
+    for array in (indices, *constants):
+        array.setflags(write=False)
+    return SectorStack(tuple(positions.tolist()), indices, columns,
+                       *constants)
 
 
 def fock_state(cutoff: FockCutoff, n_x: int, n_y: int) -> QuantumState:

@@ -14,10 +14,12 @@ uncertainty products and the dynamics oracle share) are one measure
 over a state's slabs of imbalance sectors (`QuantumState.blocks`): H0
 and H1 are diagonal on a sector and H2 + iH3 = 2 a_y a_x is a weighted
 shift inside it, so each moment is a weighted sum over three bands of
-a slab, taken for all its sectors at once (`hidden_sums`), and summed
-over the slabs. The weights of those sums are constants of a slab
-(`HiddenMeasure`), built once and reused for every set of columns on
-it, such as the dynamics oracle's evolved columns at each kt. The
+a slab, taken for all its sectors at once (`hidden_sums`), and
+combined over the slabs, Var H0 and Var H1 by the parallel-variance
+rule. The weights of those sums depend only on the sector: they are
+built once per cutoff, in `fock.sector_table`, and each slab gathers
+its own, so any set of columns on it, such as the dynamics oracle's
+evolved columns at each kt, is measured with no set-up. The
 criterion fit and the coherence functions run on ladder shifts
 (`fock.apply_ladders`).
 
@@ -37,7 +39,7 @@ form and the corrected form side by side; nothing is silently fixed.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -57,113 +59,76 @@ FACTORIZATION_TOL = 1e-6   # bound on a reduced-form factorization residual
 FACTORIZATION_ORDER = 2    # highest total order on each side of a Gamma
 FIT_DENOMINATOR_FLOOR = 1e-28
 LIVE_STACKS = 8            # complex (chains, L, L) stacks a table holds
+TINY = np.finfo(float).tiny  # stands in for a slab's zero population
 
 
 class FitUndefinedError(ArithmeticError):
     """The criterion fit has a vanishing denominator (no x-quanta to add)."""
 
 
-@dataclass(frozen=True, eq=False)
-class HiddenMeasure:
-    """The constants of the H0..H3 measure on one slab of sectors.
+def hidden_sums(slab: SectorStack, columns: np.ndarray) -> tuple[float, ...]:
+    """Population, edge population and H0..H3 sums of columns, 10 floats.
 
-    Built once per slab (`of`) from its sector constants and weights
-    p, so that `hidden_sums` of any columns on those sectors, the
-    slab's own G or evolved ones U G, is a fixed number of products:
-
-    - `diagonal`, (7, S L): the rows whose dot with c_0 gives the
-      total population, the edge population (the slab's `edge` mask),
-      <H0>, <H1>, <H0^2>, <H1^2> and <A A^dag + A^dag A>;
-    - `squares`, (S, 2r, 1): p_r twice for each column r, once for its
-      real and once for its imaginary part, so that it takes the
-      squares of G's real view to c_0 = sum_r p_r (Re G_r^2 + Im G_r^2);
-    - `pair` 2 w_m p_r, (S, L - 1, r), and `pair_square`
-      2 w_m w_{m+1} p_r, (S, L - 2, r), the band weights of 2<A> and
-      2<A^2>.
-
-    Zero on the padding, like the slab's own constants.
-    """
-
-    diagonal: np.ndarray = field(repr=False)
-    squares: np.ndarray = field(repr=False)
-    pair: np.ndarray = field(repr=False)
-    pair_square: np.ndarray = field(repr=False)
-
-    @classmethod
-    def of(cls, slab: SectorStack) -> HiddenMeasure:
-        """The measure of `slab`'s sectors and weights."""
-        real = slab.indices >= 0
-        w, p = slab.pair_weights, slab.weights[:, None, :]
-        photons, delta = slab.photons, slab.delta[:, None] * real
-        symmetric = np.zeros(real.shape)
-        symmetric[:, :-1] += w * w
-        symmetric[:, 1:] += w * w
-        diagonal = np.array([real, slab.edge, photons, -delta,
-                             photons * photons, delta * delta, symmetric],
-                            dtype=float).reshape(7, -1)
-        measure = cls(diagonal, np.repeat(p, 2, axis=2).transpose(0, 2, 1),
-                      2.0 * w[:, :, None] * p,
-                      2.0 * (w[:, :-1] * w[:, 1:])[:, :, None] * p)
-        for array in vars(measure).values():
-            array.setflags(write=False)
-        return measure
-
-
-def hidden_sums(measure: HiddenMeasure, columns: np.ndarray) -> np.ndarray:
-    """Population, edge population, <H_j> and <H_j^2> of columns, (10,).
-
-    `columns` G, (S, L, r), lie on the sectors `measure` was built for,
-    with its weights p; the sums run over every sector, so the sums of
-    a state's slabs add up to its totals. In order: the population
-    sum_r p_r |G_r|^2, the part of it on the edge mask, <H0>..<H3> and
-    <H0^2>..<H3^2>. Every H_j conserves the imbalance. On a sector,
+    `columns` G, (S, L, r), lie on `slab`'s sectors, with block
+    G G^dag per sector; the sums run over every sector. In order: the
+    population sum_r |G_r|^2, the part of it on the edge mask,
+    <H0>..<H3>, the second moments of H0 and H1 about the slab's own
+    means (`hidden_moments` combines them across slabs), and <H2^2>,
+    <H3^2>. Every H_j conserves the imbalance. On a sector,
     H0 = n_x + n_y is diagonal, H1 = n_y - n_x = -delta is constant,
     and H2 + iH3 = 2A with A = a_y a_x, which maps m + 1 -> m with the
     sector's pair weight w_m. With the bands
-    c_k[m] = <m + k|rho|m> = sum_r p_r G[m + k, r] conj(G[m, r]):
+    c_k[m] = <m + k|rho|m> = sum_r G[m + k, r] conj(G[m, r]):
 
         <H2> + i<H3>   = 2 sum_m w_m c_1[m]
         <H2^2>, <H3^2> = <A A^dag + A^dag A> +- 2 Re <A^2>
         <A A^dag + A^dag A> = sum_m (w_m^2 + w_{m-1}^2) c_0[m]
         <A^2>          = sum_m w_m w_{m+1} c_2[m]
 
-    c_0 = sum_r p_r (Re G_r^2 + Im G_r^2) is one square of G's real
-    view and one product with `measure.squares`; all seven sums that
-    are diagonal in the sector basis come from one product of c_0 with
-    `measure.diagonal`; c_1 and c_2 enter through two band dots. A
-    fixed number of array operations on the whole slab, whatever its
-    number of sectors; the zero padding adds nothing.
+    c_0 = sum_r |G_r|^2; the sums diagonal in the sector basis are one
+    product of c_0 with the slab's `diagonal`, the centred sums
+    (n - mean)^2 c_0 one more, and c_1 and c_2 two band dots over the
+    sectors laid end to end, whose weights vanish at each sector's
+    end: a fixed number of array operations per slab.
     """
-    g = columns
-    c0 = np.square(g.view(float)) @ measure.squares
-    population, edge, h0, h1, h0_sq, h1_sq, symmetric = \
-        measure.diagonal @ c0.ravel()
-    pair = np.vdot(g[:, :-1] * measure.pair, g[:, 1:])
-    pair_sq = np.vdot(g[:, :-2] * measure.pair_square, g[:, 2:]).real
-    return np.array([population, edge, h0, h1, pair.real, pair.imag,
-                     h0_sq, h1_sq, symmetric + pair_sq, symmetric - pair_sq])
+    g = columns.reshape(-1, columns.shape[2])  # the sectors end to end
+    c0 = np.square(g.view(float)) @ np.ones(2 * g.shape[1])
+    population, edge, h0, h1, symmetric = (slab.diagonal @ c0).tolist()
+    mean = np.divide([[h0], [h1]], max(population, TINY))
+    central = np.square(slab.diagonal[2:4] - mean) @ c0
+    pair = complex(np.vdot(g[:-1] * slab.pair, g[1:]))
+    pair_sq = float(np.vdot(g[:-2] * slab.pair_square, g[2:]).real)
+    return (population, edge, h0, h1, pair.real, pair.imag,
+            *central.tolist(), symmetric + pair_sq, symmetric - pair_sq)
 
 
 def hidden_moments(
-    state: QuantumState | np.ndarray,
+    state: QuantumState | list[tuple[float, ...]],
 ) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Means and variances of H0..H3 (interaction picture), as 4-tuples.
 
     Takes a state, whose slabs of sectors (`QuantumState.blocks`) are
-    measured one at a time, or the total of `hidden_sums` over the
-    slabs of one. A variance in (VARIANCE_FLOOR, 0) is cancellation and
-    clamps to 0; below that is an error.
+    measured one at a time, or the `hidden_sums` of the slabs of one.
+    Var H0 and Var H1 combine the slabs' centred moments M_k by the
+    parallel-variance rule, sum_k M_k + pop_k (mean_k - mean)^2, so no
+    digits cancel when a variance is small beside its squared mean.
+    A variance in (VARIANCE_FLOOR, 0) is cancellation and clamps to 0;
+    below that is an error.
     """
-    sums = state
+    rows = state
     if isinstance(state, QuantumState):
-        sums = sum(hidden_sums(HiddenMeasure.of(slab), slab.columns)
-                   for slab in state.blocks)
-    first, second = sums[2:6], sums[6:]
-    variances = second - first * first
-    if variances.min() < VARIANCE_FLOOR:
+        rows = [hidden_sums(slab, slab.columns) for slab in state.blocks]
+    total = [sum(column) for column in zip(*rows)]
+    first = total[2:6]
+    # pop_k (mean_k - mean)^2 = (h_k - pop_k mean)^2 / pop_k
+    spread = [sum((row[j] - row[0] * first[j - 2]) ** 2 / max(row[0], TINY)
+                  for row in rows) for j in (2, 3)]
+    variances = [total[6] + spread[0], total[7] + spread[1],
+                 total[8] - first[2] ** 2, total[9] - first[3] ** 2]
+    if min(variances) < VARIANCE_FLOOR:
         raise ArithmeticError(
-            f"variance {variances.min():.3e} below the clamping floor")
-    return tuple(first.tolist()), tuple(np.maximum(variances, 0.0).tolist())
+            f"variance {min(variances):.3e} below the clamping floor")
+    return tuple(first), tuple(max(v, 0.0) for v in variances)
 
 
 @dataclass(frozen=True)

@@ -50,7 +50,6 @@ from .fock import (
 CLAIM_MATCH_TOL = 1e-6       # relative deviation below which values agree
 ONSET_XTOL = 1e-12
 THERMAL_TAIL = 1e-9          # per-mode weight beyond the kept levels
-MAX_SUGGESTED_DIM = 80
 
 
 def thermal_weight(n_bar: float, n: int) -> float:
@@ -409,10 +408,6 @@ def sweep(
     if with_oracle:
         if cutoff is None:
             cutoff = suggest_cutoff(model.peak_level(), kt_max)
-            if cutoff.d_x > MAX_SUGGESTED_DIM:
-                raise ValueError(
-                    f"suggested cutoff {cutoff.d_x} per mode is impractical; "
-                    "pass an explicit cutoff")
         initial = model.initial_state(cutoff)
         rows = [oracle_moments(
             initial, DpaConfig(kt=float(kt), leakage_tol=leakage_tol))

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from hopslab import fock
+from hopslab import dpa, fock
 from hopslab.dpa import (
     EVOLUTION_MARGIN,
     MOMENT_NAMES,
@@ -196,16 +196,16 @@ def test_blocks_are_weighted_columns():
     assert sum(stack.populations.sum() for stack in slabs) == pytest.approx(
         1.0, abs=1e-14)
     for stack in slabs:
-        g, p, idx = stack.columns, stack.weights, stack.indices
-        for array in (g, p, stack.populations, idx, stack.pair_weights,
-                      stack.photons, stack.delta, stack.edge):
+        g, idx = stack.columns, stack.indices
+        for array in (g, stack.populations, idx, stack.diagonal, stack.pair,
+                      stack.pair_square, stack.edge):
             assert not array.flags.writeable
         real = (idx >= 0)[:, :, None] & (idx >= 0)[:, None, :]
         dense_blocks = np.where(real, state.density[idx[:, :, None],
                                                     idx[:, None, :]], 0.0)
+        # the columns are G sqrt(p): their outer product is the block
         np.testing.assert_allclose(
-            (g * p[:, None, :]) @ g.conj().transpose(0, 2, 1), dense_blocks,
-            rtol=0, atol=1e-14)
+            g @ g.conj().transpose(0, 2, 1), dense_blocks, rtol=0, atol=1e-14)
     # full support, so a padding index (-1) would read a nonzero entry
     v = np.random.default_rng(5).standard_normal(2 * state.cutoff.dim)
     pure = QuantumState.from_vector(
@@ -214,7 +214,6 @@ def test_blocks_are_weighted_columns():
         assert stack.columns.shape == stack.indices.shape + (1,)
         np.testing.assert_array_equal(stack.columns[:, :, 0],
                                       _gathered(stack, pure.vector))
-        np.testing.assert_array_equal(stack.weights, 1.0)
 
 
 @pytest.mark.parametrize("make_state", [
@@ -260,8 +259,8 @@ def test_block_populations_are_read_only_diagonals(make_state):
         diagonal_of_whole = np.diag(density_matrix(whole)).real
         for stack in slabs:
             assert not stack.populations.flags.writeable
-            g, p = stack.columns, stack.weights
-            diagonal = np.einsum("smr,sr,smr->sm", g, p, g.conj()).real
+            g = stack.columns
+            diagonal = np.einsum("smr,smr->sm", g, g.conj()).real
             np.testing.assert_allclose(stack.populations, diagonal,
                                        rtol=0, atol=1e-15)
             np.testing.assert_allclose(
@@ -303,6 +302,34 @@ def test_thermal_sweep_decomposes_blocks_once(monkeypatch):
     calls.clear()
     evolved = evolve(state, DpaConfig(kt=0.2, leakage_tol=0.9))
     assert _sectors(evolved) == len(calls) == 19
+
+
+def test_eigenpairs_are_computed_per_populated_chain(monkeypatch):
+    # a Fock state populates one sector: its first row decomposes that
+    # sector's chain alone, not every sector of the cutoff (95 at d = 48)
+    dpa._chain_eigenpairs.cache_clear()
+    calls = []
+
+    def counting(*args, _original=np.linalg.eigh, **kwargs):
+        calls.append(1)
+        return _original(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    config = DpaConfig(kt=0.2)
+
+    def first_row_decompositions(cutoff, n_x, n_y):
+        calls.clear()
+        oracle_moments(fock_state(cutoff, n_x, n_y), config)
+        return len(calls)
+
+    assert first_row_decompositions(FockCutoff(48, 48), 1, 0) == 1
+    # the chain depends on |delta| and its length alone: delta = -1
+    # shares it, and so does a cutoff that gives the sector 47 states
+    assert first_row_decompositions(FockCutoff(48, 48), 0, 1) == 0
+    assert first_row_decompositions(FockCutoff(48, 64), 1, 0) == 0
+    # at d = 64 the sector holds 63 states: a chain of its own
+    assert first_row_decompositions(FockCutoff(64, 64), 1, 0) == 1
+    assert dpa._chain_eigenpairs.cache_info().currsize == 2
 
 
 def test_oracle_checks_the_blocks_it_evolves():
@@ -469,6 +496,16 @@ def test_oracle_matches_closed_forms_on_fock_grid():
                     assert abs(got - want) < tol, (n_x, n_y, kt, got, want)
 
 
+def test_small_time_variances_do_not_cancel():
+    # Var H0 = s4^2 K is 1.1e-6 at kt = 1e-4 beside <H0>^2 = 9:
+    # <H0^2> - <H0>^2 kept only 8 digits of it
+    report = oracle_moments(fock_state(FockCutoff(64, 64), 1, 2),
+                            DpaConfig(kt=1e-4))
+    closed = heisenberg_moments(1, 2, 1e-4)
+    assert report.variances[0] == pytest.approx(closed.variances[0],
+                                                rel=1e-12, abs=0.0)
+
+
 def test_thermal_closed_forms_match_mixed_oracle():
     cut = FockCutoff(20, 20)
     nbar_x, nbar_y, kt = 0.3, 0.15, 0.15
@@ -538,6 +575,29 @@ def test_reports_hold_tuples_of_floats():
         assert len(report.means + report.variances) == len(MOMENT_NAMES)
 
 
+def test_clamped_weights_keep_the_trace():
+    # -5e-11 lies inside EIGENVALUE_FLOOR, so from_density accepts the
+    # state; its weight clamps to 0 and the vacuum's 1 + 5e-11 scales
+    # back to the trace, 1, so the rows are the vacuum's own
+    cut = FockCutoff(16, 16)
+    vac, single = cut.index(0, 0), cut.index(1, 0)
+    rho = np.zeros((cut.dim, cut.dim), dtype=complex)
+    rho[vac, vac], rho[single, single] = 1.0 + 5e-11, -5e-11
+    state = QuantumState.from_density(cut, rho)
+    assert [stack.positions for stack in state.blocks] == [
+        (cut.d_y - 1, cut.d_y)]
+    np.testing.assert_array_equal(state.blocks[0].populations[1], 0.0)
+    vacuum = fock_state(cut, 0, 0)
+    for kt in (0.0, 0.1, 0.3):
+        config = DpaConfig(kt=kt, leakage_tol=1e-5)
+        report = oracle_moments(state, config)
+        assert report.valid
+        want = oracle_moments(vacuum, config)
+        for got, expected in zip(report.means + report.variances,
+                                 want.means + want.variances):
+            assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+
 def test_oracle_flags_instead_of_raising():
     cut = FockCutoff(6, 6)
     config = DpaConfig(kt=0.8)
@@ -558,6 +618,9 @@ def test_suggest_cutoff_grows_with_time():
     (2.5, 0.1, "photon numbers"),
     (0, math.nan, "kt must be finite"),
     (0, math.inf, "kt must be finite"),
+    # d = 1.4e35 levels, and an overflowing sinh(2 kt)^2
+    (0, 20.0, "impractical"),
+    (0, 200.0, "impractical"),
 ])
 def test_suggest_cutoff_rejects_bad_input(n_max, kt, message):
     with pytest.raises(ValueError, match=message):
