@@ -8,6 +8,12 @@ arrays (FieldEnsemble), and every statistic and index here is
 vectorized over them; `hops_statistics` draws and reduces a
 hidden-polarized ensemble in chunks without holding it.
 
+A draw takes one unit phasor e^{i phi} per sample, from one cos and one
+sin of the phase; the hidden ensemble's amp_y uses its conjugate, the
+ordinary one's its product with e^{i delta}. The stream is fixed per
+seed: the phases are its first `count` uniform draws and the amplitudes
+follow, so the samples do not depend on how they are chunked.
+
 Estimates come with batch-means standard errors: the stream is cut into
 about sqrt(N) batches and the spread of batch means estimates the error
 of the grand mean.
@@ -17,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -121,6 +127,14 @@ class FieldEnsemble:
         return self.amp_x.shape[0]
 
 
+def _unit_phasors(phi: np.ndarray) -> np.ndarray:
+    """e^{i phi} as one complex array: cos and sin written into its parts."""
+    phasor = np.empty(phi.shape, dtype=complex)
+    np.cos(phi, out=phasor.real)
+    np.sin(phi, out=phasor.imag)
+    return phasor
+
+
 def _hops_chunks(
     spec: HopsEnsembleSpec, count: int, seed: int, chunk: int,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -131,17 +145,27 @@ def _hops_chunks(
     exactly one 64-bit draw, so a second generator advanced by `count`
     draws yields the amplitudes alongside the phases, and the samples
     do not depend on `chunk`.
+
+    Each sample takes one unit phasor e^{i phi}; amp_y's is its
+    conjugate. The constant factors cos(chi_h/2) e^{i delta_h/2} and
+    sin(chi_h/2) e^{i delta_h/2} and the amplitude a0 scale the two
+    phasors in place.
     """
     phases = np.random.default_rng(seed)
     amplitudes = np.random.default_rng(seed)
     amplitudes.bit_generator.advance(count)
-    half = 0.5 * spec.delta_h
+    tilt = complex(math.cos(0.5 * spec.delta_h), math.sin(0.5 * spec.delta_h))
+    scale_x = math.cos(0.5 * spec.chi_h) * tilt
+    scale_y = math.sin(0.5 * spec.chi_h) * tilt
     for start in range(0, count, chunk):
         n = min(chunk, count - start)
-        phi = phases.uniform(0.0, 2.0 * math.pi, n)
+        amp_x = _unit_phasors(phases.uniform(0.0, 2.0 * math.pi, n))
+        amp_y = np.conj(amp_x)
         a0 = spec.amplitude.draw(amplitudes, n)
-        yield (a0 * math.cos(0.5 * spec.chi_h) * np.exp(1j * (phi + half)),
-               a0 * math.sin(0.5 * spec.chi_h) * np.exp(1j * (-phi + half)))
+        for amp, scale in ((amp_x, scale_x), (amp_y, scale_y)):
+            amp *= scale
+            amp *= a0
+        yield amp_x, amp_y
 
 
 def sample_hops(
@@ -156,14 +180,21 @@ def sample_hops(
 def sample_ordinary(
     spec: OrdinaryEnsembleSpec, count: int, seed: int,
 ) -> FieldEnsemble:
-    """Draw an ordinary-polarized ensemble (common random phase)."""
+    """Draw an ordinary-polarized ensemble (common random phase).
+
+    The phases come first in the seed's stream, then the amplitudes;
+    amp_y's phasor is amp_x's times e^{i delta}.
+    """
     if count < 1:
         raise ValueError("count must be at least 1")
     rng = np.random.default_rng(seed)
-    phi = rng.uniform(0.0, 2.0 * math.pi, count)
+    amp_x = _unit_phasors(rng.uniform(0.0, 2.0 * math.pi, count))
+    amp_y = amp_x * complex(math.cos(spec.delta), math.sin(spec.delta))
     a0 = spec.amplitude.draw(rng, count)
-    amp_x = a0 * math.cos(0.5 * spec.chi) * np.exp(1j * phi)
-    amp_y = a0 * math.sin(0.5 * spec.chi) * np.exp(1j * (phi + spec.delta))
+    for amp, scale in ((amp_x, math.cos(0.5 * spec.chi)),
+                       (amp_y, math.sin(0.5 * spec.chi))):
+        amp *= scale
+        amp *= a0
     return FieldEnsemble(amp_x, amp_y)
 
 
@@ -184,18 +215,22 @@ def _batch_layout(count: int) -> tuple[int, int]:
     return batches, count // batches
 
 
-def _stokes_components(amp_x, amp_y) -> dict[str, np.ndarray]:
-    ix = np.abs(amp_x) ** 2
-    iy = np.abs(amp_y) ** 2
-    cross = 2.0 * np.conj(amp_y) * amp_x
-    return {"s0": iy + ix, "s1": iy - ix, "s2": cross.real, "s3": cross.imag}
+def _components(amp_x, amp_y, sets: str) -> dict[str, np.ndarray]:
+    """Per-sample components of the sets named in `sets`: "s", "h" or both.
 
-
-def _hidden_components(amp_x, amp_y) -> dict[str, np.ndarray]:
-    ix = np.abs(amp_x) ** 2
-    iy = np.abs(amp_y) ** 2
-    pair = 2.0 * amp_y * amp_x
-    return {"h0": iy + ix, "h1": iy - ix, "h2": pair.real, "h3": pair.imag}
+    Each intensity is computed once, as re^2 + im^2, and the two sets
+    share the arrays: s0 = h0 and s1 = h1. The sets differ only in the
+    correlation, s2 + i*s3 = 2 conj(A_y) A_x and h2 + i*h3 = 2 A_y A_x.
+    """
+    ix = amp_x.real ** 2 + amp_x.imag ** 2
+    iy = amp_y.real ** 2 + amp_y.imag ** 2
+    total, imbalance = iy + ix, iy - ix
+    columns: dict[str, np.ndarray] = {}
+    for name in sets:
+        pair = 2.0 * (np.conj(amp_y) if name == "s" else amp_y) * amp_x
+        columns.update({name + "0": total, name + "1": imbalance,
+                        name + "2": pair.real, name + "3": pair.imag})
+    return columns
 
 
 def _spread(means: np.ndarray) -> float:
@@ -207,9 +242,9 @@ def _spread(means: np.ndarray) -> float:
 
 def _chunk_stats(
     chunks: Iterable[tuple[np.ndarray, np.ndarray]], count: int,
-    components: Callable[..., dict[str, np.ndarray]],
+    sets: str,
 ) -> EnsembleStats:
-    """Statistics of `components(amp_x, amp_y)` over a stream of samples.
+    """Statistics of the component `sets` (`_components`) over a stream.
 
     `chunks` yields (amp_x, amp_y) pairs, `count` samples in all; every
     chunk but the last holds whole batches (`_batch_layout`), so the
@@ -226,7 +261,7 @@ def _chunk_stats(
     with np.errstate(over="ignore", invalid="ignore"):
         for amp_x, amp_y in chunks:
             whole = min(max(batches * size - start, 0), amp_x.shape[0])
-            for name, v in components(amp_x, amp_y).items():
+            for name, v in _components(amp_x, amp_y, sets).items():
                 sums[name] = sums.get(name, 0.0) + np.sum(v)
                 means.setdefault(name, []).append(
                     v[:whole].reshape(-1, size).mean(axis=1))
@@ -244,13 +279,13 @@ def _chunk_stats(
 def classical_stokes(ensemble: FieldEnsemble) -> EnsembleStats:
     """Ensemble Stokes estimates: s2 + i*s3 = 2<conj(A_y) A_x>."""
     return _chunk_stats([(ensemble.amp_x, ensemble.amp_y)], len(ensemble),
-                        _stokes_components)
+                        "s")
 
 
 def classical_hidden(ensemble: FieldEnsemble) -> EnsembleStats:
     """Ensemble hidden estimates: h2 + i*h3 = 2<A_y A_x> (no conjugation)."""
     return _chunk_stats([(ensemble.amp_x, ensemble.amp_y)], len(ensemble),
-                        _hidden_components)
+                        "h")
 
 
 def hops_statistics(
@@ -260,15 +295,15 @@ def hops_statistics(
 
     The same numbers as classical_stokes and classical_hidden of that
     ensemble, but the samples are drawn and reduced in chunks of whole
-    batches, about ENSEMBLE_CHUNK samples each, and never held at once;
-    beyond one chunk only the ~sqrt(count) batch means are kept. The
-    errors are equal; the estimates agree to summation round-off.
+    batches and never held at once; beyond one chunk only the
+    ~sqrt(count) batch means are kept. A chunk is about ENSEMBLE_CHUNK
+    samples, or one batch of ~sqrt(count) samples once a batch is
+    larger (count above ENSEMBLE_CHUNK**2). The errors are equal; the
+    estimates agree to summation round-off.
     """
     _, size = _batch_layout(count)
     chunk = size * max(1, ENSEMBLE_CHUNK // size)
-    return _chunk_stats(
-        _hops_chunks(spec, count, seed, chunk), count,
-        lambda x, y: {**_stokes_components(x, y), **_hidden_components(x, y)})
+    return _chunk_stats(_hops_chunks(spec, count, seed, chunk), count, "sh")
 
 
 def _index(amp, reference) -> complex | np.ndarray:

@@ -1,5 +1,6 @@
 """Tests for classical field ensembles."""
 
+import cmath
 import math
 
 import numpy as np
@@ -127,6 +128,11 @@ def test_hidden_coincides_with_stokes_on_first_two():
     assert hidden.values["h0"] == stokes.values["s0"]
     assert hidden.values["h1"] == stokes.values["s1"]
     assert hidden.std_errors["h0"] == stokes.std_errors["s0"]
+    # the streamed table shares the intensities between the two sets
+    streamed = hops_statistics(spec, 5000, seed=3)
+    for shared, ordinary in (("h0", "s0"), ("h1", "s1")):
+        assert streamed.values[shared] == streamed.values[ordinary]
+        assert streamed.std_errors[shared] == streamed.std_errors[ordinary]
 
 
 def test_tilted_ensemble_keeps_s1():
@@ -169,15 +175,51 @@ def test_chunked_draws_reproduce_the_one_shot_ensemble():
     rng = np.random.default_rng(42)
     phi = rng.uniform(0.0, 2.0 * math.pi, count)
     a0 = rng.rayleigh(0.8, count)
-    amp_x = a0 * math.cos(0.6) * np.exp(1j * (phi + 0.2))
-    amp_y = a0 * math.sin(0.6) * np.exp(1j * (-phi + 0.2))
+    # the stream formula in the draw's own arithmetic: one phasor per
+    # sample, amp_y's its conjugate, each scaled by a constant, then a0
+    phasor = np.cos(phi) + 1j * np.sin(phi)
+    amp_x = phasor * (math.cos(0.6) * cmath.exp(0.2j)) * a0
+    amp_y = np.conj(phasor) * (math.sin(0.6) * cmath.exp(0.2j)) * a0
     ensemble = sample_hops(spec, count, seed=42)
     np.testing.assert_array_equal(ensemble.amp_x, amp_x)
     np.testing.assert_array_equal(ensemble.amp_y, amp_y)
+    # and the exponential form, to round-off in units of a0
+    within = 2e-15 * a0
+    assert np.all(np.abs(ensemble.amp_x - a0 * math.cos(0.6)
+                         * np.exp(1j * (phi + 0.2))) <= within)
+    assert np.all(np.abs(ensemble.amp_y - a0 * math.sin(0.6)
+                         * np.exp(1j * (-phi + 0.2))) <= within)
     chunks = list(_hops_chunks(spec, count, 42, 64))
     assert len(chunks) == 16
     np.testing.assert_array_equal(np.concatenate([c[0] for c in chunks]), amp_x)
     np.testing.assert_array_equal(np.concatenate([c[1] for c in chunks]), amp_y)
+
+
+@given(chi=POLAR_ANGLES, delta=PHASE_ANGLES, seed=SEEDS,
+       amplitude=st.sampled_from([FixedAmplitude(1.7),
+                                  RayleighAmplitude(0.8)]))
+def test_one_phasor_draws_match_the_exponential_form(chi, delta, seed,
+                                                     amplitude):
+    count = 200
+    rng = np.random.default_rng(seed)
+    phi = rng.uniform(0.0, 2.0 * math.pi, count)
+    a0 = amplitude.draw(rng, count)
+    within = 2e-15 * a0
+    hidden = HopsEnsembleSpec(chi_h=chi, delta_h=delta, amplitude=amplitude)
+    amp_x, amp_y = next(_hops_chunks(hidden, count, seed, count))
+    total = np.abs(amp_x) ** 2 + np.abs(amp_y) ** 2
+    np.testing.assert_allclose(total, a0**2, rtol=4e-15)
+    assert np.all(np.abs(amp_x - a0 * math.cos(0.5 * chi)
+                         * np.exp(1j * (phi + 0.5 * delta))) <= within)
+    assert np.all(np.abs(amp_y - a0 * math.sin(0.5 * chi)
+                         * np.exp(1j * (-phi + 0.5 * delta))) <= within)
+    ordinary = sample_ordinary(
+        OrdinaryEnsembleSpec(chi=chi, delta=delta, amplitude=amplitude),
+        count, seed)
+    assert np.all(np.abs(ordinary.amp_x - a0 * math.cos(0.5 * chi)
+                         * np.exp(1j * phi)) <= within)
+    assert np.all(np.abs(ordinary.amp_y - a0 * math.sin(0.5 * chi)
+                         * np.exp(1j * (phi + delta))) <= within)
 
 
 def test_streamed_statistics_match_one_shot():
