@@ -215,22 +215,31 @@ def _batch_layout(count: int) -> tuple[int, int]:
     return batches, count // batches
 
 
-def _components(amp_x, amp_y, sets: str) -> dict[str, np.ndarray]:
-    """Per-sample components of the sets named in `sets`: "s", "h" or both.
+def _components(amp_x, amp_y, sets: str) -> list[np.ndarray]:
+    """Distinct per-sample components of the sets named in `sets`.
 
+    `sets` is "s", "h" or both; `_component_rows(sets)` names the rows.
     Each intensity is computed once, as re^2 + im^2, and the two sets
-    share the arrays: s0 = h0 and s1 = h1. The sets differ only in the
-    correlation, s2 + i*s3 = 2 conj(A_y) A_x and h2 + i*h3 = 2 A_y A_x.
+    share them: s0 = h0 and s1 = h1 are the first two rows. The sets
+    differ only in the correlation, s2 + i*s3 = 2 conj(A_y) A_x and
+    h2 + i*h3 = 2 A_y A_x, two rows per set.
     """
     ix = amp_x.real ** 2 + amp_x.imag ** 2
     iy = amp_y.real ** 2 + amp_y.imag ** 2
-    total, imbalance = iy + ix, iy - ix
-    columns: dict[str, np.ndarray] = {}
+    columns = [iy + ix, iy - ix]
     for name in sets:
         pair = 2.0 * (np.conj(amp_y) if name == "s" else amp_y) * amp_x
-        columns.update({name + "0": total, name + "1": imbalance,
-                        name + "2": pair.real, name + "3": pair.imag})
+        columns += [pair.real, pair.imag]
     return columns
+
+
+def _component_rows(sets: str) -> dict[str, int]:
+    """Each component's row in `_components(..., sets)`, in table order."""
+    rows: dict[str, int] = {}
+    for k, name in enumerate(sets):
+        rows.update({name + "0": 0, name + "1": 1,
+                     name + "2": 2 + 2 * k, name + "3": 3 + 2 * k})
+    return rows
 
 
 def _spread(means: np.ndarray) -> float:
@@ -249,26 +258,31 @@ def _chunk_stats(
     `chunks` yields (amp_x, amp_y) pairs, `count` samples in all; every
     chunk but the last holds whole batches (`_batch_layout`), so the
     batch means, and hence the errors, do not depend on the chunking.
+    Each distinct component is summed and batch-averaged once, so h0
+    and h1 are s0 and s1 exactly, and the batch means fill one array
+    of ~sqrt(count) columns, allocated before the first chunk.
     Raises ValueError when an estimate or an error is not finite, as
     when the amplitudes are large enough to overflow the components.
     The batch means are scaled by a power of two before their spread
     is taken, so the error overflows only where an estimate would.
     """
     batches, size = _batch_layout(count)
-    sums: dict[str, float] = {}
-    means: dict[str, list[np.ndarray]] = {}
+    rows = _component_rows(sets)
+    sums = np.zeros(2 + 2 * len(sets))
+    means = np.empty((sums.size, batches))  # one row per distinct component
     start = 0
     with np.errstate(over="ignore", invalid="ignore"):
         for amp_x, amp_y in chunks:
             whole = min(max(batches * size - start, 0), amp_x.shape[0])
-            for name, v in _components(amp_x, amp_y, sets).items():
-                sums[name] = sums.get(name, 0.0) + np.sum(v)
-                means.setdefault(name, []).append(
-                    v[:whole].reshape(-1, size).mean(axis=1))
+            done = start // size
+            for row, v in enumerate(_components(amp_x, amp_y, sets)):
+                sums[row] += np.sum(v)
+                np.mean(v[:whole].reshape(-1, size), axis=1,
+                        out=means[row, done:done + whole // size])
             start += amp_x.shape[0]
-        errors = {k: _spread(np.concatenate(m)) / math.sqrt(batches)
-                  for k, m in means.items()}
-    values = {k: float(s / count) for k, s in sums.items()}
+        spreads = [_spread(m) / math.sqrt(batches) for m in means]
+    values = {name: float(sums[row] / count) for name, row in rows.items()}
+    errors = {name: spreads[row] for name, row in rows.items()}
     for name in values:
         if not (math.isfinite(values[name]) and math.isfinite(errors[name])):
             raise ValueError(

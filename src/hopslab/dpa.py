@@ -4,23 +4,18 @@ The interaction-picture generator H_int = a_x^dag a_y^dag + a_x a_y
 creates and destroys quanta pairwise, so it conserves the mode
 imbalance n_x - n_y. On each imbalance sector (`fock.sector_table`) it
 is a real symmetric tridiagonal matrix with zero diagonal and the
-sector's a_y a_x weights off it. That chain depends only on |delta|
-and its length, so its eigenpairs are computed once per chain, when a
-state first populates it, and shared by delta and -delta and across
-cutoffs (`_chain_eigenpairs`).
-
-Everything about a state's evolution that does not depend on kt is
-computed once per slab of its populated sectors (`QuantumState.blocks`,
-partitioned by `fock`), as the slab's plan (`_plan`): its eigenpairs
-(E, V), padded as the slab is (`_slab_eigenpairs`), and its weighted
-columns G already in the eigenbasis, W = V^T G. A plan is found by
-the identity of its slab through a weak reference, so it lives exactly
-as long as the state. `_propagate` is then U(kt) = V diag(e^{-i 2kt E})
-W: one phase and one real product per slab, for every evolution time.
+sector's a_y a_x weights off it. `fock` states every constant of a
+sector, this eigenbasis included: each slab of a state's populated
+sectors (`QuantumState.blocks`) computes its eigenpairs (E, V) and its
+weighted columns in the eigenbasis, W = V^T G, once, on first use,
+and keeps them as long as it lives (`SectorStack.eigenpairs`,
+`SectorStack.eigencolumns`). This module adds only time: the phases,
+`_propagate`'s U(kt) = V diag(e^{-i 2kt E}) W, one real product per
+slab, the closed forms and the cutoff rule (`_require_margin`).
 
 `oracle_moments`, the brute-force oracle against which the closed-form
 Heisenberg moments are checked, never forms the evolved state: each
-row evolves the plan's slabs, U G for pure and mixed states alike,
+row evolves the state's slabs, U G for pure and mixed states alike,
 and measures them with the shared `polarization.hidden_sums`, which
 reads the sector constants the slab gathered from its cutoff's table.
 U G keeps the spectrum that `state.blocks` certified, so the one
@@ -35,13 +30,14 @@ Oracle and closed-form rows are one record,
 moments named once, in `MOMENT_NAMES`.
 
 `evolve` returns a full QuantumState, built from the same `_propagate`
-and the same slab eigenpairs (`_slab_eigenpairs`), applied to its rows
-(and columns), gathered a slab of sectors at a time, since only that
-form carries a density's inter-sector coherences. It builds no plan: a
-state is usually evolved once. An evolved density is eigendecomposed
-once, per populated sector, by `from_density`; those slabs are what
-`boundary_leakage` then reads. No operator matrix is
-built here.
+and the same slab eigenpairs, applied to its rows (and columns),
+gathered a slab of sectors at a time, since only that form carries a
+density's inter-sector coherences; an `evolve` after an oracle sweep
+reuses the eigenpairs the sweep computed. An evolved density is
+eigendecomposed once, per populated sector, by `from_density`; those
+slabs are what `boundary_leakage` then reads, through the same
+`hidden_sums` that gives an oracle row its leakage. No operator matrix
+is built here.
 
 The truncation is the state's own cutoff, certified after the fact by
 `boundary_leakage`: the evolved state must keep its population clear of
@@ -57,9 +53,7 @@ applies exp(-i * (2 kt) * H_int).
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -68,11 +62,10 @@ from .fock import (
     STACK_SLAB,
     FockCutoff,
     QuantumState,
-    SectorStack,
+    require_kt,
     require_occupations,
     require_photon_numbers,
     require_unit_trace,
-    sector_table,
 )
 from .polarization import hidden_moments, hidden_sums
 
@@ -102,8 +95,7 @@ class DpaConfig:
     leakage_tol: float = DEFAULT_LEAKAGE_TOL
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.kt):
-            raise ValueError("kt must be finite")
+        require_kt(self.kt)
         if not 0.0 < self.leakage_tol < 1.0:
             raise ValueError("leakage_tol must lie in (0, 1)")
 
@@ -141,82 +133,16 @@ class MomentReport:
                 f"variances must be non-negative, got {self.variances}")
 
 
-@lru_cache(maxsize=1024)
-def _chain_eigenpairs(rise: int, length: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and eigenvectors of H_int on one sector's chain.
+def _require_margin(cutoff: FockCutoff) -> None:
+    """Raise unless `cutoff` has more than EVOLUTION_MARGIN levels per mode.
 
-    The sector of imbalance +-`rise` and `length` states, whose a_y a_x
-    weights are sqrt((m + 1)(m + rise + 1)), m = 0..length-2. The chain
-    depends on nothing else, so sectors delta and -delta share it, and
-    so do cutoffs that give a sector the same length.
-    """
-    m = np.arange(length - 1.0)
-    w = np.sqrt((m + 1.0) * (m + rise + 1.0))
-    values, vectors = np.linalg.eigh(np.diag(w, 1) + np.diag(w, -1))
-    values.setflags(write=False)
-    vectors.setflags(write=False)
-    return values, vectors
-
-
-def _slab_eigenpairs(
-    cutoff: FockCutoff, slab: SectorStack,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The slab's eigenpairs, zero-padded as the slab is, to its L.
-
-    Eigenvalues (S, L) and eigenvectors (S, L, L), from each sector's
-    chain (`_chain_eigenpairs`). The padding rows and columns of the
-    eigenvectors are zero, so the padded propagator maps a sector's
-    padding to zero and reads nothing from it.
+    Only then does the edge band leave an interior, so that its
+    population certifies the truncation.
     """
     if min(cutoff.d_x, cutoff.d_y) <= EVOLUTION_MARGIN:
         raise ValueError(
             f"cutoff must exceed {EVOLUTION_MARGIN} levels per mode "
             "to certify leakage")
-    delta = sector_table(cutoff).delta
-    count, length = slab.indices.shape
-    values = np.zeros((count, length))
-    vectors = np.zeros((count, length, length))
-    for s, n in enumerate((slab.indices >= 0).sum(axis=1).tolist()):
-        rise = abs(int(delta[slab.positions[s]]))
-        values[s, :n], vectors[s, :n, :n] = _chain_eigenpairs(rise, n)
-    return values, vectors
-
-
-@dataclass(frozen=True, eq=False)
-class _SlabPlan:
-    """One slab of a state's sectors, ready to evolve to any kt.
-
-    The slab's eigenpairs E and V (`_slab_eigenpairs`) and its columns
-    in the eigenbasis, `moved` W = V^T G.
-    """
-
-    values: np.ndarray
-    vectors: np.ndarray
-    moved: np.ndarray
-
-
-# plans die with their slab; a plan holds arrays only, never the slab
-_PLANS: weakref.WeakKeyDictionary[SectorStack, _SlabPlan] = \
-    weakref.WeakKeyDictionary()
-
-
-def _plan(cutoff: FockCutoff, slab: SectorStack) -> _SlabPlan:
-    """One slab of a state's `blocks`, planned once per slab."""
-    plan = _PLANS.get(slab)
-    if plan is None:
-        values, vectors = _slab_eigenpairs(cutoff, slab)
-        plan = _PLANS[slab] = _SlabPlan(
-            values, vectors, _eigenbasis(slab.columns, vectors))
-    return plan
-
-
-def _eigenbasis(x: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """W = V^T x on the sector index (axis 1) of a stack (S, L, k).
-
-    `x` has a contiguous last axis. V is real, so the product runs on
-    the real and imaginary parts of x at once, as one real stack.
-    """
-    return (vectors.transpose(0, 2, 1) @ x.view(float)).view(complex)
 
 
 def _propagate(
@@ -224,8 +150,9 @@ def _propagate(
 ) -> np.ndarray:
     """U x for U = exp(-i 2kt H_int), from x's eigenbasis coordinates.
 
-    U x = V diag(exp(-i 2kt E)) W with W = V^T x (`_eigenbasis`), from
-    the eigenpairs (E, V) of a stack of sectors; one real product.
+    U x = V diag(exp(-i 2kt E)) W with W = V^T x
+    (`SectorStack.to_eigenbasis`), from the eigenpairs (E, V) of a
+    slab of sectors; one real product.
     """
     phased = moved * np.exp(-1j * (2.0 * kt) * values)[:, :, None]
     return (vectors @ phased.view(float)).view(complex)
@@ -235,15 +162,15 @@ def evolve(state: QuantumState, config: DpaConfig) -> QuantumState:
     """Apply exp(-i * 2kt * H_int); certify truncation afterwards.
 
     U acts on the rows, and for a density also on the columns, of each
-    populated sector, a slab of sectors at a time, with the slab's
-    eigenpairs (`_slab_eigenpairs`). Raises TruncationError
-    (carrying the measured leakage) when the evolved state holds more
-    than config.leakage_tol of its population within EVOLUTION_MARGIN
-    levels of either cutoff; enlarge the cutoff and retry in that case.
+    populated sector, a slab of sectors at a time, with the slab's own
+    eigenpairs (`SectorStack.eigenpairs`, shared with `oracle_moments`).
+    Raises TruncationError (carrying the measured leakage) when the
+    evolved state holds more than config.leakage_tol of its population
+    within EVOLUTION_MARGIN levels of either cutoff; enlarge the cutoff
+    and retry in that case.
     """
     cut = state.cutoff
-    slabs = [(slab.indices, *_slab_eigenpairs(cut, slab))
-             for slab in state.blocks]
+    _require_margin(cut)
 
     def on_rows(x: np.ndarray) -> np.ndarray:
         # a valid state is zero outside its populated sectors' rows; a
@@ -251,14 +178,15 @@ def evolve(state: QuantumState, config: DpaConfig) -> QuantumState:
         # Columns of x go a block at a time, so a gathered block holds
         # at most STACK_SLAB entries
         out = np.zeros(x.shape, dtype=complex)
-        for indices, values, vectors in slabs:
+        for slab in state.blocks:
+            indices = slab.indices
             real = indices >= 0
             width = max(1, STACK_SLAB // indices.size)
             for start in range(0, x.shape[1], width):
                 block = slice(start, start + width)
-                moved = _eigenbasis(x[indices, block], vectors)
+                moved = slab.to_eigenbasis(x[indices, block])
                 out[indices[real], block] = _propagate(
-                    moved, values, vectors, config.kt)[real]
+                    moved, *slab.eigenpairs, config.kt)[real]
         return out
 
     x = state.array
@@ -281,12 +209,12 @@ def boundary_leakage(state: QuantumState) -> float:
 
     The certificate that a truncated computation approximates the
     untruncated physics: small leakage means the state never felt the
-    boundary. Read from the state's slabs (`blocks`), whose `edge` mask
-    marks each sector's last EVOLUTION_MARGIN states, exactly its
-    states that close to an edge.
+    boundary. It is the edge sum of the `hidden_sums` of the state's
+    slabs (`blocks`), whose edge mask marks each sector's last
+    EVOLUTION_MARGIN states, exactly its states that close to an edge;
+    an oracle row's leakage is the same sum of its evolved slabs.
     """
-    return float(sum(np.vdot(slab.populations, slab.edge)
-                     for slab in state.blocks))
+    return sum(hidden_sums(slab, slab.columns)[1] for slab in state.blocks)
 
 
 def heisenberg_moments(n_x: int, n_y: int, kt: float) -> MomentReport:
@@ -328,8 +256,7 @@ def _closed_moments(
 
     A Fock state has spread 0, which adds exactly 0.0 to its variances.
     """
-    if not math.isfinite(kt):
-        raise ValueError("kt must be finite")
+    require_kt(kt)
     c4 = math.cosh(4.0 * kt)
     s4 = math.sinh(4.0 * kt)
     pair_var = 1.0 + n_x + n_y + 2.0 * n_x * n_y
@@ -345,10 +272,10 @@ def oracle_moments(state: QuantumState, config: DpaConfig) -> MomentReport:
 
     Only the sectors the state populates (`state.blocks`) are evolved
     and measured, as U G, a slab of sectors at a time; the full
-    evolved state is never formed. Each slab's plan (`_plan`), built
-    on the state's first row and kept while the state lives, holds its
-    eigenpairs and W = V^T G, so a row is one phase, one real product
-    and one `hidden_sums` per slab. U is unitary on each sector, so an
+    evolved state is never formed. Each slab computes its eigenpairs
+    and W = V^T G on the state's first row and keeps them while it
+    lives, so a row is one phase, one real product and one
+    `hidden_sums` per slab. U is unitary on each sector, so an
     evolved density block U G G^dag U^dag has exactly the spectrum
     `state.blocks` checked. The evolved total population,
     sum_r |U G_r|^2 (|v|^2 for a vector), must be 1 within
@@ -357,11 +284,10 @@ def oracle_moments(state: QuantumState, config: DpaConfig) -> MomentReport:
     with valid=False and the measured leakage so sweeps can flag the
     row and continue.
     """
-    rows = []
-    for slab in state.blocks:
-        plan = _plan(state.cutoff, slab)
-        rows.append(hidden_sums(slab, _propagate(
-            plan.moved, plan.values, plan.vectors, config.kt)))
+    _require_margin(state.cutoff)
+    rows = [hidden_sums(slab, _propagate(slab.eigencolumns, *slab.eigenpairs,
+                                         config.kt))
+            for slab in state.blocks]
     require_unit_trace(sum(row[0] for row in rows))
     means, variances = hidden_moments(rows)
     leakage = sum(row[1] for row in rows)
@@ -377,8 +303,7 @@ def suggest_cutoff(n_max: int, kt: float) -> FockCutoff:
     MAX_SUGGESTED_DIM: pass an explicit cutoff for a larger space.
     """
     require_photon_numbers(n_max)
-    if not math.isfinite(kt):
-        raise ValueError("kt must be finite")
+    require_kt(kt)
     try:
         d = n_max + 17 + math.ceil(10.0 * math.sinh(2.0 * abs(kt)) ** 2)
     except OverflowError:  # sinh 2kt, its square or its ceiling

@@ -7,23 +7,26 @@ n_x * d_y + n_y, row-major over x then y.
 The amplifier generator and all four hidden-set operators conserve the
 imbalance n_x - n_y, so the imbalance sector is the unit of work for
 dynamics and moments. `sector_table` stacks, once per cutoff, every
-sector's flat indices |lo_x + m, lo_y + m>, its a_y a_x weights, photon
-numbers, edge band and H0..H3 measure constants, zero-padded to a
-common length, plus a flat-index -> sector label. `QuantumState.blocks`
-holds, once per state, the sectors it populates as columns G sqrt(p),
-whose outer product is the block, pure or mixed, in slabs: each slab
-is one `SectorStack` of consecutive sectors, at most STACK_SLAB column
-entries, padded only to its own longest sector, with the table's
-constants gathered once. The partition into slabs is made here, once,
-and nowhere else. Evolution
-and its truncation certificate (`dpa`) and the H0..H3 measure
+sector's flat indices |lo_x + m, lo_y + m> and H0..H3 measure
+constants (its edge band, photon numbers and a_y a_x weights among
+them), zero-padded to a common length, plus a flat-index -> sector
+label. `QuantumState.blocks` holds, once per state, the sectors it
+populates as columns G sqrt(p), whose outer product is the block, pure
+or mixed, in slabs: each slab is one `SectorStack` of consecutive
+sectors, at most STACK_SLAB column entries, padded only to its own
+longest sector, with the table's constants gathered once. A slab also
+carries the amplifier's eigenbasis on its sectors, computed on first
+use from one eigendecomposition per chain (`_chain_eigenpairs`), so
+every per-sector constant is stated here. The partition into slabs is
+made here, once, and nowhere else. Evolution and its truncation
+certificate (`dpa`) and the H0..H3 measure
 (`polarization.hidden_moments`) iterate over the slabs, as a fixed
 number of array operations per slab, whatever the number of sectors.
 
-`require_photon_numbers` (integers >= 0) and `require_occupations`
-(finite means >= 0) are the package's one statement of those input
-rules; states, closed forms, thermal weights and state models all
-call them.
+`require_photon_numbers` (integers >= 0), `require_occupations`
+(finite means >= 0) and `require_kt` (a finite evolution time) are the
+package's one statement of those input rules; states, closed forms,
+thermal weights, state models and evolution all call them.
 
 `apply_ladders` serves the remaining state-level computations: a
 ladder operator acts on the (d_x, d_y) view of a state vector, or of a
@@ -239,6 +242,12 @@ def require_occupations(*values: float) -> None:
                 f"occupations must be finite and non-negative, got {value!r}")
 
 
+def require_kt(kt: float) -> None:
+    """Raise unless the dimensionless evolution time kt is finite."""
+    if not math.isfinite(kt):
+        raise ValueError(f"kt must be finite, got {kt!r}")
+
+
 def require_unit_trace(trace: float) -> None:
     """Raise unless a state's `trace`, its total population, is 1.
 
@@ -270,26 +279,23 @@ class SectorTable:
 
     - `indices[s, m]`: the flat index of |lo_x + m, lo_y + m>, -1 past
       the sector's end;
-    - `pair_weights[s, m]`: the a_y a_x element <m|a_y a_x|m+1> =
-      sqrt((lo_x+m+1)(lo_y+m+1)), 0 past the end;
-    - `photons[s, m]`: n_x + n_y = lo_x + lo_y + 2m, 0 past the end;
-    - `edge[s, m]`: True on the sector's last EVOLUTION_MARGIN states;
     - the constants of the H0..H3 measure (`polarization.hidden_sums`):
       `diagonal`, (5, S, L), the rows whose dot with the populations
       gives the total population, the edge population, <H0>, <H1>
-      and <A A^dag + A^dag A> (A = a_y a_x): 1, the edge mask, the
-      photon numbers, -delta and w_m^2 + w_{m-1}^2; `pair` 2 w_m and
-      `pair_square` 2 w_m w_{m+1}, (S, L), the band weights of 2<A>
-      and 2<A^2>; all 0 from the sector's last step on.
+      and <A A^dag + A^dag A> (A = a_y a_x): 1, the edge mask (True
+      on the sector's last EVOLUTION_MARGIN states), the photon
+      numbers n_x + n_y = lo_x + lo_y + 2m, -delta and
+      w_m^2 + w_{m-1}^2, with w_m = <m|a_y a_x|m+1> =
+      sqrt((lo_x+m+1)(lo_y+m+1)) the sector's pair weights; `pair`
+      2 w_m and `pair_square` 2 w_m w_{m+1}, (S, L), the band weights
+      of 2<A> and 2<A^2>; all 0 past the sector's end, the bands from
+      its last step on.
 
     `label` maps each flat index to its sector's row.
     """
 
     delta: np.ndarray = field(repr=False)
     indices: np.ndarray = field(repr=False)
-    pair_weights: np.ndarray = field(repr=False)
-    photons: np.ndarray = field(repr=False)
-    edge: np.ndarray = field(repr=False)
     label: np.ndarray = field(repr=False)
     diagonal: np.ndarray = field(repr=False)
     pair: np.ndarray = field(repr=False)
@@ -311,7 +317,7 @@ def sector_table(cutoff: FockCutoff) -> SectorTable:
     edge = inside & (np.arange(n_x.shape[1]) >= length - EVOLUTION_MARGIN)
     step = np.pad(w * w, ((0, 0), (0, 1)))
     table = SectorTable(
-        delta, np.where(inside, n_x * d_y + n_y, -1), w, photons, edge,
+        delta, np.where(inside, n_x * d_y + n_y, -1),
         np.subtract.outer(np.arange(d_x), np.arange(d_y)).ravel() + d_y - 1,
         np.array([inside, edge, photons, -delta[:, None] * inside,
                   step + np.roll(step, 1, axis=1)], dtype=float),
@@ -334,15 +340,16 @@ class SectorStack:
     longest of them, L (`QuantumState.blocks` partitions a state):
 
     - `columns` G, shape (S, L, r), in each sector's order;
-    - `populations` c_0[s, m] = sum_r |G[s, m, r]|^2, shape (S, L),
-      computed once, on first use;
     - the sector constants, gathered from the table once: `indices`
       (S, L), and the measure's `diagonal` (5, S L), `pair` (S L - 1,
       1) and `pair_square` (S L - 2, 1), flat over the sectors laid end
       to end, whose zeros at each sector's end keep a band inside its
-      sector; `edge` (S, L) is the diagonal's second row.
+      sector;
+    - the amplifier's eigenbasis on each sector, computed on first
+      use and kept as long as the slab: `eigenpairs` (E, V) and
+      `eigencolumns` W = V^T G.
 
-    Padding is zero in G, c_0 and every constant but `indices` (-1),
+    Padding is zero in G, V, W and every constant but `indices` (-1),
     so a sum over the padded slab is the sum over its sectors. The
     arrays are read-only.
     """
@@ -357,16 +364,59 @@ class SectorStack:
     def __post_init__(self) -> None:
         self.columns.setflags(write=False)
 
-    @property
-    def edge(self) -> np.ndarray:
-        return self.diagonal[1].reshape(self.indices.shape)
+    @cached_property
+    def eigenpairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """H_int's eigenvalues (S, L) and eigenvectors (S, L, L).
+
+        H_int = a_x^dag a_y^dag + a_x a_y, on each sector's chain
+        (`_chain_eigenpairs`), which its first photon number,
+        n_x + n_y = |delta|, and its length fix. The padding rows and
+        columns of the eigenvectors are zero, so a padded product maps
+        a sector's padding to zero and reads nothing from it.
+        """
+        count, length = self.indices.shape
+        values = np.zeros((count, length))
+        vectors = np.zeros((count, length, length))
+        rises = self.diagonal[2, ::length].astype(int).tolist()
+        lengths = (self.indices >= 0).sum(axis=1).tolist()
+        for s, (rise, n) in enumerate(zip(rises, lengths)):
+            values[s, :n], vectors[s, :n, :n] = _chain_eigenpairs(rise, n)
+        values.setflags(write=False)
+        vectors.setflags(write=False)
+        return values, vectors
 
     @cached_property
-    def populations(self) -> np.ndarray:
-        """c_0[s, m] = sum_r |G[s, m, r]|^2, computed on first use."""
-        populations = np.square(self.columns.view(float)).sum(axis=2)
-        populations.setflags(write=False)
-        return populations
+    def eigencolumns(self) -> np.ndarray:
+        """W = V^T G, the columns in the eigenbasis, computed on first use."""
+        moved = self.to_eigenbasis(self.columns)
+        moved.setflags(write=False)
+        return moved
+
+    def to_eigenbasis(self, x: np.ndarray) -> np.ndarray:
+        """V^T x on the sector index (axis 1) of a stack (S, L, k).
+
+        `x` has a contiguous last axis. V is real, so the product runs
+        on the real and imaginary parts of x at once, as one real stack.
+        """
+        vectors = self.eigenpairs[1]
+        return (vectors.transpose(0, 2, 1) @ x.view(float)).view(complex)
+
+
+@lru_cache(maxsize=1024)
+def _chain_eigenpairs(rise: int, length: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors of H_int on one sector's chain.
+
+    The sector of imbalance +-`rise` and `length` states, whose a_y a_x
+    weights are sqrt((m + 1)(m + rise + 1)), m = 0..length-2. The chain
+    depends on nothing else, so sectors delta and -delta share it, and
+    so do cutoffs that give a sector the same length.
+    """
+    m = np.arange(length - 1.0)
+    w = np.sqrt((m + 1.0) * (m + rise + 1.0))
+    values, vectors = np.linalg.eigh(np.diag(w, 1) + np.diag(w, -1))
+    values.setflags(write=False)
+    vectors.setflags(write=False)
+    return values, vectors
 
 
 def _slab(

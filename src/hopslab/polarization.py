@@ -137,7 +137,8 @@ class RelationCheck:
 
     `printed` is the relation as published, `adjudicated` the form that
     actually closes numerically (identical strings when they agree).
-    Residuals are max-abs over the interior block.
+    Residuals are max-abs over the interior block; a relation passes
+    when its residual is below RELATION_TOL.
     """
 
     name: str
@@ -145,15 +146,14 @@ class RelationCheck:
     printed_residual: float
     adjudicated: str
     adjudicated_residual: float
-    tol: float = RELATION_TOL
 
     @property
     def printed_pass(self) -> bool:
-        return self.printed_residual < self.tol
+        return self.printed_residual < RELATION_TOL
 
     @property
     def adjudicated_pass(self) -> bool:
-        return self.adjudicated_residual < self.tol
+        return self.adjudicated_residual < RELATION_TOL
 
 
 def _physical_memory() -> float:

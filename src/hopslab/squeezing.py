@@ -43,6 +43,7 @@ from .fock import (
     FockCutoff,
     QuantumState,
     fock_state,
+    require_kt,
     require_occupations,
     require_photon_numbers,
 )
@@ -94,8 +95,7 @@ def squeezing_function(kt: float, n_x: float, n_y: float) -> float:
 
     A NaN or infinite kt raises ValueError.
     """
-    if not math.isfinite(kt):
-        raise ValueError("kt must be finite")
+    require_kt(kt)
     return 1.0 + _occupation_term(n_x, n_y) - math.sinh(4.0 * kt)
 
 
@@ -217,8 +217,7 @@ def claimed_moment_table(
     ValueError on negative or non-finite occupations or a non-finite kt.
     """
     require_occupations(n_x, n_y)
-    if not math.isfinite(kt):
-        raise ValueError(f"kt must be finite, got {kt!r}")
+    require_kt(kt)
     integer_point = float(n_x).is_integer() and float(n_y).is_integer()
     reference: MomentReport | None = None
     if integer_point:

@@ -2,11 +2,13 @@
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from hopslab import classical
 from hopslab.classical import (
     FieldEnsemble,
     FixedAmplitude,
@@ -238,6 +240,29 @@ def test_streamed_statistics_match_one_shot():
                                     "h0", "h1", "h2", "h3"}
     with pytest.raises(ValueError):
         hops_statistics(spec, 1, seed=5)
+
+
+def test_one_batch_chunks_keep_only_their_means(monkeypatch):
+    # a chunk of one batch, as above 2**32 samples: 500 chunks of 500.
+    # The batch means fill one (components, batches) array; kept as a
+    # list of per-chunk arrays they traced 1.2 kB a batch, 586 kB here
+    spec = HopsEnsembleSpec(chi_h=1.1, delta_h=-0.3,
+                            amplitude=RayleighAmplitude(1.0))
+    whole = hops_statistics(spec, 250_000, seed=5)
+    monkeypatch.setattr(classical, "ENSEMBLE_CHUNK", 1)
+    tracemalloc.start()
+    try:
+        stats = hops_statistics(spec, 250_000, seed=5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 200e3
+    # the batch means do not depend on the chunking, and the shared
+    # intensities are one reduction: h0 is s0 and h1 is s1, exactly
+    assert stats.std_errors == whole.std_errors
+    for name in ("0", "1"):
+        assert stats.values["h" + name] == stats.values["s" + name]
+        assert stats.std_errors["h" + name] == stats.std_errors["s" + name]
 
 
 def test_overflowing_statistics_raise():

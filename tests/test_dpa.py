@@ -10,14 +10,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from hopslab import dpa, fock
+from hopslab import fock
 from hopslab.dpa import (
     EVOLUTION_MARGIN,
     MOMENT_NAMES,
     DpaConfig,
     MomentReport,
     TruncationError,
-    _plan,
     _propagate,
     boundary_leakage,
     evolve,
@@ -33,7 +32,11 @@ from hopslab.fock import (
     random_low_excitation_state,
     sector_table,
 )
-from hopslab.polarization import fit_hops_criterion, hidden_moments
+from hopslab.polarization import (
+    fit_hops_criterion,
+    hidden_moments,
+    hidden_sums,
+)
 from hopslab.squeezing import ThermalMixtureModel, sweep, thermal_state
 from dense_reference import (
     HeisenbergSolution,
@@ -176,12 +179,10 @@ def _dense_evolution(state, config):
 
 def _evolved_slabs(state, config):
     """The state's slabs, with their columns evolved to config.kt."""
-    slabs = []
-    for slab in state.blocks:
-        plan = _plan(state.cutoff, slab)
-        slabs.append(dataclasses.replace(slab, columns=_propagate(
-            plan.moved, plan.values, plan.vectors, config.kt)))
-    return tuple(slabs)
+    return tuple(
+        dataclasses.replace(slab, columns=_propagate(
+            slab.eigencolumns, *slab.eigenpairs, config.kt))
+        for slab in state.blocks)
 
 
 def _gathered(stack, array):
@@ -193,12 +194,12 @@ def test_blocks_are_weighted_columns():
     state, _ = _rectangular_mixture()
     slabs = state.blocks
     assert slabs is state.blocks
-    assert sum(stack.populations.sum() for stack in slabs) == pytest.approx(
-        1.0, abs=1e-14)
+    assert sum(np.vdot(stack.columns, stack.columns).real
+               for stack in slabs) == pytest.approx(1.0, abs=1e-14)
     for stack in slabs:
         g, idx = stack.columns, stack.indices
-        for array in (g, stack.populations, idx, stack.diagonal, stack.pair,
-                      stack.pair_square, stack.edge):
+        for array in (g, idx, stack.diagonal, stack.pair, stack.pair_square,
+                      *stack.eigenpairs, stack.eigencolumns):
             assert not array.flags.writeable
         real = (idx >= 0)[:, :, None] & (idx >= 0)[:, None, :]
         dense_blocks = np.where(real, state.density[idx[:, :, None],
@@ -255,20 +256,24 @@ def test_block_populations_are_read_only_diagonals(make_state):
     config = DpaConfig(kt=0.2, leakage_tol=0.9)
     evolved = _evolved_slabs(state, config)
     dense = _dense_evolution(state, config)
+    cut = state.cutoff
+    n_x, n_y = np.divmod(np.arange(cut.dim), cut.d_y)
+    edge = (n_x >= cut.d_x - EVOLUTION_MARGIN) | \
+        (n_y >= cut.d_y - EVOLUTION_MARGIN)
     for slabs, whole in ((state.blocks, state), (evolved, dense)):
         diagonal_of_whole = np.diag(density_matrix(whole)).real
         for stack in slabs:
-            assert not stack.populations.flags.writeable
+            assert not stack.columns.flags.writeable
             g = stack.columns
-            diagonal = np.einsum("smr,smr->sm", g, g.conj()).real
-            np.testing.assert_allclose(stack.populations, diagonal,
-                                       rtol=0, atol=1e-15)
             np.testing.assert_allclose(
-                stack.populations, _gathered(stack, diagonal_of_whole),
-                rtol=0, atol=1e-12)
-        # unit trace, evolved or not, for vectors and densities alike
-        assert sum(stack.populations.sum() for stack in slabs) == \
-            pytest.approx(1.0, abs=1e-14)
+                np.einsum("smr,smr->sm", g, g.conj()).real,
+                _gathered(stack, diagonal_of_whole), rtol=0, atol=1e-12)
+        # unit trace, evolved or not, for vectors and densities alike,
+        # and the edge population is the whole's within the margin
+        sums = [hidden_sums(stack, stack.columns) for stack in slabs]
+        assert sum(row[0] for row in sums) == pytest.approx(1.0, abs=1e-14)
+        assert sum(row[1] for row in sums) == pytest.approx(
+            diagonal_of_whole[edge].sum(), rel=1e-12, abs=1e-15)
 
 
 def _sectors(state):
@@ -307,7 +312,7 @@ def test_thermal_sweep_decomposes_blocks_once(monkeypatch):
 def test_eigenpairs_are_computed_per_populated_chain(monkeypatch):
     # a Fock state populates one sector: its first row decomposes that
     # sector's chain alone, not every sector of the cutoff (95 at d = 48)
-    dpa._chain_eigenpairs.cache_clear()
+    fock._chain_eigenpairs.cache_clear()
     calls = []
 
     def counting(*args, _original=np.linalg.eigh, **kwargs):
@@ -329,7 +334,7 @@ def test_eigenpairs_are_computed_per_populated_chain(monkeypatch):
     assert first_row_decompositions(FockCutoff(48, 64), 1, 0) == 0
     # at d = 64 the sector holds 63 states: a chain of its own
     assert first_row_decompositions(FockCutoff(64, 64), 1, 0) == 1
-    assert dpa._chain_eigenpairs.cache_info().currsize == 2
+    assert fock._chain_eigenpairs.cache_info().currsize == 2
 
 
 def test_oracle_checks_the_blocks_it_evolves():
@@ -393,9 +398,9 @@ def test_rows_agree_across_many_slabs(make_case, monkeypatch):
         assert got == pytest.approx(want, rel=1e-13, abs=1e-13)
 
 
-def test_plan_belongs_to_its_state():
-    # two states on the same sector: a plan found by the sectors alone,
-    # not by the state, would give one of them the other's rows
+def test_eigenbasis_belongs_to_its_state():
+    # two states on the same sector: an eigenbasis found by the sectors
+    # alone, not by the state, would give one of them the other's rows
     cut = FockCutoff(16, 16)
 
     def superposition():
@@ -414,11 +419,34 @@ def test_plan_belongs_to_its_state():
             assert oracle_moments(state, config) == oracle_moments(make(),
                                                                    config)
     assert oracle_moments(first, config) != oracle_moments(second, config)
-    # the plan dies with its state and does not keep it alive
+    # the eigenbasis dies with its state's slab and keeps neither alive
     slab = weakref.ref(first.blocks[0])
+    basis = weakref.ref(first.blocks[0].eigencolumns)
     del first
     gc.collect()
-    assert slab() is None
+    assert slab() is None and basis() is None
+
+
+def test_first_row_computes_the_eigenbasis_once(monkeypatch):
+    state = thermal_state(FockCutoff(16, 16), 0.3, 0.6)
+    slabs = state.blocks
+    assert not any({"eigenpairs", "eigencolumns"} & vars(slab).keys()
+                   for slab in slabs)
+    oracle_moments(state, DpaConfig(kt=0.1))
+    kept = [(slab.eigenpairs, slab.eigencolumns) for slab in slabs]
+    for (values, vectors), moved in kept:
+        for array in (values, vectors, moved):
+            assert not array.flags.writeable
+
+    def no_more(*args):
+        raise AssertionError("the eigenbasis is computed again")
+
+    # later rows and an evolve find the very same arrays on the slabs
+    monkeypatch.setattr(fock, "_chain_eigenpairs", no_more)
+    oracle_moments(state, DpaConfig(kt=0.3))
+    evolve(state, DpaConfig(kt=0.2, leakage_tol=0.9))
+    for slab, (pairs, moved) in zip(state.blocks, kept):
+        assert slab.eigenpairs is pairs and slab.eigencolumns is moved
 
 
 def test_density_evolution_matches_dense_exponential():
@@ -586,7 +614,7 @@ def test_clamped_weights_keep_the_trace():
     state = QuantumState.from_density(cut, rho)
     assert [stack.positions for stack in state.blocks] == [
         (cut.d_y - 1, cut.d_y)]
-    np.testing.assert_array_equal(state.blocks[0].populations[1], 0.0)
+    np.testing.assert_array_equal(state.blocks[0].columns[1], 0.0)
     vacuum = fock_state(cut, 0, 0)
     for kt in (0.0, 0.1, 0.3):
         config = DpaConfig(kt=kt, leakage_tol=1e-5)

@@ -339,20 +339,24 @@ def test_sector_table_partitions_the_space():
     assert np.all((n_x - n_y == table.delta[:, None])[real])
     rows = np.broadcast_to(np.arange(table.delta.size)[:, None], real.shape)
     np.testing.assert_array_equal(table.label[table.indices[real]], rows[real])
-    np.testing.assert_array_equal(table.photons, np.where(real, n_x + n_y, 0))
+    # the measure's photon-number row
+    np.testing.assert_array_equal(table.diagonal[2],
+                                  np.where(real, n_x + n_y, 0))
     # a sector's states run consecutively from its first
     assert np.all(real[:, :-1] >= real[:, 1:])
+    # the pair band 2 w_m holds the a_y a_x weights, 0 past the last step
+    weights = table.pair[:, :-1] / 2
     steps = real[:, 1:]
     np.testing.assert_allclose(
-        table.pair_weights[steps],
+        weights[steps],
         a_pair[table.indices[:, :-1][steps], table.indices[:, 1:][steps]],
         atol=1e-15)
-    assert not table.pair_weights[~steps].any()
+    assert not weights[~steps].any()
     assert sorted(table.indices[real]) == list(range(cut.dim))
     # the edge band: the last EVOLUTION_MARGIN = 4 states of each sector
     np.testing.assert_array_equal(
-        table.edge, real & (real.sum(axis=1, keepdims=True)
-                            - np.arange(real.shape[1]) <= 4))
+        table.diagonal[1], real & (real.sum(axis=1, keepdims=True)
+                                   - np.arange(real.shape[1]) <= 4))
 
 
 def test_interior_indices_small_example():

@@ -1,6 +1,9 @@
-"""Every module-level import of the package's modules is used.
+"""Every module-level import and private name of the package is used.
 
-`__init__.py` is skipped: its imports are the package's re-exports.
+`__init__.py` is skipped by the import check: its imports are the
+package's re-exports. A module-level private name (one leading
+underscore) must be read somewhere in the package beyond its own
+definition.
 """
 
 import ast
@@ -38,3 +41,76 @@ def test_the_guard_finds_an_unused_name():
 @pytest.mark.parametrize("path", MODULES, ids=[path.name for path in MODULES])
 def test_module_imports_are_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+def private_names(statement: ast.stmt) -> list[str]:
+    """The private names a top-level statement binds."""
+    if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef,
+                              ast.ClassDef)):
+        bound = [statement.name]
+    elif isinstance(statement, ast.Assign):
+        bound = [name.id for target in statement.targets
+                 for name in ast.walk(target) if isinstance(name, ast.Name)]
+    elif isinstance(statement, ast.AnnAssign):
+        bound = [name.id for name in ast.walk(statement.target)
+                 if isinstance(name, ast.Name)]
+    else:
+        bound = []
+    return [name for name in bound
+            if name.startswith("_") and not name.startswith("__")]
+
+
+def names_read(statement: ast.stmt) -> set[str]:
+    """Loaded names, attributes and imported names in a statement."""
+    read = set()
+    for node in ast.walk(statement):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.alias):
+            read.add(node.name)
+    return read
+
+
+def unreferenced_privates(sources: dict[str, str]) -> list[str]:
+    """Module-level private names that no source reads, as module.name.
+
+    A name is used when a top-level statement other than the one that
+    binds it reads it, in any of the sources; a function that only
+    calls itself is not used.
+    """
+    statements = [(module, statement)
+                  for module, source in sources.items()
+                  for statement in ast.parse(source).body]
+    reads = [names_read(statement) for _, statement in statements]
+    unused = []
+    for k, (module, statement) in enumerate(statements):
+        for name in private_names(statement):
+            if not any(name in read for j, read in enumerate(reads)
+                       if j != k):
+                unused.append(f"{module}.{name}")
+    return unused
+
+
+def test_the_guard_finds_an_unreferenced_private_name():
+    sources = {
+        "a": ("_LIMIT: int = 3\n_SCALE = 2.0\n_left, _right = 1, 2\n"
+              "def _helper():\n    return _SCALE\n"
+              "def _orphan():\n    return _orphan\n"
+              "class _Kept:\n    pass\n"
+              "def public():\n    return _helper() + _left\n"),
+        "b": ("from .a import _Kept\nimport a\n"
+              "def use():\n    return a._LIMIT, _Kept\n"),
+    }
+    # _orphan reads only itself, and _right nothing reads
+    assert unreferenced_privates(sources) == ["a._right", "a._orphan"]
+    del sources["b"]
+    assert unreferenced_privates(sources) == [
+        "a._LIMIT", "a._right", "a._orphan", "a._Kept"]
+
+
+def test_every_private_name_is_used():
+    sources = {path.stem: path.read_text()
+               for path in PACKAGE.glob("*.py")}
+    assert unreferenced_privates(sources) == []
