@@ -8,9 +8,10 @@ arrays (FieldEnsemble), and every statistic and index here is
 vectorized over them; `hops_statistics` draws and reduces a
 hidden-polarized ensemble in chunks without holding it.
 
-A draw takes one unit phasor e^{i phi} per sample, from one cos and one
-sin of the phase; the hidden ensemble's amp_y uses its conjugate, the
-ordinary one's its product with e^{i delta}. The stream is fixed per
+Both ensembles come from one draw (`_draw_chunks`): one unit phasor
+e^{i phi} per sample, from one cos and one sin of the phase, and a
+spec's `_draw_rule` for amp_y's phasor (the conjugate, or the product
+with e^{i delta}) and two constant factors. The stream is fixed per
 seed: the phases are its first `count` uniform draws and the amplitudes
 follow, so the samples do not depend on how they are chunked.
 
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -87,6 +88,13 @@ class HopsEnsembleSpec:
     def __post_init__(self) -> None:
         _check_angles(self.chi_h, self.delta_h)
 
+    def _draw_rule(self) -> tuple[Callable, complex, complex]:
+        """amp_y's phasor is amp_x's conjugate; both take e^{i delta_h/2}."""
+        tilt = complex(math.cos(0.5 * self.delta_h),
+                       math.sin(0.5 * self.delta_h))
+        return (np.conj, math.cos(0.5 * self.chi_h) * tilt,
+                math.sin(0.5 * self.chi_h) * tilt)
+
 
 @dataclass(frozen=True)
 class OrdinaryEnsembleSpec:
@@ -104,6 +112,12 @@ class OrdinaryEnsembleSpec:
 
     def __post_init__(self) -> None:
         _check_angles(self.chi, self.delta)
+
+    def _draw_rule(self) -> tuple[Callable, float, float]:
+        """amp_y's phasor is amp_x's times e^{i delta}."""
+        turn = complex(math.cos(self.delta), math.sin(self.delta))
+        return (lambda phasor: phasor * turn, math.cos(0.5 * self.chi),
+                math.sin(0.5 * self.chi))
 
 
 @dataclass(frozen=True)
@@ -135,32 +149,32 @@ def _unit_phasors(phi: np.ndarray) -> np.ndarray:
     return phasor
 
 
-def _hops_chunks(
-    spec: HopsEnsembleSpec, count: int, seed: int, chunk: int,
+def _draw_chunks(
+    spec: HopsEnsembleSpec | OrdinaryEnsembleSpec, count: int, seed: int,
+    chunk: int,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The amplitudes of `sample_hops`, `chunk` samples at a time.
+    """An ensemble's amplitudes, `chunk` samples at a time.
 
-    The phases are the seed's first `count` uniform draws and the
-    amplitudes follow them in the same stream. A uniform double takes
-    exactly one 64-bit draw, so a second generator advanced by `count`
-    draws yields the amplitudes alongside the phases, and the samples
-    do not depend on `chunk`.
-
-    Each sample takes one unit phasor e^{i phi}; amp_y's is its
-    conjugate. The constant factors cos(chi_h/2) e^{i delta_h/2} and
-    sin(chi_h/2) e^{i delta_h/2} and the amplitude a0 scale the two
-    phasors in place.
+    The one draw of `sample_hops`, `sample_ordinary` and
+    `hops_statistics`. The phases are the seed's first `count` uniform
+    draws and the amplitudes follow them in the same stream. A uniform
+    double takes exactly one 64-bit draw, so a second generator
+    advanced by `count` draws yields the amplitudes alongside the
+    phases, and the samples do not depend on `chunk`. amp_x is one unit
+    phasor e^{i phi} per sample; the spec's `_draw_rule` gives amp_y's
+    phasor from it and two constant factors, which scale the pair in
+    place, as the amplitude a0 then does.
     """
+    if count < 1:
+        raise ValueError("count must be at least 1")
+    follow, scale_x, scale_y = spec._draw_rule()
     phases = np.random.default_rng(seed)
     amplitudes = np.random.default_rng(seed)
     amplitudes.bit_generator.advance(count)
-    tilt = complex(math.cos(0.5 * spec.delta_h), math.sin(0.5 * spec.delta_h))
-    scale_x = math.cos(0.5 * spec.chi_h) * tilt
-    scale_y = math.sin(0.5 * spec.chi_h) * tilt
     for start in range(0, count, chunk):
         n = min(chunk, count - start)
         amp_x = _unit_phasors(phases.uniform(0.0, 2.0 * math.pi, n))
-        amp_y = np.conj(amp_x)
+        amp_y = follow(amp_x)
         a0 = spec.amplitude.draw(amplitudes, n)
         for amp, scale in ((amp_x, scale_x), (amp_y, scale_y)):
             amp *= scale
@@ -172,30 +186,14 @@ def sample_hops(
     spec: HopsEnsembleSpec, count: int, seed: int,
 ) -> FieldEnsemble:
     """Draw a hidden-polarized ensemble, bit-reproducible per seed."""
-    if count < 1:
-        raise ValueError("count must be at least 1")
-    return FieldEnsemble(*next(_hops_chunks(spec, count, seed, count)))
+    return FieldEnsemble(*next(_draw_chunks(spec, count, seed, count)))
 
 
 def sample_ordinary(
     spec: OrdinaryEnsembleSpec, count: int, seed: int,
 ) -> FieldEnsemble:
-    """Draw an ordinary-polarized ensemble (common random phase).
-
-    The phases come first in the seed's stream, then the amplitudes;
-    amp_y's phasor is amp_x's times e^{i delta}.
-    """
-    if count < 1:
-        raise ValueError("count must be at least 1")
-    rng = np.random.default_rng(seed)
-    amp_x = _unit_phasors(rng.uniform(0.0, 2.0 * math.pi, count))
-    amp_y = amp_x * complex(math.cos(spec.delta), math.sin(spec.delta))
-    a0 = spec.amplitude.draw(rng, count)
-    for amp, scale in ((amp_x, math.cos(0.5 * spec.chi)),
-                       (amp_y, math.sin(0.5 * spec.chi))):
-        amp *= scale
-        amp *= a0
-    return FieldEnsemble(amp_x, amp_y)
+    """Draw an ordinary-polarized ensemble (common random phase)."""
+    return FieldEnsemble(*next(_draw_chunks(spec, count, seed, count)))
 
 
 @dataclass(frozen=True)
@@ -317,7 +315,7 @@ def hops_statistics(
     """
     _, size = _batch_layout(count)
     chunk = size * max(1, ENSEMBLE_CHUNK // size)
-    return _chunk_stats(_hops_chunks(spec, count, seed, chunk), count, "sh")
+    return _chunk_stats(_draw_chunks(spec, count, seed, chunk), count, "sh")
 
 
 def _index(amp, reference) -> complex | np.ndarray:

@@ -53,11 +53,9 @@ EIGENVALUE_FLOOR = -1e-10  # lowest eigenvalue a density matrix may have
 
 EVOLUTION_MARGIN = 4       # edge band whose population certifies truncation
 
-# Rows per slab of the hermiticity test: its temporaries stay a slab in
-# size, not a second and third copy of the matrix
-HERMITICITY_SLAB = 64
-# Complex column entries per slab of `QuantumState.blocks`: a computation
-# that holds a few copies of the columns holds them a slab at a time
+# Complex entries per slab of a temporary (the columns of
+# `QuantumState.blocks`, the rows of `from_density`'s hermiticity test):
+# a computation that holds a few copies holds them a slab at a time
 STACK_SLAB = 2**14
 
 
@@ -125,8 +123,9 @@ class QuantumState:
         if m.shape != (cutoff.dim, cutoff.dim):
             raise ValueError(f"density matrix has shape {m.shape}, "
                              f"expected {(cutoff.dim, cutoff.dim)}")
-        for lo in range(0, cutoff.dim, HERMITICITY_SLAB):
-            rows = slice(lo, lo + HERMITICITY_SLAB)
+        step = max(1, STACK_SLAB // cutoff.dim)
+        for lo in range(0, cutoff.dim, step):
+            rows = slice(lo, lo + step)
             with np.errstate(invalid="ignore"):  # inf - inf is NaN
                 skew = np.max(np.abs(m[rows] - m[:, rows].conj().T))
             if not skew <= ALGEBRA_TOL:  # a NaN or inf entry fails too
@@ -341,10 +340,10 @@ class SectorStack:
 
     - `columns` G, shape (S, L, r), in each sector's order;
     - the sector constants, gathered from the table once: `indices`
-      (S, L), and the measure's `diagonal` (5, S L), `pair` (S L - 1,
-      1) and `pair_square` (S L - 2, 1), flat over the sectors laid end
-      to end, whose zeros at each sector's end keep a band inside its
-      sector;
+      (S, L), `delta` (S,), and the measure's `diagonal` (one row per
+      table row, S L), `pair` (S L - 1, 1) and `pair_square` (S L - 2,
+      1), flat over the sectors laid end to end, whose zeros at each
+      sector's end keep a band inside its sector;
     - the amplifier's eigenbasis on each sector, computed on first
       use and kept as long as the slab: `eigenpairs` (E, V) and
       `eigencolumns` W = V^T G.
@@ -357,6 +356,7 @@ class SectorStack:
     positions: tuple[int, ...]
     indices: np.ndarray = field(repr=False)
     columns: np.ndarray = field(repr=False)
+    delta: np.ndarray = field(repr=False)
     diagonal: np.ndarray = field(repr=False)
     pair: np.ndarray = field(repr=False)
     pair_square: np.ndarray = field(repr=False)
@@ -369,15 +369,15 @@ class SectorStack:
         """H_int's eigenvalues (S, L) and eigenvectors (S, L, L).
 
         H_int = a_x^dag a_y^dag + a_x a_y, on each sector's chain
-        (`_chain_eigenpairs`), which its first photon number,
-        n_x + n_y = |delta|, and its length fix. The padding rows and
-        columns of the eigenvectors are zero, so a padded product maps
-        a sector's padding to zero and reads nothing from it.
+        (`_chain_eigenpairs`), which its |delta| and its length fix.
+        The padding rows and columns of the eigenvectors are zero, so a
+        padded product maps a sector's padding to zero and reads
+        nothing from it.
         """
         count, length = self.indices.shape
         values = np.zeros((count, length))
         vectors = np.zeros((count, length, length))
-        rises = self.diagonal[2, ::length].astype(int).tolist()
+        rises = np.abs(self.delta).tolist()
         lengths = (self.indices >= 0).sum(axis=1).tolist()
         for s, (rise, n) in enumerate(zip(rises, lengths)):
             values[s, :n], vectors[s, :n, :n] = _chain_eigenpairs(rise, n)
@@ -425,7 +425,9 @@ def _slab(
 ) -> SectorStack:
     """The sectors `positions` of `table`, padded as `indices` is."""
     size = indices.shape[1]
-    constants = (table.diagonal[:, positions, :size].reshape(5, -1),
+    diagonal = table.diagonal[:, positions, :size]
+    constants = (table.delta[positions],
+                 diagonal.reshape(len(diagonal), -1),
                  table.pair[positions, :size].reshape(-1, 1)[:-1],
                  table.pair_square[positions, :size].reshape(-1, 1)[:-2])
     for array in (indices, *constants):

@@ -23,10 +23,11 @@ evolved columns at each kt, is measured with no set-up. The
 criterion fit and the coherence functions run on ladder shifts
 (`fock.apply_ladders`).
 
-The commutator tables run on the chains each set conserves: imbalance
-sectors for the hidden set (su(1,1)), photon-number shells for the
-Stokes set (su(2)). On every chain a quadruple is two diagonals and one
-weighted one-step shift, so `verify_hidden_commutators(cutoff)` and
+The commutator tables run on the chains each set conserves, both rows
+of `fock.sector_table`: imbalance sectors for the hidden set (su(1,1)),
+photon-number shells for the Stokes set (su(2)). On every chain a
+quadruple is two diagonals and one weighted one-step shift, so
+`verify_hidden_commutators(cutoff)` and
 `verify_stokes_commutators(cutoff)` evaluate each relation as batched
 products of zero-padded (chains, L, L) stacks; no d^2 x d^2 matrix is
 formed. Residuals are taken on the interior block (states at least
@@ -50,6 +51,7 @@ from .fock import (
     QuantumState,
     SectorStack,
     apply_ladders,
+    sector_table,
 )
 
 RELATION_TOL = 1e-10       # interior residual bound for a closing relation
@@ -169,13 +171,14 @@ def _chain_tables(
 ) -> tuple[tuple[np.ndarray, ...], Callable[[np.ndarray], float]]:
     """X0..X3 of one operator set on every chain it conserves.
 
-    A chain is an imbalance sector |lo_x + k, lo_y + k> (delta
-    ascending) for the hidden set, and a photon-number shell
-    |lo + k, N - lo - k> (N ascending) for the Stokes set. On a chain,
+    Both chain families are the rows of `fock.sector_table`: the
+    imbalance sector delta for the hidden set and, with n_y reflected
+    to d_y - 1 - n_y, the photon-number shell N = delta + d_y - 1 for
+    the Stokes set (same n_x order and length). On a chain,
     X0 = diag(n_y + n_x), X1 = diag(n_y - n_x) and X2 + iX3 = 2W, where
     W maps position k + 1 to k with weight sqrt((n_x+1)(n_y+1)) (a_y a_x)
     or sqrt((n_x+1) n_y) (a_y^dag a_x), (n_x, n_y) taken at k. The
-    chains are zero-padded to a common length L and stacked as
+    chains are zero-padded to the table's length L and stacked as
     (chains, L, L) arrays; no weight crosses a chain's end, so batched
     products are the chain blocks of the dense products, which vanish
     between chains.
@@ -194,23 +197,20 @@ def _chain_tables(
     if PROBE_MARGIN >= min(d_x, d_y):
         raise ValueError(
             f"probe margin {PROBE_MARGIN} leaves no interior in {cutoff}")
-    chains, length = d_x + d_y - 1, min(d_x, d_y)
-    needed = LIVE_STACKS * chains * length ** 2 * np.dtype(complex).itemsize
+    needed = LIVE_STACKS * (d_x + d_y - 1) * min(d_x, d_y) ** 2 \
+        * np.dtype(complex).itemsize
     if needed > _physical_memory():
         raise MemoryError(f"the {cutoff} tables need {needed / 1e9:.1f} GB")
-    k = np.arange(length)
-    if hidden:
-        delta = np.arange(-(d_y - 1), d_x)[:, None]
-        n_x = np.maximum(delta, 0) + k
-        n_y = np.maximum(-delta, 0) + k
-    else:
-        shell = np.arange(d_x + d_y - 1)[:, None]
-        n_x = np.maximum(shell - (d_y - 1), 0) + k
-        n_y = shell - n_x
-    inside = (n_x < d_x) & (n_y >= 0) & (n_y < d_y)
+    indices = sector_table(cutoff).indices
+    chains, length = indices.shape
+    inside = indices >= 0
+    # a padding index, -1, gives n_x = -1: a zero weight, never a NaN
+    n_x, n_y = np.divmod(indices, d_y)
+    if not hidden:
+        n_y = d_y - 1 - n_y
     # zero on every step that leaves the chain
     weights = inside[:, 1:] * np.sqrt(
-        (n_x[:, :-1] + 1.0) * np.maximum(n_y[:, :-1] + float(hidden), 0.0))
+        (n_x[:, :-1] + 1.0) * (n_y[:, :-1] + float(hidden)))
     diagonal = np.arange(length)
     x0 = np.zeros((chains, length, length), dtype=complex)
     x1 = np.zeros_like(x0)

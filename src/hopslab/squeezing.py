@@ -214,30 +214,29 @@ def claimed_moment_table(
     the caller must size it so truncation error stays safely below the
     verdict threshold. Non-integer occupations leave the verdict fields
     empty, since no definite quantum state is specified. Raises
-    ValueError on negative or non-finite occupations or a non-finite kt.
+    ValueError on negative or non-finite occupations, a non-finite kt,
+    or a cutoff with non-integer occupations (no state to evolve).
     """
     require_occupations(n_x, n_y)
     require_kt(kt)
     integer_point = float(n_x).is_integer() and float(n_y).is_integer()
+    if cutoff is not None and not integer_point:
+        raise ValueError("a cutoff sizes the oracle, which needs integer "
+                         f"occupations, got ({n_x!r}, {n_y!r})")
     reference: MomentReport | None = None
-    if integer_point:
-        if cutoff is None:
-            reference = heisenberg_moments(int(n_x), int(n_y), kt)
-        else:
-            reference = oracle_moments(
-                fock_state(cutoff, int(n_x), int(n_y)), DpaConfig(kt=kt))
+    if cutoff is not None:
+        reference = oracle_moments(
+            fock_state(cutoff, int(n_x), int(n_y)), DpaConfig(kt=kt))
+    elif integer_point:
+        reference = heisenberg_moments(int(n_x), int(n_y), kt)
+    values = (reference.means + reference.variances if reference is not None
+              else (None,) * len(CLAIMED_FORMS))
     rows = []
-    reference_values = dict(zip(
-        CLAIMED_FORMS, reference.means + reference.variances)) \
-        if reference is not None else {}
-    for name, form in CLAIMED_FORMS.items():
+    for (name, form), value in zip(CLAIMED_FORMS.items(), values):
         claimed = form(n_x, n_y, kt)
-        if reference is not None:
-            verdict, deviation = _classify(claimed, reference_values[name])
-            rows.append(ClaimVerdict(
-                name, claimed, reference_values[name], verdict, deviation))
-        else:
-            rows.append(ClaimVerdict(name, claimed, None, None, None))
+        verdict, deviation = ((None, None) if value is None
+                              else _classify(claimed, value))
+        rows.append(ClaimVerdict(name, claimed, value, verdict, deviation))
     return MomentClaimTable(n_x, n_y, kt, tuple(rows), reference)
 
 

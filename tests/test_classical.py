@@ -16,7 +16,7 @@ from hopslab.classical import (
     OrdinaryEnsembleSpec,
     RayleighAmplitude,
     UndefinedIndexError,
-    _hops_chunks,
+    _draw_chunks,
     classical_hidden,
     classical_stokes,
     hidden_index,
@@ -191,10 +191,38 @@ def test_chunked_draws_reproduce_the_one_shot_ensemble():
                          * np.exp(1j * (phi + 0.2))) <= within)
     assert np.all(np.abs(ensemble.amp_y - a0 * math.sin(0.6)
                          * np.exp(1j * (-phi + 0.2))) <= within)
-    chunks = list(_hops_chunks(spec, count, 42, 64))
+    chunks = list(_draw_chunks(spec, count, 42, 64))
     assert len(chunks) == 16
     np.testing.assert_array_equal(np.concatenate([c[0] for c in chunks]), amp_x)
     np.testing.assert_array_equal(np.concatenate([c[1] for c in chunks]), amp_y)
+
+
+def test_ordinary_draws_share_the_chunked_stream():
+    spec = OrdinaryEnsembleSpec(chi=1.2, delta=-2.1,
+                                amplitude=RayleighAmplitude(0.8))
+    count = 1001
+    rng = np.random.default_rng(42)
+    phi = rng.uniform(0.0, 2.0 * math.pi, count)
+    a0 = rng.rayleigh(0.8, count)
+    # the one-generator formula: amp_y's phasor is amp_x's times
+    # e^{i delta}, then cos(chi/2), sin(chi/2) and a0 apply in place
+    amp_x = np.cos(phi) + 1j * np.sin(phi)
+    amp_y = amp_x * complex(math.cos(-2.1), math.sin(-2.1))
+    for amp, scale in ((amp_x, math.cos(0.6)), (amp_y, math.sin(0.6))):
+        amp *= scale
+        amp *= a0
+    ensemble = sample_ordinary(spec, count, seed=42)
+    np.testing.assert_array_equal(ensemble.amp_x, amp_x)
+    np.testing.assert_array_equal(ensemble.amp_y, amp_y)
+    chunks = list(_draw_chunks(spec, count, 42, 64))
+    assert len(chunks) == 16
+    np.testing.assert_array_equal(np.concatenate([c[0] for c in chunks]), amp_x)
+    np.testing.assert_array_equal(np.concatenate([c[1] for c in chunks]), amp_y)
+    # both samplers state the count rule once, in the shared draw
+    for sample, spec in ((sample_ordinary, spec),
+                         (sample_hops, HopsEnsembleSpec(1.2, 0.4))):
+        with pytest.raises(ValueError, match="count"):
+            sample(spec, 0, seed=42)
 
 
 @given(chi=POLAR_ANGLES, delta=PHASE_ANGLES, seed=SEEDS,
@@ -208,7 +236,7 @@ def test_one_phasor_draws_match_the_exponential_form(chi, delta, seed,
     a0 = amplitude.draw(rng, count)
     within = 2e-15 * a0
     hidden = HopsEnsembleSpec(chi_h=chi, delta_h=delta, amplitude=amplitude)
-    amp_x, amp_y = next(_hops_chunks(hidden, count, seed, count))
+    amp_x, amp_y = next(_draw_chunks(hidden, count, seed, count))
     total = np.abs(amp_x) ** 2 + np.abs(amp_y) ** 2
     np.testing.assert_allclose(total, a0**2, rtol=4e-15)
     assert np.all(np.abs(amp_x - a0 * math.cos(0.5 * chi)

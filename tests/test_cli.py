@@ -334,6 +334,8 @@ def test_library_rules_exit_two_with_the_library_message(argv, message,
     ["sweep", "--ny", "1.5", "--steps", "3"],
     # an unreadable config file goes through the same error line
     ["sweep", "--config", "/nonexistent/x.cfg"],
+    # no state for the oracle to evolve, so the cutoff cannot be used
+    ["claims", "--nx", "1.5", "--ny", "2", "--cutoff", "40"],
 ])
 def test_non_finite_and_overflowing_input_exits_two(argv, capsys):
     with pytest.raises(SystemExit) as excinfo:

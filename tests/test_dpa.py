@@ -337,6 +337,38 @@ def test_eigenpairs_are_computed_per_populated_chain(monkeypatch):
     assert fock._chain_eigenpairs.cache_info().currsize == 2
 
 
+def test_eigenpairs_do_not_read_the_measure():
+    state = thermal_state(FockCutoff(12, 9), 0.4, 0.7)
+    delta = sector_table(state.cutoff).delta
+    for slab in state.blocks:
+        # sectors of several |delta| and lengths
+        assert len(set(np.abs(delta[list(slab.positions)]).tolist())) > 1
+        blind = dataclasses.replace(
+            slab, diagonal=np.zeros_like(slab.diagonal))
+        for got, want in zip(blind.eigenpairs, slab.eigenpairs):
+            np.testing.assert_array_equal(got, want)
+
+
+def test_slab_constants_keep_one_row_per_table_row():
+    state = thermal_state(FockCutoff(12, 9), 0.4, 0.7)
+    table = sector_table(state.cutoff)
+    for slab in state.blocks:
+        positions = list(slab.positions)
+        length = slab.indices.shape[1]
+        np.testing.assert_array_equal(slab.delta, table.delta[positions])
+        np.testing.assert_array_equal(
+            slab.diagonal, table.diagonal[:, positions, :length].reshape(
+                len(table.diagonal), -1))
+    # a measure row added to the table reaches every slab
+    slab = state.blocks[0]
+    wider = dataclasses.replace(table, diagonal=np.concatenate(
+        [table.diagonal, table.diagonal[2:3] ** 2]))
+    grown = fock._slab(wider, np.array(slab.positions), slab.indices,
+                       slab.columns)
+    assert grown.diagonal.shape == (6, slab.diagonal.shape[1])
+    np.testing.assert_array_equal(grown.diagonal[:5], slab.diagonal)
+
+
 def test_oracle_checks_the_blocks_it_evolves():
     # built directly, so from_density's checks never ran
     cut = FockCutoff(16, 16)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hopslab import fock
 from hopslab.dpa import boundary_leakage
 from hopslab.fock import (
     FockCutoff,
@@ -233,6 +234,20 @@ def test_from_density_leaves_the_callers_array_writable():
     assert state.density[0, 1] == 0.0
     with pytest.raises(ValueError, match="read-only"):
         state.density[0, 1] = 0.5
+
+
+def test_hermiticity_check_is_cut_by_the_slab_bound(monkeypatch):
+    # 64 entries per slab: one row of the 64 x 64 matrix per step
+    monkeypatch.setattr(fock, "STACK_SLAB", 64)
+    cut = FockCutoff(8, 8)
+    rng = np.random.default_rng(3)
+    rho = sum(0.5 * density_matrix(random_low_excitation_state(cut, 6, rng))
+              for _ in range(2))
+    assert not is_pure(QuantumState.from_density(cut, rho))
+    skew = rho.copy()
+    skew[-1, 2] += 1e-9
+    with pytest.raises(ValueError, match="Hermitian"):
+        QuantumState.from_density(cut, skew)
 
 
 def test_state_validation_rejects_bad_inputs():

@@ -230,6 +230,12 @@ def test_claim_table_without_reference():
         assert row.reference is None
         assert row.verdict is None
     assert verdict_counts(table) == {}
+    # a cutoff would size an oracle that has no state to evolve
+    with pytest.raises(ValueError, match="integer occupations"):
+        claimed_moment_table(1.5, 2, 0.22, cutoff=FockCutoff(40, 40))
+    # integral floats name the state |1, 2>
+    table = claimed_moment_table(1.0, 2.0, 0.22, cutoff=FockCutoff(40, 40))
+    assert all(row.verdict is not None for row in table.rows)
 
 
 def test_claimed_constant_of_motion_value():
