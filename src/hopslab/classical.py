@@ -9,26 +9,32 @@ vectorized over them; `hops_statistics` draws and reduces a
 hidden-polarized ensemble in chunks without holding it.
 
 Both ensembles come from one draw (`_draw_chunks`): one unit phasor
-e^{i phi} per sample, from one cos and one sin of the phase, and a
-spec's `_draw_rule` for amp_y's phasor (the conjugate, or the product
-with e^{i delta}) and two constant factors. The stream is fixed per
-seed: the phases are its first `count` uniform draws and the amplitudes
-follow, so the samples do not depend on how they are chunked.
+e^{i phi} per sample, from one tangent of the half angle, and a spec's
+`_draw_rule` for amp_y's phasor (amp_x's own, or its conjugate) and
+two constant factors. A chunk is one (n, 2) complex array whose columns
+are amp_x and amp_y. The stream is fixed per seed: the phases are its
+first `count` uniform draws and the amplitudes follow, so the samples
+do not depend on how they are chunked.
 
-Estimates come with batch-means standard errors: the stream is cut into
-about sqrt(N) batches and the spread of batch means estimates the error
-of the grand mean.
+Every component is a fixed sum of entries of the Gram matrix
+G = sum z z^T of z = (Re A_x, Im A_x, Re A_y, Im A_y), so a batch is
+reduced by one 4 x 4 product. Estimates come with batch-means standard
+errors: the stream is cut into about sqrt(N) batches and the spread of
+batch means estimates the error of the grand mean.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 ENSEMBLE_CHUNK = 1 << 16   # samples drawn and reduced at a time by hops_statistics
+# the least amplitude whose square is a normal double (about 1.49e-154)
+MIN_AMPLITUDE = math.sqrt(sys.float_info.min)
 
 
 class UndefinedIndexError(ArithmeticError):
@@ -44,6 +50,10 @@ class FixedAmplitude:
     def __post_init__(self) -> None:
         if not (np.isfinite(self.a0) and self.a0 > 0):
             raise ValueError("amplitude must be positive and finite")
+        if self.a0 < MIN_AMPLITUDE:
+            raise ValueError(
+                f"amplitude must be at least {MIN_AMPLITUDE:.3g}; "
+                "its square underflows")
 
     def draw(self, rng: np.random.Generator, count: int) -> np.ndarray:
         return np.full(count, float(self.a0))
@@ -58,6 +68,10 @@ class RayleighAmplitude:
     def __post_init__(self) -> None:
         if not (np.isfinite(self.scale) and self.scale > 0):
             raise ValueError("scale must be positive and finite")
+        if self.scale < MIN_AMPLITUDE:
+            raise ValueError(
+                f"scale must be at least {MIN_AMPLITUDE:.3g}; "
+                "its square underflows")
 
     def draw(self, rng: np.random.Generator, count: int) -> np.ndarray:
         return rng.rayleigh(self.scale, count)
@@ -113,11 +127,11 @@ class OrdinaryEnsembleSpec:
     def __post_init__(self) -> None:
         _check_angles(self.chi, self.delta)
 
-    def _draw_rule(self) -> tuple[Callable, float, float]:
-        """amp_y's phasor is amp_x's times e^{i delta}."""
+    def _draw_rule(self) -> tuple[Callable, float, complex]:
+        """amp_y's phasor is amp_x's; amp_y alone takes e^{i delta}."""
         turn = complex(math.cos(self.delta), math.sin(self.delta))
-        return (lambda phasor: phasor * turn, math.cos(0.5 * self.chi),
-                math.sin(0.5 * self.chi))
+        return (np.positive, math.cos(0.5 * self.chi),
+                math.sin(0.5 * self.chi) * turn)
 
 
 @dataclass(frozen=True)
@@ -132,6 +146,8 @@ class FieldEnsemble:
         ay = np.array(self.amp_y, dtype=complex)
         if ax.ndim != 1 or ax.shape != ay.shape:
             raise ValueError("amplitude arrays must be equal-length vectors")
+        if not (np.isfinite(ax).all() and np.isfinite(ay).all()):
+            raise ValueError("field amplitudes must be finite")
         ax.setflags(write=False)
         ay.setflags(write=False)
         object.__setattr__(self, "amp_x", ax)
@@ -141,18 +157,27 @@ class FieldEnsemble:
         return self.amp_x.shape[0]
 
 
-def _unit_phasors(phi: np.ndarray) -> np.ndarray:
-    """e^{i phi} as one complex array: cos and sin written into its parts."""
-    phasor = np.empty(phi.shape, dtype=complex)
-    np.cos(phi, out=phasor.real)
-    np.sin(phi, out=phasor.imag)
-    return phasor
+def _unit_phasors(phi: np.ndarray, out: np.ndarray) -> None:
+    """Write e^{i phi} into `out` from one tangent of the half angle.
+
+    With t = tan(phi/2), cos phi = (1 - t^2)/(1 + t^2) and
+    sin phi = 2t/(1 + t^2); phi is overwritten. A drawn phase halves to
+    [0, pi], where the tangent of a double stays below 1.7e16 in size
+    (pi/2 is not a double), so every phasor is finite.
+    """
+    t = np.tan(np.multiply(phi, 0.5, out=phi), out=phi)
+    np.multiply(t, 2.0, out=out.imag)
+    np.square(t, out=t)
+    np.subtract(1.0, t, out=out.real)
+    t += 1.0
+    np.divide(out.real, t, out=out.real)
+    np.divide(out.imag, t, out=out.imag)
 
 
 def _draw_chunks(
     spec: HopsEnsembleSpec | OrdinaryEnsembleSpec, count: int, seed: int,
     chunk: int,
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+) -> Iterator[np.ndarray]:
     """An ensemble's amplitudes, `chunk` samples at a time.
 
     The one draw of `sample_hops`, `sample_ordinary` and
@@ -160,40 +185,43 @@ def _draw_chunks(
     draws and the amplitudes follow them in the same stream. A uniform
     double takes exactly one 64-bit draw, so a second generator
     advanced by `count` draws yields the amplitudes alongside the
-    phases, and the samples do not depend on `chunk`. amp_x is one unit
-    phasor e^{i phi} per sample; the spec's `_draw_rule` gives amp_y's
-    phasor from it and two constant factors, which scale the pair in
-    place, as the amplitude a0 then does.
+    phases, and the samples do not depend on `chunk`. Each chunk is an
+    (n, 2) complex array, columns amp_x and amp_y: amp_x is one unit
+    phasor e^{i phi} per sample, the spec's `_draw_rule` writes amp_y's
+    phasor from it and gives two constant factors, which scale the
+    columns in place, as the amplitude a0 then does.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
     follow, scale_x, scale_y = spec._draw_rule()
+    scales = np.array([scale_x, scale_y])
     phases = np.random.default_rng(seed)
     amplitudes = np.random.default_rng(seed)
     amplitudes.bit_generator.advance(count)
     for start in range(0, count, chunk):
         n = min(chunk, count - start)
-        amp_x = _unit_phasors(phases.uniform(0.0, 2.0 * math.pi, n))
-        amp_y = follow(amp_x)
-        a0 = spec.amplitude.draw(amplitudes, n)
-        for amp, scale in ((amp_x, scale_x), (amp_y, scale_y)):
-            amp *= scale
-            amp *= a0
-        yield amp_x, amp_y
+        amps = np.empty((n, 2), dtype=complex)
+        _unit_phasors(phases.uniform(0.0, 2.0 * math.pi, n), amps[:, 0])
+        follow(amps[:, 0], out=amps[:, 1])
+        amps *= scales
+        amps *= spec.amplitude.draw(amplitudes, n)[:, None]
+        yield amps
 
 
 def sample_hops(
     spec: HopsEnsembleSpec, count: int, seed: int,
 ) -> FieldEnsemble:
     """Draw a hidden-polarized ensemble, bit-reproducible per seed."""
-    return FieldEnsemble(*next(_draw_chunks(spec, count, seed, count)))
+    amps = next(_draw_chunks(spec, count, seed, count))
+    return FieldEnsemble(amps[:, 0], amps[:, 1])
 
 
 def sample_ordinary(
     spec: OrdinaryEnsembleSpec, count: int, seed: int,
 ) -> FieldEnsemble:
     """Draw an ordinary-polarized ensemble (common random phase)."""
-    return FieldEnsemble(*next(_draw_chunks(spec, count, seed, count)))
+    amps = next(_draw_chunks(spec, count, seed, count))
+    return FieldEnsemble(amps[:, 0], amps[:, 1])
 
 
 @dataclass(frozen=True)
@@ -213,26 +241,34 @@ def _batch_layout(count: int) -> tuple[int, int]:
     return batches, count // batches
 
 
-def _components(amp_x, amp_y, sets: str) -> list[np.ndarray]:
-    """Distinct per-sample components of the sets named in `sets`.
+def _gram_components(grams: np.ndarray, sets: str, out: np.ndarray) -> None:
+    """Write the distinct components of `sets` from stacked Gram matrices.
 
-    `sets` is "s", "h" or both; `_component_rows(sets)` names the rows.
-    Each intensity is computed once, as re^2 + im^2, and the two sets
-    share them: s0 = h0 and s1 = h1 are the first two rows. The sets
-    differ only in the correlation, s2 + i*s3 = 2 conj(A_y) A_x and
-    h2 + i*h3 = 2 A_y A_x, two rows per set.
+    `grams` is (b, 4, 4): per batch, G = sum z z^T over its samples,
+    z = (Re A_x, Im A_x, Re A_y, Im A_y). `out` is (rows, b), in the
+    rows of `_component_rows(sets)`; `sets` is "s", "h" or both. The
+    two sets share the intensities: s0 = h0 = G00 + G11 + G22 + G33 and
+    s1 = h1 = G22 + G33 - G00 - G11 are rows 0 and 1. They differ only
+    in the correlation, two rows per set:
+    s2 + i*s3 = 2 conj(A_y) A_x = 2(G02 + G13) + 2i(G12 - G03) and
+    h2 + i*h3 = 2 A_y A_x = 2(G02 - G13) + 2i(G12 + G03).
+    Every entry is summed element by element, so a batch's components
+    do not depend on the other batches in the stack.
     """
-    ix = amp_x.real ** 2 + amp_x.imag ** 2
-    iy = amp_y.real ** 2 + amp_y.imag ** 2
-    columns = [iy + ix, iy - ix]
-    for name in sets:
-        pair = 2.0 * (np.conj(amp_y) if name == "s" else amp_y) * amp_x
-        columns += [pair.real, pair.imag]
-    return columns
+    g = grams.reshape(-1, 16).T
+    ix = g[0] + g[5]
+    iy = g[10] + g[15]
+    np.add(iy, ix, out=out[0])
+    np.subtract(iy, ix, out=out[1])
+    for k, name in enumerate(sets):
+        sign = 1.0 if name == "s" else -1.0
+        np.add(g[2], sign * g[7], out=out[2 + 2 * k])
+        np.subtract(g[6], sign * g[3], out=out[3 + 2 * k])
+    out[2:] *= 2.0
 
 
 def _component_rows(sets: str) -> dict[str, int]:
-    """Each component's row in `_components(..., sets)`, in table order."""
+    """Each component's row in `_gram_components`, in table order."""
     rows: dict[str, int] = {}
     for k, name in enumerate(sets):
         rows.update({name + "0": 0, name + "1": 1,
@@ -247,18 +283,20 @@ def _spread(means: np.ndarray) -> float:
                           exponent))
 
 
-def _chunk_stats(
-    chunks: Iterable[tuple[np.ndarray, np.ndarray]], count: int,
-    sets: str,
-) -> EnsembleStats:
-    """Statistics of the component `sets` (`_components`) over a stream.
+def _chunk_stats(chunks: Iterable[np.ndarray], count: int,
+                 sets: str) -> EnsembleStats:
+    """Statistics of the component `sets` (`_gram_components`) over a stream.
 
-    `chunks` yields (amp_x, amp_y) pairs, `count` samples in all; every
-    chunk but the last holds whole batches (`_batch_layout`), so the
-    batch means, and hence the errors, do not depend on the chunking.
-    Each distinct component is summed and batch-averaged once, so h0
-    and h1 are s0 and s1 exactly, and the batch means fill one array
-    of ~sqrt(count) columns, allocated before the first chunk.
+    `chunks` yields (n, 2) complex arrays, columns amp_x and amp_y,
+    `count` samples in all; every chunk but the last holds whole
+    batches (`_batch_layout`), so the batch means, and hence the
+    errors, do not depend on the chunking. A chunk's batches are
+    reduced by one stacked Gram product of its (n, 4) float view, and
+    their components go straight into one array of batch means, one
+    row per distinct component and ~sqrt(count) columns, allocated
+    before the first chunk; h0 and h1 are s0 and s1 exactly. The
+    totals are the summed batch Grams plus the Gram of the samples
+    beyond the last batch.
     Raises ValueError when an estimate or an error is not finite, as
     when the amplitudes are large enough to overflow the components.
     The batch means are scaled by a power of two before their spread
@@ -266,20 +304,27 @@ def _chunk_stats(
     """
     batches, size = _batch_layout(count)
     rows = _component_rows(sets)
-    sums = np.zeros(2 + 2 * len(sets))
-    means = np.empty((sums.size, batches))  # one row per distinct component
+    gram = np.zeros((1, 4, 4))
+    means = np.empty((2 + 2 * len(sets), batches))
     start = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        for amp_x, amp_y in chunks:
-            whole = min(max(batches * size - start, 0), amp_x.shape[0])
+        for amps in chunks:
+            z = amps.view(float)
+            whole = min(max(batches * size - start, 0), z.shape[0])
             done = start // size
-            for row, v in enumerate(_components(amp_x, amp_y, sets)):
-                sums[row] += np.sum(v)
-                np.mean(v[:whole].reshape(-1, size), axis=1,
-                        out=means[row, done:done + whole // size])
-            start += amp_x.shape[0]
+            stack = z[:whole].reshape(-1, size, 4)
+            grams = np.matmul(stack.transpose(0, 2, 1), stack)
+            _gram_components(grams, sets,
+                             means[:, done:done + stack.shape[0]])
+            gram += grams.sum(axis=0)
+            gram += z[whole:].T @ z[whole:]
+            start += z.shape[0]
+        means /= size
+        totals = np.empty((means.shape[0], 1))
+        _gram_components(gram, sets, totals)
+        totals /= count
         spreads = [_spread(m) / math.sqrt(batches) for m in means]
-    values = {name: float(sums[row] / count) for name, row in rows.items()}
+    values = {name: float(totals[row, 0]) for name, row in rows.items()}
     errors = {name: spreads[row] for name, row in rows.items()}
     for name in values:
         if not (math.isfinite(values[name]) and math.isfinite(errors[name])):
@@ -288,16 +333,19 @@ def _chunk_stats(
     return EnsembleStats(values, errors, count)
 
 
+def _columns(ensemble: FieldEnsemble) -> list[np.ndarray]:
+    """An ensemble as one chunk of the draw's (n, 2) layout."""
+    return [np.stack([ensemble.amp_x, ensemble.amp_y], axis=1)]
+
+
 def classical_stokes(ensemble: FieldEnsemble) -> EnsembleStats:
     """Ensemble Stokes estimates: s2 + i*s3 = 2<conj(A_y) A_x>."""
-    return _chunk_stats([(ensemble.amp_x, ensemble.amp_y)], len(ensemble),
-                        "s")
+    return _chunk_stats(_columns(ensemble), len(ensemble), "s")
 
 
 def classical_hidden(ensemble: FieldEnsemble) -> EnsembleStats:
     """Ensemble hidden estimates: h2 + i*h3 = 2<A_y A_x> (no conjugation)."""
-    return _chunk_stats([(ensemble.amp_x, ensemble.amp_y)], len(ensemble),
-                        "h")
+    return _chunk_stats(_columns(ensemble), len(ensemble), "h")
 
 
 def hops_statistics(

@@ -13,10 +13,12 @@ from hopslab.classical import (
     FieldEnsemble,
     FixedAmplitude,
     HopsEnsembleSpec,
+    MIN_AMPLITUDE,
     OrdinaryEnsembleSpec,
     RayleighAmplitude,
     UndefinedIndexError,
     _draw_chunks,
+    _unit_phasors,
     classical_hidden,
     classical_stokes,
     hidden_index,
@@ -178,8 +180,10 @@ def test_chunked_draws_reproduce_the_one_shot_ensemble():
     phi = rng.uniform(0.0, 2.0 * math.pi, count)
     a0 = rng.rayleigh(0.8, count)
     # the stream formula in the draw's own arithmetic: one phasor per
-    # sample, amp_y's its conjugate, each scaled by a constant, then a0
-    phasor = np.cos(phi) + 1j * np.sin(phi)
+    # sample from t = tan(phi/2), amp_y's its conjugate, each scaled by
+    # a constant, then a0
+    t = np.tan(0.5 * phi)
+    phasor = (1.0 - t * t) / (1.0 + t * t) + 1j * (2.0 * t / (1.0 + t * t))
     amp_x = phasor * (math.cos(0.6) * cmath.exp(0.2j)) * a0
     amp_y = np.conj(phasor) * (math.sin(0.6) * cmath.exp(0.2j)) * a0
     ensemble = sample_hops(spec, count, seed=42)
@@ -193,8 +197,8 @@ def test_chunked_draws_reproduce_the_one_shot_ensemble():
                          * np.exp(1j * (-phi + 0.2))) <= within)
     chunks = list(_draw_chunks(spec, count, 42, 64))
     assert len(chunks) == 16
-    np.testing.assert_array_equal(np.concatenate([c[0] for c in chunks]), amp_x)
-    np.testing.assert_array_equal(np.concatenate([c[1] for c in chunks]), amp_y)
+    np.testing.assert_array_equal(np.concatenate(chunks)[:, 0], amp_x)
+    np.testing.assert_array_equal(np.concatenate(chunks)[:, 1], amp_y)
 
 
 def test_ordinary_draws_share_the_chunked_stream():
@@ -204,11 +208,13 @@ def test_ordinary_draws_share_the_chunked_stream():
     rng = np.random.default_rng(42)
     phi = rng.uniform(0.0, 2.0 * math.pi, count)
     a0 = rng.rayleigh(0.8, count)
-    # the one-generator formula: amp_y's phasor is amp_x's times
-    # e^{i delta}, then cos(chi/2), sin(chi/2) and a0 apply in place
-    amp_x = np.cos(phi) + 1j * np.sin(phi)
-    amp_y = amp_x * complex(math.cos(-2.1), math.sin(-2.1))
-    for amp, scale in ((amp_x, math.cos(0.6)), (amp_y, math.sin(0.6))):
+    # the one-generator formula: amp_y's phasor is amp_x's, then
+    # cos(chi/2), sin(chi/2) e^{i delta} and a0 apply in place
+    t = np.tan(0.5 * phi)
+    amp_x = (1.0 - t * t) / (1.0 + t * t) + 1j * (2.0 * t / (1.0 + t * t))
+    amp_y = amp_x.copy()
+    turn = complex(math.cos(-2.1), math.sin(-2.1))
+    for amp, scale in ((amp_x, math.cos(0.6)), (amp_y, math.sin(0.6) * turn)):
         amp *= scale
         amp *= a0
     ensemble = sample_ordinary(spec, count, seed=42)
@@ -216,8 +222,8 @@ def test_ordinary_draws_share_the_chunked_stream():
     np.testing.assert_array_equal(ensemble.amp_y, amp_y)
     chunks = list(_draw_chunks(spec, count, 42, 64))
     assert len(chunks) == 16
-    np.testing.assert_array_equal(np.concatenate([c[0] for c in chunks]), amp_x)
-    np.testing.assert_array_equal(np.concatenate([c[1] for c in chunks]), amp_y)
+    np.testing.assert_array_equal(np.concatenate(chunks)[:, 0], amp_x)
+    np.testing.assert_array_equal(np.concatenate(chunks)[:, 1], amp_y)
     # both samplers state the count rule once, in the shared draw
     for sample, spec in ((sample_ordinary, spec),
                          (sample_hops, HopsEnsembleSpec(1.2, 0.4))):
@@ -236,7 +242,7 @@ def test_one_phasor_draws_match_the_exponential_form(chi, delta, seed,
     a0 = amplitude.draw(rng, count)
     within = 2e-15 * a0
     hidden = HopsEnsembleSpec(chi_h=chi, delta_h=delta, amplitude=amplitude)
-    amp_x, amp_y = next(_draw_chunks(hidden, count, seed, count))
+    amp_x, amp_y = next(_draw_chunks(hidden, count, seed, count)).T
     total = np.abs(amp_x) ** 2 + np.abs(amp_y) ** 2
     np.testing.assert_allclose(total, a0**2, rtol=4e-15)
     assert np.all(np.abs(amp_x - a0 * math.cos(0.5 * chi)
@@ -312,6 +318,83 @@ def test_overflowing_statistics_raise():
         stats = hops_statistics(spec, 100, seed=0)
         assert all(math.isfinite(v) for v in stats.values.values())
         assert all(math.isfinite(e) for e in stats.std_errors.values())
+
+
+def _direct_stats(ensemble):
+    """Estimates and batch-means errors from per-sample components."""
+    amp_x, amp_y = ensemble.amp_x, ensemble.amp_y
+    ix = amp_x.real ** 2 + amp_x.imag ** 2
+    iy = amp_y.real ** 2 + amp_y.imag ** 2
+    stokes = 2.0 * np.conj(amp_y) * amp_x
+    hidden = 2.0 * amp_y * amp_x
+    components = {"s0": ix + iy, "s1": iy - ix, "s2": stokes.real,
+                  "s3": stokes.imag, "h0": ix + iy, "h1": iy - ix,
+                  "h2": hidden.real, "h3": hidden.imag}
+    batches = max(2, math.isqrt(len(ensemble)))
+    size = len(ensemble) // batches
+    values, errors = {}, {}
+    for name, v in components.items():
+        means = v[:batches * size].reshape(batches, size).mean(axis=1)
+        values[name] = v.mean()
+        errors[name] = np.std(means, ddof=1) / math.sqrt(batches)
+    return values, errors
+
+
+@pytest.mark.parametrize("amplitude", [FixedAmplitude(1.7),
+                                       RayleighAmplitude(0.8)])
+def test_gram_reduce_matches_the_per_sample_components(amplitude):
+    # 10007 samples: 100 batches of 100 and 7 beyond the last batch
+    count = 10_007
+    hidden = HopsEnsembleSpec(chi_h=1.1, delta_h=-0.3, amplitude=amplitude)
+    ordinary = OrdinaryEnsembleSpec(chi=0.9, delta=2.0, amplitude=amplitude)
+    cases = [(sample_hops(hidden, count, seed=9), classical_stokes),
+             (sample_hops(hidden, count, seed=9), classical_hidden),
+             (sample_ordinary(ordinary, count, seed=9), classical_stokes),
+             (sample_ordinary(ordinary, count, seed=9), classical_hidden)]
+    tables = [(_direct_stats(ensemble), reduce(ensemble))
+              for ensemble, reduce in cases]
+    tables.append((_direct_stats(sample_hops(hidden, count, seed=9)),
+                   hops_statistics(hidden, count, seed=9)))
+    for (values, errors), stats in tables:
+        scale = values["s0"]
+        for name, value in stats.values.items():
+            assert abs(value - values[name]) <= 1e-14 * scale, name
+            error = stats.std_errors[name]
+            if errors[name] > 1e-14 * scale:
+                assert error == pytest.approx(errors[name], rel=1e-12), name
+
+
+def test_tangent_phasors_stay_finite_at_the_edge_phases():
+    phi = np.array([0.0, math.pi, np.nextafter(math.pi, 0.0),
+                    np.nextafter(math.pi, 4.0), 0.5 * math.pi,
+                    1.5 * math.pi, np.nextafter(2.0 * math.pi, 0.0)])
+    phasor = np.empty(phi.shape, dtype=complex)
+    _unit_phasors(phi.copy(), phasor)
+    assert np.all(np.isfinite(phasor))
+    assert np.all(np.abs(phasor - np.exp(1j * phi)) <= 2e-15)
+    np.testing.assert_allclose(np.abs(phasor), 1.0, rtol=0, atol=1e-15)
+
+
+def test_amplitudes_too_small_to_square_are_rejected():
+    # a0^2 below the least normal double would read s0 = 0.0 +- 0.0
+    for amplitude in (FixedAmplitude, RayleighAmplitude):
+        with pytest.raises(ValueError, match="underflows"):
+            amplitude(1e-170)
+        with pytest.raises(ValueError, match="underflows"):
+            amplitude(np.nextafter(MIN_AMPLITUDE, 0.0))
+        assert amplitude(MIN_AMPLITUDE).draw(
+            np.random.default_rng(0), 3).shape == (3,)
+    spec = HopsEnsembleSpec(chi_h=1.0, delta_h=0.0,
+                            amplitude=FixedAmplitude(MIN_AMPLITUDE))
+    assert hops_statistics(spec, 5, seed=0).values["s0"] > 0.0
+
+
+def test_non_finite_amplitudes_are_rejected_at_construction():
+    for amp_x, amp_y in (([1, math.nan, 1j], [1, 1, 1]),
+                         ([1, 1], [math.inf, 1]),
+                         ([1, 1], [1, complex(0, -math.inf)])):
+        with pytest.raises(ValueError, match="must be finite"):
+            FieldEnsemble(amp_x, amp_y)
 
 
 def test_polarization_index_trivial_cases():

@@ -229,6 +229,21 @@ def test_ensemble_error_stays_finite_with_its_estimate(capsys):
                for v in pair)
 
 
+@pytest.mark.parametrize("argv", [
+    ["ensemble", "--count", "5", "--a0", "1e-170"],
+    ["ensemble", "--amplitude", "rayleigh", "--scale", "1e-170",
+     "--count", "5"],
+])
+def test_underflowing_amplitude_exits_two(argv, capsys):
+    # a0^2 underflows to 0, which would print s0 = 0.0 +- 0.0
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1
+    assert "underflows" in err
+
+
 def test_claims_table(capsys):
     code, out = run_cli(
         ["claims", "--nx", "1", "--ny", "2", "--kt", "0.22"], capsys)
