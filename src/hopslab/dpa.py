@@ -29,15 +29,13 @@ Oracle and closed-form rows are one record,
 `MomentReport(kt, means, variances, leakage, valid)`, with the eight
 moments named once, in `MOMENT_NAMES`.
 
-`evolve` returns a full QuantumState, built from the same `_propagate`
-and the same slab eigenpairs, applied to its rows (and columns),
-gathered a slab of sectors at a time, since only that form carries a
-density's inter-sector coherences; an `evolve` after an oracle sweep
-reuses the eigenpairs the sweep computed. An evolved density is
-eigendecomposed once, per populated sector, by `from_density`; those
-slabs are what `boundary_leakage` then reads, through the same
-`hidden_sums` that gives an oracle row its leakage. No operator matrix
-is built here.
+`evolve` applies the same `_propagate` and slab eigenpairs (reused
+from an oracle sweep) to the rows, and columns, of the state vector or
+`state.density`, a slab of sectors at a time. An evolved density goes
+through `from_density`: one `eigh` per populated sector gives the
+blocks whose `hidden_sums` edge sum is `boundary_leakage`, as it is an
+oracle row's leakage; the matrix is kept only for inter-sector
+coherences. No operator matrix is built here.
 
 The truncation is the state's own cutoff, certified after the fact by
 `boundary_leakage`: the evolved state must keep its population clear of
@@ -189,14 +187,13 @@ def evolve(state: QuantumState, config: DpaConfig) -> QuantumState:
                     moved, *slab.eigenpairs, config.kt)[real]
         return out
 
-    x = state.array
     if state.vector is not None:
-        rows = on_rows(x[:, None])[:, 0]
+        rows = on_rows(state.vector[:, None])[:, 0]
         # rounding drift only: the truncated generator is exactly unitary
         result = QuantumState.from_vector(cut, rows / np.linalg.norm(rows))
     else:
         # U rho U^dag = (U (U rho)^dag)^dag
-        rho = on_rows(on_rows(x).conj().T).conj().T
+        rho = on_rows(on_rows(state.density).conj().T).conj().T
         result = QuantumState.from_density(cut, 0.5 * (rho + rho.conj().T))
     leakage = boundary_leakage(result)
     if leakage > config.leakage_tol:

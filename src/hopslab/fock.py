@@ -4,24 +4,21 @@ The joint space is the tensor product of two truncated oscillators with
 dimensions d_x and d_y; the basis state |n_x, n_y> lives at flat index
 n_x * d_y + n_y, row-major over x then y.
 
-The amplifier generator and all four hidden-set operators conserve the
-imbalance n_x - n_y, so the imbalance sector is the unit of work for
-dynamics and moments. `sector_table` stacks, once per cutoff, every
-sector's flat indices |lo_x + m, lo_y + m> and H0..H3 measure
+The amplifier generator, all four hidden-set operators and every state
+the package builds conserve the imbalance n_x - n_y, so the imbalance
+sector is the unit of work. `sector_table` stacks, once per cutoff,
+every sector's flat indices |lo_x + m, lo_y + m> and H0..H3 measure
 constants (its edge band, photon numbers and a_y a_x weights among
 them), zero-padded to a common length, plus a flat-index -> sector
-label. `QuantumState.blocks` holds, once per state, the sectors it
-populates as columns G sqrt(p), whose outer product is the block, pure
-or mixed, in slabs: each slab is one `SectorStack` of consecutive
-sectors, at most STACK_SLAB column entries, padded only to its own
-longest sector, with the table's constants gathered once. A slab also
-carries the amplifier's eigenbasis on its sectors, computed on first
-use from one eigendecomposition per chain (`_chain_eigenpairs`), so
-every per-sector constant is stated here. The partition into slabs is
-made here, once, and nowhere else. Evolution and its truncation
-certificate (`dpa`) and the H0..H3 measure
-(`polarization.hidden_moments`) iterate over the slabs, as a fixed
-number of array operations per slab, whatever the number of sectors.
+label. A state is the sectors it populates, `QuantumState.blocks`:
+columns G sqrt(p) whose outer product is the block, in slabs of
+consecutive sectors (`SectorStack`, cut by `_partition` alone) padded
+only to their own longest sector, with the table's constants and, on
+first use, the amplifier's eigenbasis (`_chain_eigenpairs`). Only a
+density with inter-sector coherences also keeps its d^2 x d^2 matrix.
+Evolution and its truncation certificate (`dpa`) and the H0..H3
+measure (`polarization.hidden_moments`) iterate over the slabs, a
+fixed number of array operations per slab.
 
 `require_photon_numbers` (integers >= 0), `require_occupations`
 (finite means >= 0) and `require_kt` (a finite evolution time) are the
@@ -42,7 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 from numbers import Integral
 
 import numpy as np
@@ -53,10 +50,12 @@ EIGENVALUE_FLOOR = -1e-10  # lowest eigenvalue a density matrix may have
 
 EVOLUTION_MARGIN = 4       # edge band whose population certifies truncation
 
-# Complex entries per slab of a temporary (the columns of
-# `QuantumState.blocks`, the rows of `from_density`'s hermiticity test):
-# a computation that holds a few copies holds them a slab at a time
+# Complex entries per slab of a temporary (`QuantumState.blocks`'
+# columns, the rows `from_density` checks and `dpa.evolve` gathers): a
+# computation that holds a few copies holds them a slab at a time
 STACK_SLAB = 2**14
+
+Blocks = dict[int, tuple[np.ndarray, np.ndarray]]  # (G, p) by sector delta
 
 
 @dataclass(frozen=True)
@@ -88,23 +87,20 @@ class FockCutoff:
         return n_x * self.d_y + n_y
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuantumState:
-    """Pure state vector or density matrix on the joint space.
+    """A pure state vector, or a mixed state held as its sector blocks.
 
-    Build through from_vector / from_density (or fock_state). Both
-    constructors require unit total population (|v|^2 or the trace,
-    `require_unit_trace`); from_density also requires hermiticity and
-    positivity. Positivity is certified by the sector blocks
-    (`blocks`), whose eigendecomposition rejects an eigenvalue below
-    EIGENVALUE_FLOOR; only a density with nonzero entries outside its
-    populated blocks (inter-sector coherences) also has its full
-    spectrum checked, at any size.
+    Build through from_vector, from_density or from_blocks (or
+    fock_state); each requires unit total population (|v|^2 or the
+    trace, `require_unit_trace`). A mixed state keeps `matrix`, its
+    density matrix, only for inter-sector coherences; `density` is a
+    read-only view, built on demand.
     """
 
     cutoff: FockCutoff
     vector: np.ndarray | None = field(default=None, repr=False)
-    density: np.ndarray | None = field(default=None, repr=False)
+    matrix: np.ndarray | None = field(default=None, repr=False)
 
     @classmethod
     def from_vector(cls, cutoff: FockCutoff, vec: np.ndarray) -> "QuantumState":
@@ -131,22 +127,71 @@ class QuantumState:
             if not skew <= ALGEBRA_TOL:  # a NaN or inf entry fails too
                 raise ValueError("density matrix is not finite and Hermitian "
                                  "within 1e-12")
+        # nonzero entries outside the populated blocks (inter-sector
+        # coherences): the matrix is kept, and its full spectrum checked
+        label = sector_table(cutoff).label
+        rows, cols = np.nonzero(m)
+        if np.array_equal(label[rows], label[cols]) \
+                and np.isin(label[rows], label[m.diagonal() != 0]).all():
+            return cls.from_blocks(cutoff, _eigenblocks(cutoff, m))
+        spectrum = np.linalg.eigvalsh(m)
+        require_unit_trace(spectrum.sum())
+        _require_positive(spectrum[0])
         # copied only now, after the check's temporaries are gone;
         # freezing the caller's own array would make it read-only
         m = np.array(m, order="C")
         m.flags.writeable = False
-        state = cls(cutoff, density=m)
-        require_unit_trace(state.populations().sum())
-        # the blocks' eigh certifies positivity unless nonzero entries
-        # lie outside them (inter-sector coherences, or a sector with
-        # an empty diagonal); then the full spectrum is checked too
-        populated = [s for slab in state.blocks for s in slab.positions]
-        label = sector_table(cutoff).label
-        rows, cols = np.nonzero(m)
-        if not (np.array_equal(label[rows], label[cols])
-                and np.isin(label[rows], populated).all()):
-            _require_positive(np.linalg.eigvalsh(m)[0])
+        return cls(cutoff, matrix=m)
+
+    @classmethod
+    def from_blocks(cls, cutoff: FockCutoff, blocks: Blocks) -> "QuantumState":
+        """The state whose sector n_x - n_y = delta is G diag(p) G^dag.
+
+        `blocks` maps each populated sector's delta to (G, p), G (L, r)
+        on its L states in `sector_table` order. A p below
+        EIGENVALUE_FLOOR, or a trace sum_r p_r |G_r|^2 other than 1,
+        raises ValueError; a p in (EIGENVALUE_FLOOR, 0) clamps to 0 and
+        the kept columns scale to keep the trace.
+        """
+        table = sector_table(cutoff)
+        positions = np.array(sorted(blocks), dtype=int) + cutoff.d_y - 1
+        columns, dropped = [], 0.0
+        for s, delta in zip(positions.tolist(), sorted(blocks)):
+            g, p = np.asarray(blocks[delta][0]), np.asarray(blocks[delta][1])
+            if not (0 <= s < table.delta.size
+                    and g.shape == ((table.indices[s] >= 0).sum(), p.size)):
+                raise ValueError(f"block {delta} is not (G, p) of a sector of {cutoff}")
+            _require_positive(p.min(initial=0.0))
+            dropped += np.minimum(p, 0.0) @ (np.abs(g) ** 2).sum(axis=0)
+            columns.append(g * np.sqrt(np.maximum(p, 0.0)))
+        kept = sum(np.vdot(c, c).real for c in columns)
+        require_unit_trace(kept + dropped)
+        if dropped:  # sum p / sum max(p, 0), over every sector
+            columns = [c * math.sqrt((kept + dropped) / kept) for c in columns]
+        slabs, folded = [], iter(columns)
+        for slab, indices in _partition(table, positions, [c.shape[1] for c in columns]):
+            part = [next(folded) for _ in slab]
+            g = np.zeros((*indices.shape, max(c.shape[1] for c in part)), dtype=complex)
+            for s, c in enumerate(part):
+                g[s, :c.shape[0], :c.shape[1]] = c
+            slabs.append(_slab(table, slab, indices, g))
+        state = cls(cutoff)
+        # seeds the cached property, which itself calls from_blocks
+        object.__setattr__(state, "blocks", tuple(slabs))
         return state
+
+    @property
+    def density(self) -> np.ndarray | None:
+        """Read-only density matrix, built per call unless kept; None if pure."""
+        if self.vector is not None or self.matrix is not None:
+            return self.matrix
+        m = np.zeros((self.cutoff.dim, self.cutoff.dim), dtype=complex)
+        for slab in self.blocks:
+            for row, g in zip(slab.indices, slab.columns):
+                g, row = g[row >= 0], row[row >= 0]
+                m[np.ix_(row, row)] = g @ g.conj().T
+        m.flags.writeable = False
+        return m
 
     @property
     def array(self) -> np.ndarray:
@@ -157,72 +202,37 @@ class QuantumState:
         """Diagonal occupation probabilities in the flat Fock basis."""
         if self.vector is not None:
             return np.abs(self.vector) ** 2
-        assert self.density is not None
-        return np.diag(self.density).real.copy()
+        out = np.zeros(self.cutoff.dim)
+        for slab in self.blocks:
+            g, real = slab.columns, slab.indices >= 0
+            out[slab.indices[real]] = np.einsum("smr,smr->sm", g, g.conj()).real[real]
+        return out
 
     @cached_property
     def blocks(self) -> tuple[SectorStack, ...]:
         """The sectors the state populates, as slabs of weighted columns.
 
-        Built once per state; their arrays are read-only. Every quantity
-        that conserves the imbalance (H0..H3 and their products, the
-        amplifier evolution, boundary populations) is a sum over these
-        slabs; inter-sector coherences of a density never enter, and
-        unpopulated sectors of a valid state are zero. A slab is a
-        `SectorStack` of consecutive populated sectors, zero-padded to
-        its own longest sector, L. Sectors come in delta order, whose
-        lengths rise and then fall, so neighbours pad little; a slab
-        holds at most STACK_SLAB column entries (S L for a vector,
-        S L^2 for a density), or is one sector. A vector's columns are
-        its amplitude slices, a density's come from `_folded`.
+        Built once per state, read-only: every quantity that conserves
+        the imbalance (H0..H3, evolution, edge populations) sums them.
         """
+        if self.vector is None:
+            return self.from_blocks(self.cutoff,
+                                    _eigenblocks(self.cutoff, self.matrix)).blocks
         table = sector_table(self.cutoff)
-        hits = np.bincount(table.label[self.populations() != 0.0],
-                           minlength=table.delta.size)
-        positions = np.flatnonzero(hits)
-        lengths = (table.indices[positions] >= 0).sum(axis=1).tolist()
-        bounds, longest = [0], 0
-        for s, n in enumerate(lengths):
-            longest = max(longest, n)
-            ranks = longest if self.vector is None else 1
-            if s > bounds[-1] and (s + 1 - bounds[-1]) * longest * ranks \
-                    > STACK_SLAB:
-                bounds.append(s)
-                longest = n
-        bounds.append(len(lengths))
-        slabs = [positions[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-        indices = [table.indices[slab, :max(lengths[lo:hi], default=1)]
-                   for slab, lo, hi in zip(slabs, bounds, bounds[1:])]
-        columns = self._folded(indices) if self.vector is None else [
-            np.where(i >= 0, self.vector[i], 0.0)[:, :, None] for i in indices]
-        return tuple(map(partial(_slab, table), slabs, indices, columns))
+        positions = np.flatnonzero(np.bincount(table.label[self.vector != 0]))
+        return tuple(_slab(table, slab, indices, np.where(
+            indices >= 0, self.vector[indices], 0.0)[:, :, None])
+            for slab, indices in _partition(table, positions, [1] * positions.size))
 
-    def _folded(self, indices: list[np.ndarray]) -> list[np.ndarray]:
-        """Each slab's density blocks as columns G sqrt(p), (S, L, L).
 
-        One `eigh` per sector, on the unpadded block (padding zeros
-        would be near-degenerate with tiny weights). An eigenvalue
-        below EIGENVALUE_FLOOR raises ValueError; one above it but
-        below 0 clamps to 0, and the kept weights of all the sectors
-        scale by sum p / sum max(p, 0) to keep the blocks' trace.
-        """
-        columns, dropped = [], 0.0
-        for slab in indices:
-            g = np.zeros(slab.shape + slab.shape[1:], dtype=complex)
-            for s, row in enumerate(slab):
-                block = np.ix_(row[row >= 0], row[row >= 0])
-                p, vectors = np.linalg.eigh(self.density[block])
-                _require_positive(p[0])
-                if p[0] < 0.0:
-                    dropped += p[p < 0.0].sum()
-                    p = np.maximum(p, 0.0)
-                g[s, :p.size, :p.size] = vectors * np.sqrt(p)
-            columns.append(g)
-        kept = sum(np.vdot(g, g).real for g in columns)
-        if dropped and kept:  # sum p / sum max(p, 0), over every sector
-            for g in columns:
-                g *= math.sqrt(max(kept + dropped, 0.0) / kept)
-        return columns
+def _eigenblocks(cutoff: FockCutoff, m: np.ndarray) -> Blocks:
+    """(G, p) of each sector with a nonzero diagonal in `m`, by `eigh`."""
+    table = sector_table(cutoff)
+    # unpadded: padding zeros would be near-degenerate with tiny weights
+    rows = {int(table.delta[s]): table.indices[s][table.indices[s] >= 0]
+            for s in np.flatnonzero(np.bincount(table.label[m.diagonal() != 0]))}
+    return {delta: np.linalg.eigh(m[np.ix_(row, row)])[::-1]  # (G, p)
+            for delta, row in rows.items()}
 
 
 def require_photon_numbers(*values: int) -> None:
@@ -332,13 +342,13 @@ def sector_table(cutoff: FockCutoff) -> SectorTable:
 class SectorStack:
     """One slab of a state's populated sectors, as weighted columns.
 
-    Sector s holds the block G_s G_s^dag: a state vector's amplitude
-    slice, or a density's block eigenvectors, each scaled by the square
-    root of its eigenvalue. The S sectors are consecutive rows
-    `positions` of the cutoff's `sector_table`, zero-padded to the
-    longest of them, L (`QuantumState.blocks` partitions a state):
+    Sector s holds the block G_s G_s^dag: the columns G sqrt(p) of its
+    (G, p) (`QuantumState.from_blocks`), a state vector's amplitude
+    slice among them. The S sectors are consecutive rows `positions` of
+    the cutoff's `sector_table`, zero-padded to the longest of them, L,
+    and to the most columns, R (`from_blocks` partitions a state):
 
-    - `columns` G, shape (S, L, r), in each sector's order;
+    - `columns` G, shape (S, L, R), in each sector's order;
     - the sector constants, gathered from the table once: `indices`
       (S, L), `delta` (S,), and the measure's `diagonal` (one row per
       table row, S L), `pair` (S L - 1, 1) and `pair_square` (S L - 2,
@@ -417,6 +427,28 @@ def _chain_eigenpairs(rise: int, length: int) -> tuple[np.ndarray, np.ndarray]:
     values.setflags(write=False)
     vectors.setflags(write=False)
     return values, vectors
+
+
+def _partition(
+    table: SectorTable, positions: np.ndarray, ranks: list[int],
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The sector rows `positions`, of `ranks` columns each, in slabs.
+
+    A slab is its rows and their `indices`, padded to its longest sector
+    L: S L R <= STACK_SLAB column entries, R its most columns, or one sector.
+    """
+    lengths = (table.indices[positions] >= 0).sum(axis=1).tolist()
+    bounds, longest, widest = [0], 0, 0
+    for s, (n, r) in enumerate(zip(lengths, ranks)):
+        longest, widest = max(longest, n), max(widest, r)
+        if s > bounds[-1] and (s + 1 - bounds[-1]) * longest * widest \
+                > STACK_SLAB:
+            bounds.append(s)
+            longest, widest = n, r
+    bounds.append(len(lengths))
+    return [(positions[lo:hi],
+             table.indices[positions[lo:hi], :max(lengths[lo:hi], default=1)])
+            for lo, hi in zip(bounds, bounds[1:])]
 
 
 def _slab(

@@ -46,6 +46,7 @@ from .fock import (
     require_kt,
     require_occupations,
     require_photon_numbers,
+    sector_table,
 )
 
 CLAIM_MATCH_TOL = 1e-6       # relative deviation below which values agree
@@ -69,15 +70,15 @@ def thermal_weight(n_bar: float, n: int) -> float:
 def thermal_state(
     cutoff: FockCutoff, nbar_x: float, nbar_y: float,
 ) -> QuantumState:
-    """Two-mode thermal density matrix, renormalized on the truncation."""
+    """Two-mode thermal state, renormalized on the truncation: G = I blocks."""
     w_x = np.array([thermal_weight(nbar_x, n) for n in range(cutoff.d_x)])
     w_y = np.array([thermal_weight(nbar_y, n) for n in range(cutoff.d_y)])
     weights = np.kron(w_x, w_y)
-    # filled in place: a real diagonal matrix cast to complex would be a
-    # second full-size temporary
-    rho = np.zeros((cutoff.dim, cutoff.dim), dtype=complex)
-    np.fill_diagonal(rho, weights / weights.sum())
-    return QuantumState.from_density(cutoff, rho)
+    weights /= weights.sum()
+    table = sector_table(cutoff)
+    return QuantumState.from_blocks(cutoff, {
+        delta: (np.eye(p.size), p) for delta, row in zip(table.delta.tolist(), table.indices)
+        if (p := weights[row[row >= 0]]).any()})
 
 
 def _occupation_term(n_x: float, n_y: float) -> float:

@@ -199,6 +199,20 @@ def test_ensemble_traced_peak_stays_small(tmp_path):
     assert peak < 16e6
 
 
+def test_thermal_oracle_sweep_at_the_largest_cutoff(tmp_path):
+    # the state is its sector blocks; as a d^2 x d^2 matrix the thermal
+    # state alone held 1.3 GB here
+    tracemalloc.start()
+    try:
+        code = main(["sweep", "--model", "thermal", "--oracle", "--cutoff",
+                     "80", "--steps", "2", "--out", str(tmp_path / "t.csv")])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 50e6
+
+
 def test_ensemble_csv(capsys):
     argv = ["ensemble", "--count", "20000", "--seed", "3",
             "--delta-h", "0.7"]

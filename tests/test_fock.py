@@ -344,6 +344,56 @@ def test_density_positivity_check_coherent_density_at_any_size():
         QuantumState.from_density(cut, density(0.9))
 
 
+def test_from_blocks_checks_weights_trace_and_shapes():
+    # on 5 x 4, sector delta = 0 holds |0,0> .. |3,3>; deltas run -3..4
+    cut = FockCutoff(5, 4)
+    eye = np.eye(4)
+    state = QuantumState.from_blocks(cut, {0: (eye, [0.5, 0.3, 0.2, 0.0])})
+    np.testing.assert_array_equal(
+        state.populations()[[cut.index(m, m) for m in range(4)]],
+        np.sqrt([0.5, 0.3, 0.2, 0.0]) ** 2)
+    # G need not be orthonormal: the trace is sum_r p_r |G_r|^2, and one
+    # column of weight 1 is a pure block
+    v = np.array([0.6, 0.0, 0.8j, 0.0])
+    pure = QuantumState.from_blocks(cut, {0: (v[:, None], np.ones(1))})
+    np.testing.assert_allclose(
+        pure.populations()[[cut.index(m, m) for m in range(4)]],
+        np.abs(v) ** 2, rtol=0, atol=1e-16)
+    with pytest.raises(ValueError, match="trace"):
+        QuantumState.from_blocks(cut, {0: (2 * v[:, None], np.ones(1))})
+    with pytest.raises(ValueError, match="eigenvalue"):
+        QuantumState.from_blocks(cut, {0: (eye, [0.5, 0.5, 2e-10, -2e-10])})
+    with pytest.raises(ValueError, match="trace"):
+        QuantumState.from_blocks(cut, {0: (eye, [0.5, 0.4, 0.0, 0.0])})
+    for bad in ({0: (np.eye(3), [0.5, 0.3, 0.2])}, {0: (eye, [1.0])},
+                {5: (np.eye(1), [1.0])}, {-4: (np.eye(1), [1.0])}):
+        with pytest.raises(ValueError, match="not .G, p. of a sector"):
+            QuantumState.from_blocks(cut, bad)
+
+
+def test_from_blocks_clamps_as_from_density():
+    # -5e-11 lies inside EIGENVALUE_FLOOR: the weight clamps to 0 and the
+    # kept weights scale back to the trace, in both constructors
+    cut = FockCutoff(5, 4)
+    weights = [0.6 + 5e-11, 0.4, -5e-11, 0.0]
+    state = QuantumState.from_blocks(cut, {0: (np.eye(4), weights)})
+    diagonal = np.zeros(cut.dim, dtype=complex)
+    diagonal[[cut.index(m, m) for m in range(4)]] = weights
+    dense = QuantumState.from_density(cut, np.diag(diagonal))
+    for clamped in (state, dense):
+        populations = clamped.populations()
+        assert populations.min() == 0.0
+        assert populations.sum() == pytest.approx(1.0, rel=0, abs=1e-15)
+        np.testing.assert_allclose(
+            populations[[cut.index(0, 0), cut.index(1, 1)]],
+            np.array(weights[:2]) / (1 + 5e-11), rtol=1e-15)
+    # a clamped column counts with its norm, |G_r|^2 = 4 here
+    g = np.zeros((4, 2))
+    g[0, 0] = g[1, 1] = 2.0
+    wide = QuantumState.from_blocks(cut, {0: (g, [(1 + 1e-10) / 4, -2.5e-11])})
+    assert wide.populations()[cut.index(0, 0)] == pytest.approx(1.0, abs=1e-15)
+
+
 def test_sector_table_partitions_the_space():
     cut = FockCutoff(3, 5)
     table = sector_table(cut)

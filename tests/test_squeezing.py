@@ -10,11 +10,12 @@ from hypothesis import given, strategies as st
 import hopslab.squeezing as squeezing
 from hopslab.dpa import (
     DEFAULT_LEAKAGE_TOL,
+    DpaConfig,
     oracle_moments,
     suggest_cutoff,
     thermal_heisenberg_moments,
 )
-from hopslab.fock import FockCutoff
+from hopslab.fock import FockCutoff, QuantumState
 from hopslab.reporting import curve_csv
 from hopslab.squeezing import (
     FockModel,
@@ -99,17 +100,48 @@ def test_thermal_state_mean_occupation():
 
 
 def test_thermal_state_holds_no_extra_full_size_array():
-    # the matrix built and the copy the state keeps; the hermiticity
-    # test runs in slabs, so nothing else reaches full size
-    cut = FockCutoff(40, 40)
-    thermal_state(cut, 0.5, 0.5)  # warm the sector table
+    # its blocks are diagonal, G = I and p = the weights: 6.2 MB of slab
+    # columns at d = 80, where the d^2 x d^2 matrix alone is 655 MB
+    cut = FockCutoff(80, 80)
     tracemalloc.start()
     try:
-        state = thermal_state(cut, 0.5, 0.5)
+        thermal_state(cut, 0.5, 0.5)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2.2 * state.density.nbytes
+    assert peak < 20e6
+
+
+def test_thermal_density_is_its_diagonal_weights():
+    cut = FockCutoff(12, 9)
+    state = thermal_state(cut, 0.4, 0.7)
+    density = state.density
+    weights = np.outer(
+        [thermal_weight(0.4, n) for n in range(cut.d_x)],
+        [thermal_weight(0.7, n) for n in range(cut.d_y)]).ravel()
+    assert np.count_nonzero(density - np.diag(np.diag(density))) == 0
+    np.testing.assert_allclose(np.diag(density).real,
+                               weights / weights.sum(), rtol=0, atol=1e-15)
+    # a view built on demand, read-only and never kept
+    assert not density.flags.writeable
+    assert state.density is not density
+    np.testing.assert_array_equal(state.populations(), np.diag(density).real)
+
+
+@pytest.mark.parametrize("kt", [0.0, 0.3])
+def test_thermal_blocks_give_the_rows_of_its_density(kt):
+    cut = FockCutoff(12, 9)
+    state = thermal_state(cut, 0.4, 0.7)
+    weights = np.outer(
+        [thermal_weight(0.4, n) for n in range(cut.d_x)],
+        [thermal_weight(0.7, n) for n in range(cut.d_y)]).ravel()
+    dense = QuantumState.from_density(
+        cut, np.diag(weights / weights.sum()).astype(complex))
+    config = DpaConfig(kt=kt, leakage_tol=0.9)
+    got, want = oracle_moments(state, config), oracle_moments(dense, config)
+    for a, b in zip(got.means + got.variances + (got.leakage,),
+                    want.means + want.variances + (want.leakage,)):
+        assert a == pytest.approx(b, rel=1e-13, abs=1e-15)
 
 
 def test_squeezing_function_reference_points():
