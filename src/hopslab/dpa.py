@@ -13,29 +13,20 @@ and keeps them as long as it lives (`SectorStack.eigenpairs`,
 `_propagate`'s U(kt) = V diag(e^{-i 2kt E}) W, one real product per
 slab, the closed forms and the cutoff rule (`_require_margin`).
 
-`oracle_moments`, the brute-force oracle against which the closed-form
-Heisenberg moments are checked, never forms the evolved state: each
-row evolves the state's slabs, U G for pure and mixed states alike,
-and measures them with the shared `polarization.hidden_sums`, which
-reads the sector constants the slab gathered from its cutoff's table.
-U G keeps the spectrum that `state.blocks` certified, so the one
-check left is unit total population (`require_unit_trace`), for
-vectors and densities alike. The total population, the edge population
-that certifies the truncation and the diagonal moments come from one
-product of the evolved populations with the slab's constant matrix,
-so a row costs a fixed number of array operations per slab, whatever
-the number of sectors, and every check still runs on every row.
-Oracle and closed-form rows are one record,
-`MomentReport(kt, means, variances, leakage, valid)`, with the eight
-moments named once, in `MOMENT_NAMES`.
-
-`evolve` applies the same `_propagate` and slab eigenpairs (reused
-from an oracle sweep) to the rows, and columns, of the state vector or
-`state.density`, a slab of sectors at a time. An evolved density goes
-through `from_density`: one `eigh` per populated sector gives the
-blocks whose `hidden_sums` edge sum is `boundary_leakage`, as it is an
-oracle row's leakage; the matrix is kept only for inter-sector
-coherences. No operator matrix is built here.
+Both entry points evolve a state's slabs alike, to U G (`_propagate`),
+which keeps the spectrum `state.blocks` certified. `oracle_moments`,
+the brute-force oracle for the closed-form Heisenberg moments, never
+forms the evolved state: the shared `polarization.hidden_sums` gives
+its total population (`require_unit_trace`), the edge population that
+certifies the truncation and the moments, a fixed number of array
+operations per slab, whatever the number of sectors. `evolve` hands
+the same U G to `QuantumState.with_columns`, so an evolved state's
+`hidden_moments` and `boundary_leakage` are the oracle row's sums;
+only a kept `matrix` (inter-sector coherences) is evolved whole, on
+its rows and columns, and decomposed again by `from_density`. Oracle
+and closed-form rows are one record, `MomentReport(kt, means,
+variances, leakage, valid)`, the eight moments named once in
+`MOMENT_NAMES`. No operator matrix is built here.
 
 The truncation is the state's own cutoff, certified after the fact by
 `boundary_leakage`: the evolved state must keep its population clear of
@@ -60,6 +51,7 @@ from .fock import (
     STACK_SLAB,
     FockCutoff,
     QuantumState,
+    SectorStack,
     require_kt,
     require_occupations,
     require_photon_numbers,
@@ -144,14 +136,15 @@ def _require_margin(cutoff: FockCutoff) -> None:
 
 
 def _propagate(
-    moved: np.ndarray, values: np.ndarray, vectors: np.ndarray, kt: float,
+    slab: SectorStack, kt: float, moved: np.ndarray | None = None,
 ) -> np.ndarray:
-    """U x for U = exp(-i 2kt H_int), from x's eigenbasis coordinates.
+    """U x = V diag(exp(-i 2kt E)) W for U = exp(-i 2kt H_int), one real product.
 
-    U x = V diag(exp(-i 2kt E)) W with W = V^T x
-    (`SectorStack.to_eigenbasis`), from the eigenpairs (E, V) of a
-    slab of sectors; one real product.
+    (E, V) are the slab's eigenpairs and W = V^T x is `moved`
+    (`SectorStack.to_eigenbasis`), by default its `eigencolumns`: U G.
     """
+    values, vectors = slab.eigenpairs
+    moved = slab.eigencolumns if moved is None else moved
     phased = moved * np.exp(-1j * (2.0 * kt) * values)[:, :, None]
     return (vectors @ phased.view(float)).view(complex)
 
@@ -159,9 +152,10 @@ def _propagate(
 def evolve(state: QuantumState, config: DpaConfig) -> QuantumState:
     """Apply exp(-i * 2kt * H_int); certify truncation afterwards.
 
-    U acts on the rows, and for a density also on the columns, of each
-    populated sector, a slab of sectors at a time, with the slab's own
-    eigenpairs (`SectorStack.eigenpairs`, shared with `oracle_moments`).
+    Each slab evolves as in an oracle row, to U G with its own
+    eigenpairs, and `QuantumState.with_columns` makes the slabs the
+    evolved state; only a kept `matrix` is evolved whole, on its rows
+    and columns, and decomposed again by `from_density`.
     Raises TruncationError (carrying the measured leakage) when the
     evolved state holds more than config.leakage_tol of its population
     within EVOLUTION_MARGIN levels of either cutoff; enlarge the cutoff
@@ -173,8 +167,7 @@ def evolve(state: QuantumState, config: DpaConfig) -> QuantumState:
     def on_rows(x: np.ndarray) -> np.ndarray:
         # a valid state is zero outside its populated sectors' rows; a
         # padding index (-1) gathers a row the padded V never reads.
-        # Columns of x go a block at a time, so a gathered block holds
-        # at most STACK_SLAB entries
+        # Columns go a block of at most STACK_SLAB entries at a time
         out = np.zeros(x.shape, dtype=complex)
         for slab in state.blocks:
             indices = slab.indices
@@ -184,16 +177,15 @@ def evolve(state: QuantumState, config: DpaConfig) -> QuantumState:
                 block = slice(start, start + width)
                 moved = slab.to_eigenbasis(x[indices, block])
                 out[indices[real], block] = _propagate(
-                    moved, *slab.eigenpairs, config.kt)[real]
+                    slab, config.kt, moved)[real]
         return out
 
-    if state.vector is not None:
-        rows = on_rows(state.vector[:, None])[:, 0]
-        # rounding drift only: the truncated generator is exactly unitary
-        result = QuantumState.from_vector(cut, rows / np.linalg.norm(rows))
+    if state.matrix is None:
+        result = state.with_columns(
+            [_propagate(slab, config.kt) for slab in state.blocks])
     else:
         # U rho U^dag = (U (U rho)^dag)^dag
-        rho = on_rows(on_rows(state.density).conj().T).conj().T
+        rho = on_rows(on_rows(state.matrix).conj().T).conj().T
         result = QuantumState.from_density(cut, 0.5 * (rho + rho.conj().T))
     leakage = boundary_leakage(result)
     if leakage > config.leakage_tol:
@@ -267,23 +259,18 @@ def _closed_moments(
 def oracle_moments(state: QuantumState, config: DpaConfig) -> MomentReport:
     """Brute-force moments: evolve, then measure the hidden set.
 
-    Only the sectors the state populates (`state.blocks`) are evolved
-    and measured, as U G, a slab of sectors at a time; the full
-    evolved state is never formed. Each slab computes its eigenpairs
-    and W = V^T G on the state's first row and keeps them while it
-    lives, so a row is one phase, one real product and one
-    `hidden_sums` per slab. U is unitary on each sector, so an
-    evolved density block U G G^dag U^dag has exactly the spectrum
-    `state.blocks` checked. The evolved total population,
-    sum_r |U G_r|^2 (|v|^2 for a vector), must be 1 within
-    ALGEBRA_TOL, as `require_unit_trace` asks of every state, on every
-    row. Never raises on truncation trouble; the report is returned
-    with valid=False and the measured leakage so sweeps can flag the
-    row and continue.
+    Only the state's slabs (`state.blocks`) are evolved, to U G, and
+    measured: with the eigenbasis each slab keeps from the first row, a
+    row is one phase, one real product and one `hidden_sums` per slab,
+    and the full evolved state is never formed. U is unitary on each
+    sector, so an evolved block keeps the spectrum `state.blocks`
+    checked; the evolved total population must be 1 within ALGEBRA_TOL
+    (`require_unit_trace`) on every row. Never raises on truncation
+    trouble; the report is returned with valid=False and the measured
+    leakage so sweeps can flag the row and continue.
     """
     _require_margin(state.cutoff)
-    rows = [hidden_sums(slab, _propagate(slab.eigencolumns, *slab.eigenpairs,
-                                         config.kt))
+    rows = [hidden_sums(slab, _propagate(slab, config.kt))
             for slab in state.blocks]
     require_unit_trace(sum(row[0] for row in rows))
     means, variances = hidden_moments(rows)

@@ -38,7 +38,7 @@ infinite-dimensional physics is certified post hoc with
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 from numbers import Integral
 
@@ -51,8 +51,9 @@ EIGENVALUE_FLOOR = -1e-10  # lowest eigenvalue a density matrix may have
 EVOLUTION_MARGIN = 4       # edge band whose population certifies truncation
 
 # Complex entries per slab of a temporary (`QuantumState.blocks`'
-# columns, the rows `from_density` checks and `dpa.evolve` gathers): a
-# computation that holds a few copies holds them a slab at a time
+# columns, the rows `from_density` checks and the rows `dpa.evolve`
+# gathers of a kept matrix): a computation that holds a few copies
+# holds them a slab at a time
 STACK_SLAB = 2**14
 
 Blocks = dict[int, tuple[np.ndarray, np.ndarray]]  # (G, p) by sector delta
@@ -92,10 +93,11 @@ class QuantumState:
     """A pure state vector, or a mixed state held as its sector blocks.
 
     Build through from_vector, from_density or from_blocks (or
-    fock_state); each requires unit total population (|v|^2 or the
-    trace, `require_unit_trace`). A mixed state keeps `matrix`, its
-    density matrix, only for inter-sector coherences; `density` is a
-    read-only view, built on demand.
+    fock_state, or another state's `with_columns`); each requires unit
+    total population (|v|^2 or the trace, `require_unit_trace`). A
+    mixed state keeps `matrix`, its density matrix, only for
+    inter-sector coherences; `density` is a read-only view, built on
+    demand.
     """
 
     cutoff: FockCutoff
@@ -127,13 +129,11 @@ class QuantumState:
             if not skew <= ALGEBRA_TOL:  # a NaN or inf entry fails too
                 raise ValueError("density matrix is not finite and Hermitian "
                                  "within 1e-12")
-        # nonzero entries outside the populated blocks (inter-sector
-        # coherences): the matrix is kept, and its full spectrum checked
-        label = sector_table(cutoff).label
-        rows, cols = np.nonzero(m)
-        if np.array_equal(label[rows], label[cols]) \
-                and np.isin(label[rows], label[m.diagonal() != 0]).all():
-            return cls.from_blocks(cutoff, _eigenblocks(cutoff, m))
+        # nonzero entries outside the populated sectors' blocks, counted
+        # without a copy of `m`, are coherences: keep m, check its spectrum
+        principal = _sector_blocks(cutoff, m)
+        if np.count_nonzero(m) == sum(map(np.count_nonzero, principal.values())):
+            return cls.from_blocks(cutoff, _eigenblocks(principal))
         spectrum = np.linalg.eigvalsh(m)
         require_unit_trace(spectrum.sum())
         _require_positive(spectrum[0])
@@ -180,6 +180,28 @@ class QuantumState:
         object.__setattr__(state, "blocks", tuple(slabs))
         return state
 
+    def with_columns(self, columns: list[np.ndarray]) -> "QuantumState":
+        """This state with `columns`, one (S, L, R) per slab, in its slabs.
+
+        A vector is scattered back and renormalized (the rounding drift of
+        `dpa.evolve`'s U G); a block state keeps its slabs' layout and
+        constants. A kept `matrix` is not its slabs: it raises.
+        """
+        if self.matrix is not None:
+            raise ValueError("a kept density matrix is not its slabs")
+        slabs = tuple(replace(slab, columns=g)
+                      for slab, g in zip(self.blocks, columns, strict=True))
+        if self.vector is not None:
+            v = np.zeros(self.cutoff.dim, dtype=complex)
+            for slab in slabs:
+                real = slab.indices >= 0
+                v[slab.indices[real]] = slab.columns[real, 0]
+            return self.from_vector(self.cutoff, v / np.linalg.norm(v))
+        require_unit_trace(sum(np.vdot(s.columns, s.columns).real for s in slabs))
+        state = QuantumState(self.cutoff)
+        object.__setattr__(state, "blocks", slabs)
+        return state
+
     @property
     def density(self) -> np.ndarray | None:
         """Read-only density matrix, built per call unless kept; None if pure."""
@@ -192,11 +214,6 @@ class QuantumState:
                 m[np.ix_(row, row)] = g @ g.conj().T
         m.flags.writeable = False
         return m
-
-    @property
-    def array(self) -> np.ndarray:
-        """The state vector if pure, else the density matrix."""
-        return self.vector if self.vector is not None else self.density
 
     def populations(self) -> np.ndarray:
         """Diagonal occupation probabilities in the flat Fock basis."""
@@ -216,8 +233,8 @@ class QuantumState:
         the imbalance (H0..H3, evolution, edge populations) sums them.
         """
         if self.vector is None:
-            return self.from_blocks(self.cutoff,
-                                    _eigenblocks(self.cutoff, self.matrix)).blocks
+            return self.from_blocks(self.cutoff, _eigenblocks(
+                _sector_blocks(self.cutoff, self.matrix))).blocks
         table = sector_table(self.cutoff)
         positions = np.flatnonzero(np.bincount(table.label[self.vector != 0]))
         return tuple(_slab(table, slab, indices, np.where(
@@ -225,14 +242,19 @@ class QuantumState:
             for slab, indices in _partition(table, positions, [1] * positions.size))
 
 
-def _eigenblocks(cutoff: FockCutoff, m: np.ndarray) -> Blocks:
-    """(G, p) of each sector with a nonzero diagonal in `m`, by `eigh`."""
+def _sector_blocks(cutoff: FockCutoff, m: np.ndarray) -> dict[int, np.ndarray]:
+    """The principal block of `m` on each sector with a nonzero diagonal."""
     table = sector_table(cutoff)
     # unpadded: padding zeros would be near-degenerate with tiny weights
     rows = {int(table.delta[s]): table.indices[s][table.indices[s] >= 0]
             for s in np.flatnonzero(np.bincount(table.label[m.diagonal() != 0]))}
-    return {delta: np.linalg.eigh(m[np.ix_(row, row)])[::-1]  # (G, p)
-            for delta, row in rows.items()}
+    return {delta: m[np.ix_(row, row)] for delta, row in rows.items()}
+
+
+def _eigenblocks(principal: dict[int, np.ndarray]) -> Blocks:
+    """(G, p) of each principal block, by `eigh`."""
+    return {delta: np.linalg.eigh(block)[::-1]
+            for delta, block in principal.items()}
 
 
 def require_photon_numbers(*values: int) -> None:

@@ -352,7 +352,7 @@ def fit_hops_criterion(state: QuantumState) -> HopsFit:
     (x-mode saturated at the truncation edge), where no finite p_h is
     meaningful.
     """
-    x = state.array
+    x = state.vector if state.vector is not None else state.density
     target = apply_ladders(x, state.cutoff, k_y=1)
     basis = apply_ladders(x, state.cutoff, k_x=1, adjoint=True)
     denom = np.vdot(basis, basis).real

@@ -180,8 +180,7 @@ def _dense_evolution(state, config):
 def _evolved_slabs(state, config):
     """The state's slabs, with their columns evolved to config.kt."""
     return tuple(
-        dataclasses.replace(slab, columns=_propagate(
-            slab.eigencolumns, *slab.eigenpairs, config.kt))
+        dataclasses.replace(slab, columns=_propagate(slab, config.kt))
         for slab in state.blocks)
 
 
@@ -303,11 +302,10 @@ def test_thermal_sweep_decomposes_blocks_once(monkeypatch):
     calls.clear()
     state = thermal_state(cut, 0.3, 0.6)
     assert _sectors(state) == 19 and len(calls) == 0
-    # an evolved density is decomposed by from_density alone, one eigh
-    # per populated sector, for the blocks boundary_leakage reads
+    # a block state evolves as its slabs, U G: nothing is decomposed
     calls.clear()
     evolved = evolve(state, DpaConfig(kt=0.2, leakage_tol=0.9))
-    assert _sectors(evolved) == len(calls) == 19
+    assert _sectors(evolved) == 19 and len(calls) == 0
 
 
 def test_eigenpairs_are_computed_per_populated_chain(monkeypatch):
@@ -408,7 +406,9 @@ def test_rows_agree_across_many_slabs(make_case, monkeypatch):
     def rows(state, config):
         evolved = evolve(state, config)
         means, variances = hidden_moments(state)
-        return (oracle_moments(state, config), evolved.array,
+        dense = evolved.vector if evolved.vector is not None \
+            else evolved.density
+        return (oracle_moments(state, config), dense,
                 means + variances + (boundary_leakage(evolved),))
 
     monkeypatch.setattr(fock, "STACK_SLAB", 2**62)
@@ -745,10 +745,99 @@ def test_oracle_rows_obey_casimir_identity(make_state):
         assert abs(residual) <= 1e-9 * max(1.0, *second), (kt, residual)
 
 
-def test_oracle_ignores_inter_sector_coherences():
+def _dephased_mixture():
+    # the rectangular mixture without its inter-sector coherences: a
+    # block state with several columns per sector
     state, config = _rectangular_mixture()
     label = sector_table(state.cutoff).label
     dephased = np.where(label[:, None] == label[None, :], state.density, 0.0)
-    assert np.count_nonzero(dephased) < np.count_nonzero(state.density)
-    assert oracle_moments(state, config) == oracle_moments(
-        QuantumState.from_density(state.cutoff, dephased), config)
+    return QuantumState.from_density(state.cutoff, dephased), config
+
+
+def test_oracle_ignores_inter_sector_coherences():
+    state, config = _rectangular_mixture()
+    dephased, _ = _dephased_mixture()
+    assert state.matrix is not None and dephased.matrix is None
+    assert oracle_moments(state, config) == oracle_moments(dephased, config)
+
+
+@pytest.mark.parametrize("make_state", [
+    lambda: _thermal_24()[0], lambda: _dephased_mixture()[0],
+], ids=["thermal-0.5-d24", "dephased"])
+@pytest.mark.parametrize("kt", [0.13, 0.3])
+def test_evolved_block_state_holds_the_oracle_rows(make_state, kt):
+    state = make_state()
+    assert state.matrix is None and state.vector is None
+    config = DpaConfig(kt=kt, leakage_tol=0.999)
+    evolved = evolve(state, config)
+    assert evolved.matrix is None and evolved.vector is None
+    # the slabs keep their layout and constants, so the evolved state's
+    # sums are the oracle row's, to the bit
+    for old, new in zip(state.blocks, evolved.blocks, strict=True):
+        assert new.positions == old.positions
+        assert new.indices is old.indices and new.diagonal is old.diagonal
+        assert new.columns.shape == old.columns.shape
+        assert not new.columns.flags.writeable
+    report = oracle_moments(state, config)
+    assert hidden_moments(evolved) == (report.means, report.variances)
+    assert boundary_leakage(evolved) == report.leakage
+
+
+def test_block_evolution_matches_dense_exponential():
+    state, config = _dephased_mixture()
+    u = matrix_exponential(
+        (-2j * config.kt) * interaction_hamiltonian(state.cutoff)).matrix
+    np.testing.assert_allclose(
+        evolve(state, config).density, u @ state.density @ u.conj().T,
+        rtol=0, atol=1e-13)
+
+
+def test_block_evolution_forms_no_full_size_array():
+    # the 2500^2 density view alone would be 100 MB; the cold evolve,
+    # its chains' eigenpairs included, traced 300 MB through that view
+    state = thermal_state(FockCutoff(50, 50), 0.5, 0.5)
+    tracemalloc.start()
+    try:
+        evolve(state, DpaConfig(kt=0.2, leakage_tol=0.9))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
+
+
+def test_only_a_state_of_slabs_takes_new_columns():
+    state, _ = _rectangular_mixture()
+    assert state.matrix is not None
+    with pytest.raises(ValueError, match="not its slabs"):
+        state.with_columns([slab.columns for slab in state.blocks])
+    block, _ = _dephased_mixture()
+    with pytest.raises(ValueError, match="trace"):
+        block.with_columns([2.0 * slab.columns for slab in block.blocks])
+
+
+@pytest.mark.parametrize("make_state, mean_h2", [
+    # the pair coherence the amplifier itself creates
+    (lambda: random_low_excitation_state(FockCutoff(12, 12), 3,
+                                         np.random.default_rng(4)), 0.449),
+    (lambda: thermal_state(FockCutoff(16, 16), 0.3, 0.6), 0.0),
+    (lambda: fock_state(FockCutoff(10, 10), 3, 3), 0.0),
+], ids=["superposition", "thermal", "fock-3-3"])
+def test_rows_conserve_the_generator_and_the_imbalance(make_state, mean_h2):
+    # H2 is H_int itself and H1 commutes with it, on the truncated chain
+    # too: <H1>, <H2>, Var H1 and Var H2 never move, valid row or not
+    state = make_state()
+    means, variances = hidden_moments(state)
+    initial = (means[1], means[2], variances[1], variances[2])
+    assert initial[1] == pytest.approx(mean_h2, abs=1e-3)
+    for kt in (0.1, 0.3, 0.5, 0.8):
+        report = oracle_moments(state, DpaConfig(kt=kt))
+        means, variances = hidden_moments(
+            evolve(state, DpaConfig(kt=kt, leakage_tol=0.999)))
+        for got in ((report.means[1], report.means[2],
+                     report.variances[1], report.variances[2]),
+                    (means[1], means[2], variances[1], variances[2])):
+            for value, want in zip(got, initial):
+                # relative, or absolute where the value is below 1
+                assert abs(value - want) <= 1e-12 * max(1.0, abs(want)), kt
+    # the last row is past the default leakage budget in every case
+    assert not report.valid

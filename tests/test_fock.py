@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -323,6 +325,40 @@ def test_density_positivity_check_covers_unpopulated_sectors():
     rho[low, high] = rho[high, low] = 0.1
     with pytest.raises(ValueError, match="eigenvalue"):
         QuantumState.from_density(cut, rho)
+
+
+def test_from_density_holds_a_coherent_density_once():
+    # a random pure state's projector at d = 32 has coherences between
+    # every pair of sectors, so the matrix is kept; finding them counts
+    # nonzeros, and held 2.07 x m.nbytes when it listed their positions
+    cut = FockCutoff(32, 32)
+    state = random_low_excitation_state(cut, 31, np.random.default_rng(2))
+    m = np.outer(state.vector, state.vector.conj())
+    tracemalloc.start()
+    try:
+        kept = QuantumState.from_density(cut, m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept.matrix is not None
+    assert peak < 1.25 * m.nbytes
+
+
+def test_from_density_keeps_the_matrix_only_for_coherences():
+    cut = FockCutoff(5, 5)
+    vac, pair, single = cut.index(0, 0), cut.index(1, 1), cut.index(1, 0)
+
+    def density(*entries):
+        rho = np.zeros((cut.dim, cut.dim), dtype=complex)
+        rho[vac, vac] = rho[pair, pair] = rho[single, single] = 1 / 3
+        for i, j in entries:
+            rho[i, j] = rho[j, i] = 0.1
+        return QuantumState.from_density(cut, rho)
+
+    # inside a populated sector's block: the blocks alone
+    assert density().matrix is None and density((vac, pair)).matrix is None
+    # between populated sectors: kept
+    assert density((vac, single)).matrix is not None
 
 
 def test_density_positivity_check_coherent_density_at_any_size():

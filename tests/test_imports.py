@@ -114,3 +114,23 @@ def test_every_private_name_is_used():
     sources = {path.stem: path.read_text()
                for path in PACKAGE.glob("*.py")}
     assert unreferenced_privates(sources) == []
+
+
+def dense_view_reads(source: str) -> int:
+    """How many times the source reads an attribute named `density`."""
+    return sum(isinstance(node, ast.Attribute) and node.attr == "density"
+               for node in ast.walk(ast.parse(source)))
+
+
+def test_the_guard_finds_a_dense_view_read():
+    assert dense_view_reads("rho = state.density\nstate.density[0]\n") == 2
+    assert dense_view_reads("density = 1\nstate.matrix\n") == 0
+
+
+def test_only_polarization_reads_the_dense_view():
+    # `QuantumState.density` builds a d^2 x d^2 array on each call for a
+    # block state: evolution (`dpa`) works on slabs and a kept matrix,
+    # and only the criterion fit and the coherence functions read it
+    readers = {path.stem: dense_view_reads(path.read_text())
+               for path in PACKAGE.glob("*.py")}
+    assert {stem: n for stem, n in readers.items() if n} == {"polarization": 2}
