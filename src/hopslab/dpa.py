@@ -21,9 +21,9 @@ its total population (`require_unit_trace`), the edge population that
 certifies the truncation and the moments, a fixed number of array
 operations per slab, whatever the number of sectors. `evolve` hands
 the same U G to `QuantumState.with_columns`, so an evolved state's
-`hidden_moments` and `boundary_leakage` are the oracle row's sums;
-only a kept `matrix` (inter-sector coherences) is evolved whole, on
-its rows and columns, and decomposed again by `from_density`. Oracle
+`hidden_moments` and `boundary_leakage` are the oracle row's sums. A
+kept `matrix` (inter-sector coherences) goes along as U rho U^dag,
+formed in place in one copy of it; nothing is decomposed again. Oracle
 and closed-form rows are one record, `MomentReport(kt, means,
 variances, leakage, valid)`, the eight moments named once in
 `MOMENT_NAMES`. No operator matrix is built here.
@@ -154,21 +154,21 @@ def evolve(state: QuantumState, config: DpaConfig) -> QuantumState:
 
     Each slab evolves as in an oracle row, to U G with its own
     eigenpairs, and `QuantumState.with_columns` makes the slabs the
-    evolved state; only a kept `matrix` is evolved whole, on its rows
-    and columns, and decomposed again by `from_density`.
+    evolved state. A kept `matrix` goes along as U rho U^dag, formed
+    in one copy of it: U on its rows, then on the rows of its
+    conjugate transpose.
     Raises TruncationError (carrying the measured leakage) when the
     evolved state holds more than config.leakage_tol of its population
     within EVOLUTION_MARGIN levels of either cutoff; enlarge the cutoff
     and retry in that case.
     """
-    cut = state.cutoff
-    _require_margin(cut)
+    _require_margin(state.cutoff)
 
-    def on_rows(x: np.ndarray) -> np.ndarray:
-        # a valid state is zero outside its populated sectors' rows; a
-        # padding index (-1) gathers a row the padded V never reads.
-        # Columns go a block of at most STACK_SLAB entries at a time
-        out = np.zeros(x.shape, dtype=complex)
+    def on_rows(x: np.ndarray) -> None:
+        # U x in place, on the populated sectors' rows (a valid state is
+        # zero on the others); a padding index (-1) gathers a row the
+        # padded V never reads. Columns go a block of at most
+        # STACK_SLAB entries at a time
         for slab in state.blocks:
             indices = slab.indices
             real = indices >= 0
@@ -176,20 +176,21 @@ def evolve(state: QuantumState, config: DpaConfig) -> QuantumState:
             for start in range(0, x.shape[1], width):
                 block = slice(start, start + width)
                 moved = slab.to_eigenbasis(x[indices, block])
-                out[indices[real], block] = _propagate(
-                    slab, config.kt, moved)[real]
-        return out
+                x[indices[real], block] = _propagate(slab, config.kt, moved)[real]
 
-    if state.matrix is None:
-        result = state.with_columns(
-            [_propagate(slab, config.kt) for slab in state.blocks])
-    else:
-        # U rho U^dag = (U (U rho)^dag)^dag
-        rho = on_rows(on_rows(state.matrix).conj().T).conj().T
-        result = QuantumState.from_density(cut, 0.5 * (rho + rho.conj().T))
+    rho = None
+    if state.matrix is not None:
+        # U rho U^dag = (U (U rho)^dag)^dag, the adjoints as in-place
+        # conjugations of the transpose view
+        rho = state.matrix.copy()
+        for x in (rho, rho.T):
+            on_rows(x)
+            np.conjugate(rho, out=rho)
+    result = state.with_columns(
+        [_propagate(slab, config.kt) for slab in state.blocks], rho)
     leakage = boundary_leakage(result)
     if leakage > config.leakage_tol:
-        raise TruncationError(leakage, cut)
+        raise TruncationError(leakage, state.cutoff)
     return result
 
 

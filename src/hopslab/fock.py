@@ -10,12 +10,13 @@ sector is the unit of work. `sector_table` stacks, once per cutoff,
 every sector's flat indices |lo_x + m, lo_y + m> and H0..H3 measure
 constants (its edge band, photon numbers and a_y a_x weights among
 them), zero-padded to a common length, plus a flat-index -> sector
-label. A state is the sectors it populates, `QuantumState.blocks`:
-columns G sqrt(p) whose outer product is the block, in slabs of
-consecutive sectors (`SectorStack`, cut by `_partition` alone) padded
-only to their own longest sector, with the table's constants and, on
-first use, the amplifier's eigenbasis (`_chain_eigenpairs`). Only a
-density with inter-sector coherences also keeps its d^2 x d^2 matrix.
+label. A state is the sectors it populates, `QuantumState.blocks`,
+which every constructor fills once: columns G sqrt(p) whose outer
+product is the block, in slabs of consecutive sectors (`SectorStack`,
+cut by `_partition` alone) padded only to their own longest sector,
+with the table's constants and, on first use, the amplifier's
+eigenbasis (`_chain_eigenpairs`). Only a density with inter-sector
+coherences also keeps its d^2 x d^2 matrix, beside its slabs.
 Evolution and its truncation certificate (`dpa`) and the H0..H3
 measure (`polarization.hidden_moments`) iterate over the slabs, a
 fixed number of array operations per slab.
@@ -50,10 +51,10 @@ EIGENVALUE_FLOOR = -1e-10  # lowest eigenvalue a density matrix may have
 
 EVOLUTION_MARGIN = 4       # edge band whose population certifies truncation
 
-# Complex entries per slab of a temporary (`QuantumState.blocks`'
-# columns, the rows `from_density` checks and the rows `dpa.evolve`
-# gathers of a kept matrix): a computation that holds a few copies
-# holds them a slab at a time
+# Complex entries per slab of a temporary (a state's slabs, the rows
+# `from_density` checks and the rows of a kept matrix `dpa.evolve`
+# propagates in place): a computation that holds a few copies holds
+# them a slab at a time
 STACK_SLAB = 2**14
 
 Blocks = dict[int, tuple[np.ndarray, np.ndarray]]  # (G, p) by sector delta
@@ -93,27 +94,38 @@ class QuantumState:
     """A pure state vector, or a mixed state held as its sector blocks.
 
     Build through from_vector, from_density or from_blocks (or
-    fock_state, or another state's `with_columns`); each requires unit
-    total population (|v|^2 or the trace, `require_unit_trace`). A
+    fock_state, or another state's `with_columns`): each fills
+    `blocks`, the sectors the state populates as slabs of weighted
+    columns, once. A built state has unit total population, the sum
+    over its slabs (`require_unit_trace`), and read-only arrays. A
     mixed state keeps `matrix`, its density matrix, only for
     inter-sector coherences; `density` is a read-only view, built on
     demand.
     """
 
     cutoff: FockCutoff
+    blocks: tuple[SectorStack, ...] = field(repr=False)
     vector: np.ndarray | None = field(default=None, repr=False)
     matrix: np.ndarray | None = field(default=None, repr=False)
+
+    def __post_init__(self) -> None:
+        require_unit_trace(sum(np.vdot(slab.columns, slab.columns).real
+                               for slab in self.blocks))
+        for array in (self.vector, self.matrix):
+            if array is not None:
+                array.flags.writeable = False
 
     @classmethod
     def from_vector(cls, cutoff: FockCutoff, vec: np.ndarray) -> "QuantumState":
         v = np.asarray(vec, dtype=complex).reshape(-1)
         if v.shape != (cutoff.dim,):
             raise ValueError(f"state vector length {v.size}, expected {cutoff.dim}")
-        v = v.copy()
-        v.flags.writeable = False
-        state = cls(cutoff, vector=v)
-        require_unit_trace(state.populations().sum())
-        return state
+        table = sector_table(cutoff)
+        positions = np.flatnonzero(np.bincount(table.label[v != 0]))
+        slabs = tuple(_slab(table, slab, indices, np.where(
+            indices >= 0, v[indices], 0.0)[:, :, None])
+            for slab, indices in _partition(table, positions, [1] * positions.size))
+        return cls(cutoff, slabs, vector=v.copy())
 
     @classmethod
     def from_density(cls, cutoff: FockCutoff, rho: np.ndarray) -> "QuantumState":
@@ -129,19 +141,19 @@ class QuantumState:
             if not skew <= ALGEBRA_TOL:  # a NaN or inf entry fails too
                 raise ValueError("density matrix is not finite and Hermitian "
                                  "within 1e-12")
-        # nonzero entries outside the populated sectors' blocks, counted
-        # without a copy of `m`, are coherences: keep m, check its spectrum
         principal = _sector_blocks(cutoff, m)
+        state = cls.from_blocks(cutoff, {delta: np.linalg.eigh(block)[::-1]
+                                         for delta, block in principal.items()})
+        # nonzero entries outside those blocks, counted without a copy
+        # of `m`, are coherences: keep m beside the slabs, after checking
+        # its full spectrum
         if np.count_nonzero(m) == sum(map(np.count_nonzero, principal.values())):
-            return cls.from_blocks(cutoff, _eigenblocks(principal))
+            return state
         spectrum = np.linalg.eigvalsh(m)
         require_unit_trace(spectrum.sum())
         _require_positive(spectrum[0])
-        # copied only now, after the check's temporaries are gone;
-        # freezing the caller's own array would make it read-only
-        m = np.array(m, order="C")
-        m.flags.writeable = False
-        return cls(cutoff, matrix=m)
+        # copied only now, after the check's temporaries are gone
+        return cls(cutoff, state.blocks, matrix=np.array(m, order="C"))
 
     @classmethod
     def from_blocks(cls, cutoff: FockCutoff, blocks: Blocks) -> "QuantumState":
@@ -175,32 +187,30 @@ class QuantumState:
             for s, c in enumerate(part):
                 g[s, :c.shape[0], :c.shape[1]] = c
             slabs.append(_slab(table, slab, indices, g))
-        state = cls(cutoff)
-        # seeds the cached property, which itself calls from_blocks
-        object.__setattr__(state, "blocks", tuple(slabs))
-        return state
+        return cls(cutoff, tuple(slabs))
 
-    def with_columns(self, columns: list[np.ndarray]) -> "QuantumState":
+    def with_columns(
+        self, columns: list[np.ndarray], matrix: np.ndarray | None = None,
+    ) -> "QuantumState":
         """This state with `columns`, one (S, L, R) per slab, in its slabs.
 
         A vector is scattered back and renormalized (the rounding drift of
         `dpa.evolve`'s U G); a block state keeps its slabs' layout and
-        constants. A kept `matrix` is not its slabs: it raises.
+        constants. A state that keeps `matrix` takes the new `matrix`
+        beside them, and any other state takes none: else it raises,
+        so a coherence is never dropped or made up.
         """
-        if self.matrix is not None:
-            raise ValueError("a kept density matrix is not its slabs")
+        if (matrix is None) != (self.matrix is None):
+            raise ValueError("a kept density matrix goes with its slabs")
         slabs = tuple(replace(slab, columns=g)
                       for slab, g in zip(self.blocks, columns, strict=True))
-        if self.vector is not None:
-            v = np.zeros(self.cutoff.dim, dtype=complex)
-            for slab in slabs:
-                real = slab.indices >= 0
-                v[slab.indices[real]] = slab.columns[real, 0]
-            return self.from_vector(self.cutoff, v / np.linalg.norm(v))
-        require_unit_trace(sum(np.vdot(s.columns, s.columns).real for s in slabs))
-        state = QuantumState(self.cutoff)
-        object.__setattr__(state, "blocks", slabs)
-        return state
+        if self.vector is None:
+            return QuantumState(self.cutoff, slabs, matrix=matrix)
+        v = np.zeros(self.cutoff.dim, dtype=complex)
+        for slab in slabs:
+            real = slab.indices >= 0
+            v[slab.indices[real]] = slab.columns[real, 0]
+        return self.from_vector(self.cutoff, v / np.linalg.norm(v))
 
     @property
     def density(self) -> np.ndarray | None:
@@ -225,22 +235,6 @@ class QuantumState:
             out[slab.indices[real]] = np.einsum("smr,smr->sm", g, g.conj()).real[real]
         return out
 
-    @cached_property
-    def blocks(self) -> tuple[SectorStack, ...]:
-        """The sectors the state populates, as slabs of weighted columns.
-
-        Built once per state, read-only: every quantity that conserves
-        the imbalance (H0..H3, evolution, edge populations) sums them.
-        """
-        if self.vector is None:
-            return self.from_blocks(self.cutoff, _eigenblocks(
-                _sector_blocks(self.cutoff, self.matrix))).blocks
-        table = sector_table(self.cutoff)
-        positions = np.flatnonzero(np.bincount(table.label[self.vector != 0]))
-        return tuple(_slab(table, slab, indices, np.where(
-            indices >= 0, self.vector[indices], 0.0)[:, :, None])
-            for slab, indices in _partition(table, positions, [1] * positions.size))
-
 
 def _sector_blocks(cutoff: FockCutoff, m: np.ndarray) -> dict[int, np.ndarray]:
     """The principal block of `m` on each sector with a nonzero diagonal."""
@@ -249,12 +243,6 @@ def _sector_blocks(cutoff: FockCutoff, m: np.ndarray) -> dict[int, np.ndarray]:
     rows = {int(table.delta[s]): table.indices[s][table.indices[s] >= 0]
             for s in np.flatnonzero(np.bincount(table.label[m.diagonal() != 0]))}
     return {delta: m[np.ix_(row, row)] for delta, row in rows.items()}
-
-
-def _eigenblocks(principal: dict[int, np.ndarray]) -> Blocks:
-    """(G, p) of each principal block, by `eigh`."""
-    return {delta: np.linalg.eigh(block)[::-1]
-            for delta, block in principal.items()}
 
 
 def require_photon_numbers(*values: int) -> None:
@@ -368,7 +356,7 @@ class SectorStack:
     (G, p) (`QuantumState.from_blocks`), a state vector's amplitude
     slice among them. The S sectors are consecutive rows `positions` of
     the cutoff's `sector_table`, zero-padded to the longest of them, L,
-    and to the most columns, R (`from_blocks` partitions a state):
+    and to the most columns, R (`_partition` cuts a state):
 
     - `columns` G, shape (S, L, R), in each sector's order;
     - the sector constants, gathered from the table once: `indices`

@@ -174,7 +174,7 @@ def _dense_evolution(state, config):
     u = matrix_exponential(
         (-2j * config.kt) * interaction_hamiltonian(state.cutoff)).matrix
     rho = density_matrix(state)
-    return QuantumState(state.cutoff, matrix=u @ rho @ u.conj().T)
+    return QuantumState.from_density(state.cutoff, u @ rho @ u.conj().T)
 
 
 def _evolved_slabs(state, config):
@@ -306,6 +306,12 @@ def test_thermal_sweep_decomposes_blocks_once(monkeypatch):
     calls.clear()
     evolved = evolve(state, DpaConfig(kt=0.2, leakage_tol=0.9))
     assert _sectors(evolved) == 19 and len(calls) == 0
+    # and so does a kept matrix, U rho U^dag beside its slabs' U G
+    # (8 calls when it was decomposed again)
+    coherent, config = _rectangular_mixture()
+    evolve(coherent, config)
+    calls.clear()
+    assert evolve(coherent, config).matrix is not None and len(calls) == 0
 
 
 def test_eigenpairs_are_computed_per_populated_chain(monkeypatch):
@@ -369,25 +375,19 @@ def test_slab_constants_keep_one_row_per_table_row():
 
 
 def test_oracle_checks_the_blocks_it_evolves():
-    # built directly, so from_density's checks never ran
+    # a slab is G G^dag, so no built state holds a negative eigenvalue;
+    # a trace other than 1 fails even a state built directly, from slabs
     cut = FockCutoff(16, 16)
-    vac, pair = cut.index(0, 0), cut.index(1, 1)
-
-    def direct(low, trace):
-        rho = np.zeros((cut.dim, cut.dim), dtype=complex)
-        rho[vac, vac], rho[pair, pair] = trace - low, low
-        return QuantumState(cut, matrix=rho)
-
-    config = DpaConfig(kt=0.1)
-    negative, heavy = direct(-0.1, 1.0), direct(0.0, 1.1)
-    # twice: the second call finds the state's plan built
-    for _ in range(2):
-        with pytest.raises(ValueError, match="eigenvalue"):
-            oracle_moments(negative, config)
-        with pytest.raises(ValueError, match="trace"):
-            oracle_moments(heavy, config)
+    with pytest.raises(ValueError, match="trace"):
+        QuantumState(cut, tuple(
+            dataclasses.replace(slab, columns=math.sqrt(1.1) * slab.columns)
+            for slab in fock_state(cut, 0, 0).blocks))
     # inside EIGENVALUE_FLOOR: from_density accepts it, so it evolves
-    accepted = QuantumState.from_density(cut, direct(-5e-11, 1.0).density)
+    rho = np.zeros((cut.dim, cut.dim), dtype=complex)
+    rho[cut.index(0, 0), cut.index(0, 0)] = 1.0 + 5e-11
+    rho[cut.index(1, 1), cut.index(1, 1)] = -5e-11
+    accepted = QuantumState.from_density(cut, rho)
+    config = DpaConfig(kt=0.1)
     assert oracle_moments(accepted, config).valid
     evolve(accepted, config)
 
@@ -401,8 +401,8 @@ def _thermal_24():
     "make_case", [*STACK_MAKERS.values(), _thermal_24],
     ids=[*STACK_MAKERS, "thermal-0.5-d24"])
 def test_rows_agree_across_many_slabs(make_case, monkeypatch):
-    # a state is cut into slabs once, when its blocks are first asked
-    # for, so each state is built after STACK_SLAB is set
+    # a state is cut into slabs when it is built, so each state is
+    # built after STACK_SLAB is set
     def rows(state, config):
         evolved = evolve(state, config)
         means, variances = hidden_moments(state)
@@ -763,14 +763,16 @@ def test_oracle_ignores_inter_sector_coherences():
 
 @pytest.mark.parametrize("make_state", [
     lambda: _thermal_24()[0], lambda: _dephased_mixture()[0],
-], ids=["thermal-0.5-d24", "dephased"])
+    lambda: _rectangular_mixture()[0],
+], ids=["thermal-0.5-d24", "dephased", "coherences"])
 @pytest.mark.parametrize("kt", [0.13, 0.3])
 def test_evolved_block_state_holds_the_oracle_rows(make_state, kt):
     state = make_state()
-    assert state.matrix is None and state.vector is None
+    assert state.vector is None
     config = DpaConfig(kt=kt, leakage_tol=0.999)
     evolved = evolve(state, config)
-    assert evolved.matrix is None and evolved.vector is None
+    assert evolved.vector is None
+    assert (evolved.matrix is None) == (state.matrix is None)
     # the slabs keep their layout and constants, so the evolved state's
     # sums are the oracle row's, to the bit
     for old, new in zip(state.blocks, evolved.blocks, strict=True):
@@ -805,12 +807,36 @@ def test_block_evolution_forms_no_full_size_array():
     assert peak < 20e6
 
 
+def test_coherent_evolution_holds_one_copy_of_the_matrix():
+    # a random pure state's projector keeps its 5.3 MB matrix; a warm
+    # evolve traced 3 x that with a copy per pass and a hermitization
+    cut = FockCutoff(24, 24)
+    v = np.random.default_rng(2).standard_normal(2 * cut.dim).view(complex)
+    v /= np.linalg.norm(v)
+    state = QuantumState.from_density(cut, np.outer(v, v.conj()))
+    assert state.matrix is not None
+    config = DpaConfig(kt=0.2, leakage_tol=0.999)
+    evolve(state, config)  # warm the slabs' eigenbasis
+    tracemalloc.start()
+    try:
+        evolve(state, config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * state.matrix.nbytes
+
+
 def test_only_a_state_of_slabs_takes_new_columns():
+    # a kept matrix given no new matrix would drop its coherences, and
+    # a state of slabs given one would make some up
     state, _ = _rectangular_mixture()
     assert state.matrix is not None
-    with pytest.raises(ValueError, match="not its slabs"):
-        state.with_columns([slab.columns for slab in state.blocks])
     block, _ = _dephased_mixture()
+    with pytest.raises(ValueError, match="goes with its slabs"):
+        state.with_columns([slab.columns for slab in state.blocks])
+    with pytest.raises(ValueError, match="goes with its slabs"):
+        block.with_columns([slab.columns for slab in block.blocks],
+                           state.matrix)
     with pytest.raises(ValueError, match="trace"):
         block.with_columns([2.0 * slab.columns for slab in block.blocks])
 

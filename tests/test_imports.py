@@ -134,3 +134,10 @@ def test_only_polarization_reads_the_dense_view():
     readers = {path.stem: dense_view_reads(path.read_text())
                for path in PACKAGE.glob("*.py")}
     assert {stem: n for stem, n in readers.items() if n} == {"polarization": 2}
+
+
+def test_evolution_decomposes_no_state():
+    # `from_density` decomposes a density and checks its spectrum; a
+    # unitary step cannot break what it checked, so `dpa` never calls it
+    tree = ast.parse((PACKAGE / "dpa.py").read_text())
+    assert "from_density" not in set().union(*map(names_read, tree.body))
