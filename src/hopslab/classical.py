@@ -8,19 +8,20 @@ arrays (FieldEnsemble), and every statistic and index here is
 vectorized over them; `hops_statistics` draws and reduces a
 hidden-polarized ensemble in chunks without holding it.
 
-Both ensembles come from one draw (`_draw_chunks`): one unit phasor
-e^{i phi} per sample, from one tangent of the half angle, and a spec's
-`_draw_rule` for amp_y's phasor (amp_x's own, or its conjugate) and
-two constant factors. A chunk is one (n, 2) complex array whose columns
-are amp_x and amp_y. The stream is fixed per seed: the phases are its
-first `count` uniform draws and the amplitudes follow, so the samples
-do not depend on how they are chunked.
+Both ensembles come from one draw (`_draw_chunks`): one tangent of the
+half angle per sample gives (a0 cos phi, a0 sin phi), and a spec's
+real 4 x 2 `_draw_map` takes that pair to the sample's four real
+coordinates z = (Re A_x, Im A_x, Re A_y, Im A_y). A chunk is one
+C-contiguous (4, n) float array whose rows are z. The stream is fixed
+per seed: the phases are its first `count` uniform draws and the
+amplitudes follow, so the samples do not depend on how they are
+chunked.
 
 Every component is a fixed sum of entries of the Gram matrix
-G = sum z z^T of z = (Re A_x, Im A_x, Re A_y, Im A_y), so a batch is
-reduced by one 4 x 4 product. Estimates come with batch-means standard
-errors: the stream is cut into about sqrt(N) batches and the spread of
-batch means estimates the error of the grand mean.
+G = sum z z^T, so a batch is reduced by one 4 x 4 product. Estimates
+come with batch-means standard errors: the stream is cut into about
+sqrt(N) batches and the spread of batch means estimates the error of
+the grand mean.
 """
 
 from __future__ import annotations
@@ -28,11 +29,11 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
-ENSEMBLE_CHUNK = 1 << 16   # samples drawn and reduced at a time by hops_statistics
+ENSEMBLE_CHUNK = 1 << 15   # samples drawn and reduced at a time by hops_statistics
 # the least amplitude whose square is a normal double (about 1.49e-154)
 MIN_AMPLITUDE = math.sqrt(sys.float_info.min)
 
@@ -102,12 +103,19 @@ class HopsEnsembleSpec:
     def __post_init__(self) -> None:
         _check_angles(self.chi_h, self.delta_h)
 
-    def _draw_rule(self) -> tuple[Callable, complex, complex]:
-        """amp_y's phasor is amp_x's conjugate; both take e^{i delta_h/2}."""
+    def _draw_map(self) -> np.ndarray:
+        """The (4, 2) map R from (a0 cos phi, a0 sin phi) to z.
+
+        A_x = s_x e^{i phi} and A_y = s_y e^{-i phi}, with
+        s_x = cos(chi_h/2) e^{i delta_h/2} and
+        s_y = sin(chi_h/2) e^{i delta_h/2}.
+        """
         tilt = complex(math.cos(0.5 * self.delta_h),
                        math.sin(0.5 * self.delta_h))
-        return (np.conj, math.cos(0.5 * self.chi_h) * tilt,
-                math.sin(0.5 * self.chi_h) * tilt)
+        s_x = math.cos(0.5 * self.chi_h) * tilt
+        s_y = math.sin(0.5 * self.chi_h) * tilt
+        return np.array([[s_x.real, -s_x.imag], [s_x.imag, s_x.real],
+                         [s_y.real, s_y.imag], [s_y.imag, -s_y.real]])
 
 
 @dataclass(frozen=True)
@@ -127,11 +135,17 @@ class OrdinaryEnsembleSpec:
     def __post_init__(self) -> None:
         _check_angles(self.chi, self.delta)
 
-    def _draw_rule(self) -> tuple[Callable, float, complex]:
-        """amp_y's phasor is amp_x's; amp_y alone takes e^{i delta}."""
-        turn = complex(math.cos(self.delta), math.sin(self.delta))
-        return (np.positive, math.cos(0.5 * self.chi),
-                math.sin(0.5 * self.chi) * turn)
+    def _draw_map(self) -> np.ndarray:
+        """The (4, 2) map R from (a0 cos phi, a0 sin phi) to z.
+
+        A_x = s_x e^{i phi} and A_y = s_y e^{i phi}, with
+        s_x = cos(chi/2) and s_y = sin(chi/2) e^{i delta}.
+        """
+        s_x = math.cos(0.5 * self.chi)
+        s_y = math.sin(0.5 * self.chi) * complex(math.cos(self.delta),
+                                                 math.sin(self.delta))
+        return np.array([[s_x, 0.0], [0.0, s_x],
+                         [s_y.real, -s_y.imag], [s_y.imag, s_y.real]])
 
 
 @dataclass(frozen=True)
@@ -157,71 +171,85 @@ class FieldEnsemble:
         return self.amp_x.shape[0]
 
 
-def _unit_phasors(phi: np.ndarray, out: np.ndarray) -> None:
-    """Write e^{i phi} into `out` from one tangent of the half angle.
+def _scaled_phasors(half: np.ndarray, a0: np.ndarray,
+                    out: np.ndarray) -> np.ndarray:
+    """Write a0 cos phi into `out`; return a0 sin phi in `half`'s buffer.
 
-    With t = tan(phi/2), cos phi = (1 - t^2)/(1 + t^2) and
-    sin phi = 2t/(1 + t^2); phi is overwritten. A drawn phase halves to
-    [0, pi], where the tangent of a double stays below 1.7e16 in size
-    (pi/2 is not a double), so every phasor is finite.
+    `half` holds phi/2 and `a0` the amplitudes; both are overwritten
+    (a0 by a0/u). With t = tan(phi/2) and u = 1 + t^2,
+    a0 cos phi = (2 - u) a0/u and a0 sin phi = 2t a0/u. A drawn phase
+    halves to [0, pi], where the tangent of a double stays below 1.7e16
+    in size (pi/2 is not a double), so every value is finite.
     """
-    t = np.tan(np.multiply(phi, 0.5, out=phi), out=phi)
-    np.multiply(t, 2.0, out=out.imag)
-    np.square(t, out=t)
-    np.subtract(1.0, t, out=out.real)
-    t += 1.0
-    np.divide(out.real, t, out=out.real)
-    np.divide(out.imag, t, out=out.imag)
+    t = np.tan(half, out=half)
+    u = np.square(t, out=out)
+    u += 1.0
+    k = np.divide(a0, u, out=a0)
+    np.subtract(2.0, u, out=out)
+    out *= k
+    t *= 2.0
+    t *= k
+    return t
 
 
 def _draw_chunks(
     spec: HopsEnsembleSpec | OrdinaryEnsembleSpec, count: int, seed: int,
     chunk: int,
 ) -> Iterator[np.ndarray]:
-    """An ensemble's amplitudes, `chunk` samples at a time.
+    """An ensemble's rows z = (Re A_x, Im A_x, Re A_y, Im A_y), in chunks.
 
     The one draw of `sample_hops`, `sample_ordinary` and
     `hops_statistics`. The phases are the seed's first `count` uniform
     draws and the amplitudes follow them in the same stream. A uniform
     double takes exactly one 64-bit draw, so a second generator
     advanced by `count` draws yields the amplitudes alongside the
-    phases, and the samples do not depend on `chunk`. Each chunk is an
-    (n, 2) complex array, columns amp_x and amp_y: amp_x is one unit
-    phasor e^{i phi} per sample, the spec's `_draw_rule` writes amp_y's
-    phasor from it and gives two constant factors, which scale the
-    columns in place, as the amplitude a0 then does.
+    phases, and the samples do not depend on `chunk`. Each chunk is a
+    C-contiguous (4, n) float array: the half angles phi/2 are drawn
+    on [0, pi) (the same doubles as half of a draw on [0, 2 pi)),
+    `_scaled_phasors` gives p = a0 cos phi and q = a0 sin phi, and row
+    i is R[i, 0] p + R[i, 1] q for the spec's `_draw_map` R. Row 3
+    holds p until it is written last; a chunk holds z and two
+    n-long temporaries.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
-    follow, scale_x, scale_y = spec._draw_rule()
-    scales = np.array([scale_x, scale_y])
+    mapping = spec._draw_map()
     phases = np.random.default_rng(seed)
     amplitudes = np.random.default_rng(seed)
     amplitudes.bit_generator.advance(count)
     for start in range(0, count, chunk):
         n = min(chunk, count - start)
-        amps = np.empty((n, 2), dtype=complex)
-        _unit_phasors(phases.uniform(0.0, 2.0 * math.pi, n), amps[:, 0])
-        follow(amps[:, 0], out=amps[:, 1])
-        amps *= scales
-        amps *= spec.amplitude.draw(amplitudes, n)[:, None]
-        yield amps
+        z = np.empty((4, n))
+        scratch = spec.amplitude.draw(amplitudes, n)
+        p = z[3]
+        q = _scaled_phasors(phases.uniform(0.0, math.pi, n), scratch, p)
+        for row, (r_p, r_q) in zip(z, mapping):
+            np.multiply(q, r_q, out=scratch)
+            np.multiply(p, r_p, out=row)
+            row += scratch
+        yield z
+
+
+def _ensemble(z: np.ndarray) -> FieldEnsemble:
+    """A FieldEnsemble of one chunk's rows (exact)."""
+    amps = np.empty((2, z.shape[1]), dtype=complex)
+    amps.real = z[0::2]
+    amps.imag = z[1::2]
+    return FieldEnsemble(amps[0], amps[1])
 
 
 def sample_hops(
     spec: HopsEnsembleSpec, count: int, seed: int,
 ) -> FieldEnsemble:
     """Draw a hidden-polarized ensemble, bit-reproducible per seed."""
-    amps = next(_draw_chunks(spec, count, seed, count))
-    return FieldEnsemble(amps[:, 0], amps[:, 1])
+    return _ensemble(next(_draw_chunks(spec, count, seed, count)))
 
 
 def sample_ordinary(
     spec: OrdinaryEnsembleSpec, count: int, seed: int,
 ) -> FieldEnsemble:
     """Draw an ordinary-polarized ensemble (common random phase)."""
-    amps = next(_draw_chunks(spec, count, seed, count))
-    return FieldEnsemble(amps[:, 0], amps[:, 1])
+    return _ensemble(next(_draw_chunks(spec, count, seed, count)))
 
 
 @dataclass(frozen=True)
@@ -287,16 +315,16 @@ def _chunk_stats(chunks: Iterable[np.ndarray], count: int,
                  sets: str) -> EnsembleStats:
     """Statistics of the component `sets` (`_gram_components`) over a stream.
 
-    `chunks` yields (n, 2) complex arrays, columns amp_x and amp_y,
-    `count` samples in all; every chunk but the last holds whole
-    batches (`_batch_layout`), so the batch means, and hence the
-    errors, do not depend on the chunking. A chunk's batches are
-    reduced by one stacked Gram product of its (n, 4) float view, and
-    their components go straight into one array of batch means, one
-    row per distinct component and ~sqrt(count) columns, allocated
-    before the first chunk; h0 and h1 are s0 and s1 exactly. The
-    totals are the summed batch Grams plus the Gram of the samples
-    beyond the last batch.
+    `chunks` yields (4, n) float arrays, rows z = (Re A_x, Im A_x,
+    Re A_y, Im A_y), `count` samples in all; every chunk but the last
+    holds whole batches (`_batch_layout`), so the batch means, and
+    hence the errors, do not depend on the chunking. A chunk's batches
+    are a (b, 4, size) view of its rows, reduced by one stacked Gram
+    product with their own transpose, and their components go straight
+    into one array of batch means, one row per distinct component and
+    ~sqrt(count) columns, allocated before the first chunk; h0 and h1
+    are s0 and s1 exactly. The totals are the summed batch Grams plus
+    the Gram of the samples beyond the last batch.
     Raises ValueError when an estimate or an error is not finite, as
     when the amplitudes are large enough to overflow the components.
     The batch means are scaled by a power of two before their spread
@@ -308,17 +336,17 @@ def _chunk_stats(chunks: Iterable[np.ndarray], count: int,
     means = np.empty((2 + 2 * len(sets), batches))
     start = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        for amps in chunks:
-            z = amps.view(float)
-            whole = min(max(batches * size - start, 0), z.shape[0])
+        for z in chunks:
+            n = z.shape[1]
+            whole = min(max(batches * size - start, 0), n)
             done = start // size
-            stack = z[:whole].reshape(-1, size, 4)
-            grams = np.matmul(stack.transpose(0, 2, 1), stack)
+            stack = z[:, :whole].reshape(4, -1, size).transpose(1, 0, 2)
+            grams = np.matmul(stack, stack.transpose(0, 2, 1))
             _gram_components(grams, sets,
                              means[:, done:done + stack.shape[0]])
             gram += grams.sum(axis=0)
-            gram += z[whole:].T @ z[whole:]
-            start += z.shape[0]
+            gram += z[:, whole:] @ z[:, whole:].T
+            start += n
         means /= size
         totals = np.empty((means.shape[0], 1))
         _gram_components(gram, sets, totals)
@@ -333,19 +361,20 @@ def _chunk_stats(chunks: Iterable[np.ndarray], count: int,
     return EnsembleStats(values, errors, count)
 
 
-def _columns(ensemble: FieldEnsemble) -> list[np.ndarray]:
-    """An ensemble as one chunk of the draw's (n, 2) layout."""
-    return [np.stack([ensemble.amp_x, ensemble.amp_y], axis=1)]
+def _rows(ensemble: FieldEnsemble) -> list[np.ndarray]:
+    """An ensemble as one chunk of the draw's (4, n) rows."""
+    return [np.stack([ensemble.amp_x.real, ensemble.amp_x.imag,
+                      ensemble.amp_y.real, ensemble.amp_y.imag])]
 
 
 def classical_stokes(ensemble: FieldEnsemble) -> EnsembleStats:
     """Ensemble Stokes estimates: s2 + i*s3 = 2<conj(A_y) A_x>."""
-    return _chunk_stats(_columns(ensemble), len(ensemble), "s")
+    return _chunk_stats(_rows(ensemble), len(ensemble), "s")
 
 
 def classical_hidden(ensemble: FieldEnsemble) -> EnsembleStats:
     """Ensemble hidden estimates: h2 + i*h3 = 2<A_y A_x> (no conjugation)."""
-    return _chunk_stats(_columns(ensemble), len(ensemble), "h")
+    return _chunk_stats(_rows(ensemble), len(ensemble), "h")
 
 
 def hops_statistics(

@@ -82,6 +82,11 @@ EXIT_TRUNCATION = 3
 _BOOLEAN_KEYS = {"oracle"}
 _SKIP_CONFIG_KEYS = {"command"}
 
+# after the claims rows; without "=", so a config read of it skips it
+CLAIMS_NOTE = ("# note: H2 is the interaction itself, so Var H2 is a "
+               "constant of the motion; Sq turns negative because |<H3>| "
+               "grows as sinh(4kt), not because the noise falls\n")
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -269,7 +274,7 @@ def cmd_claims(args) -> int:
               "kt": args.kt}
     if args.cutoff is not None:
         config["cutoff"] = args.cutoff
-    text = claims_csv(table, config)
+    text = claims_csv(table, config) + CLAIMS_NOTE
     status = EXIT_OK
     report = table.reference
     if report is not None and not report.valid:

@@ -1,6 +1,7 @@
 """Tests for classical field ensembles."""
 
 import cmath
+import dataclasses
 import math
 import tracemalloc
 
@@ -18,7 +19,7 @@ from hopslab.classical import (
     RayleighAmplitude,
     UndefinedIndexError,
     _draw_chunks,
-    _unit_phasors,
+    _scaled_phasors,
     classical_hidden,
     classical_stokes,
     hidden_index,
@@ -172,6 +173,11 @@ def test_standard_errors_shrink_like_root_n():
         assert 2.0 < ratio < 8.0
 
 
+def _ensemble_rows(ensemble):
+    return np.stack([ensemble.amp_x.real, ensemble.amp_x.imag,
+                     ensemble.amp_y.real, ensemble.amp_y.imag])
+
+
 def test_chunked_draws_reproduce_the_one_shot_ensemble():
     spec = HopsEnsembleSpec(chi_h=1.2, delta_h=0.4,
                             amplitude=RayleighAmplitude(0.8))
@@ -179,16 +185,19 @@ def test_chunked_draws_reproduce_the_one_shot_ensemble():
     rng = np.random.default_rng(42)
     phi = rng.uniform(0.0, 2.0 * math.pi, count)
     a0 = rng.rayleigh(0.8, count)
-    # the stream formula in the draw's own arithmetic: one phasor per
-    # sample from t = tan(phi/2), amp_y's its conjugate, each scaled by
-    # a constant, then a0
+    # the stream formula in the draw's own arithmetic: from
+    # t = tan(phi/2), p = a0 cos phi and q = a0 sin phi, then each row
+    # of z = (Re A_x, Im A_x, Re A_y, Im A_y) is a fixed mix of p and q
     t = np.tan(0.5 * phi)
-    phasor = (1.0 - t * t) / (1.0 + t * t) + 1j * (2.0 * t / (1.0 + t * t))
-    amp_x = phasor * (math.cos(0.6) * cmath.exp(0.2j)) * a0
-    amp_y = np.conj(phasor) * (math.sin(0.6) * cmath.exp(0.2j)) * a0
+    u = 1.0 + t * t
+    k = a0 / u
+    p, q = (2.0 - u) * k, 2.0 * t * k
+    s_x = math.cos(0.6) * cmath.exp(0.2j)
+    s_y = math.sin(0.6) * cmath.exp(0.2j)
+    rows = np.array([s_x.real * p - s_x.imag * q, s_x.imag * p + s_x.real * q,
+                     s_y.real * p + s_y.imag * q, s_y.imag * p - s_y.real * q])
     ensemble = sample_hops(spec, count, seed=42)
-    np.testing.assert_array_equal(ensemble.amp_x, amp_x)
-    np.testing.assert_array_equal(ensemble.amp_y, amp_y)
+    np.testing.assert_array_equal(_ensemble_rows(ensemble), rows)
     # and the exponential form, to round-off in units of a0
     within = 2e-15 * a0
     assert np.all(np.abs(ensemble.amp_x - a0 * math.cos(0.6)
@@ -197,8 +206,7 @@ def test_chunked_draws_reproduce_the_one_shot_ensemble():
                          * np.exp(1j * (-phi + 0.2))) <= within)
     chunks = list(_draw_chunks(spec, count, 42, 64))
     assert len(chunks) == 16
-    np.testing.assert_array_equal(np.concatenate(chunks)[:, 0], amp_x)
-    np.testing.assert_array_equal(np.concatenate(chunks)[:, 1], amp_y)
+    np.testing.assert_array_equal(np.concatenate(chunks, axis=1), rows)
 
 
 def test_ordinary_draws_share_the_chunked_stream():
@@ -208,27 +216,58 @@ def test_ordinary_draws_share_the_chunked_stream():
     rng = np.random.default_rng(42)
     phi = rng.uniform(0.0, 2.0 * math.pi, count)
     a0 = rng.rayleigh(0.8, count)
-    # the one-generator formula: amp_y's phasor is amp_x's, then
-    # cos(chi/2), sin(chi/2) e^{i delta} and a0 apply in place
+    # the one-generator formula in the draw's row arithmetic: A_x is
+    # cos(chi/2) e^{i phi}, A_y is sin(chi/2) e^{i delta} e^{i phi}
     t = np.tan(0.5 * phi)
-    amp_x = (1.0 - t * t) / (1.0 + t * t) + 1j * (2.0 * t / (1.0 + t * t))
-    amp_y = amp_x.copy()
-    turn = complex(math.cos(-2.1), math.sin(-2.1))
-    for amp, scale in ((amp_x, math.cos(0.6)), (amp_y, math.sin(0.6) * turn)):
-        amp *= scale
-        amp *= a0
+    u = 1.0 + t * t
+    k = a0 / u
+    p, q = (2.0 - u) * k, 2.0 * t * k
+    s_x = math.cos(0.6)
+    s_y = math.sin(0.6) * complex(math.cos(-2.1), math.sin(-2.1))
+    rows = np.array([s_x * p, s_x * q, s_y.real * p - s_y.imag * q,
+                     s_y.imag * p + s_y.real * q])
     ensemble = sample_ordinary(spec, count, seed=42)
-    np.testing.assert_array_equal(ensemble.amp_x, amp_x)
-    np.testing.assert_array_equal(ensemble.amp_y, amp_y)
+    np.testing.assert_array_equal(_ensemble_rows(ensemble), rows)
     chunks = list(_draw_chunks(spec, count, 42, 64))
     assert len(chunks) == 16
-    np.testing.assert_array_equal(np.concatenate(chunks)[:, 0], amp_x)
-    np.testing.assert_array_equal(np.concatenate(chunks)[:, 1], amp_y)
+    np.testing.assert_array_equal(np.concatenate(chunks, axis=1), rows)
     # both samplers state the count rule once, in the shared draw
     for sample, spec in ((sample_ordinary, spec),
                          (sample_hops, HopsEnsembleSpec(1.2, 0.4))):
         with pytest.raises(ValueError, match="count"):
             sample(spec, 0, seed=42)
+
+
+@pytest.mark.parametrize("spec", [HopsEnsembleSpec(1.2, 0.4),
+                                  OrdinaryEnsembleSpec(1.2, -2.1)])
+@pytest.mark.parametrize("amplitude", [FixedAmplitude(1.7),
+                                       RayleighAmplitude(0.8)])
+def test_draw_keeps_the_seeds_stream(monkeypatch, spec, amplitude):
+    # the phases are the seed's first draws, halved, and a Rayleigh a0
+    # follows them in the same stream, in one chunk or in sixteen
+    count = 1001
+    rng = np.random.default_rng(42)
+    half = rng.uniform(0.0, 2.0 * math.pi, count) / 2
+    if isinstance(amplitude, RayleighAmplitude):
+        a0 = rng.rayleigh(amplitude.scale, count)
+    else:
+        a0 = np.full(count, amplitude.a0)
+    spec = dataclasses.replace(spec, amplitude=amplitude)
+    seen = []
+    scaled_phasors = classical._scaled_phasors
+
+    def record(half, a0, out):
+        seen.append((half.copy(), a0.copy()))
+        return scaled_phasors(half, a0, out)
+
+    monkeypatch.setattr(classical, "_scaled_phasors", record)
+    for chunk, chunks in ((count, 1), (64, 16)):
+        seen.clear()
+        assert len(list(_draw_chunks(spec, count, 42, chunk))) == chunks
+        np.testing.assert_array_equal(np.concatenate([h for h, _ in seen]),
+                                      half)
+        np.testing.assert_array_equal(np.concatenate([a for _, a in seen]),
+                                      a0)
 
 
 @given(chi=POLAR_ANGLES, delta=PHASE_ANGLES, seed=SEEDS,
@@ -242,7 +281,8 @@ def test_one_phasor_draws_match_the_exponential_form(chi, delta, seed,
     a0 = amplitude.draw(rng, count)
     within = 2e-15 * a0
     hidden = HopsEnsembleSpec(chi_h=chi, delta_h=delta, amplitude=amplitude)
-    amp_x, amp_y = next(_draw_chunks(hidden, count, seed, count)).T
+    z = next(_draw_chunks(hidden, count, seed, count))
+    amp_x, amp_y = z[0] + 1j * z[1], z[2] + 1j * z[3]
     total = np.abs(amp_x) ** 2 + np.abs(amp_y) ** 2
     np.testing.assert_allclose(total, a0**2, rtol=4e-15)
     assert np.all(np.abs(amp_x - a0 * math.cos(0.5 * chi)
@@ -297,6 +337,22 @@ def test_one_batch_chunks_keep_only_their_means(monkeypatch):
     for name in ("0", "1"):
         assert stats.values["h" + name] == stats.values["s" + name]
         assert stats.std_errors["h" + name] == stats.std_errors["s" + name]
+
+
+def test_streamed_draw_traces_little_memory():
+    # chunks of 2**15 samples as (4, n) rows: the chunk being drawn, the
+    # one last reduced and two n-long temporaries traced 2.87 MB; the
+    # (n, 2) complex chunks of 2**16 samples they replaced traced 4.87 MB
+    spec = HopsEnsembleSpec(chi_h=0.5 * math.pi, delta_h=0.7,
+                            amplitude=RayleighAmplitude(1.0))
+    hops_statistics(spec, 1000, seed=0)
+    tracemalloc.start()
+    try:
+        hops_statistics(spec, 1_000_000, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5e6
 
 
 def test_overflowing_statistics_raise():
@@ -368,8 +424,9 @@ def test_tangent_phasors_stay_finite_at_the_edge_phases():
     phi = np.array([0.0, math.pi, np.nextafter(math.pi, 0.0),
                     np.nextafter(math.pi, 4.0), 0.5 * math.pi,
                     1.5 * math.pi, np.nextafter(2.0 * math.pi, 0.0)])
-    phasor = np.empty(phi.shape, dtype=complex)
-    _unit_phasors(phi.copy(), phasor)
+    cos = np.empty(phi.shape)
+    sin = _scaled_phasors(0.5 * phi, np.ones(phi.shape), cos)
+    phasor = cos + 1j * sin
     assert np.all(np.isfinite(phasor))
     assert np.all(np.abs(phasor - np.exp(1j * phi)) <= 2e-15)
     np.testing.assert_allclose(np.abs(phasor), 1.0, rtol=0, atol=1e-15)

@@ -14,8 +14,12 @@ import hopslab
 import hopslab.polarization as polarization
 from hopslab.cli import main
 from hopslab.dpa import EVOLUTION_MARGIN
-from hopslab.reporting import curve_csv
-from hopslab.squeezing import WeightedProjectorModel, sweep
+from hopslab.reporting import claims_csv, curve_csv
+from hopslab.squeezing import (
+    WeightedProjectorModel,
+    claimed_moment_table,
+    sweep,
+)
 
 
 def run_cli(argv, capsys):
@@ -271,6 +275,20 @@ def test_claims_table(capsys):
     assert verdicts["mean_h3"] == "sign_flip"
     assert verdicts["var_h2"] == "matches"
     assert verdicts["var_h1"] == "mismatch"
+
+
+def test_claims_note_follows_unchanged_rows(capsys):
+    # one note after the verdict rows says why Var H2 cannot fall; the
+    # rows are the table's own
+    code, out = run_cli(["claims"], capsys)
+    assert code == 0
+    note = out.splitlines()[-1]
+    assert note.startswith("# note: H2 is the interaction itself")
+    assert "Var H2 is a constant of the motion" in note
+    assert "sinh(4kt)" in note
+    table = claimed_moment_table(1.0, 2.0, 0.22)
+    config = {"command": "claims", "nx": 1.0, "ny": 2.0, "kt": 0.22}
+    assert out == claims_csv(table, config) + note + "\n"
 
 
 def test_claims_oracle_reference(capsys):
