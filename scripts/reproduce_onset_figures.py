@@ -3,9 +3,10 @@
 
 Sweeps Sq(kt) for the two-mode vacuum and for two weighted-projector
 states (equal and unequal effective intensities), writes one CSV and
-one SVG per curve, and prints the onset times. Every onset lands near
-kt = 0.22 even though the effective occupations differ by an order of
-magnitude; that insensitivity is the point of the figure.
+one SVG per curve, and prints the onset times and, last, the values
+they round to. Every onset lands near kt = 0.22 even though the
+effective occupations differ by an order of magnitude; that
+insensitivity is the point of the figure.
 """
 
 import argparse
@@ -27,16 +28,17 @@ CASES = (
 )
 
 
-def main() -> None:
+def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--outdir", type=Path, default=Path("out"))
     parser.add_argument("--steps", type=int, default=200)
     parser.add_argument("--kt-max", type=float, default=0.5)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     args.outdir.mkdir(parents=True, exist_ok=True)
     print(f"{'case':<16} {'w_x':>12} {'w_y':>12} "
           f"{'onset (closed)':>18} {'onset (bisect)':>18}")
+    rounded = set()
     for name, model in CASES:
         curve = sweep(model, kt_max=args.kt_max, steps=args.steps)
         csv_path = args.outdir / f"{name}.csv"
@@ -49,7 +51,11 @@ def main() -> None:
         print(f"{name:<16} {w_x:>12.6f} {w_y:>12.6f} "
               f"{fmt(closed):>18.18s} {fmt(root):>18.18s}")
         print(f"  wrote {csv_path} and {svg_path}")
-    print("all onsets round to 0.22")
+        rounded.update(f"{onset:.2f}" for onset in (closed, root))
+    if len(rounded) == 1:
+        print(f"all onsets round to {rounded.pop()}")
+    else:
+        print(f"onsets round to {', '.join(sorted(rounded))}")
 
 
 if __name__ == "__main__":

@@ -21,12 +21,10 @@ its total population (`require_unit_trace`), the edge population that
 certifies the truncation and the moments, a fixed number of array
 operations per slab, whatever the number of sectors. `evolve` hands
 the same U G to `QuantumState.with_columns`, so an evolved state's
-`hidden_moments` and `boundary_leakage` are the oracle row's sums. A
-kept `matrix` (inter-sector coherences) goes along as U rho U^dag,
-formed in place in one copy of it; nothing is decomposed again. Oracle
-and closed-form rows are one record, `MomentReport(kt, means,
-variances, leakage, valid)`, the eight moments named once in
-`MOMENT_NAMES`. No operator matrix is built here.
+`hidden_moments` and `boundary_leakage` are the oracle row's sums;
+nothing is decomposed again. Oracle and closed-form rows are one
+record, `MomentReport(kt, means, variances, leakage, valid)`, the eight
+moments named once in `MOMENT_NAMES`. No operator matrix is built here.
 
 The truncation is the state's own cutoff, certified after the fact by
 `boundary_leakage`: the evolved state must keep its population clear of
@@ -48,7 +46,6 @@ import numpy as np
 
 from .fock import (
     EVOLUTION_MARGIN,
-    STACK_SLAB,
     FockCutoff,
     QuantumState,
     SectorStack,
@@ -135,17 +132,13 @@ def _require_margin(cutoff: FockCutoff) -> None:
             "to certify leakage")
 
 
-def _propagate(
-    slab: SectorStack, kt: float, moved: np.ndarray | None = None,
-) -> np.ndarray:
-    """U x = V diag(exp(-i 2kt E)) W for U = exp(-i 2kt H_int), one real product.
+def _propagate(slab: SectorStack, kt: float) -> np.ndarray:
+    """U G = V diag(exp(-i 2kt E)) W for U = exp(-i 2kt H_int), one real product.
 
-    (E, V) are the slab's eigenpairs and W = V^T x is `moved`
-    (`SectorStack.to_eigenbasis`), by default its `eigencolumns`: U G.
+    (E, V) are the slab's eigenpairs and W = V^T G its `eigencolumns`.
     """
     values, vectors = slab.eigenpairs
-    moved = slab.eigencolumns if moved is None else moved
-    phased = moved * np.exp(-1j * (2.0 * kt) * values)[:, :, None]
+    phased = slab.eigencolumns * np.exp(-1j * (2.0 * kt) * values)[:, :, None]
     return (vectors @ phased.view(float)).view(complex)
 
 
@@ -154,40 +147,15 @@ def evolve(state: QuantumState, config: DpaConfig) -> QuantumState:
 
     Each slab evolves as in an oracle row, to U G with its own
     eigenpairs, and `QuantumState.with_columns` makes the slabs the
-    evolved state. A kept `matrix` goes along as U rho U^dag, formed
-    in one copy of it: U on its rows, then on the rows of its
-    conjugate transpose.
+    evolved state.
     Raises TruncationError (carrying the measured leakage) when the
     evolved state holds more than config.leakage_tol of its population
     within EVOLUTION_MARGIN levels of either cutoff; enlarge the cutoff
     and retry in that case.
     """
     _require_margin(state.cutoff)
-
-    def on_rows(x: np.ndarray) -> None:
-        # U x in place, on the populated sectors' rows (a valid state is
-        # zero on the others); a padding index (-1) gathers a row the
-        # padded V never reads. Columns go a block of at most
-        # STACK_SLAB entries at a time
-        for slab in state.blocks:
-            indices = slab.indices
-            real = indices >= 0
-            width = max(1, STACK_SLAB // indices.size)
-            for start in range(0, x.shape[1], width):
-                block = slice(start, start + width)
-                moved = slab.to_eigenbasis(x[indices, block])
-                x[indices[real], block] = _propagate(slab, config.kt, moved)[real]
-
-    rho = None
-    if state.matrix is not None:
-        # U rho U^dag = (U (U rho)^dag)^dag, the adjoints as in-place
-        # conjugations of the transpose view
-        rho = state.matrix.copy()
-        for x in (rho, rho.T):
-            on_rows(x)
-            np.conjugate(rho, out=rho)
     result = state.with_columns(
-        [_propagate(slab, config.kt) for slab in state.blocks], rho)
+        [_propagate(slab, config.kt) for slab in state.blocks])
     leakage = boundary_leakage(result)
     if leakage > config.leakage_tol:
         raise TruncationError(leakage, state.cutoff)

@@ -15,11 +15,11 @@ which every constructor fills once: columns G sqrt(p) whose outer
 product is the block, in slabs of consecutive sectors (`SectorStack`,
 cut by `_partition` alone) padded only to their own longest sector,
 with the table's constants and, on first use, the amplifier's
-eigenbasis (`_chain_eigenpairs`). Only a density with inter-sector
-coherences also keeps its d^2 x d^2 matrix, beside its slabs.
-Evolution and its truncation certificate (`dpa`) and the H0..H3
-measure (`polarization.hidden_moments`) iterate over the slabs, a
-fixed number of array operations per slab.
+eigenbasis (`_chain_eigenpairs`). A mixed state is its sector blocks
+and nothing else: `from_density` refuses a density with entries
+between sectors. Evolution and its truncation certificate (`dpa`) and
+the H0..H3 measure (`polarization.hidden_moments`) iterate over the
+slabs, a fixed number of array operations per slab.
 
 `require_photon_numbers` (integers >= 0), `require_occupations`
 (finite means >= 0) and `require_kt` (a finite evolution time) are the
@@ -39,6 +39,7 @@ infinite-dimensional physics is certified post hoc with
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 from numbers import Integral
@@ -50,10 +51,10 @@ VARIANCE_FLOOR = -1e-9     # cancellation allowance before clamping to zero
 EIGENVALUE_FLOOR = -1e-10  # lowest eigenvalue a density matrix may have
 
 EVOLUTION_MARGIN = 4       # edge band whose population certifies truncation
+TABLE_ENTRY_BYTES = 136    # `sector_table`'s peak per (sector, position) entry
 
-# Complex entries per slab of a temporary (a state's slabs, the rows
-# `from_density` checks and the rows of a kept matrix `dpa.evolve`
-# propagates in place): a computation that holds a few copies holds
+# Complex entries per slab of a temporary (a state's slabs and the rows
+# `from_density` checks): a computation that holds a few copies holds
 # them a slab at a time
 STACK_SLAB = 2**14
 
@@ -98,22 +99,18 @@ class QuantumState:
     `blocks`, the sectors the state populates as slabs of weighted
     columns, once. A built state has unit total population, the sum
     over its slabs (`require_unit_trace`), and read-only arrays. A
-    mixed state keeps `matrix`, its density matrix, only for
-    inter-sector coherences; `density` is a read-only view, built on
-    demand.
+    mixed state's `density` is a read-only view, built on demand.
     """
 
     cutoff: FockCutoff
     blocks: tuple[SectorStack, ...] = field(repr=False)
     vector: np.ndarray | None = field(default=None, repr=False)
-    matrix: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         require_unit_trace(sum(np.vdot(slab.columns, slab.columns).real
                                for slab in self.blocks))
-        for array in (self.vector, self.matrix):
-            if array is not None:
-                array.flags.writeable = False
+        if self.vector is not None:
+            self.vector.flags.writeable = False
 
     @classmethod
     def from_vector(cls, cutoff: FockCutoff, vec: np.ndarray) -> "QuantumState":
@@ -129,6 +126,10 @@ class QuantumState:
 
     @classmethod
     def from_density(cls, cutoff: FockCutoff, rho: np.ndarray) -> "QuantumState":
+        """`from_blocks` of each populated sector's `eigh`, (G, p).
+
+        A nonzero entry outside those sectors' blocks raises ValueError.
+        """
         m = np.asarray(rho, dtype=complex)
         if m.shape != (cutoff.dim, cutoff.dim):
             raise ValueError(f"density matrix has shape {m.shape}, "
@@ -142,18 +143,12 @@ class QuantumState:
                 raise ValueError("density matrix is not finite and Hermitian "
                                  "within 1e-12")
         principal = _sector_blocks(cutoff, m)
-        state = cls.from_blocks(cutoff, {delta: np.linalg.eigh(block)[::-1]
-                                         for delta, block in principal.items()})
-        # nonzero entries outside those blocks, counted without a copy
-        # of `m`, are coherences: keep m beside the slabs, after checking
-        # its full spectrum
-        if np.count_nonzero(m) == sum(map(np.count_nonzero, principal.values())):
-            return state
-        spectrum = np.linalg.eigvalsh(m)
-        require_unit_trace(spectrum.sum())
-        _require_positive(spectrum[0])
-        # copied only now, after the check's temporaries are gone
-        return cls(cutoff, state.blocks, matrix=np.array(m, order="C"))
+        # counted without a copy of `m`
+        if np.count_nonzero(m) != sum(map(np.count_nonzero, principal.values())):
+            raise ValueError("density matrix has entries outside its "
+                             "populated sectors' blocks")
+        return cls.from_blocks(cutoff, {delta: np.linalg.eigh(block)[::-1]
+                                        for delta, block in principal.items()})
 
     @classmethod
     def from_blocks(cls, cutoff: FockCutoff, blocks: Blocks) -> "QuantumState":
@@ -189,23 +184,17 @@ class QuantumState:
             slabs.append(_slab(table, slab, indices, g))
         return cls(cutoff, tuple(slabs))
 
-    def with_columns(
-        self, columns: list[np.ndarray], matrix: np.ndarray | None = None,
-    ) -> "QuantumState":
+    def with_columns(self, columns: list[np.ndarray]) -> "QuantumState":
         """This state with `columns`, one (S, L, R) per slab, in its slabs.
 
         A vector is scattered back and renormalized (the rounding drift of
         `dpa.evolve`'s U G); a block state keeps its slabs' layout and
-        constants. A state that keeps `matrix` takes the new `matrix`
-        beside them, and any other state takes none: else it raises,
-        so a coherence is never dropped or made up.
+        constants.
         """
-        if (matrix is None) != (self.matrix is None):
-            raise ValueError("a kept density matrix goes with its slabs")
         slabs = tuple(replace(slab, columns=g)
                       for slab, g in zip(self.blocks, columns, strict=True))
         if self.vector is None:
-            return QuantumState(self.cutoff, slabs, matrix=matrix)
+            return QuantumState(self.cutoff, slabs)
         v = np.zeros(self.cutoff.dim, dtype=complex)
         for slab in slabs:
             real = slab.indices >= 0
@@ -214,9 +203,9 @@ class QuantumState:
 
     @property
     def density(self) -> np.ndarray | None:
-        """Read-only density matrix, built per call unless kept; None if pure."""
-        if self.vector is not None or self.matrix is not None:
-            return self.matrix
+        """Read-only density matrix, built per call; None if pure."""
+        if self.vector is not None:
+            return None
         m = np.zeros((self.cutoff.dim, self.cutoff.dim), dtype=complex)
         for slab in self.blocks:
             for row, g in zip(slab.indices, slab.columns):
@@ -321,10 +310,26 @@ class SectorTable:
     pair_square: np.ndarray = field(repr=False)
 
 
+def _physical_memory() -> float:
+    """Bytes of physical memory on this machine (inf where unknown)."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return float("inf")
+
+
 @lru_cache(maxsize=8)
 def sector_table(cutoff: FockCutoff) -> SectorTable:
-    """Build (once per cutoff) the imbalance-sector table of `cutoff`."""
+    """Build (once per cutoff) the imbalance-sector table of `cutoff`.
+
+    Raises MemoryError before allocating when its TABLE_ENTRY_BYTES per
+    entry would not fit in physical memory; numpy would otherwise
+    allocate the arrays one by one and exhaust the machine partway.
+    """
     d_x, d_y = cutoff.d_x, cutoff.d_y
+    needed = TABLE_ENTRY_BYTES * (d_x + d_y - 1) * min(d_x, d_y)
+    if needed > _physical_memory():
+        raise MemoryError(f"the {cutoff} sector table needs {needed / 1e9:.1f} GB")
     delta = np.arange(-(d_y - 1), d_x)
     n_x = np.maximum(delta, 0)[:, None] + np.arange(min(d_x, d_y))
     n_y = n_x - delta[:, None]
@@ -407,19 +412,15 @@ class SectorStack:
 
     @cached_property
     def eigencolumns(self) -> np.ndarray:
-        """W = V^T G, the columns in the eigenbasis, computed on first use."""
-        moved = self.to_eigenbasis(self.columns)
+        """W = V^T G, the columns in the eigenbasis, computed on first use.
+
+        V is real, so the product runs on the real and imaginary parts of
+        G at once, as one real stack.
+        """
+        transposed = self.eigenpairs[1].transpose(0, 2, 1)
+        moved = (transposed @ self.columns.view(float)).view(complex)
         moved.setflags(write=False)
         return moved
-
-    def to_eigenbasis(self, x: np.ndarray) -> np.ndarray:
-        """V^T x on the sector index (axis 1) of a stack (S, L, k).
-
-        `x` has a contiguous last axis. V is real, so the product runs
-        on the real and imaginary parts of x at once, as one real stack.
-        """
-        vectors = self.eigenpairs[1]
-        return (vectors.transpose(0, 2, 1) @ x.view(float)).view(complex)
 
 
 @lru_cache(maxsize=1024)

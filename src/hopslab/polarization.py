@@ -39,7 +39,6 @@ form and the corrected form side by side; nothing is silently fixed.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Callable
 
@@ -50,6 +49,7 @@ from .fock import (
     FockCutoff,
     QuantumState,
     SectorStack,
+    _physical_memory,
     apply_ladders,
     sector_table,
 )
@@ -156,14 +156,6 @@ class RelationCheck:
     @property
     def adjudicated_pass(self) -> bool:
         return self.adjudicated_residual < RELATION_TOL
-
-
-def _physical_memory() -> float:
-    """Bytes of physical memory on this machine (inf where unknown)."""
-    try:
-        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):
-        return float("inf")
 
 
 def _chain_tables(

@@ -13,7 +13,13 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from hopslab.fock import ALGEBRA_TOL, VARIANCE_FLOOR, FockCutoff, QuantumState
+from hopslab.fock import (
+    ALGEBRA_TOL,
+    VARIANCE_FLOOR,
+    FockCutoff,
+    QuantumState,
+    sector_table,
+)
 
 UNITARITY_TOL = 1e-10      # default tolerance for exp(anti-Hermitian) checks
 HERMITICITY_TOL = 1e-10    # operators fed to variance must be this Hermitian
@@ -83,6 +89,30 @@ def density_matrix(state: QuantumState) -> np.ndarray:
     if state.vector is not None:
         return np.outer(state.vector, state.vector.conj())
     return state.density
+
+
+def pinched(cutoff: FockCutoff, rho: np.ndarray) -> np.ndarray:
+    """rho with its entries between imbalance sectors zeroed.
+
+    Its diagonal and sector blocks are kept, so are its trace and
+    positivity: a density `QuantumState.from_density` accepts.
+    """
+    label = sector_table(cutoff).label
+    return np.where(label[:, None] == label[None, :], rho, 0.0)
+
+
+def one_sector_state(
+    cutoff: FockCutoff, delta: int, rng: np.random.Generator,
+) -> QuantumState:
+    """A random pure state on the sector n_x - n_y = delta alone.
+
+    Its projector is one sector's block, so it is also a density.
+    """
+    row = sector_table(cutoff).indices[delta + cutoff.d_y - 1]
+    row = row[row >= 0]
+    v = np.zeros(cutoff.dim, dtype=complex)
+    v[row] = rng.standard_normal(2 * row.size).view(complex)
+    return QuantumState.from_vector(cutoff, v / np.linalg.norm(v))
 
 
 def claim_row(table, name: str):

@@ -317,7 +317,7 @@ def test_streamed_statistics_match_one_shot():
 
 
 def test_one_batch_chunks_keep_only_their_means(monkeypatch):
-    # a chunk of one batch, as above 2**32 samples: 500 chunks of 500.
+    # a chunk of one batch, as above 2**30 samples: 500 chunks of 500.
     # The batch means fill one (components, batches) array; kept as a
     # list of per-chunk arrays they traced 1.2 kB a batch, 586 kB here
     spec = HopsEnsembleSpec(chi_h=1.1, delta_h=-0.3,

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import hopslab
+import hopslab.fock as fock
 import hopslab.polarization as polarization
 from hopslab.cli import main
 from hopslab.dpa import EVOLUTION_MARGIN
@@ -454,6 +455,31 @@ def test_verify_cutoff_that_cannot_fit_exits_two_before_allocating(
     for cutoff in (16, 56):
         assert main(["verify", "--cutoff", str(cutoff),
                      "--out", str(tmp_path / "verify.txt")]) == 0
+
+
+@pytest.mark.parametrize("command", [
+    ["sweep", "--model", "fock", "--nx", "1", "--oracle", "--steps", "3"],
+    ["sweep", "--model", "thermal", "--oracle", "--steps", "3"],
+    ["claims"],
+], ids=["fock-sweep", "thermal-sweep", "claims"])
+def test_oracle_cutoff_whose_sector_table_cannot_fit_exits_two(
+        command, monkeypatch, capsys):
+    # the sector table of d = 300 needs about 12 MB, 136 B per entry;
+    # the probe reports 1 MB, so it is refused before it is built
+    monkeypatch.setattr(fock, "_physical_memory", lambda: 1e6)
+    with pytest.raises(MemoryError, match="sector table needs"):
+        fock.sector_table(fock.FockCutoff(300, 300))
+    tracemalloc.start()
+    try:
+        with pytest.raises(SystemExit) as excinfo:
+            main(command + ["--cutoff", "300"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert excinfo.value.code == 2
+    assert peak < 4e6
+    err = capsys.readouterr().err
+    assert "--cutoff 300 needs more memory than is available" in err
 
 
 def test_cli_import_loads_no_scipy():

@@ -46,6 +46,8 @@ from dense_reference import (
     interaction_hamiltonian,
     matrix_exponential,
     number_operator,
+    one_sector_state,
+    pinched,
     variance,
 )
 
@@ -128,13 +130,14 @@ def test_block_propagator_matches_dense_exponential():
 
 
 def _rectangular_mixture():
-    # d_x != d_y, so a mix-up of the two mode axes cannot cancel out
+    # d_x != d_y, so a mix-up of the two mode axes cannot cancel out;
+    # several columns per sector
     cut = FockCutoff(7, 10)
     rng = np.random.default_rng(4)
     rho = sum(w * density_matrix(random_low_excitation_state(cut, 3, rng))
               for w in (0.5, 0.3, 0.2))
     config = DpaConfig(kt=0.13, leakage_tol=0.999)
-    return QuantumState.from_density(cut, rho), config
+    return QuantumState.from_density(cut, pinched(cut, rho)), config
 
 
 def _short_sector_mixture():
@@ -143,17 +146,9 @@ def _short_sector_mixture():
     cut = FockCutoff(5, 9)
     rng = np.random.default_rng(8)
     g = rng.standard_normal((cut.dim, 6)).view(complex)
-    rho = g @ g.conj().T
+    rho = pinched(cut, g @ g.conj().T)
     return (QuantumState.from_density(cut, rho / np.trace(rho).real),
             DpaConfig(kt=0.11, leakage_tol=0.999))
-
-
-def _coherent_density():
-    # a superposition's projector: coherences between sectors
-    cut = FockCutoff(9, 8)
-    state = random_low_excitation_state(cut, 3, np.random.default_rng(9))
-    return (QuantumState.from_density(cut, density_matrix(state)),
-            DpaConfig(kt=0.17, leakage_tol=0.999))
 
 
 def _dilute_thermal():
@@ -164,7 +159,6 @@ def _dilute_thermal():
 
 STACK_MAKERS = {"rectangular": _rectangular_mixture,
                  "short-sectors": _short_sector_mixture,
-                 "coherences": _coherent_density,
                  "thermal-0.035": _dilute_thermal}
 STACK_CASES = pytest.mark.parametrize(
     "make_case", list(STACK_MAKERS.values()), ids=list(STACK_MAKERS))
@@ -173,8 +167,10 @@ STACK_CASES = pytest.mark.parametrize(
 def _dense_evolution(state, config):
     u = matrix_exponential(
         (-2j * config.kt) * interaction_hamiltonian(state.cutoff)).matrix
-    rho = density_matrix(state)
-    return QuantumState.from_density(state.cutoff, u @ rho @ u.conj().T)
+    if state.vector is not None:
+        return QuantumState.from_vector(state.cutoff, u @ state.vector)
+    return QuantumState.from_density(state.cutoff,
+                                     u @ state.density @ u.conj().T)
 
 
 def _evolved_slabs(state, config):
@@ -247,9 +243,7 @@ def test_slabs_pad_only_to_their_own_longest_sector(make_state):
     lambda cut: thermal_state(cut, 0.3, 0.6),
     lambda cut: _short_sector_mixture()[0],
     lambda cut: thermal_state(FockCutoff(16, 16), 0.035, 0.035),
-    lambda cut: _coherent_density()[0],
-], ids=["vector", "density", "short-sectors", "thermal-0.035",
-        "coherences"])
+], ids=["vector", "density", "short-sectors", "thermal-0.035"])
 def test_block_populations_are_read_only_diagonals(make_state):
     state = make_state(FockCutoff(12, 14))
     config = DpaConfig(kt=0.2, leakage_tol=0.9)
@@ -306,12 +300,6 @@ def test_thermal_sweep_decomposes_blocks_once(monkeypatch):
     calls.clear()
     evolved = evolve(state, DpaConfig(kt=0.2, leakage_tol=0.9))
     assert _sectors(evolved) == 19 and len(calls) == 0
-    # and so does a kept matrix, U rho U^dag beside its slabs' U G
-    # (8 calls when it was decomposed again)
-    coherent, config = _rectangular_mixture()
-    evolve(coherent, config)
-    calls.clear()
-    assert evolve(coherent, config).matrix is not None and len(calls) == 0
 
 
 def test_eigenpairs_are_computed_per_populated_chain(monkeypatch):
@@ -483,7 +471,7 @@ def test_first_row_computes_the_eigenbasis_once(monkeypatch):
 
 
 def test_density_evolution_matches_dense_exponential():
-    state, config = _rectangular_mixture()
+    state, config = _short_sector_mixture()
     evolved = evolve(state, config)
     u = matrix_exponential(
         (-2j * config.kt) * interaction_hamiltonian(state.cutoff)).matrix
@@ -704,7 +692,7 @@ def test_evolution_composes_over_time(seed, kt):
 def test_oracle_agrees_between_vector_and_density_forms(seed):
     cut = FockCutoff(12, 12)
     rng = np.random.default_rng(seed)
-    state = random_low_excitation_state(cut, 2, rng)
+    state = one_sector_state(cut, 1, rng)
     config = DpaConfig(kt=0.2, leakage_tol=0.9)
     pure = oracle_moments(state, config)
     mixed = oracle_moments(
@@ -745,26 +733,27 @@ def test_oracle_rows_obey_casimir_identity(make_state):
         assert abs(residual) <= 1e-9 * max(1.0, *second), (kt, residual)
 
 
-def _dephased_mixture():
-    # the rectangular mixture without its inter-sector coherences: a
-    # block state with several columns per sector
-    state, config = _rectangular_mixture()
-    label = sector_table(state.cutoff).label
-    dephased = np.where(label[:, None] == label[None, :], state.density, 0.0)
-    return QuantumState.from_density(state.cutoff, dephased), config
-
-
 def test_oracle_ignores_inter_sector_coherences():
-    state, config = _rectangular_mixture()
-    dephased, _ = _dephased_mixture()
-    assert state.matrix is not None and dephased.matrix is None
-    assert oracle_moments(state, config) == oracle_moments(dephased, config)
+    # a superposition of several sectors has coherences between them;
+    # the oracle's rows are those of its pinched density
+    cut = FockCutoff(9, 8)
+    state = random_low_excitation_state(cut, 3, np.random.default_rng(9))
+    dephased = QuantumState.from_density(
+        cut, pinched(cut, density_matrix(state)))
+    assert _sectors(dephased) == 7
+    for kt in (0.0, 0.17):
+        config = DpaConfig(kt=kt, leakage_tol=0.999)
+        vector = oracle_moments(state, config)
+        block = oracle_moments(dephased, config)
+        for got, want in zip(block.means + block.variances + (block.leakage,),
+                             vector.means + vector.variances
+                             + (vector.leakage,)):
+            assert got == pytest.approx(want, rel=1e-13, abs=1e-14)
 
 
 @pytest.mark.parametrize("make_state", [
-    lambda: _thermal_24()[0], lambda: _dephased_mixture()[0],
-    lambda: _rectangular_mixture()[0],
-], ids=["thermal-0.5-d24", "dephased", "coherences"])
+    lambda: _thermal_24()[0], lambda: _rectangular_mixture()[0],
+], ids=["thermal-0.5-d24", "dephased"])
 @pytest.mark.parametrize("kt", [0.13, 0.3])
 def test_evolved_block_state_holds_the_oracle_rows(make_state, kt):
     state = make_state()
@@ -772,7 +761,6 @@ def test_evolved_block_state_holds_the_oracle_rows(make_state, kt):
     config = DpaConfig(kt=kt, leakage_tol=0.999)
     evolved = evolve(state, config)
     assert evolved.vector is None
-    assert (evolved.matrix is None) == (state.matrix is None)
     # the slabs keep their layout and constants, so the evolved state's
     # sums are the oracle row's, to the bit
     for old, new in zip(state.blocks, evolved.blocks, strict=True):
@@ -786,7 +774,7 @@ def test_evolved_block_state_holds_the_oracle_rows(make_state, kt):
 
 
 def test_block_evolution_matches_dense_exponential():
-    state, config = _dephased_mixture()
+    state, config = _rectangular_mixture()
     u = matrix_exponential(
         (-2j * config.kt) * interaction_hamiltonian(state.cutoff)).matrix
     np.testing.assert_allclose(
@@ -807,38 +795,14 @@ def test_block_evolution_forms_no_full_size_array():
     assert peak < 20e6
 
 
-def test_coherent_evolution_holds_one_copy_of_the_matrix():
-    # a random pure state's projector keeps its 5.3 MB matrix; a warm
-    # evolve traced 3 x that with a copy per pass and a hermitization
-    cut = FockCutoff(24, 24)
-    v = np.random.default_rng(2).standard_normal(2 * cut.dim).view(complex)
-    v /= np.linalg.norm(v)
-    state = QuantumState.from_density(cut, np.outer(v, v.conj()))
-    assert state.matrix is not None
-    config = DpaConfig(kt=0.2, leakage_tol=0.999)
-    evolve(state, config)  # warm the slabs' eigenbasis
-    tracemalloc.start()
-    try:
-        evolve(state, config)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.5 * state.matrix.nbytes
-
-
 def test_only_a_state_of_slabs_takes_new_columns():
-    # a kept matrix given no new matrix would drop its coherences, and
-    # a state of slabs given one would make some up
-    state, _ = _rectangular_mixture()
-    assert state.matrix is not None
-    block, _ = _dephased_mixture()
-    with pytest.raises(ValueError, match="goes with its slabs"):
-        state.with_columns([slab.columns for slab in state.blocks])
-    with pytest.raises(ValueError, match="goes with its slabs"):
-        block.with_columns([slab.columns for slab in block.blocks],
-                           state.matrix)
+    # new columns are the state's slabs again: one stack per slab, and
+    # they keep the trace
+    block, _ = _rectangular_mixture()
     with pytest.raises(ValueError, match="trace"):
         block.with_columns([2.0 * slab.columns for slab in block.blocks])
+    with pytest.raises(ValueError):
+        block.with_columns([slab.columns for slab in block.blocks[1:]])
 
 
 @pytest.mark.parametrize("make_state, mean_h2", [

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,9 +24,13 @@ from dense_reference import (
     is_pure,
     matrix_exponential,
     number_operator,
+    one_sector_state,
     pair_annihilation,
+    pinched,
     variance,
 )
+
+COHERENCE = "entries outside its populated sectors' blocks"
 
 PROPERTY_EXAMPLES = 40
 
@@ -132,7 +134,7 @@ def test_expectation_of_annihilation_on_fock_state_vanishes():
 def test_expectation_mixed_matches_pure():
     cut = FockCutoff(3, 3)
     rng = np.random.default_rng(3)
-    psi = random_low_excitation_state(cut, 1, rng)
+    psi = one_sector_state(cut, 0, rng)
     rho = QuantumState.from_density(cut, density_matrix(psi))
     op = number_operator(cut, "y")
     assert expectation(op, rho) == pytest.approx(expectation(op, psi), abs=1e-12)
@@ -243,8 +245,9 @@ def test_hermiticity_check_is_cut_by_the_slab_bound(monkeypatch):
     monkeypatch.setattr(fock, "STACK_SLAB", 64)
     cut = FockCutoff(8, 8)
     rng = np.random.default_rng(3)
-    rho = sum(0.5 * density_matrix(random_low_excitation_state(cut, 6, rng))
-              for _ in range(2))
+    rho = pinched(cut, sum(
+        0.5 * density_matrix(random_low_excitation_state(cut, 6, rng))
+        for _ in range(2)))
     assert not is_pure(QuantumState.from_density(cut, rho))
     skew = rho.copy()
     skew[-1, 2] += 1e-9
@@ -283,18 +286,20 @@ def test_state_validation_rejects_bad_inputs():
 
 
 def test_density_positivity_check_full_matrix_path():
+    # a projector on every sector of 2 x 2 is a full matrix: a state is
+    # its sector blocks, so it is refused, with or without a negative
+    # admixture; its sector blocks alone are a state
     cut = FockCutoff(2, 2)
     rng = np.random.default_rng(11)
     v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     v /= np.linalg.norm(v)
     rho = np.outer(v, v.conj())
-    state = QuantumState.from_density(cut, rho)
-    assert not is_pure(state)
-    # rank-one projector with a negative admixture fails the eigen check
     w = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
     bad = 1.1 * np.outer(v, v.conj()) - 0.1 * np.outer(w, w.conj())
-    with pytest.raises(ValueError):
-        QuantumState.from_density(cut, bad)
+    for full in (rho, bad):
+        with pytest.raises(ValueError, match=COHERENCE):
+            QuantumState.from_density(cut, full)
+    assert not is_pure(QuantumState.from_density(cut, pinched(cut, rho)))
 
 
 def test_density_positivity_check_sector_blocks():
@@ -317,34 +322,17 @@ def test_density_positivity_check_sector_blocks():
 
 def test_density_positivity_check_covers_unpopulated_sectors():
     # |1,0> and |2,1> share a sector whose diagonal is empty, so no block
-    # is built for it; its coherence sends the density to the full check
+    # is built for it; its coherence lies outside every populated block
     cut = FockCutoff(5, 5)
     rho = np.zeros((cut.dim, cut.dim), dtype=complex)
     rho[0, 0] = 1.0
     low, high = cut.index(1, 0), cut.index(2, 1)
     rho[low, high] = rho[high, low] = 0.1
-    with pytest.raises(ValueError, match="eigenvalue"):
+    with pytest.raises(ValueError, match=COHERENCE):
         QuantumState.from_density(cut, rho)
 
 
-def test_from_density_holds_a_coherent_density_once():
-    # a random pure state's projector at d = 32 has coherences between
-    # every pair of sectors, so the matrix is kept; finding them counts
-    # nonzeros, and held 2.07 x m.nbytes when it listed their positions
-    cut = FockCutoff(32, 32)
-    state = random_low_excitation_state(cut, 31, np.random.default_rng(2))
-    m = np.outer(state.vector, state.vector.conj())
-    tracemalloc.start()
-    try:
-        kept = QuantumState.from_density(cut, m)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert kept.matrix is not None
-    assert peak < 1.25 * m.nbytes
-
-
-def test_from_density_keeps_the_matrix_only_for_coherences():
+def test_from_density_rejects_entries_between_sectors(monkeypatch):
     cut = FockCutoff(5, 5)
     vac, pair, single = cut.index(0, 0), cut.index(1, 1), cut.index(1, 0)
 
@@ -355,15 +343,22 @@ def test_from_density_keeps_the_matrix_only_for_coherences():
             rho[i, j] = rho[j, i] = 0.1
         return QuantumState.from_density(cut, rho)
 
-    # inside a populated sector's block: the blocks alone
-    assert density().matrix is None and density((vac, pair)).matrix is None
-    # between populated sectors: kept
-    assert density((vac, single)).matrix is not None
+    # inside a populated sector's block: accepted
+    for entries in ((), ((vac, pair),)):
+        assert not is_pure(density(*entries))
+    # between populated sectors: refused, before any block is decomposed
+    def no_eigh(*args):
+        raise AssertionError("a block is decomposed")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    with pytest.raises(ValueError, match=COHERENCE):
+        density((vac, single))
 
 
 def test_density_positivity_check_coherent_density_at_any_size():
     # |0,0> and |1,0> lie in different sectors, so the coherence between
-    # them sits outside every block and the full spectrum is checked
+    # them sits outside every block: refused at any size (33^2 = 1089),
+    # positive or not
     cut = FockCutoff(33, 33)
     vac, single = cut.index(0, 0), cut.index(1, 0)
 
@@ -373,11 +368,12 @@ def test_density_positivity_check_coherent_density_at_any_size():
         rho[vac, single] = rho[single, vac] = coherence
         return rho
 
-    assert not is_pure(QuantumState.from_density(cut, density(0.4)))
+    assert not is_pure(QuantumState.from_density(cut, density(0.0)))
     # [[0.5, 0.9], [0.9, 0.5]] has eigenvalue -0.4, though each
     # one-entry block is positive
-    with pytest.raises(ValueError, match="eigenvalue"):
-        QuantumState.from_density(cut, density(0.9))
+    for coherence in (0.4, 0.9):
+        with pytest.raises(ValueError, match=COHERENCE):
+            QuantumState.from_density(cut, density(coherence))
 
 
 def test_from_blocks_checks_weights_trace_and_shapes():

@@ -129,8 +129,8 @@ def test_the_guard_finds_a_dense_view_read():
 
 def test_only_polarization_reads_the_dense_view():
     # `QuantumState.density` builds a d^2 x d^2 array on each call for a
-    # block state: evolution (`dpa`) works on slabs and a kept matrix,
-    # and only the criterion fit and the coherence functions read it
+    # block state: evolution (`dpa`) works on slabs alone, and only the
+    # criterion fit and the coherence functions read it
     readers = {path.stem: dense_view_reads(path.read_text())
                for path in PACKAGE.glob("*.py")}
     assert {stem: n for stem, n in readers.items() if n} == {"polarization": 2}

@@ -28,6 +28,7 @@ from dense_reference import (
     expectation,
     interior_indices,
     number_diagonals,
+    one_sector_state,
     pair_annihilation,
     variance,
 )
@@ -265,9 +266,10 @@ def test_fit_invariant_under_global_phase(seed, phase):
 
 @given(seed=SEEDS)
 def test_fit_agrees_between_vector_and_density_forms(seed):
+    # a pure state on one sector, whose projector is a density
     cut = FockCutoff(6, 6)
     rng = np.random.default_rng(seed)
-    state = random_low_excitation_state(cut, 3, rng)
+    state = one_sector_state(cut, int(rng.integers(-2, 3)), rng)
     as_density = QuantumState.from_density(cut, density_matrix(state))
     fit_vec = fit_hops_criterion(state)
     fit_rho = fit_hops_criterion(as_density)
@@ -304,9 +306,10 @@ def test_coherence_function_known_values():
 
 @given(seed=SEEDS)
 def test_coherence_pure_and_density_paths_agree(seed):
+    # a pure state on one sector, whose projector is a density
     cut = FockCutoff(6, 6)
     rng = np.random.default_rng(seed)
-    state = random_low_excitation_state(cut, 3, rng)
+    state = one_sector_state(cut, int(rng.integers(-2, 3)), rng)
     as_density = QuantumState.from_density(cut, density_matrix(state))
     for orders in ((1, 0, 1, 0), (0, 1, 1, 0), (1, 1, 0, 2), (2, 0, 0, 0)):
         pure = coherence_function(state, *orders)

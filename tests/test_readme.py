@@ -1,5 +1,7 @@
 """The README's examples and API list agree with the package."""
 
+import dataclasses
+import importlib
 import math
 import re
 import shlex
@@ -49,3 +51,44 @@ def test_every_exported_name_is_documented():
     missing = [name for name in hopslab.__all__
                if not re.search(rf"`{re.escape(name)}\b", README)]
     assert not missing
+
+
+def _scope() -> dict:
+    """`hopslab`, its modules and every class one of them holds, by name."""
+    package = Path(hopslab.__file__).parent
+    modules = {path.stem: importlib.import_module(f"hopslab.{path.stem}")
+               for path in package.glob("*.py") if path.stem != "__init__"}
+    scope = {"hopslab": hopslab, **modules}
+    for module in modules.values():
+        scope.update((name, value) for name, value in vars(module).items()
+                     if isinstance(value, type))
+    return scope
+
+
+def _resolves(dotted: str, scope: dict) -> bool:
+    """Whether `module.name` or `Class.name` names a hopslab attribute.
+
+    Each part after the head, a name in `scope`, is an attribute of the
+    one before it, or a dataclass field, which ends the name.
+    """
+    head, *parts = dotted.split(".")
+    owner = scope.get(head)
+    for k, part in enumerate(parts):
+        if dataclasses.is_dataclass(owner) and part in {
+                field.name for field in dataclasses.fields(owner)}:
+            return k == len(parts) - 1
+        if not hasattr(owner, part):
+            return False
+        owner = getattr(owner, part)
+    return owner is not None
+
+
+def test_every_dotted_reference_resolves():
+    # `module.name` and `Class.name`, alone or called as `name(...)`
+    dotted = set(re.findall(r"`(\w+(?:\.\w+)+)[`(]", README))
+    assert {"QuantumState.blocks", "hopslab.dpa"} <= dotted
+    scope = _scope()
+    assert [name for name in sorted(dotted)
+            if not _resolves(name, scope)] == []
+    for stale in ("QuantumState.matrix", "nomodule.name"):
+        assert not _resolves(stale, scope)
