@@ -30,6 +30,7 @@ import argparse
 import math
 import sys
 from dataclasses import fields
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -88,7 +89,13 @@ CLAIMS_NOTE = ("# note: H2 is the interaction itself, so Var H2 is a "
                "grows as sinh(4kt), not because the noise falls\n")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `hopslab` parser, built once per process.
+
+    It names no command function: `main` looks up `cmd_<command>` on
+    the module at each call, so a replaced `cmd_*` is the one that runs.
+    """
     parser = argparse.ArgumentParser(
         prog="hopslab",
         description="Hidden optical-polarization laboratory: squeezing "
@@ -104,7 +111,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser(
         "sweep", parents=[common],
         help="squeezing function over a kt grid (CSV, optional SVG)")
-    p_sweep.set_defaults(run=cmd_sweep)
     p_sweep.add_argument("--model", choices=tuple(STATE_MODELS),
                          default="weighted")
     p_sweep.add_argument("--nx", type=int, default=None,
@@ -128,7 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_onset = sub.add_parser(
         "onset", parents=[common],
         help="closed-form squeezing onset with bisection cross-check")
-    p_onset.set_defaults(run=cmd_onset)
     p_onset.add_argument("--nx", type=float, default=0.035,
                          help="effective occupation, x mode")
     p_onset.add_argument("--ny", type=float, default=0.035,
@@ -137,7 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser(
         "verify", parents=[common],
         help="run the invariant suites; exit 0 iff all hard checks pass")
-    p_verify.set_defaults(run=cmd_verify)
     p_verify.add_argument("--cutoff", type=int, default=16,
                           help="per-mode dimension for the algebra tables")
     p_verify.add_argument("--seed", type=int, default=7,
@@ -146,7 +150,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ens = sub.add_parser(
         "ensemble", parents=[common],
         help="classical Monte-Carlo Stokes and hidden statistics")
-    p_ens.set_defaults(run=cmd_ensemble)
     p_ens.add_argument("--chi-h", dest="chi_h", type=float,
                        default=0.5 * math.pi)
     p_ens.add_argument("--delta-h", dest="delta_h", type=float, default=0.0)
@@ -162,7 +165,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_claims = sub.add_parser(
         "claims", parents=[common],
         help="adjudicate the claimed closed-form moments")
-    p_claims.set_defaults(run=cmd_claims)
     p_claims.add_argument("--nx", type=float, default=1.0)
     p_claims.add_argument("--ny", type=float, default=2.0)
     p_claims.add_argument("--kt", type=float, default=0.22)
@@ -374,7 +376,6 @@ def cmd_verify(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    # built per call, so each run reaches the current cmd_* functions
     parser = build_parser()
     config_path = _prescan_config(argv)
     if config_path is not None:
@@ -385,7 +386,7 @@ def main(argv: list[str] | None = None) -> int:
         argv = argv[:1] + extra + argv[1:]
     args = parser.parse_args(argv)
     try:
-        return args.run(args)
+        return globals()[f"cmd_{args.command}"](args)
     except ValueError as exc:
         parser.error(str(exc))
     except OSError as exc:

@@ -16,20 +16,22 @@ product is the block, in slabs of consecutive sectors (`SectorStack`,
 cut by `_partition` alone) padded only to their own longest sector,
 with the table's constants and, on first use, the amplifier's
 eigenbasis (`_chain_eigenpairs`). A mixed state is its sector blocks
-and nothing else: `from_density` refuses a density with entries
-between sectors. Evolution and its truncation certificate (`dpa`) and
-the H0..H3 measure (`polarization.hidden_moments`) iterate over the
-slabs, a fixed number of array operations per slab.
+and nothing else; `from_blocks` is its one constructor. Evolution and
+its truncation certificate (`dpa`) and the H0..H3 measure
+(`polarization.hidden_moments`) iterate over the slabs, a fixed number
+of array operations per slab.
 
 `require_photon_numbers` (integers >= 0), `require_occupations`
 (finite means >= 0) and `require_kt` (a finite evolution time) are the
 package's one statement of those input rules; states, closed forms,
 thermal weights, state models and evolution all call them.
 
-`apply_ladders` serves the remaining state-level computations: a
-ladder operator acts on the (d_x, d_y) view of a state vector, or of a
-matrix with Fock-indexed rows, as an index shift times a sqrt(n + 1)
-weight. No operator is stored as a joint-dimension matrix: the
+`apply_ladders` serves the remaining state-level computations, the
+criterion fit and the coherences (`polarization`), which read a state
+as Fock-indexed column blocks (`QuantumState.column_blocks`): a ladder
+operator acts on the (d_x, d_y) view of a state vector, or of a matrix
+with Fock-indexed rows, as an index shift times a sqrt(n + 1) weight.
+No operator is stored as a joint-dimension matrix: the
 commutator tables (`polarization`) run on the chains each operator set
 conserves. Operations are exact on the truncated space; fidelity to the
 infinite-dimensional physics is certified post hoc with
@@ -40,6 +42,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 from numbers import Integral
@@ -53,9 +56,8 @@ EIGENVALUE_FLOOR = -1e-10  # lowest eigenvalue a density matrix may have
 EVOLUTION_MARGIN = 4       # edge band whose population certifies truncation
 TABLE_ENTRY_BYTES = 136    # `sector_table`'s peak per (sector, position) entry
 
-# Complex entries per slab of a temporary (a state's slabs and the rows
-# `from_density` checks): a computation that holds a few copies holds
-# them a slab at a time
+# Complex entries per slab of a state's columns: a computation that
+# holds a few copies holds them a slab at a time
 STACK_SLAB = 2**14
 
 Blocks = dict[int, tuple[np.ndarray, np.ndarray]]  # (G, p) by sector delta
@@ -94,8 +96,8 @@ class FockCutoff:
 class QuantumState:
     """A pure state vector, or a mixed state held as its sector blocks.
 
-    Build through from_vector, from_density or from_blocks (or
-    fock_state, or another state's `with_columns`): each fills
+    Build through from_vector or from_blocks (or fock_state, or
+    another state's `with_columns`): each fills
     `blocks`, the sectors the state populates as slabs of weighted
     columns, once. A built state has unit total population, the sum
     over its slabs (`require_unit_trace`), and read-only arrays. A
@@ -123,32 +125,6 @@ class QuantumState:
             indices >= 0, v[indices], 0.0)[:, :, None])
             for slab, indices in _partition(table, positions, [1] * positions.size))
         return cls(cutoff, slabs, vector=v.copy())
-
-    @classmethod
-    def from_density(cls, cutoff: FockCutoff, rho: np.ndarray) -> "QuantumState":
-        """`from_blocks` of each populated sector's `eigh`, (G, p).
-
-        A nonzero entry outside those sectors' blocks raises ValueError.
-        """
-        m = np.asarray(rho, dtype=complex)
-        if m.shape != (cutoff.dim, cutoff.dim):
-            raise ValueError(f"density matrix has shape {m.shape}, "
-                             f"expected {(cutoff.dim, cutoff.dim)}")
-        step = max(1, STACK_SLAB // cutoff.dim)
-        for lo in range(0, cutoff.dim, step):
-            rows = slice(lo, lo + step)
-            with np.errstate(invalid="ignore"):  # inf - inf is NaN
-                skew = np.max(np.abs(m[rows] - m[:, rows].conj().T))
-            if not skew <= ALGEBRA_TOL:  # a NaN or inf entry fails too
-                raise ValueError("density matrix is not finite and Hermitian "
-                                 "within 1e-12")
-        principal = _sector_blocks(cutoff, m)
-        # counted without a copy of `m`
-        if np.count_nonzero(m) != sum(map(np.count_nonzero, principal.values())):
-            raise ValueError("density matrix has entries outside its "
-                             "populated sectors' blocks")
-        return cls.from_blocks(cutoff, {delta: np.linalg.eigh(block)[::-1]
-                                        for delta, block in principal.items()})
 
     @classmethod
     def from_blocks(cls, cutoff: FockCutoff, blocks: Blocks) -> "QuantumState":
@@ -201,6 +177,24 @@ class QuantumState:
             v[slab.indices[real]] = slab.columns[real, 0]
         return self.from_vector(self.cutoff, v / np.linalg.norm(v))
 
+    def column_blocks(self) -> Iterator[np.ndarray]:
+        """Fock-indexed columns C, (dim, r), whose C C^dag sum to the state.
+
+        A vector is one block, itself; a mixed state is one block per
+        populated sector, its slab columns scattered to their flat
+        indices, so no two blocks share a row.
+        """
+        if self.vector is not None:
+            yield self.vector[:, None]
+            return
+        for slab in self.blocks:
+            for row, g in zip(slab.indices, slab.columns):
+                g = g[row >= 0]
+                g = g[:, g.any(axis=0)]  # without the slab's zero padding
+                block = np.zeros((self.cutoff.dim, g.shape[1]), dtype=complex)
+                block[row[row >= 0]] = g
+                yield block
+
     @property
     def density(self) -> np.ndarray | None:
         """Read-only density matrix, built per call; None if pure."""
@@ -213,26 +207,6 @@ class QuantumState:
                 m[np.ix_(row, row)] = g @ g.conj().T
         m.flags.writeable = False
         return m
-
-    def populations(self) -> np.ndarray:
-        """Diagonal occupation probabilities in the flat Fock basis."""
-        if self.vector is not None:
-            return np.abs(self.vector) ** 2
-        out = np.zeros(self.cutoff.dim)
-        for slab in self.blocks:
-            g, real = slab.columns, slab.indices >= 0
-            out[slab.indices[real]] = np.einsum("smr,smr->sm", g, g.conj()).real[real]
-        return out
-
-
-def _sector_blocks(cutoff: FockCutoff, m: np.ndarray) -> dict[int, np.ndarray]:
-    """The principal block of `m` on each sector with a nonzero diagonal."""
-    table = sector_table(cutoff)
-    # unpadded: padding zeros would be near-degenerate with tiny weights
-    rows = {int(table.delta[s]): table.indices[s][table.indices[s] >= 0]
-            for s in np.flatnonzero(np.bincount(table.label[m.diagonal() != 0]))}
-    return {delta: m[np.ix_(row, row)] for delta, row in rows.items()}
-
 
 def require_photon_numbers(*values: int) -> None:
     """Raise unless every value is an integer (`numbers.Integral`) >= 0."""

@@ -5,8 +5,8 @@ ordinary polarization through phase-difference correlations (S2 + iS3 =
 2 a_y^dag a_x). The hidden set replaces the conjugated cross term with
 the plain pair product (H2 + iH3 = 2 e^{2i w t} a_y a_x), so it picks up
 phase-sum correlations instead; states invisible to the Stokes set can
-carry full hidden polarization. The module also fits density matrices
-against the hidden-polarization criterion and checks the coherence
+carry full hidden polarization. The module also fits states against
+the hidden-polarization criterion and checks the coherence
 factorization law that criterion implies.
 
 The hidden-set means and variances (`hidden_moments`, which the
@@ -20,8 +20,10 @@ rule. The weights of those sums depend only on the sector: they are
 built once per cutoff, in `fock.sector_table`, and each slab gathers
 its own, so any set of columns on it, such as the dynamics oracle's
 evolved columns at each kt, is measured with no set-up. The
-criterion fit and the coherence functions run on ladder shifts
-(`fock.apply_ladders`).
+criterion fit and the coherence functions take one path for every
+state: ladder shifts (`fock.apply_ladders`) of its column blocks
+(`QuantumState.column_blocks`), a vector's one column or a mixed
+state's columns sector by sector, so no d^2 x d^2 array is formed.
 
 The commutator tables run on the chains each set conserves, both rows
 of `fock.sector_table`: imbalance sectors for the hidden set (su(1,1)),
@@ -308,10 +310,12 @@ class UncertaintyProduct:
 
 
 def uncertainty_products(state: QuantumState) -> list[UncertaintyProduct]:
-    """The three hidden-set uncertainty products (interaction picture).
+    """The hidden-set uncertainty products (interaction picture).
 
     Returns (Var H0 * Var H2, |<H3>|^2), (Var H2 * Var H3, |<H0>|^2),
-    (Var H3 * Var H0, |<H2>|^2). Each must satisfy lhs >= rhs within
+    (Var H3 * Var H0, |<H2>|^2) and the tight form of the second,
+    (Var H2 * Var H3, (1 + <H0>)^2), the Robertson bound of
+    [H2, H3] = 2i(1 + H0). Each must satisfy lhs >= rhs within
     UNCERTAINTY_TOL * max(1, lhs, rhs) on any valid state.
     """
     (m0, _, m2, m3), (v0, _, v2, v3) = hidden_moments(state)
@@ -319,6 +323,7 @@ def uncertainty_products(state: QuantumState) -> list[UncertaintyProduct]:
         UncertaintyProduct("VarH0*VarH2 >= |<H3>|^2", v0 * v2, abs(m3) ** 2),
         UncertaintyProduct("VarH2*VarH3 >= |<H0>|^2", v2 * v3, abs(m0) ** 2),
         UncertaintyProduct("VarH3*VarH0 >= |<H2>|^2", v3 * v0, abs(m2) ** 2),
+        UncertaintyProduct("VarH2*VarH3 >= (1+<H0>)^2", v2 * v3, (1 + m0) ** 2),
     ]
 
 
@@ -340,19 +345,35 @@ def fit_hops_criterion(state: QuantumState) -> HopsFit:
     """Fit p_h minimizing ||a_y X - p_h a_x^dag X|| / ||X||.
 
     X is the state vector of a pure state, else the density matrix
-    (Frobenius norm). Raises FitUndefinedError when a_x^dag X vanishes
-    (x-mode saturated at the truncation edge), where no finite p_h is
-    meaningful.
+    (Frobenius norm), X = sum C C^dag over the state's column blocks
+    (`QuantumState.column_blocks`), which share no row. With M = C^dag C,
+    T = a_y C and B = a_x^dag C on each block,
+
+        p_h        = sum tr(B^dag T M) / sum tr(B^dag B M)
+        residual^2 = sum tr(E^dag E M) / sum tr(M^2),  E = T - p_h B,
+
+    with T and B cut to the rows they reach (sector delta + 1 of a
+    sector's block), and E formed, not expanded, so a small residual
+    keeps its digits. Raises FitUndefinedError when
+    sum tr(B^dag B M) = ||a_x^dag X||^2 vanishes (x-mode saturated at the
+    truncation edge), where no finite p_h is meaningful.
     """
-    x = state.vector if state.vector is not None else state.density
-    target = apply_ladders(x, state.cutoff, k_y=1)
-    basis = apply_ladders(x, state.cutoff, k_x=1, adjoint=True)
-    denom = np.vdot(basis, basis).real
+    terms = []
+    for c in state.column_blocks():
+        target = apply_ladders(c, state.cutoff, k_y=1)
+        basis = apply_ladders(c, state.cutoff, k_x=1, adjoint=True)
+        reached = ((target != 0) | (basis != 0)).any(axis=1)
+        terms.append((c.conj().T @ c, target[reached], basis[reached]))
+    denom = sum(np.vdot(b, b @ m).real for m, _, b in terms)
     if denom < FIT_DENOMINATOR_FLOOR:
         raise FitUndefinedError("a_x^dag annihilates the state; fit undefined")
-    p = complex(np.vdot(basis, target) / denom)
-    residual = float(np.linalg.norm(target - p * basis) / np.linalg.norm(x))
-    return HopsFit(p, residual)
+    p = complex(sum(np.vdot(b, t @ m) for m, t, b in terms) / denom)
+    misfit = norm = 0.0
+    for m, t, b in terms:
+        e = t - p * b
+        misfit += np.vdot(e, e @ m).real
+        norm += np.vdot(m, m).real
+    return HopsFit(p, float(np.sqrt(misfit / norm)))
 
 
 def _order_guard(cutoff: FockCutoff, *orders: int) -> None:
@@ -371,19 +392,16 @@ def coherence_function(
     """Normally ordered field moment.
 
     Gamma^{(m_x, m_y, n_x, n_y)} =
-        Tr[rho a_x^dag^{m_x} a_y^dag^{m_y} a_x^{n_x} a_y^{n_y}].
+        Tr[rho a_x^dag^{m_x} a_y^dag^{m_y} a_x^{n_x} a_y^{n_y}]
+      = sum_C vdot(a_x^{m_x} a_y^{m_y} C, a_x^{n_x} a_y^{n_y} C),
+
+    over the state's column blocks C (`QuantumState.column_blocks`).
     """
     cut = state.cutoff
     _order_guard(cut, m_x + m_y, n_x + n_y)
-    if state.vector is not None:
-        bra_side = apply_ladders(state.vector, cut, m_x, m_y)
-        ket_side = apply_ladders(state.vector, cut, n_x, n_y)
-        return complex(np.vdot(bra_side, ket_side))
-    # with A = a_x^{m_x} a_y^{m_y}, B = a_x^{n_x} a_y^{n_y}:
-    # Tr[rho A^dag B] = conj(Tr[A (B rho)^dag])
-    b_rho = apply_ladders(state.density, cut, n_x, n_y)
-    a_b_rho_dag = apply_ladders(b_rho.conj().T, cut, m_x, m_y)
-    return complex(np.trace(a_b_rho_dag)).conjugate()
+    return complex(sum(np.vdot(apply_ladders(c, cut, m_x, m_y),
+                               apply_ladders(c, cut, n_x, n_y))
+                       for c in state.column_blocks()))
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,8 @@ Operators here are full d^2 x d^2 matrices on the joint truncated
 space, built from Kronecker products of single-mode ladder matrices:
 the independent construction the package's sector, shell and
 ladder-shift computations are checked against. A few small state and
-claim-table accessors that only tests need live here too.
+claim-table accessors that only tests need live here too, among them
+`from_density`, which builds a mixed state from a dense matrix.
 """
 
 import math
@@ -13,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
+from hopslab import fock
 from hopslab.fock import (
     ALGEBRA_TOL,
     VARIANCE_FLOOR,
@@ -91,11 +93,60 @@ def density_matrix(state: QuantumState) -> np.ndarray:
     return state.density
 
 
+def from_density(cutoff: FockCutoff, rho: np.ndarray) -> QuantumState:
+    """`QuantumState.from_blocks` of each populated sector's `eigh`, (G, p).
+
+    Hermiticity is checked `fock.STACK_SLAB` entries of rows at a time.
+    A nonzero entry outside the populated sectors' blocks raises
+    ValueError before any block is decomposed.
+    """
+    m = np.asarray(rho, dtype=complex)
+    if m.shape != (cutoff.dim, cutoff.dim):
+        raise ValueError(f"density matrix has shape {m.shape}, "
+                         f"expected {(cutoff.dim, cutoff.dim)}")
+    step = max(1, fock.STACK_SLAB // cutoff.dim)
+    for lo in range(0, cutoff.dim, step):
+        rows = slice(lo, lo + step)
+        with np.errstate(invalid="ignore"):  # inf - inf is NaN
+            skew = np.max(np.abs(m[rows] - m[:, rows].conj().T))
+        if not skew <= ALGEBRA_TOL:  # a NaN or inf entry fails too
+            raise ValueError("density matrix is not finite and Hermitian "
+                             "within 1e-12")
+    principal = _sector_blocks(cutoff, m)
+    # counted without a copy of `m`
+    if np.count_nonzero(m) != sum(map(np.count_nonzero, principal.values())):
+        raise ValueError("density matrix has entries outside its "
+                         "populated sectors' blocks")
+    return QuantumState.from_blocks(
+        cutoff, {delta: np.linalg.eigh(block)[::-1]
+                 for delta, block in principal.items()})
+
+
+def _sector_blocks(cutoff: FockCutoff, m: np.ndarray) -> dict[int, np.ndarray]:
+    """The principal block of `m` on each sector with a nonzero diagonal."""
+    table = sector_table(cutoff)
+    # unpadded: padding zeros would be near-degenerate with tiny weights
+    rows = {int(table.delta[s]): table.indices[s][table.indices[s] >= 0]
+            for s in np.flatnonzero(np.bincount(table.label[m.diagonal() != 0]))}
+    return {delta: m[np.ix_(row, row)] for delta, row in rows.items()}
+
+
+def populations(state: QuantumState) -> np.ndarray:
+    """Diagonal occupation probabilities in the flat Fock basis."""
+    if state.vector is not None:
+        return np.abs(state.vector) ** 2
+    out = np.zeros(state.cutoff.dim)
+    for slab in state.blocks:
+        g, real = slab.columns, slab.indices >= 0
+        out[slab.indices[real]] = np.einsum("smr,smr->sm", g, g.conj()).real[real]
+    return out
+
+
 def pinched(cutoff: FockCutoff, rho: np.ndarray) -> np.ndarray:
     """rho with its entries between imbalance sectors zeroed.
 
     Its diagonal and sector blocks are kept, so are its trace and
-    positivity: a density `QuantumState.from_density` accepts.
+    positivity: a density `from_density` accepts.
     """
     label = sector_table(cutoff).label
     return np.where(label[:, None] == label[None, :], rho, 0.0)
@@ -178,6 +229,44 @@ def number_operator(cutoff: FockCutoff, mode: str) -> Operator:
 def pair_annihilation(cutoff: FockCutoff) -> Operator:
     """a_y a_x = kron(ladder_x, ladder_y), without a joint-dimension product."""
     return Operator(cutoff, np.kron(_ladder(cutoff.d_x), _ladder(cutoff.d_y)))
+
+
+def ladder_rows(
+    cutoff: FockCutoff, k_x: int, k_y: int, m: np.ndarray,
+    adjoint: bool = False,
+) -> np.ndarray:
+    """(a_x^k_x a_y^k_y) m, or its adjoint times m, for Fock-indexed rows.
+
+    The product kron(ladder_x^k_x, ladder_y^k_y) acts on the (d_x, d_y)
+    axes of m's rows, without being formed.
+    """
+    lower = [np.linalg.matrix_power(_ladder(d), k)
+             for d, k in ((cutoff.d_x, k_x), (cutoff.d_y, k_y))]
+    if adjoint:
+        lower = [factor.conj().T for factor in lower]
+    rows = np.asarray(m).reshape(cutoff.d_x, cutoff.d_y, -1)
+    out = np.einsum("ij,kl,jlc->ikc", *lower, rows, optimize=True)
+    return out.reshape(np.shape(m))
+
+
+def dense_fit(cutoff: FockCutoff, rho: np.ndarray) -> tuple[complex, float]:
+    """(p, residual) minimizing ||a_y rho - p a_x^dag rho|| / ||rho||."""
+    target = ladder_rows(cutoff, 0, 1, rho)
+    basis = ladder_rows(cutoff, 1, 0, rho, adjoint=True)
+    p = complex(np.vdot(basis, target) / np.vdot(basis, basis).real)
+    return p, float(np.linalg.norm(target - p * basis) / np.linalg.norm(rho))
+
+
+def dense_coherence(
+    cutoff: FockCutoff, rho: np.ndarray, m_x: int, m_y: int, n_x: int, n_y: int,
+) -> complex:
+    """Tr[rho a_x^dag^{m_x} a_y^dag^{m_y} a_x^{n_x} a_y^{n_y}].
+
+    With A = a_x^{m_x} a_y^{m_y} and B = a_x^{n_x} a_y^{n_y}, it is
+    Tr[B rho A^dag] = conj(Tr[A (B rho)^dag]).
+    """
+    b_rho = ladder_rows(cutoff, n_x, n_y, rho)
+    return complex(np.trace(ladder_rows(cutoff, m_x, m_y, b_rho.conj().T))).conjugate()
 
 
 def interior_indices(cutoff: FockCutoff, margin: int) -> np.ndarray:

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import hopslab
+import hopslab.cli as cli
 import hopslab.fock as fock
 import hopslab.polarization as polarization
 from hopslab.cli import main
@@ -164,11 +165,24 @@ def test_sweep_truncation_exit_code(tmp_path):
     assert len(rows) == 5
 
 
+def test_the_parser_is_built_once_and_dispatches_at_call_time(
+        monkeypatch, capsys):
+    # the parser names no command function: `main` looks up cmd_<command>
+    # per call, so a cmd_* replaced between two calls is the one that runs
+    cli.build_parser.cache_clear()
+    assert run_cli(["onset"], capsys)[0] == 0
+    monkeypatch.setattr(cli, "cmd_onset", lambda args: 7)
+    assert run_cli(["onset"], capsys)[0] == 7
+    assert cli.build_parser.cache_info().misses == 1
+
+
 def test_verify_passes(capsys):
     code, out = run_cli(["verify", "--cutoff", "12"], capsys)
     assert code == 0
     assert "VERIFY PASS" in out
     assert "FAIL" not in out.replace("VERIFY PASS", "")
+    # the tight product row, saturated by the evolved vacua, counts too
+    assert "0 violations over 100 random states and 3 evolved vacua" in out
     # adjudication notes are present but not gating
     assert "printed form fails, corrected closes" in out
     assert "combined-order map deviates" in out

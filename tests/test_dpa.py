@@ -43,11 +43,13 @@ from dense_reference import (
     build_hidden,
     density_matrix,
     expectation,
+    from_density,
     interaction_hamiltonian,
     matrix_exponential,
     number_operator,
     one_sector_state,
     pinched,
+    populations,
     variance,
 )
 
@@ -137,7 +139,7 @@ def _rectangular_mixture():
     rho = sum(w * density_matrix(random_low_excitation_state(cut, 3, rng))
               for w in (0.5, 0.3, 0.2))
     config = DpaConfig(kt=0.13, leakage_tol=0.999)
-    return QuantumState.from_density(cut, pinched(cut, rho)), config
+    return from_density(cut, pinched(cut, rho)), config
 
 
 def _short_sector_mixture():
@@ -147,7 +149,7 @@ def _short_sector_mixture():
     rng = np.random.default_rng(8)
     g = rng.standard_normal((cut.dim, 6)).view(complex)
     rho = pinched(cut, g @ g.conj().T)
-    return (QuantumState.from_density(cut, rho / np.trace(rho).real),
+    return (from_density(cut, rho / np.trace(rho).real),
             DpaConfig(kt=0.11, leakage_tol=0.999))
 
 
@@ -169,8 +171,7 @@ def _dense_evolution(state, config):
         (-2j * config.kt) * interaction_hamiltonian(state.cutoff)).matrix
     if state.vector is not None:
         return QuantumState.from_vector(state.cutoff, u @ state.vector)
-    return QuantumState.from_density(state.cutoff,
-                                     u @ state.density @ u.conj().T)
+    return from_density(state.cutoff, u @ state.density @ u.conj().T)
 
 
 def _evolved_slabs(state, config):
@@ -224,7 +225,7 @@ def test_slabs_pad_only_to_their_own_longest_sector(make_state):
     # consecutive slabs cover the populated sectors once, in table order
     table = sector_table(state.cutoff)
     populated = np.flatnonzero(np.bincount(
-        table.label[state.populations() != 0.0], minlength=table.delta.size))
+        table.label[populations(state) != 0.0], minlength=table.delta.size))
     assert [s for stack in slabs for s in stack.positions] == \
         populated.tolist()
     for stack in slabs:
@@ -374,7 +375,7 @@ def test_oracle_checks_the_blocks_it_evolves():
     rho = np.zeros((cut.dim, cut.dim), dtype=complex)
     rho[cut.index(0, 0), cut.index(0, 0)] = 1.0 + 5e-11
     rho[cut.index(1, 1), cut.index(1, 1)] = -5e-11
-    accepted = QuantumState.from_density(cut, rho)
+    accepted = from_density(cut, rho)
     config = DpaConfig(kt=0.1)
     assert oracle_moments(accepted, config).valid
     evolve(accepted, config)
@@ -563,7 +564,7 @@ def test_thermal_closed_forms_match_mixed_oracle():
     wy = (nbar_y / (1 + nbar_y)) ** np.arange(cut.d_y) / (1 + nbar_y)
     weights = np.kron(wx, wy)
     rho = np.diag(weights / weights.sum()).astype(complex)
-    state = QuantumState.from_density(cut, rho)
+    state = from_density(cut, rho)
     numeric = oracle_moments(state, DpaConfig(kt=kt))
     closed = thermal_heisenberg_moments(nbar_x, nbar_y, kt)
     assert numeric.valid
@@ -632,7 +633,7 @@ def test_clamped_weights_keep_the_trace():
     vac, single = cut.index(0, 0), cut.index(1, 0)
     rho = np.zeros((cut.dim, cut.dim), dtype=complex)
     rho[vac, vac], rho[single, single] = 1.0 + 5e-11, -5e-11
-    state = QuantumState.from_density(cut, rho)
+    state = from_density(cut, rho)
     assert [stack.positions for stack in state.blocks] == [
         (cut.d_y - 1, cut.d_y)]
     np.testing.assert_array_equal(state.blocks[0].columns[1], 0.0)
@@ -696,7 +697,7 @@ def test_oracle_agrees_between_vector_and_density_forms(seed):
     config = DpaConfig(kt=0.2, leakage_tol=0.9)
     pure = oracle_moments(state, config)
     mixed = oracle_moments(
-        QuantumState.from_density(cut, density_matrix(state)), config)
+        from_density(cut, density_matrix(state)), config)
     for got, want in zip(pure.means + pure.variances,
                          mixed.means + mixed.variances):
         assert got == pytest.approx(want, abs=1e-9)
@@ -738,8 +739,7 @@ def test_oracle_ignores_inter_sector_coherences():
     # the oracle's rows are those of its pinched density
     cut = FockCutoff(9, 8)
     state = random_low_excitation_state(cut, 3, np.random.default_rng(9))
-    dephased = QuantumState.from_density(
-        cut, pinched(cut, density_matrix(state)))
+    dephased = from_density(cut, pinched(cut, density_matrix(state)))
     assert _sectors(dephased) == 7
     for kt in (0.0, 0.17):
         config = DpaConfig(kt=kt, leakage_tol=0.999)

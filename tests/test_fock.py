@@ -20,6 +20,7 @@ from dense_reference import (
     creation,
     density_matrix,
     expectation,
+    from_density,
     interior_indices,
     is_pure,
     matrix_exponential,
@@ -27,6 +28,7 @@ from dense_reference import (
     one_sector_state,
     pair_annihilation,
     pinched,
+    populations,
     variance,
 )
 
@@ -135,7 +137,7 @@ def test_expectation_mixed_matches_pure():
     cut = FockCutoff(3, 3)
     rng = np.random.default_rng(3)
     psi = one_sector_state(cut, 0, rng)
-    rho = QuantumState.from_density(cut, density_matrix(psi))
+    rho = from_density(cut, density_matrix(psi))
     op = number_operator(cut, "y")
     assert expectation(op, rho) == pytest.approx(expectation(op, psi), abs=1e-12)
 
@@ -156,7 +158,7 @@ def test_variance_mixed_state_path():
     # equal mixture of |0,0> and |2,0>: <N_x> = 1, <N_x^2> = 2
     rho = 0.5 * density_matrix(fock_state(cut, 0, 0)) \
         + 0.5 * density_matrix(fock_state(cut, 2, 0))
-    state = QuantumState.from_density(cut, rho)
+    state = from_density(cut, rho)
     assert variance(number_operator(cut, "x"), state) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -233,7 +235,7 @@ def test_from_density_leaves_the_callers_array_writable():
     cut = FockCutoff(3, 3)
     rho = np.zeros((cut.dim, cut.dim), dtype=complex)
     rho[0, 0] = 1.0
-    state = QuantumState.from_density(cut, rho)
+    state = from_density(cut, rho)
     rho[0, 1] = 0.5
     assert state.density[0, 1] == 0.0
     with pytest.raises(ValueError, match="read-only"):
@@ -248,11 +250,11 @@ def test_hermiticity_check_is_cut_by_the_slab_bound(monkeypatch):
     rho = pinched(cut, sum(
         0.5 * density_matrix(random_low_excitation_state(cut, 6, rng))
         for _ in range(2)))
-    assert not is_pure(QuantumState.from_density(cut, rho))
+    assert not is_pure(from_density(cut, rho))
     skew = rho.copy()
     skew[-1, 2] += 1e-9
     with pytest.raises(ValueError, match="Hermitian"):
-        QuantumState.from_density(cut, skew)
+        from_density(cut, skew)
 
 
 def test_state_validation_rejects_bad_inputs():
@@ -262,12 +264,12 @@ def test_state_validation_rejects_bad_inputs():
     herm_bad = np.eye(4, dtype=complex)
     herm_bad[0, 1] = 0.3
     with pytest.raises(ValueError):
-        QuantumState.from_density(cut, herm_bad / np.trace(herm_bad))
+        from_density(cut, herm_bad / np.trace(herm_bad))
     with pytest.raises(ValueError):
-        QuantumState.from_density(cut, 0.7 * np.eye(4) / 4)
+        from_density(cut, 0.7 * np.eye(4) / 4)
     negative = np.diag([1.2, -0.2, 0.0, 0.0]).astype(complex)
     with pytest.raises(ValueError):
-        QuantumState.from_density(cut, negative)
+        from_density(cut, negative)
     # one rule for both: total population |v|^2 or trace 1 within 1e-12
     vacuum = fock_state(cut, 0, 0).vector
     QuantumState.from_vector(cut, (1.0 + 3e-13) * vacuum)
@@ -282,7 +284,7 @@ def test_state_validation_rejects_bad_inputs():
             rho = density_matrix(fock_state(cut, 0, 0))
             rho[entry] = bad
             with pytest.raises(ValueError, match="finite"):
-                QuantumState.from_density(cut, rho)
+                from_density(cut, rho)
 
 
 def test_density_positivity_check_full_matrix_path():
@@ -298,8 +300,8 @@ def test_density_positivity_check_full_matrix_path():
     bad = 1.1 * np.outer(v, v.conj()) - 0.1 * np.outer(w, w.conj())
     for full in (rho, bad):
         with pytest.raises(ValueError, match=COHERENCE):
-            QuantumState.from_density(cut, full)
-    assert not is_pure(QuantumState.from_density(cut, pinched(cut, rho)))
+            from_density(cut, full)
+    assert not is_pure(from_density(cut, pinched(cut, rho)))
 
 
 def test_density_positivity_check_sector_blocks():
@@ -314,10 +316,10 @@ def test_density_positivity_check_sector_blocks():
         rho[vac, pair] = rho[pair, vac] = coherence
         return rho
 
-    assert not is_pure(QuantumState.from_density(cut, density(0.4)))
+    assert not is_pure(from_density(cut, density(0.4)))
     # block [[0.5, 0.9], [0.9, 0.5]] has eigenvalue -0.4
     with pytest.raises(ValueError, match="eigenvalue"):
-        QuantumState.from_density(cut, density(0.9))
+        from_density(cut, density(0.9))
 
 
 def test_density_positivity_check_covers_unpopulated_sectors():
@@ -329,7 +331,7 @@ def test_density_positivity_check_covers_unpopulated_sectors():
     low, high = cut.index(1, 0), cut.index(2, 1)
     rho[low, high] = rho[high, low] = 0.1
     with pytest.raises(ValueError, match=COHERENCE):
-        QuantumState.from_density(cut, rho)
+        from_density(cut, rho)
 
 
 def test_from_density_rejects_entries_between_sectors(monkeypatch):
@@ -341,7 +343,7 @@ def test_from_density_rejects_entries_between_sectors(monkeypatch):
         rho[vac, vac] = rho[pair, pair] = rho[single, single] = 1 / 3
         for i, j in entries:
             rho[i, j] = rho[j, i] = 0.1
-        return QuantumState.from_density(cut, rho)
+        return from_density(cut, rho)
 
     # inside a populated sector's block: accepted
     for entries in ((), ((vac, pair),)):
@@ -368,12 +370,12 @@ def test_density_positivity_check_coherent_density_at_any_size():
         rho[vac, single] = rho[single, vac] = coherence
         return rho
 
-    assert not is_pure(QuantumState.from_density(cut, density(0.0)))
+    assert not is_pure(from_density(cut, density(0.0)))
     # [[0.5, 0.9], [0.9, 0.5]] has eigenvalue -0.4, though each
     # one-entry block is positive
     for coherence in (0.4, 0.9):
         with pytest.raises(ValueError, match=COHERENCE):
-            QuantumState.from_density(cut, density(coherence))
+            from_density(cut, density(coherence))
 
 
 def test_from_blocks_checks_weights_trace_and_shapes():
@@ -382,14 +384,14 @@ def test_from_blocks_checks_weights_trace_and_shapes():
     eye = np.eye(4)
     state = QuantumState.from_blocks(cut, {0: (eye, [0.5, 0.3, 0.2, 0.0])})
     np.testing.assert_array_equal(
-        state.populations()[[cut.index(m, m) for m in range(4)]],
+        populations(state)[[cut.index(m, m) for m in range(4)]],
         np.sqrt([0.5, 0.3, 0.2, 0.0]) ** 2)
     # G need not be orthonormal: the trace is sum_r p_r |G_r|^2, and one
     # column of weight 1 is a pure block
     v = np.array([0.6, 0.0, 0.8j, 0.0])
     pure = QuantumState.from_blocks(cut, {0: (v[:, None], np.ones(1))})
     np.testing.assert_allclose(
-        pure.populations()[[cut.index(m, m) for m in range(4)]],
+        populations(pure)[[cut.index(m, m) for m in range(4)]],
         np.abs(v) ** 2, rtol=0, atol=1e-16)
     with pytest.raises(ValueError, match="trace"):
         QuantumState.from_blocks(cut, {0: (2 * v[:, None], np.ones(1))})
@@ -411,19 +413,39 @@ def test_from_blocks_clamps_as_from_density():
     state = QuantumState.from_blocks(cut, {0: (np.eye(4), weights)})
     diagonal = np.zeros(cut.dim, dtype=complex)
     diagonal[[cut.index(m, m) for m in range(4)]] = weights
-    dense = QuantumState.from_density(cut, np.diag(diagonal))
+    dense = from_density(cut, np.diag(diagonal))
     for clamped in (state, dense):
-        populations = clamped.populations()
-        assert populations.min() == 0.0
-        assert populations.sum() == pytest.approx(1.0, rel=0, abs=1e-15)
+        occupied = populations(clamped)
+        assert occupied.min() == 0.0
+        assert occupied.sum() == pytest.approx(1.0, rel=0, abs=1e-15)
         np.testing.assert_allclose(
-            populations[[cut.index(0, 0), cut.index(1, 1)]],
+            occupied[[cut.index(0, 0), cut.index(1, 1)]],
             np.array(weights[:2]) / (1 + 5e-11), rtol=1e-15)
     # a clamped column counts with its norm, |G_r|^2 = 4 here
     g = np.zeros((4, 2))
     g[0, 0] = g[1, 1] = 2.0
     wide = QuantumState.from_blocks(cut, {0: (g, [(1 + 1e-10) / 4, -2.5e-11])})
-    assert wide.populations()[cut.index(0, 0)] == pytest.approx(1.0, abs=1e-15)
+    assert populations(wide)[cut.index(0, 0)] == pytest.approx(1.0, abs=1e-15)
+
+
+def test_column_blocks_sum_to_the_state():
+    # a mixed state is one block per populated sector, on flat rows that
+    # no two blocks share; a vector is one block, itself
+    cut = FockCutoff(5, 4)
+    rng = np.random.default_rng(4)
+    rho = pinched(cut, sum(
+        0.5 * density_matrix(random_low_excitation_state(cut, 3, rng))
+        for _ in range(2)))
+    blocks = list(from_density(cut, rho).column_blocks())
+    sectors = np.unique(sector_table(cut).label[np.diag(rho) != 0])
+    assert len(blocks) == sectors.size
+    rows = np.concatenate([np.flatnonzero(c.any(axis=1)) for c in blocks])
+    assert rows.size == np.unique(rows).size
+    np.testing.assert_allclose(sum(c @ c.conj().T for c in blocks), rho,
+                               rtol=0, atol=1e-15)
+    psi = random_low_excitation_state(cut, 3, rng)
+    [column] = psi.column_blocks()
+    np.testing.assert_array_equal(column, psi.vector[:, None])
 
 
 def test_sector_table_partitions_the_space():
@@ -472,7 +494,7 @@ def test_evolution_preserves_trace_and_positivity():
         + 0.5 * density_matrix(fock_state(cut, 1, 1))
     evolved = u @ rho @ u.conj().T
     assert np.trace(evolved).real == pytest.approx(1.0, abs=1e-10)
-    assert is_pure(QuantumState.from_density(cut, evolved)) is False
+    assert is_pure(from_density(cut, evolved)) is False
 
 
 CUTOFF_DIMS = st.integers(min_value=3, max_value=7)

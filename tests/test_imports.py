@@ -3,7 +3,9 @@
 `__init__.py` is skipped by the import check: its imports are the
 package's re-exports. A module-level private name (one leading
 underscore) must be read somewhere in the package beyond its own
-definition.
+definition, and a public method of a state or of its slabs somewhere
+in the package, its scripts or its benchmark. No module reads a
+state's dense `density` view.
 """
 
 import ast
@@ -127,17 +129,53 @@ def test_the_guard_finds_a_dense_view_read():
     assert dense_view_reads("density = 1\nstate.matrix\n") == 0
 
 
-def test_only_polarization_reads_the_dense_view():
+def test_no_module_reads_the_dense_view():
     # `QuantumState.density` builds a d^2 x d^2 array on each call for a
-    # block state: evolution (`dpa`) works on slabs alone, and only the
-    # criterion fit and the coherence functions read it
+    # block state: evolution (`dpa`) works on slabs, and the criterion
+    # fit and the coherence functions on column blocks
     readers = {path.stem: dense_view_reads(path.read_text())
                for path in PACKAGE.glob("*.py")}
-    assert {stem: n for stem, n in readers.items() if n} == {"polarization": 2}
+    assert {stem: n for stem, n in readers.items() if n} == {}
 
 
-def test_evolution_decomposes_no_state():
-    # `from_density` decomposes a density and checks its spectrum; a
-    # unitary step cannot break what it checked, so `dpa` never calls it
-    tree = ast.parse((PACKAGE / "dpa.py").read_text())
-    assert "from_density" not in set().union(*map(names_read, tree.body))
+def public_methods(source: str, classes: set[str]) -> list[str]:
+    """The public methods and properties of the source's `classes`."""
+    return [f"{node.name}.{item.name}"
+            for node in ast.parse(source).body
+            if isinstance(node, ast.ClassDef) and node.name in classes
+            for item in node.body
+            if isinstance(item, ast.FunctionDef)
+            and not item.name.startswith("_")]
+
+
+def unread_methods(methods: list[str], sources: list[str]) -> list[str]:
+    """The `Class.method`s that no source reads as an attribute."""
+    read = {node.attr for source in sources
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute)}
+    return [method for method in methods
+            if method.partition(".")[2] not in read]
+
+
+def test_the_guard_finds_an_unread_method():
+    source = ("class A:\n    def used(self):\n        pass\n"
+              "    @property\n    def view(self):\n        pass\n"
+              "    def _private(self):\n        pass\n"
+              "class B:\n    def other(self):\n        pass\n")
+    methods = public_methods(source, {"A"})
+    assert methods == ["A.used", "A.view"]
+    assert unread_methods(methods, [source, "A().used()\n"]) == ["A.view"]
+    # a local name is not a read of the method
+    assert unread_methods(methods, ["view = 1\nA.used\n"]) == ["A.view"]
+
+
+def test_every_public_state_method_is_read():
+    # test-only production code goes: each method of a state and of its
+    # slabs is read by the package, its scripts or its benchmark
+    methods = public_methods((PACKAGE / "fock.py").read_text(),
+                             {"QuantumState", "SectorStack"})
+    assert {"QuantumState.from_blocks", "SectorStack.eigenpairs"} <= set(methods)
+    root = PACKAGE.parents[1]
+    sources = [path.read_text() for folder in ("src", "scripts", "bench")
+               for path in sorted((root / folder).rglob("*.py"))]
+    assert unread_methods(methods, sources) == []

@@ -1,10 +1,14 @@
 """Tests for the Stokes and hidden operator families."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from hopslab.dpa import DpaConfig, evolve
 from hopslab.fock import (
+    ALGEBRA_TOL,
     FockCutoff,
     QuantumState,
     fock_state,
@@ -21,11 +25,15 @@ from hopslab.polarization import (
     verify_hidden_commutators,
     verify_stokes_commutators,
 )
+from hopslab.squeezing import thermal_state
 from dense_reference import (
     build_hidden,
     build_stokes,
+    dense_coherence,
+    dense_fit,
     density_matrix,
     expectation,
+    from_density,
     interior_indices,
     number_diagonals,
     one_sector_state,
@@ -221,6 +229,22 @@ def test_vacuum_uncertainty_products():
     assert by_name["VarH0*VarH2 >= |<H3>|^2"].lhs == pytest.approx(0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("kt", [0.1, 0.22, 0.3])
+def test_evolved_vacua_saturate_the_tight_uncertainty_product(kt):
+    # [H2, H3] = 2i(1 + H0): Var H2 Var H3 >= (1 + <H0>)^2, with equality
+    # on the two-mode squeezed vacuum
+    evolved = evolve(fock_state(FockCutoff(40, 40), 0, 0), DpaConfig(kt=kt))
+    products = uncertainty_products(evolved)
+    assert [p.name for p in products[:3]] == [
+        "VarH0*VarH2 >= |<H3>|^2", "VarH2*VarH3 >= |<H0>|^2",
+        "VarH3*VarH0 >= |<H2>|^2"]
+    tight = products[3]
+    assert tight.name == "VarH2*VarH3 >= (1+<H0>)^2"
+    assert tight.satisfied()
+    assert abs(tight.lhs / tight.rhs - 1.0) <= 1e-12
+    assert tight.rhs > products[1].rhs
+
+
 @given(seed=SEEDS)
 def test_uncertainty_products_hold_on_random_states(seed):
     cut = FockCutoff(7, 7)
@@ -270,7 +294,7 @@ def test_fit_agrees_between_vector_and_density_forms(seed):
     cut = FockCutoff(6, 6)
     rng = np.random.default_rng(seed)
     state = one_sector_state(cut, int(rng.integers(-2, 3)), rng)
-    as_density = QuantumState.from_density(cut, density_matrix(state))
+    as_density = from_density(cut, density_matrix(state))
     fit_vec = fit_hops_criterion(state)
     fit_rho = fit_hops_criterion(as_density)
     assert abs(fit_vec.p_h - fit_rho.p_h) < 1e-10
@@ -310,11 +334,51 @@ def test_coherence_pure_and_density_paths_agree(seed):
     cut = FockCutoff(6, 6)
     rng = np.random.default_rng(seed)
     state = one_sector_state(cut, int(rng.integers(-2, 3)), rng)
-    as_density = QuantumState.from_density(cut, density_matrix(state))
+    as_density = from_density(cut, density_matrix(state))
     for orders in ((1, 0, 1, 0), (0, 1, 1, 0), (1, 1, 0, 2), (2, 0, 0, 0)):
         pure = coherence_function(state, *orders)
         mixed = coherence_function(as_density, *orders)
         assert abs(pure - mixed) < 1e-10
+
+
+MIXED_STATES = {
+    # d_x != d_y, so a mix-up of the two mode axes cannot cancel
+    "thermal-10x12": lambda: thermal_state(FockCutoff(10, 12), 0.5, 0.3),
+    "evolved-30x30": lambda: evolve(
+        thermal_state(FockCutoff(30, 30), 0.5, 0.3), DpaConfig(kt=0.2)),
+}
+ORDERS = [(m_x, m_y) for m_x in range(3) for m_y in range(3 - m_x)]
+
+
+@pytest.mark.parametrize("name", MIXED_STATES)
+def test_mixed_fit_and_coherences_match_the_dense_reference(name):
+    state = MIXED_STATES[name]()
+    cut, rho = state.cutoff, density_matrix(state)
+    fit = fit_hops_criterion(state)
+    p, residual = dense_fit(cut, rho)
+    assert abs(fit.p_h - p) <= ALGEBRA_TOL * max(1.0, abs(p))
+    assert abs(fit.residual - residual) <= ALGEBRA_TOL
+    for bra in ORDERS:
+        for ket in ORDERS:
+            want = dense_coherence(cut, rho, *bra, *ket)
+            got = coherence_function(state, *bra, *ket)
+            assert abs(got - want) <= ALGEBRA_TOL * max(1.0, abs(want)), \
+                (bra, ket)
+
+
+def test_mixed_fit_and_coherence_build_no_dense_array():
+    # the d^2 x d^2 density of a 40 x 40 state is 41 MB; read through it,
+    # the fit traced 205 MB and the coherence 162 MB
+    state = thermal_state(FockCutoff(40, 40), 0.5, 0.3)
+    for call in (lambda: fit_hops_criterion(state),
+                 lambda: coherence_function(state, 1, 1, 1, 1)):
+        tracemalloc.start()
+        try:
+            call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6
 
 
 def test_coherence_order_guard():
@@ -346,6 +410,6 @@ def test_factorization_requires_pure_state():
     rho = np.zeros((cut.dim, cut.dim), dtype=complex)
     rho[cut.index(0, 0), cut.index(0, 0)] = 0.5
     rho[cut.index(1, 1), cut.index(1, 1)] = 0.5
-    mixed = QuantumState.from_density(cut, rho)
+    mixed = from_density(cut, rho)
     with pytest.raises(ValueError):
         factorization_residuals(mixed)
