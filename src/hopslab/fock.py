@@ -26,12 +26,10 @@ of array operations per slab.
 package's one statement of those input rules; states, closed forms,
 thermal weights, state models and evolution all call them.
 
-`apply_ladders` serves the remaining state-level computations, the
-criterion fit and the coherences (`polarization`), which read a state
-as Fock-indexed column blocks (`QuantumState.column_blocks`): a ladder
-operator acts on the (d_x, d_y) view of a state vector, or of a matrix
-with Fock-indexed rows, as an index shift times a sqrt(n + 1) weight.
-No operator is stored as a joint-dimension matrix: the
+The criterion fit and the coherences (`polarization`) read a state as
+blocks (rows, C) on their own flat rows, a vector's support or one
+sector (`QuantumState.row_blocks`), on which `ladder_block` shifts flat
+indices. No operator is stored as a joint-dimension matrix: the
 commutator tables (`polarization`) run on the chains each operator set
 conserves. Operations are exact on the truncated space; fidelity to the
 infinite-dimensional physics is certified post hoc with
@@ -61,6 +59,7 @@ TABLE_ENTRY_BYTES = 136    # `sector_table`'s peak per (sector, position) entry
 STACK_SLAB = 2**14
 
 Blocks = dict[int, tuple[np.ndarray, np.ndarray]]  # (G, p) by sector delta
+Block = tuple[np.ndarray, np.ndarray]  # (rows, C): C's rows at flat `rows`
 
 
 @dataclass(frozen=True)
@@ -96,12 +95,11 @@ class FockCutoff:
 class QuantumState:
     """A pure state vector, or a mixed state held as its sector blocks.
 
-    Build through from_vector or from_blocks (or fock_state, or
-    another state's `with_columns`): each fills
-    `blocks`, the sectors the state populates as slabs of weighted
-    columns, once. A built state has unit total population, the sum
-    over its slabs (`require_unit_trace`), and read-only arrays. A
-    mixed state's `density` is a read-only view, built on demand.
+    Build through from_vector or from_blocks (or fock_state, or another
+    state's `with_columns`); each fills `blocks`, the populated sectors
+    as slabs of weighted columns, once. A built state has unit total
+    population (`require_unit_trace`) and read-only arrays; a mixed
+    state's `density` is a read-only view, built on demand.
     """
 
     cutoff: FockCutoff
@@ -177,23 +175,21 @@ class QuantumState:
             v[slab.indices[real]] = slab.columns[real, 0]
         return self.from_vector(self.cutoff, v / np.linalg.norm(v))
 
-    def column_blocks(self) -> Iterator[np.ndarray]:
-        """Fock-indexed columns C, (dim, r), whose C C^dag sum to the state.
+    def row_blocks(self) -> Iterator[Block]:
+        """Blocks (rows, C) whose C C^dag, placed at `rows`, sum to the state.
 
-        A vector is one block, itself; a mixed state is one block per
-        populated sector, its slab columns scattered to their flat
-        indices, so no two blocks share a row.
+        A vector is one block, its support; a mixed state is one block
+        per populated sector, its ascending flat indices and its
+        unpadded columns, so no two blocks share a row.
         """
         if self.vector is not None:
-            yield self.vector[:, None]
+            rows = np.flatnonzero(self.vector)
+            yield rows, self.vector[rows, None]
             return
         for slab in self.blocks:
             for row, g in zip(slab.indices, slab.columns):
                 g = g[row >= 0]
-                g = g[:, g.any(axis=0)]  # without the slab's zero padding
-                block = np.zeros((self.cutoff.dim, g.shape[1]), dtype=complex)
-                block[row[row >= 0]] = g
-                yield block
+                yield row[row >= 0], g[:, g.any(axis=0)]
 
     @property
     def density(self) -> np.ndarray | None:
@@ -201,10 +197,8 @@ class QuantumState:
         if self.vector is not None:
             return None
         m = np.zeros((self.cutoff.dim, self.cutoff.dim), dtype=complex)
-        for slab in self.blocks:
-            for row, g in zip(slab.indices, slab.columns):
-                g, row = g[row >= 0], row[row >= 0]
-                m[np.ix_(row, row)] = g @ g.conj().T
+        for rows, c in self.row_blocks():
+            m[np.ix_(rows, rows)] = c @ c.conj().T
         m.flags.writeable = False
         return m
 
@@ -460,44 +454,35 @@ def fock_state(cutoff: FockCutoff, n_x: int, n_y: int) -> QuantumState:
     return QuantumState.from_vector(cutoff, v)
 
 
-def apply_ladders(
-    array: np.ndarray, cutoff: FockCutoff, k_x: int = 0, k_y: int = 0,
+def ladder_block(
+    cutoff: FockCutoff, block: Block, k_x: int = 0, k_y: int = 0,
     adjoint: bool = False,
-) -> np.ndarray:
-    """a_x^{k_x} a_y^{k_y}, or its adjoint, applied to the Fock index.
+) -> Block:
+    """a_x^{k_x} a_y^{k_y}, or its adjoint, applied to a block (rows, C).
 
-    `array` is a state vector (dim,) or a matrix (dim, k) with
-    Fock-indexed rows. On its (d_x, d_y) view each ladder is a shift by
-    one level times a sqrt(n + 1) weight; amplitude raised past the top
-    level is dropped, as it is by truncated ladder matrices.
+    Each of the ascending flat `rows` moves by -(k_x d_y + k_y), or by
+    +(k_x d_y + k_y) for the adjoint, times sqrt(n!/(n - k)!) per mode
+    at the step's upper level n; rows that leave the cutoff are dropped,
+    as truncated ladder matrices drop them.
     """
-    x = np.asarray(array)
-    if x.ndim not in (1, 2) or x.shape[0] != cutoff.dim:
-        raise ValueError(
-            f"array of shape {x.shape} is not Fock-indexed on {cutoff}")
-    if k_x < 0 or k_y < 0:
-        raise ValueError("ladder powers must be non-negative")
-    d_x, d_y = cutoff.d_x, cutoff.d_y
-    block = x.reshape((d_x, d_y) + x.shape[1:])
-    out = np.zeros(block.shape, dtype=np.result_type(block, float))
-    if k_x < d_x and k_y < d_y:
-        low = (slice(0, d_x - k_x), slice(0, d_y - k_y))
-        high = (slice(k_x, d_x), slice(k_y, d_y))
-        weight = _ladder_weight(d_x, d_y, k_x, k_y).reshape(
-            (d_x - k_x, d_y - k_y) + (1,) * (x.ndim - 1))
-        if adjoint:
-            out[high] = weight * block[low]
-        else:
-            out[low] = weight * block[high]
-    return out.reshape(x.shape)
+    require_photon_numbers(k_x, k_y)
+    rows, columns = block
+    if rows.size and not (0 <= rows[0] and rows[-1] < cutoff.dim):
+        raise ValueError(f"block rows outside {cutoff}")
+    n_x, n_y = np.divmod(rows, cutoff.d_y)
+    if adjoint:
+        n_x, n_y = n_x + k_x, n_y + k_y
+    weight = _root_falling(cutoff.d_x, k_x)[n_x] * _root_falling(cutoff.d_y, k_y)[n_y]
+    kept = weight != 0
+    step = (k_x * cutoff.d_y + k_y) * (1 if adjoint else -1)
+    return rows[kept] + step, weight[kept, None] * columns[kept]
 
 
 @lru_cache(maxsize=64)
-def _ladder_weight(d_x: int, d_y: int, k_x: int, k_y: int) -> np.ndarray:
-    """sqrt((n_x+1)...(n_x+k_x) (n_y+1)...(n_y+k_y)), for n_m < d_m - k_m."""
-    rise_x = np.arange(1.0, d_x - k_x + 1.0)[:, None] + np.arange(k_x)
-    rise_y = np.arange(1.0, d_y - k_y + 1.0)[:, None] + np.arange(k_y)
-    weight = np.sqrt(np.outer(rise_x.prod(axis=1), rise_y.prod(axis=1)))
+def _root_falling(d: int, k: int) -> np.ndarray:
+    """sqrt(n (n-1) ... (n-k+1)), n = 0..d+k-1, and 0 past the cutoff d."""
+    n = np.arange(d + k, dtype=float)
+    weight = np.sqrt(np.prod(n[:, None] - np.arange(k), axis=1) * (n < d))
     weight.setflags(write=False)
     return weight
 
@@ -506,6 +491,7 @@ def random_low_excitation_state(
     cutoff: FockCutoff, max_level: int, rng: np.random.Generator,
 ) -> QuantumState:
     """Random pure state supported on n_x, n_y <= max_level."""
+    require_photon_numbers(max_level)
     if max_level >= min(cutoff.d_x, cutoff.d_y):
         raise ValueError("max_level must sit inside the cutoff")
     v = np.zeros(cutoff.dim, dtype=complex)

@@ -20,10 +20,10 @@ rule. The weights of those sums depend only on the sector: they are
 built once per cutoff, in `fock.sector_table`, and each slab gathers
 its own, so any set of columns on it, such as the dynamics oracle's
 evolved columns at each kt, is measured with no set-up. The
-criterion fit and the coherence functions take one path for every
-state: ladder shifts (`fock.apply_ladders`) of its column blocks
-(`QuantumState.column_blocks`), a vector's one column or a mixed
-state's columns sector by sector, so no d^2 x d^2 array is formed.
+criterion fit, the coherence functions and the factorization check
+take one path for every state: ladder shifts (`fock.ladder_block`) of
+its blocks (`QuantumState.row_blocks`), compared on the rows two
+images share, so no array is d^2 long.
 
 The commutator tables run on the chains each set conserves, both rows
 of `fock.sector_table`: imbalance sectors for the hidden set (su(1,1)),
@@ -48,11 +48,12 @@ import numpy as np
 
 from .fock import (
     VARIANCE_FLOOR,
+    Block,
     FockCutoff,
     QuantumState,
     SectorStack,
     _physical_memory,
-    apply_ladders,
+    ladder_block,
     sector_table,
 )
 
@@ -341,49 +342,66 @@ class HopsFit:
     residual: float
 
 
+def _aligned(a: Block, b: Block) -> np.ndarray:
+    """The columns of blocks a and b, zero-filled on their rows' union."""
+    # one sort; np.union1d would import numpy.ma on its first call (~12 ms)
+    rows, where = np.unique(np.concatenate([a[0], b[0]]), return_inverse=True)
+    aligned = np.zeros((2, rows.size, a[1].shape[1]), dtype=complex)
+    aligned[0, where[:a[0].size]], aligned[1, where[a[0].size:]] = a[1], b[1]
+    return aligned
+
+
 def fit_hops_criterion(state: QuantumState) -> HopsFit:
     """Fit p_h minimizing ||a_y X - p_h a_x^dag X|| / ||X||.
 
     X is the state vector of a pure state, else the density matrix
-    (Frobenius norm), X = sum C C^dag over the state's column blocks
-    (`QuantumState.column_blocks`), which share no row. With M = C^dag C,
-    T = a_y C and B = a_x^dag C on each block,
+    (Frobenius norm), X = sum C C^dag over the state's blocks (rows, C)
+    (`QuantumState.row_blocks`), which share no row. With M = C^dag C,
+    T = a_y C and B = a_x^dag C on the union of the rows they reach,
 
         p_h        = sum tr(B^dag T M) / sum tr(B^dag B M)
         residual^2 = sum tr(E^dag E M) / sum tr(M^2),  E = T - p_h B,
 
-    with T and B cut to the rows they reach (sector delta + 1 of a
-    sector's block), and E formed, not expanded, so a small residual
-    keeps its digits. Raises FitUndefinedError when
-    sum tr(B^dag B M) = ||a_x^dag X||^2 vanishes (x-mode saturated at the
-    truncation edge), where no finite p_h is meaningful.
+    with E formed, not expanded, so a small residual keeps its digits.
+    Raises FitUndefinedError when sum tr(B^dag B M) = ||a_x^dag X||^2
+    vanishes (x-mode saturated at the truncation edge), where no finite
+    p_h is meaningful.
     """
-    terms = []
-    for c in state.column_blocks():
-        target = apply_ladders(c, state.cutoff, k_y=1)
-        basis = apply_ladders(c, state.cutoff, k_x=1, adjoint=True)
-        reached = ((target != 0) | (basis != 0)).any(axis=1)
-        terms.append((c.conj().T @ c, target[reached], basis[reached]))
+    terms = [(c.conj().T @ c, *_aligned(
+        ladder_block(state.cutoff, (rows, c), k_y=1),
+        ladder_block(state.cutoff, (rows, c), k_x=1, adjoint=True)))
+        for rows, c in state.row_blocks()]
     denom = sum(np.vdot(b, b @ m).real for m, _, b in terms)
     if denom < FIT_DENOMINATOR_FLOOR:
         raise FitUndefinedError("a_x^dag annihilates the state; fit undefined")
     p = complex(sum(np.vdot(b, t @ m) for m, t, b in terms) / denom)
-    misfit = norm = 0.0
-    for m, t, b in terms:
-        e = t - p * b
-        misfit += np.vdot(e, e @ m).real
-        norm += np.vdot(m, m).real
+    misfit = sum(np.vdot(e := t - p * b, e @ m).real for m, t, b in terms)
+    norm = sum(np.vdot(m, m).real for m, _, _ in terms)
     return HopsFit(p, float(np.sqrt(misfit / norm)))
 
 
-def _order_guard(cutoff: FockCutoff, *orders: int) -> None:
-    for k in orders:
-        if k < 0:
-            raise ValueError("coherence orders must be non-negative")
-    limit = min(cutoff.d_x, cutoff.d_y) - 2
-    if max(orders) > limit:
+def _gram(state: QuantumState, bras: list, kets: list) -> np.ndarray:
+    """Tr[rho X^dag Y] for each ladder chain X of `bras` and Y of `kets`.
+
+    A chain is a list of (k_x, k_y, adjoint) steps of `fock.ladder_block`,
+    applied in order; its total order may be at most min(d_x, d_y) - 2.
+    The trace is the sum over the state's blocks (rows, C) of
+    vdot(X C, Y C), on the rows the two images share.
+    """
+    cut, chains = state.cutoff, bras + kets
+    order = max(sum(k_x + k_y for k_x, k_y, _ in chain) for chain in chains)
+    if order > min(cut.d_x, cut.d_y) - 2:
         raise ValueError(
-            f"coherence order {max(orders)} exceeds the safe margin for {cutoff}")
+            f"coherence order {order} exceeds the safe margin for {cut}")
+    gram = np.zeros((len(bras), len(kets)), dtype=complex)
+    for block in state.row_blocks():
+        images = [block] * len(chains)
+        for a, chain in enumerate(chains):
+            for step in chain:
+                images[a] = ladder_block(cut, images[a], *step)
+        gram += [[np.vdot(*_aligned(x, y)) for y in images[len(bras):]]
+                 for x in images[:len(bras)]]
+    return gram
 
 
 def coherence_function(
@@ -395,13 +413,12 @@ def coherence_function(
         Tr[rho a_x^dag^{m_x} a_y^dag^{m_y} a_x^{n_x} a_y^{n_y}]
       = sum_C vdot(a_x^{m_x} a_y^{m_y} C, a_x^{n_x} a_y^{n_y} C),
 
-    over the state's column blocks C (`QuantumState.column_blocks`).
+    over the state's blocks (`_gram`). The orders are integers >= 0
+    (`fock.require_photon_numbers`), each side's total at most
+    min(d_x, d_y) - 2; others raise ValueError.
     """
-    cut = state.cutoff
-    _order_guard(cut, m_x + m_y, n_x + n_y)
-    return complex(sum(np.vdot(apply_ladders(c, cut, m_x, m_y),
-                               apply_ladders(c, cut, n_x, n_y))
-                       for c in state.column_blocks()))
+    bra, ket = [(m_x, m_y, False)], [(n_x, n_y, False)]
+    return complex(_gram(state, [bra], [ket])[0, 0])
 
 
 @dataclass(frozen=True)
@@ -424,36 +441,32 @@ class FactorizationCheck:
 def factorization_residuals(state: QuantumState) -> list[FactorizationCheck]:
     """Compare coherence functions against both factorized forms.
 
-    Orders m_x + m_y, n_x + n_y <= FACTORIZATION_ORDER. For a pure state
-    obeying a_y|psi> = p a_x^dag|psi> (p from `fit_hops_criterion`),
+    Orders m_x + m_y, n_x + n_y <= FACTORIZATION_ORDER. For a state
+    obeying a_y rho = p a_x^dag rho (p from `fit_hops_criterion`),
     eliminating every y-ladder gives the exact reduction
 
         Gamma^{(m_x,m_y,n_x,n_y)} = conj(p)^{m_y} p^{n_y}
-            <a_x^{m_y} a_x^dag^{m_x} a_x^{n_x} a_x^dag^{n_y}>.
+            Tr[rho a_x^{m_y} a_x^dag^{m_x} a_x^{n_x} a_x^dag^{n_y}],
 
+    a `_gram` entry like Gamma, with a_x^i a_x^dag^j for a_x^i a_y^j.
     The published map instead reuses the normally ordered single-mode
     Gamma at combined orders; its residual is reported, not asserted.
-    Pure states only.
     """
-    if state.vector is None:
-        raise ValueError("factorization check is defined for pure states")
-    cut = state.cutoff
     p = fit_hops_criterion(state).p_h
+    sides = [(k_x, k_y) for k_x in range(FACTORIZATION_ORDER + 1)
+             for k_y in range(FACTORIZATION_ORDER + 1 - k_x)]
+    plain = [[(i, j, False)] for i, j in sides]
+    x_only = [[(j, 0, True), (i, 0, False)] for i, j in sides]
+    gammas, xmoments = _gram(state, plain, plain), _gram(state, x_only, x_only)
     rows: list[FactorizationCheck] = []
-    for m_x in range(FACTORIZATION_ORDER + 1):
-        for m_y in range(FACTORIZATION_ORDER + 1 - m_x):
-            for n_x in range(FACTORIZATION_ORDER + 1):
-                for n_y in range(FACTORIZATION_ORDER + 1 - n_x):
-                    gamma = coherence_function(state, m_x, m_y, n_x, n_y)
-                    vec = apply_ladders(state.vector, cut, n_y, adjoint=True)
-                    vec = apply_ladders(vec, cut, n_x)
-                    vec = apply_ladders(vec, cut, m_x, adjoint=True)
-                    vec = apply_ladders(vec, cut, m_y)
-                    xmoment = complex(np.vdot(state.vector, vec))
-                    reduced = (np.conj(p) ** m_y) * (p ** n_y) * xmoment
-                    printed = (np.conj(p) ** m_y) * (p ** n_y) * \
-                        coherence_function(state, m_x + m_y, 0, n_x + n_y, 0)
-                    rows.append(FactorizationCheck(
-                        (m_x, m_y, n_x, n_y), gamma, reduced, printed,
-                        abs(gamma - reduced), abs(gamma - printed)))
+    for a, (m_x, m_y) in enumerate(sides):
+        for b, (n_x, n_y) in enumerate(sides):
+            gamma = complex(gammas[a, b])
+            scale = (np.conj(p) ** m_y) * (p ** n_y)
+            reduced = scale * xmoments[a, b]
+            printed = scale * gammas[sides.index((m_x + m_y, 0)),
+                                     sides.index((n_x + n_y, 0))]
+            rows.append(FactorizationCheck(
+                (m_x, m_y, n_x, n_y), gamma, reduced, printed,
+                abs(gamma - reduced), abs(gamma - printed)))
     return rows

@@ -7,8 +7,8 @@ from hopslab.dpa import boundary_leakage
 from hopslab.fock import (
     FockCutoff,
     QuantumState,
-    apply_ladders,
     fock_state,
+    ladder_block,
     random_low_excitation_state,
     sector_table,
 )
@@ -162,13 +162,19 @@ def test_variance_mixed_state_path():
     assert variance(number_operator(cut, "x"), state) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_apply_ladders_matches_dense_powers_on_rectangular_cutoff():
+def test_ladder_block_matches_dense_powers_on_rectangular_cutoff():
     # d_x != d_y, so a mix-up of the two mode axes cannot cancel out
     cut = FockCutoff(7, 10)
     rng = np.random.default_rng(21)
     vec = rng.standard_normal(cut.dim) + 1j * rng.standard_normal(cut.dim)
     mat = (rng.standard_normal((cut.dim, 3))
            + 1j * rng.standard_normal((cut.dim, 3)))
+    sector = sector_table(cut).indices[cut.d_y + 1]  # n_x - n_y = 2
+    sector = sector[sector >= 0]
+    one_sector = np.zeros((cut.dim, 2), dtype=complex)
+    one_sector[sector] = mat[sector, :2]
+    blocks = [(np.arange(cut.dim), vec[:, None]), (np.arange(cut.dim), mat),
+              (sector, one_sector[sector])]
     power = np.linalg.matrix_power
     a_x, a_y = annihilation(cut, "x").matrix, annihilation(cut, "y").matrix
     c_x, c_y = creation(cut, "x").matrix, creation(cut, "y").matrix
@@ -176,16 +182,21 @@ def test_apply_ladders_matches_dense_powers_on_rectangular_cutoff():
         for k_y in range(3):
             lower = power(a_x, k_x) @ power(a_y, k_y)
             raise_ = power(c_x, k_x) @ power(c_y, k_y)
-            for x in (vec, mat):
-                got = apply_ladders(x, cut, k_x, k_y)
-                assert got.shape == x.shape
-                np.testing.assert_allclose(got, lower @ x, rtol=0, atol=1e-13)
-                got = apply_ladders(x, cut, k_x, k_y, adjoint=True)
-                np.testing.assert_allclose(got, raise_ @ x, rtol=0, atol=1e-13)
+            for block, dense in zip(blocks, (vec[:, None], mat, one_sector)):
+                for adjoint, want in ((False, lower @ dense),
+                                      (True, raise_ @ dense)):
+                    rows, got = ladder_block(cut, block, k_x, k_y, adjoint)
+                    # ascending rows, and every nonzero row of the product
+                    assert np.all(np.diff(rows) > 0)
+                    assert set(np.flatnonzero(want.any(axis=1))) <= set(rows)
+                    scattered = np.zeros_like(want)
+                    scattered[rows] = got
+                    np.testing.assert_allclose(scattered, want,
+                                               rtol=0, atol=1e-13)
     with pytest.raises(ValueError):
-        apply_ladders(vec[:-1], cut, 1)
+        ladder_block(cut, (np.array([0, cut.dim]), mat[:2]), 1)
     with pytest.raises(ValueError):
-        apply_ladders(vec, cut, -1)
+        ladder_block(cut, blocks[0], -1)
 
 
 def test_matrix_exponential_of_zero_is_identity():
@@ -428,24 +439,37 @@ def test_from_blocks_clamps_as_from_density():
     assert populations(wide)[cut.index(0, 0)] == pytest.approx(1.0, abs=1e-15)
 
 
-def test_column_blocks_sum_to_the_state():
-    # a mixed state is one block per populated sector, on flat rows that
-    # no two blocks share; a vector is one block, itself
+def test_row_blocks_sum_to_the_state():
+    # a mixed state is one block per populated sector, on ascending flat
+    # rows that no two blocks share; a vector is one block, its support
     cut = FockCutoff(5, 4)
     rng = np.random.default_rng(4)
     rho = pinched(cut, sum(
         0.5 * density_matrix(random_low_excitation_state(cut, 3, rng))
         for _ in range(2)))
-    blocks = list(from_density(cut, rho).column_blocks())
+    blocks = list(from_density(cut, rho).row_blocks())
     sectors = np.unique(sector_table(cut).label[np.diag(rho) != 0])
     assert len(blocks) == sectors.size
-    rows = np.concatenate([np.flatnonzero(c.any(axis=1)) for c in blocks])
+    rows = np.concatenate([r for r, _ in blocks])
     assert rows.size == np.unique(rows).size
-    np.testing.assert_allclose(sum(c @ c.conj().T for c in blocks), rho,
-                               rtol=0, atol=1e-15)
+    assert all(np.all(np.diff(r) > 0) for r, _ in blocks)
+    total = np.zeros_like(rho)
+    for r, c in blocks:
+        total[np.ix_(r, r)] += c @ c.conj().T
+    np.testing.assert_allclose(total, rho, rtol=0, atol=1e-15)
     psi = random_low_excitation_state(cut, 3, rng)
-    [column] = psi.column_blocks()
-    np.testing.assert_array_equal(column, psi.vector[:, None])
+    [(support, column)] = psi.row_blocks()
+    np.testing.assert_array_equal(support, np.flatnonzero(psi.vector))
+    np.testing.assert_array_equal(column, psi.vector[support, None])
+
+
+def test_random_state_level_is_a_photon_number():
+    # -1 divided 0/0 into a NaN trace, and 2.5 raised a TypeError
+    cut = FockCutoff(5, 5)
+    rng = np.random.default_rng(0)
+    for level in (-1, 2.5, 5):
+        with pytest.raises(ValueError):
+            random_low_excitation_state(cut, level, rng)
 
 
 def test_sector_table_partitions_the_space():

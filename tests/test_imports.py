@@ -5,7 +5,8 @@ package's re-exports. A module-level private name (one leading
 underscore) must be read somewhere in the package beyond its own
 definition, and a public method of a state or of its slabs somewhere
 in the package, its scripts or its benchmark. No module reads a
-state's dense `density` view.
+state's dense `density` view, and `polarization` reads neither a
+cutoff's joint dimension nor a state's vector.
 """
 
 import ast
@@ -118,24 +119,34 @@ def test_every_private_name_is_used():
     assert unreferenced_privates(sources) == []
 
 
-def dense_view_reads(source: str) -> int:
-    """How many times the source reads an attribute named `density`."""
-    return sum(isinstance(node, ast.Attribute) and node.attr == "density"
+def attribute_reads(source: str, attr: str) -> int:
+    """How many times the source reads an attribute named `attr`."""
+    return sum(isinstance(node, ast.Attribute) and node.attr == attr
                for node in ast.walk(ast.parse(source)))
 
 
 def test_the_guard_finds_a_dense_view_read():
-    assert dense_view_reads("rho = state.density\nstate.density[0]\n") == 2
-    assert dense_view_reads("density = 1\nstate.matrix\n") == 0
+    source = "rho = state.density\nstate.density[0]\n"
+    assert attribute_reads(source, "density") == 2
+    assert attribute_reads("density = 1\nstate.matrix\n", "density") == 0
+    assert attribute_reads("dim = 1\nstate.cutoff.dim\n", "dim") == 1
 
 
 def test_no_module_reads_the_dense_view():
     # `QuantumState.density` builds a d^2 x d^2 array on each call for a
     # block state: evolution (`dpa`) works on slabs, and the criterion
     # fit and the coherence functions on column blocks
-    readers = {path.stem: dense_view_reads(path.read_text())
+    readers = {path.stem: attribute_reads(path.read_text(), "density")
                for path in PACKAGE.glob("*.py")}
     assert {stem: n for stem, n in readers.items() if n} == {}
+
+
+def test_polarization_reads_no_joint_dimension_or_vector():
+    # the fit, the coherences and the factorization check read a state's
+    # row blocks: no d^2-long array, and no branch for pure states alone
+    source = (PACKAGE / "polarization.py").read_text()
+    assert {attr: attribute_reads(source, attr)
+            for attr in ("dim", "vector")} == {"dim": 0, "vector": 0}
 
 
 def public_methods(source: str, classes: set[str]) -> list[str]:

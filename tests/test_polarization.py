@@ -1,11 +1,16 @@
 """Tests for the Stokes and hidden operator families."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import hopslab
 from hopslab.dpa import DpaConfig, evolve
 from hopslab.fock import (
     ALGEBRA_TOL,
@@ -32,6 +37,7 @@ from dense_reference import (
     dense_coherence,
     dense_fit,
     density_matrix,
+    ladder_rows,
     expectation,
     from_density,
     interior_indices,
@@ -368,7 +374,8 @@ def test_mixed_fit_and_coherences_match_the_dense_reference(name):
 
 def test_mixed_fit_and_coherence_build_no_dense_array():
     # the d^2 x d^2 density of a 40 x 40 state is 41 MB; read through it,
-    # the fit traced 205 MB and the coherence 162 MB
+    # the fit traced 205 MB and the coherence 162 MB, and through d^2-tall
+    # sector blocks 6.4 MB and 4.3 MB
     state = thermal_state(FockCutoff(40, 40), 0.5, 0.3)
     for call in (lambda: fit_hops_criterion(state),
                  lambda: coherence_function(state, 1, 1, 1, 1)):
@@ -378,7 +385,24 @@ def test_mixed_fit_and_coherence_build_no_dense_array():
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 10e6
+        assert peak < 3e6
+
+
+def test_fit_and_coherences_load_no_masked_arrays():
+    # np.union1d, and np.unique without return_inverse, import numpy.ma on
+    # their first call: about 12 ms of every fresh `hopslab verify`
+    source = str(Path(hopslab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [source, os.environ.get("PYTHONPATH")])))
+    probe = ("import sys\n"
+             "from hopslab.fock import FockCutoff\n"
+             "from hopslab.polarization import factorization_residuals\n"
+             "from hopslab.squeezing import thermal_state\n"
+             "factorization_residuals(thermal_state(FockCutoff(6, 7), 0.5, 0.3))\n"
+             "print('numpy.ma' in sys.modules)")
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"
 
 
 def test_coherence_order_guard():
@@ -389,6 +413,14 @@ def test_coherence_order_guard():
         coherence_function(state, 0, 0, 3, 2)
     with pytest.raises(ValueError):
         coherence_function(state, -1, 0, 0, 0)
+
+
+def test_coherence_orders_are_integers():
+    # 1.5 raised a bare TypeError; a non-integer power is no ladder chain
+    state = fock_state(FockCutoff(6, 6), 1, 0)
+    for orders in ((1.5, 0, 0, 0), (0, 0, 0, 1.5), (0, -1, 1, 0)):
+        with pytest.raises(ValueError, match="non-negative integers"):
+            coherence_function(state, *orders)
 
 
 def test_factorization_reduction_on_pair_state():
@@ -405,11 +437,31 @@ def test_factorization_reduction_on_pair_state():
     assert printed_dev[(0, 1, 0, 1)] > 1e-3
 
 
-def test_factorization_requires_pure_state():
-    cut = FockCutoff(5, 5)
-    rho = np.zeros((cut.dim, cut.dim), dtype=complex)
-    rho[cut.index(0, 0), cut.index(0, 0)] = 0.5
-    rho[cut.index(1, 1), cut.index(1, 1)] = 0.5
-    mixed = from_density(cut, rho)
-    with pytest.raises(ValueError):
-        factorization_residuals(mixed)
+@pytest.mark.parametrize("name", MIXED_STATES)
+def test_factorization_matches_the_dense_reference(name):
+    # the x-moment Tr[rho a_x^{m_y} a_x^dag^{m_x} a_x^{n_x} a_x^dag^{n_y}],
+    # applied right to left to the dense rho
+    state = MIXED_STATES[name]()
+    cut, rho = state.cutoff, density_matrix(state)
+    p, _ = dense_fit(cut, rho)
+    rows = factorization_residuals(state)
+    assert len(rows) == len(ORDERS) ** 2
+    for row in rows:
+        m_x, m_y, n_x, n_y = row.orders
+        chain = ladder_rows(cut, n_y, 0, rho, adjoint=True)
+        chain = ladder_rows(cut, n_x, 0, chain)
+        chain = ladder_rows(cut, m_x, 0, chain, adjoint=True)
+        chain = ladder_rows(cut, m_y, 0, chain)
+        scale = np.conj(p) ** m_y * p ** n_y
+        want = {
+            "gamma": dense_coherence(cut, rho, m_x, m_y, n_x, n_y),
+            "reduced": scale * np.trace(chain),
+            "printed": scale * dense_coherence(cut, rho, m_x + m_y, 0,
+                                               n_x + n_y, 0),
+        }
+        for field, value in want.items():
+            got = getattr(row, field)
+            assert abs(got - value) <= ALGEBRA_TOL * max(1.0, abs(value)), \
+                (row.orders, field, got, value)
+        assert row.reduced_residual == abs(row.gamma - row.reduced)
+        assert row.printed_residual == abs(row.gamma - row.printed)
