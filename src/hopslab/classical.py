@@ -9,19 +9,21 @@ vectorized over them; `hops_statistics` draws and reduces a
 hidden-polarized ensemble in chunks without holding it.
 
 Both ensembles come from one draw (`_draw_chunks`): one tangent of the
-half angle per sample gives (a0 cos phi, a0 sin phi), and a spec's
-real 4 x 2 `_draw_map` takes that pair to the sample's four real
-coordinates z = (Re A_x, Im A_x, Re A_y, Im A_y). A chunk is one
-C-contiguous (4, n) float array whose rows are z. The stream is fixed
-per seed: the phases are its first `count` uniform draws and the
+half angle per sample gives (p, q) = (a0 cos phi, a0 sin phi), and a
+spec's real 4 x 2 `_draw_map` R takes that pair to the sample's four
+real coordinates z = R (p, q) = (Re A_x, Im A_x, Re A_y, Im A_y). A
+chunk is one C-contiguous (2, n) float array whose rows are p and q;
+the samplers map it once into the rows z. The stream is fixed per
+seed: the phases are its first `count` uniform draws and the
 amplitudes follow, so the samples do not depend on how they are
 chunked.
 
 Every component is a fixed sum of entries of the Gram matrix
-G = sum z z^T, so a batch is reduced by one 4 x 4 product. Estimates
-come with batch-means standard errors: the stream is cut into about
-sqrt(N) batches and the spread of batch means estimates the error of
-the grand mean.
+G = sum z z^T. For a draw G = R P R^T, with P = sum (p, q)(p, q)^T,
+so a batch is reduced to its 2 x 2 Gram P and lifted by R; the four
+rows z are never formed. Estimates come with batch-means standard
+errors: the stream is cut into about sqrt(N) batches and the spread
+of batch means estimates the error of the grand mean.
 """
 
 from __future__ import annotations
@@ -196,43 +198,47 @@ def _draw_chunks(
     spec: HopsEnsembleSpec | OrdinaryEnsembleSpec, count: int, seed: int,
     chunk: int,
 ) -> Iterator[np.ndarray]:
-    """An ensemble's rows z = (Re A_x, Im A_x, Re A_y, Im A_y), in chunks.
+    """An ensemble's rows p = a0 cos phi and q = a0 sin phi, in chunks.
 
     The one draw of `sample_hops`, `sample_ordinary` and
-    `hops_statistics`. The phases are the seed's first `count` uniform
-    draws and the amplitudes follow them in the same stream. A uniform
-    double takes exactly one 64-bit draw, so a second generator
-    advanced by `count` draws yields the amplitudes alongside the
-    phases, and the samples do not depend on `chunk`. Each chunk is a
-    C-contiguous (4, n) float array: the half angles phi/2 are drawn
-    on [0, pi) (the same doubles as half of a draw on [0, 2 pi)),
-    `_scaled_phasors` gives p = a0 cos phi and q = a0 sin phi, and row
-    i is R[i, 0] p + R[i, 1] q for the spec's `_draw_map` R. Row 3
-    holds p until it is written last; a chunk holds z and two
-    n-long temporaries.
+    `hops_statistics`; the spec's `_draw_map` R takes (p, q) to the
+    rows z. The phases are the seed's first `count` uniform draws and
+    the amplitudes follow them in the same stream. A uniform double
+    takes exactly one 64-bit draw, so a second generator advanced by
+    `count` draws yields the amplitudes alongside the phases, and the
+    samples do not depend on `chunk`. Each chunk is a C-contiguous
+    (2, n) float array: the half angles phi/2 are drawn on [0, pi)
+    into row q (the same doubles as half of a draw on [0, 2 pi)), and
+    `_scaled_phasors` writes p and q in place; a chunk holds its two
+    rows and one n-long temporary, the amplitudes.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
-    mapping = spec._draw_map()
     phases = np.random.default_rng(seed)
     amplitudes = np.random.default_rng(seed)
     amplitudes.bit_generator.advance(count)
     for start in range(0, count, chunk):
         n = min(chunk, count - start)
-        z = np.empty((4, n))
-        scratch = spec.amplitude.draw(amplitudes, n)
-        p = z[3]
-        q = _scaled_phasors(phases.uniform(0.0, math.pi, n), scratch, p)
-        for row, (r_p, r_q) in zip(z, mapping):
-            np.multiply(q, r_q, out=scratch)
-            np.multiply(p, r_p, out=row)
-            row += scratch
-        yield z
+        pq = np.empty((2, n))
+        half = phases.random(out=pq[1])
+        half *= math.pi
+        _scaled_phasors(half, spec.amplitude.draw(amplitudes, n), pq[0])
+        yield pq
 
 
-def _ensemble(z: np.ndarray) -> FieldEnsemble:
-    """A FieldEnsemble of one chunk's rows (exact)."""
-    amps = np.empty((2, z.shape[1]), dtype=complex)
+def _sample(
+    spec: HopsEnsembleSpec | OrdinaryEnsembleSpec, count: int, seed: int,
+) -> FieldEnsemble:
+    """The draw in one chunk, mapped to its rows z (exact).
+
+    Row i of z is R[i, 0] p + R[i, 1] q for the spec's `_draw_map` R.
+    """
+    p, q = next(_draw_chunks(spec, count, seed, count))
+    z = np.empty((4, count))
+    for row, (r_p, r_q) in zip(z, spec._draw_map()):
+        np.multiply(p, r_p, out=row)
+        row += q * r_q
+    amps = np.empty((2, count), dtype=complex)
     amps.real = z[0::2]
     amps.imag = z[1::2]
     return FieldEnsemble(amps[0], amps[1])
@@ -242,14 +248,14 @@ def sample_hops(
     spec: HopsEnsembleSpec, count: int, seed: int,
 ) -> FieldEnsemble:
     """Draw a hidden-polarized ensemble, bit-reproducible per seed."""
-    return _ensemble(next(_draw_chunks(spec, count, seed, count)))
+    return _sample(spec, count, seed)
 
 
 def sample_ordinary(
     spec: OrdinaryEnsembleSpec, count: int, seed: int,
 ) -> FieldEnsemble:
     """Draw an ordinary-polarized ensemble (common random phase)."""
-    return _ensemble(next(_draw_chunks(spec, count, seed, count)))
+    return _sample(spec, count, seed)
 
 
 @dataclass(frozen=True)
@@ -311,20 +317,28 @@ def _spread(means: np.ndarray) -> float:
                           exponent))
 
 
-def _chunk_stats(chunks: Iterable[np.ndarray], count: int,
-                 sets: str) -> EnsembleStats:
+def _lift(grams: np.ndarray, mapping: np.ndarray | None) -> np.ndarray:
+    """R g R^T for each k x k Gram g, or the Grams themselves if no map."""
+    return grams if mapping is None else mapping @ grams @ mapping.T
+
+
+def _chunk_stats(chunks: Iterable[np.ndarray], count: int, sets: str,
+                 mapping: np.ndarray | None = None) -> EnsembleStats:
     """Statistics of the component `sets` (`_gram_components`) over a stream.
 
-    `chunks` yields (4, n) float arrays, rows z = (Re A_x, Im A_x,
-    Re A_y, Im A_y), `count` samples in all; every chunk but the last
-    holds whole batches (`_batch_layout`), so the batch means, and
-    hence the errors, do not depend on the chunking. A chunk's batches
-    are a (b, 4, size) view of its rows, reduced by one stacked Gram
-    product with their own transpose, and their components go straight
-    into one array of batch means, one row per distinct component and
-    ~sqrt(count) columns, allocated before the first chunk; h0 and h1
-    are s0 and s1 exactly. The totals are the summed batch Grams plus
-    the Gram of the samples beyond the last batch.
+    `chunks` yields (k, n) float arrays of `count` samples in all: the
+    rows z = (Re A_x, Im A_x, Re A_y, Im A_y) themselves (k = 4, no
+    `mapping`), or k rows that the (4, k) `mapping` R takes to z, as a
+    draw's (p, q). Every chunk but the last holds whole batches
+    (`_batch_layout`), so the batch means, and hence the errors, do
+    not depend on the chunking. A chunk's batches are a (b, k, size)
+    view of its rows, reduced by one stacked product to their k x k
+    Grams g and lifted to G = R g R^T, and their components go
+    straight into one array of batch means, one row per distinct
+    component and ~sqrt(count) columns, allocated before the first
+    chunk; h0 and h1 are s0 and s1 exactly. The totals are the lift
+    of the summed batch Grams plus the Gram of the samples beyond the
+    last batch.
     Raises ValueError when an estimate or an error is not finite, as
     when the amplitudes are large enough to overflow the components.
     The batch means are scaled by a power of two before their spread
@@ -332,24 +346,24 @@ def _chunk_stats(chunks: Iterable[np.ndarray], count: int,
     """
     batches, size = _batch_layout(count)
     rows = _component_rows(sets)
-    gram = np.zeros((1, 4, 4))
+    gram = 0.0
     means = np.empty((2 + 2 * len(sets), batches))
     start = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        for z in chunks:
-            n = z.shape[1]
+        for chunk in chunks:
+            k, n = chunk.shape
             whole = min(max(batches * size - start, 0), n)
             done = start // size
-            stack = z[:, :whole].reshape(4, -1, size).transpose(1, 0, 2)
-            grams = np.matmul(stack, stack.transpose(0, 2, 1))
-            _gram_components(grams, sets,
+            stack = chunk[:, :whole].reshape(k, -1, size).transpose(1, 0, 2)
+            grams = np.einsum("bki,bli->bkl", stack, stack)
+            _gram_components(_lift(grams, mapping), sets,
                              means[:, done:done + stack.shape[0]])
             gram += grams.sum(axis=0)
-            gram += z[:, whole:] @ z[:, whole:].T
+            gram += chunk[:, whole:] @ chunk[:, whole:].T
             start += n
         means /= size
         totals = np.empty((means.shape[0], 1))
-        _gram_components(gram, sets, totals)
+        _gram_components(_lift(gram, mapping), sets, totals)
         totals /= count
         spreads = [_spread(m) / math.sqrt(batches) for m in means]
     values = {name: float(totals[row, 0]) for name, row in rows.items()}
@@ -362,7 +376,7 @@ def _chunk_stats(chunks: Iterable[np.ndarray], count: int,
 
 
 def _rows(ensemble: FieldEnsemble) -> list[np.ndarray]:
-    """An ensemble as one chunk of the draw's (4, n) rows."""
+    """An ensemble as one chunk of its (4, n) rows z."""
     return [np.stack([ensemble.amp_x.real, ensemble.amp_x.imag,
                       ensemble.amp_y.real, ensemble.amp_y.imag])]
 
@@ -383,16 +397,18 @@ def hops_statistics(
     """s0..s3 and h0..h3 of sample_hops(spec, count, seed) in one table.
 
     The same numbers as classical_stokes and classical_hidden of that
-    ensemble, but the samples are drawn and reduced in chunks of whole
-    batches and never held at once; beyond one chunk only the
-    ~sqrt(count) batch means are kept. A chunk is about ENSEMBLE_CHUNK
-    samples, or one batch of ~sqrt(count) samples once a batch is
-    larger (count above ENSEMBLE_CHUNK**2). The errors are equal; the
-    estimates agree to summation round-off.
+    ensemble, to round-off, but the samples are drawn and reduced in
+    chunks of whole batches and never held at once; beyond one chunk
+    only the ~sqrt(count) batch means are kept. A chunk is the draw's
+    (p, q) rows, reduced through the spec's `_draw_map` R
+    (`_chunk_stats`), so no chunk is mapped to the four rows z. It is
+    about ENSEMBLE_CHUNK samples, or one batch of ~sqrt(count) samples
+    once a batch is larger (count above ENSEMBLE_CHUNK**2).
     """
     _, size = _batch_layout(count)
     chunk = size * max(1, ENSEMBLE_CHUNK // size)
-    return _chunk_stats(_draw_chunks(spec, count, seed, chunk), count, "sh")
+    return _chunk_stats(_draw_chunks(spec, count, seed, chunk), count, "sh",
+                        spec._draw_map())
 
 
 def _index(amp, reference) -> complex | np.ndarray:

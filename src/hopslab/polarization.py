@@ -363,20 +363,26 @@ def fit_hops_criterion(state: QuantumState) -> HopsFit:
         residual^2 = sum tr(E^dag E M) / sum tr(M^2),  E = T - p_h B,
 
     with E formed, not expanded, so a small residual keeps its digits.
-    Raises FitUndefinedError when sum tr(B^dag B M) = ||a_x^dag X||^2
-    vanishes (x-mode saturated at the truncation edge), where no finite
-    p_h is meaningful.
+    Two passes over the blocks, one block held at a time: the sums of
+    p_h and the norm, then E. Raises FitUndefinedError when
+    sum tr(B^dag B M) = ||a_x^dag X||^2 vanishes (x-mode saturated at
+    the truncation edge), where no finite p_h is meaningful.
     """
-    terms = [(c.conj().T @ c, *_aligned(
-        ladder_block(state.cutoff, (rows, c), k_y=1),
-        ladder_block(state.cutoff, (rows, c), k_x=1, adjoint=True)))
-        for rows, c in state.row_blocks()]
-    denom = sum(np.vdot(b, b @ m).real for m, _, b in terms)
+    def terms():
+        for rows, c in state.row_blocks():
+            yield c.conj().T @ c, *_aligned(
+                ladder_block(state.cutoff, (rows, c), k_y=1),
+                ladder_block(state.cutoff, (rows, c), k_x=1, adjoint=True))
+
+    numer = denom = norm = 0
+    for m, t, b in terms():
+        denom += np.vdot(b, b @ m).real
+        numer += np.vdot(b, t @ m)
+        norm += np.vdot(m, m).real
     if denom < FIT_DENOMINATOR_FLOOR:
         raise FitUndefinedError("a_x^dag annihilates the state; fit undefined")
-    p = complex(sum(np.vdot(b, t @ m) for m, t, b in terms) / denom)
-    misfit = sum(np.vdot(e := t - p * b, e @ m).real for m, t, b in terms)
-    norm = sum(np.vdot(m, m).real for m, _, _ in terms)
+    p = complex(numer / denom)
+    misfit = sum(np.vdot(e := t - p * b, e @ m).real for m, t, b in terms())
     return HopsFit(p, float(np.sqrt(misfit / norm)))
 
 
