@@ -8,14 +8,7 @@ onset analysis, cross-checked against closed-form Heisenberg solutions.
 from hopslab.classical import (
     FixedAmplitude,
     HopsEnsembleSpec,
-    OrdinaryEnsembleSpec,
     RayleighAmplitude,
-    classical_hidden,
-    classical_stokes,
-    hidden_index,
-    polarization_index,
-    sample_hops,
-    sample_ordinary,
 )
 from hopslab.dpa import (
     DpaConfig,
@@ -63,7 +56,6 @@ __all__ = [
     "FockCutoff",
     "FockModel",
     "HopsEnsembleSpec",
-    "OrdinaryEnsembleSpec",
     "QuantumState",
     "RayleighAmplitude",
     "ThermalMixtureModel",
@@ -71,22 +63,16 @@ __all__ = [
     "WeightedProjectorModel",
     "boundary_leakage",
     "claimed_moment_table",
-    "classical_hidden",
-    "classical_stokes",
     "coherence_function",
     "evolve",
     "factorization_residuals",
     "fit_hops_criterion",
     "fock_state",
     "heisenberg_moments",
-    "hidden_index",
     "hidden_moments",
     "onset_by_bisection",
     "onset_time",
     "oracle_moments",
-    "polarization_index",
-    "sample_hops",
-    "sample_ordinary",
     "squeezing_function",
     "suggest_cutoff",
     "sweep",

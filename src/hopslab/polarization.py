@@ -364,9 +364,11 @@ def fit_hops_criterion(state: QuantumState) -> HopsFit:
 
     with E formed, not expanded, so a small residual keeps its digits.
     Two passes over the blocks, one block held at a time: the sums of
-    p_h and the norm, then E. Raises FitUndefinedError when
-    sum tr(B^dag B M) = ||a_x^dag X||^2 vanishes (x-mode saturated at
-    the truncation edge), where no finite p_h is meaningful.
+    p_h and the norm, then E; a one-block state (every pure state)
+    keeps its (M, T, B) from the first pass for the second. Raises
+    FitUndefinedError when sum tr(B^dag B M) = ||a_x^dag X||^2 vanishes
+    (x-mode saturated at the truncation edge), where no finite p_h is
+    meaningful.
     """
     def terms():
         for rows, c in state.row_blocks():
@@ -375,14 +377,15 @@ def fit_hops_criterion(state: QuantumState) -> HopsFit:
                 ladder_block(state.cutoff, (rows, c), k_x=1, adjoint=True))
 
     numer = denom = norm = 0
-    for m, t, b in terms():
+    for blocks, (m, t, b) in enumerate(terms(), 1):
         denom += np.vdot(b, b @ m).real
         numer += np.vdot(b, t @ m)
         norm += np.vdot(m, m).real
     if denom < FIT_DENOMINATOR_FLOOR:
         raise FitUndefinedError("a_x^dag annihilates the state; fit undefined")
     p = complex(numer / denom)
-    misfit = sum(np.vdot(e := t - p * b, e @ m).real for m, t, b in terms())
+    second = [(m, t, b)] if blocks == 1 else terms()
+    misfit = sum(np.vdot(e := t - p * b, e @ m).real for m, t, b in second)
     return HopsFit(p, float(np.sqrt(misfit / norm)))
 
 

@@ -14,7 +14,7 @@ from itertools import product
 
 import numpy as np
 
-from hopslab.classical import HopsEnsembleSpec, classical_hidden, classical_stokes, sample_hops
+from hopslab.classical import HopsEnsembleSpec, hops_statistics
 from hopslab.dpa import DpaConfig, heisenberg_moments, oracle_moments
 from hopslab.fock import FockCutoff, fock_state, random_low_excitation_state
 from hopslab.polarization import (
@@ -218,19 +218,16 @@ def test_classical_ensemble_moments():
     failures, details = [], []
     chi_h, delta_h = math.pi / 2.0, 0.7
     start = time.perf_counter()
-    ensemble = sample_hops(
-        HopsEnsembleSpec(chi_h=chi_h, delta_h=delta_h),
-        count=1_000_000, seed=0)
-    stokes = classical_stokes(ensemble)
-    hidden = classical_hidden(ensemble)
+    stats = hops_statistics(HopsEnsembleSpec(chi_h=chi_h, delta_h=delta_h),
+                            count=1_000_000, seed=0)
     elapsed = time.perf_counter() - start
-    s0 = stokes.values["s0"]
+    s0 = stats.values["s0"]
     for key in ("s1", "s2", "s3"):
-        value = stokes.values[key]
-        details.append(f"{key} = {value:.3e} (se {stokes.std_errors[key]:.1e})")
+        value = stats.values[key]
+        details.append(f"{key} = {value:.3e} (se {stats.std_errors[key]:.1e})")
         if abs(value) >= 5e-3 * s0:
             failures.append(f"|{key}| = {abs(value):.3e} >= {5e-3 * s0:.1e}")
-    pair = complex(hidden.values["h2"], hidden.values["h3"])
+    pair = complex(stats.values["h2"], stats.values["h3"])
     target = cmath.exp(1j * delta_h) * math.sin(chi_h)
     details.append(f"h2 + i h3 = {pair:.6f}, target {target:.6f}, "
                    f"|difference| {abs(pair - target):.3e} ({elapsed:.1f} s)")

@@ -370,6 +370,7 @@ def test_library_rules_exit_two_with_the_library_message(argv, message,
     ["claims", "--kt", "1000"],
     ["verify", "--cutoff", "2"],
     ["verify", "--seed", "-1"],
+    ["ensemble", "--seed", "-1"],
     ["ensemble", "--count", "1"],
     # a 10^12-dimensional joint space: the first state or operator
     # allocation (7-15 TiB) fails at once
@@ -406,6 +407,15 @@ def test_non_finite_and_overflowing_input_exits_two(argv, capsys):
     err = capsys.readouterr().err
     assert err.count("error:") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["verify", "ensemble"])
+def test_both_seeded_commands_state_one_seed_rule(command, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "--seed", "-1"])
+    assert excinfo.value.code == 2
+    assert ("argument --seed: expected a non-negative integer, got '-1'"
+            in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,10 +1,11 @@
-"""Every module-level import and private name of the package is used.
+"""Every module-level import, private name and exported name is used.
 
 `__init__.py` is skipped by the import check: its imports are the
 package's re-exports. A module-level private name (one leading
 underscore) must be read somewhere in the package beyond its own
-definition, and a public method of a state or of its slabs somewhere
-in the package, its scripts or its benchmark. No module reads a
+definition; a public method of a state or of its slabs, and every name
+in `hopslab.__all__` but one named exception, somewhere in the
+package's modules, its scripts or its benchmark. No module reads a
 state's dense `density` view, and `polarization` reads neither a
 cutoff's joint dimension nor a state's vector.
 """
@@ -14,9 +15,19 @@ from pathlib import Path
 
 import pytest
 
+import hopslab
+
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "hopslab"
 MODULES = sorted(path for path in PACKAGE.glob("*.py")
                  if path.name != "__init__.py")
+
+
+def reader_sources() -> list[str]:
+    """The package's modules, scripts and benchmark, without its re-exports."""
+    root = PACKAGE.parents[1]
+    return [path.read_text() for folder in ("src", "scripts", "bench")
+            for path in sorted((root / folder).rglob("*.py"))
+            if path != PACKAGE / "__init__.py"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -186,7 +197,31 @@ def test_every_public_state_method_is_read():
     methods = public_methods((PACKAGE / "fock.py").read_text(),
                              {"QuantumState", "SectorStack"})
     assert {"QuantumState.from_blocks", "SectorStack.eigenpairs"} <= set(methods)
-    root = PACKAGE.parents[1]
-    sources = [path.read_text() for folder in ("src", "scripts", "bench")
-               for path in sorted((root / folder).rglob("*.py"))]
-    assert unread_methods(methods, sources) == []
+    assert unread_methods(methods, reader_sources()) == []
+
+
+def unread_exports(exports: list[str], sources: list[str]) -> list[str]:
+    """The exported names that no top-level statement of a source reads."""
+    read = set().union(*(names_read(statement) for source in sources
+                         for statement in ast.parse(source).body))
+    return [name for name in exports if name not in read]
+
+
+def test_the_guard_finds_an_unread_export():
+    sources = ['"""orphan is documented, not read."""\n'
+               "from .a import used\n"
+               "def defined():\n    orphan = used()\n",
+               "import a\nclass Kept:\n    x = a.attr\n"]
+    exports = ["used", "attr", "defined", "orphan", "Kept"]
+    # a definition, a docstring and a store to the same name are no reads
+    assert unread_exports(exports, sources) == ["defined", "orphan", "Kept"]
+
+
+def test_every_exported_name_is_read():
+    # test-only production code goes: each exported name is read by the
+    # package, its scripts or its benchmark. The one exception is
+    # `coherence_function`, the paper's normally ordered moment Gamma,
+    # which README documents as API; the factorization check takes its
+    # Gammas from one `_gram` pass over all orders, not one per entry
+    assert unread_exports(hopslab.__all__, reader_sources()) == [
+        "coherence_function"]

@@ -403,6 +403,27 @@ def test_mixed_fit_holds_one_block_at_a_time():
     assert fit.p_h == 0 and fit.residual > 0
 
 
+def test_one_block_fit_builds_its_images_once(monkeypatch):
+    # a pure state is one block: the second pass reuses the first pass's
+    # (M, T, B), so a_y C and a_x^dag C are built once (55 -> 100 us for
+    # |3,2> at d = 40 when they were built twice); a state of several
+    # blocks still builds them in each pass, one block at a time
+    calls = []
+    ladder_block = hopslab.polarization.ladder_block
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs)
+        return ladder_block(*args, **kwargs)
+
+    monkeypatch.setattr(hopslab.polarization, "ladder_block", counted)
+    fit_hops_criterion(fock_state(FockCutoff(40, 40), 3, 2))
+    assert len(calls) == 2
+    calls.clear()
+    state = thermal_state(FockCutoff(8, 8), 0.5, 0.3)
+    fit_hops_criterion(state)
+    assert len(calls) == 4 * len(list(state.row_blocks())) > 4
+
+
 def test_fit_and_coherences_load_no_masked_arrays():
     # np.union1d, and np.unique without return_inverse, import numpy.ma on
     # their first call: about 12 ms of every fresh `hopslab verify`
