@@ -7,20 +7,21 @@ phase-sum statistics survive. `hops_statistics` draws such an ensemble
 and reduces it in chunks to s0..s3 and h0..h3 without holding it.
 
 The draw (`_draw_chunks`) takes one tangent of the half angle per
-sample, which gives (p, q) = (a0 cos phi, a0 sin phi); the spec's real
-4 x 2 `_draw_map` R takes that pair to the sample's four real
-coordinates z = R (p, q) = (Re A_x, Im A_x, Re A_y, Im A_y). A chunk is
-one C-contiguous (2, n) float array whose rows are p and q. The stream
-is fixed per seed: the phases are its first `count` uniform draws and
-the amplitudes follow, so the samples do not depend on how they are
+sample, which gives (p, q) = (a0 cos phi, a0 sin phi). A chunk is one
+C-contiguous (2, n) float array whose rows are p and q. The stream is
+fixed per seed: the phases are its first `count` uniform draws and the
+amplitudes follow, so the samples do not depend on how they are
 chunked.
 
-Every component is a fixed sum of entries of the Gram matrix
-G = sum z z^T, and G = R P R^T with P = sum (p, q)(p, q)^T, so a batch
-is reduced to its 2 x 2 Gram P and lifted by R; the four rows z are
-never formed. Estimates come with batch-means standard errors: the
-stream is cut into about sqrt(N) batches and the spread of batch means
-estimates the error of the grand mean.
+Per sample, s0 = h0 = a0^2 = p^2 + q^2, s1 = h1 = -cos(chi_h) a0^2,
+h2 + i*h3 = sin(chi_h) e^{i delta_h} a0^2 and
+s2 + i*s3 = sin(chi_h) (p + i q)^2, so every component is one row of
+the spec's 6 x 3 `_component_map` K applied to the three sums
+(sum p^2, sum pq, sum q^2). A batch is reduced to its three sums and
+mapped by K; the field amplitudes are never formed. Estimates come with
+batch-means standard errors: the stream is cut into about sqrt(N)
+batches and the spread of batch means estimates the error of the grand
+mean.
 """
 
 from __future__ import annotations
@@ -37,6 +38,15 @@ ENSEMBLE_CHUNK = 1 << 15   # samples drawn and reduced at a time by hops_statist
 MIN_AMPLITUDE = math.sqrt(sys.float_info.min)
 
 
+def _check_amplitude(name: str, value: float) -> None:
+    """An amplitude law's parameter is positive, finite and squarable."""
+    if not (np.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be positive and finite")
+    if value < MIN_AMPLITUDE:
+        raise ValueError(f"{name} must be at least {MIN_AMPLITUDE:.3g}; "
+                         "its square underflows")
+
+
 @dataclass(frozen=True)
 class FixedAmplitude:
     """Deterministic overall amplitude A0."""
@@ -44,12 +54,7 @@ class FixedAmplitude:
     a0: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.a0) and self.a0 > 0):
-            raise ValueError("amplitude must be positive and finite")
-        if self.a0 < MIN_AMPLITUDE:
-            raise ValueError(
-                f"amplitude must be at least {MIN_AMPLITUDE:.3g}; "
-                "its square underflows")
+        _check_amplitude("amplitude", self.a0)
 
     def draw(self, rng: np.random.Generator, count: int) -> np.ndarray:
         return np.full(count, float(self.a0))
@@ -62,12 +67,7 @@ class RayleighAmplitude:
     scale: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.scale) and self.scale > 0):
-            raise ValueError("scale must be positive and finite")
-        if self.scale < MIN_AMPLITUDE:
-            raise ValueError(
-                f"scale must be at least {MIN_AMPLITUDE:.3g}; "
-                "its square underflows")
+        _check_amplitude("scale", self.scale)
 
     def draw(self, rng: np.random.Generator, count: int) -> np.ndarray:
         return rng.rayleigh(self.scale, count)
@@ -94,19 +94,19 @@ class HopsEnsembleSpec:
         if not -math.pi < self.delta_h <= math.pi:
             raise ValueError("phase angle must lie in (-pi, pi]")
 
-    def _draw_map(self) -> np.ndarray:
-        """The (4, 2) map R from (a0 cos phi, a0 sin phi) to z.
+    def _component_map(self) -> np.ndarray:
+        """The (6, 3) map K from (sum p^2, sum pq, sum q^2) to components.
 
-        A_x = s_x e^{i phi} and A_y = s_y e^{-i phi}, with
+        Its rows are s0, s1, s2, s3, h2, h3 (`_COMPONENT_ROWS`), from
+        A_x = s_x a0 e^{i phi} and A_y = s_y a0 e^{-i phi} with
         s_x = cos(chi_h/2) e^{i delta_h/2} and
-        s_y = sin(chi_h/2) e^{i delta_h/2}.
+        s_y = sin(chi_h/2) e^{i delta_h/2}: 2 conj(s_y) s_x = sin(chi_h)
+        and 2 s_y s_x = sin(chi_h) e^{i delta_h}.
         """
-        tilt = complex(math.cos(0.5 * self.delta_h),
-                       math.sin(0.5 * self.delta_h))
-        s_x = math.cos(0.5 * self.chi_h) * tilt
-        s_y = math.sin(0.5 * self.chi_h) * tilt
-        return np.array([[s_x.real, -s_x.imag], [s_x.imag, s_x.real],
-                         [s_y.real, s_y.imag], [s_y.imag, -s_y.real]])
+        c, s = math.cos(self.chi_h), math.sin(self.chi_h)
+        h2, h3 = s * math.cos(self.delta_h), s * math.sin(self.delta_h)
+        return np.array([[1.0, 0.0, 1.0], [-c, 0.0, -c], [s, 0.0, -s],
+                         [0.0, 2.0 * s, 0.0], [h2, 0.0, h2], [h3, 0.0, h3]])
 
 
 def _scaled_phasors(half: np.ndarray, a0: np.ndarray,
@@ -136,16 +136,16 @@ def _draw_chunks(
     """An ensemble's rows p = a0 cos phi and q = a0 sin phi, in chunks.
 
     The draw of `hops_statistics`; it reads only `spec.amplitude`, and
-    the spec's `_draw_map` R takes (p, q) to the rows z. The phases
-    are the seed's first `count` uniform draws and the amplitudes
-    follow them in the same stream. A uniform double takes exactly one
-    64-bit draw, so a second generator advanced by `count` draws yields
-    the amplitudes alongside the phases, and the samples do not depend
-    on `chunk`. Each chunk is a C-contiguous (2, n) float array: the
-    half angles phi/2 are drawn on [0, pi) into row q (the same doubles
-    as half of a draw on [0, 2 pi)), and `_scaled_phasors` writes p and
-    q in place; a chunk holds its two rows and one n-long temporary,
-    the amplitudes.
+    the spec's `_component_map` K takes their sums to the components.
+    The phases are the seed's first `count` uniform draws and the
+    amplitudes follow them in the same stream. A uniform double takes
+    exactly one 64-bit draw, so a second generator advanced by `count`
+    draws yields the amplitudes alongside the phases, and the samples
+    do not depend on `chunk`. Each chunk is a C-contiguous (2, n) float
+    array: the half angles phi/2 are drawn on [0, pi) into row q (the
+    same doubles as half of a draw on [0, 2 pi)), and `_scaled_phasors`
+    writes p and q in place; a chunk holds its two rows and one n-long
+    temporary, the amplitudes.
     """
     phases = np.random.default_rng(seed)
     amplitudes = np.random.default_rng(seed)
@@ -176,35 +176,15 @@ def _batch_layout(count: int) -> tuple[int, int]:
     return batches, count // batches
 
 
-# each component's row in `_gram_components`, in table order
+# each component's row of `HopsEnsembleSpec._component_map`, in table order
 _COMPONENT_ROWS = {"s0": 0, "s1": 1, "s2": 2, "s3": 3,
                    "h0": 0, "h1": 1, "h2": 4, "h3": 5}
 
 
-def _gram_components(grams: np.ndarray, out: np.ndarray) -> None:
-    """Write the six distinct components from stacked Gram matrices.
-
-    `grams` is (b, 4, 4): per batch, G = sum z z^T over its samples,
-    z = (Re A_x, Im A_x, Re A_y, Im A_y). `out` is (6, b), in the rows
-    of `_COMPONENT_ROWS`. The two sets share the intensities:
-    s0 = h0 = G00 + G11 + G22 + G33 and s1 = h1 = G22 + G33 - G00 - G11
-    are rows 0 and 1. They differ only in the correlation:
-    s2 + i*s3 = 2 conj(A_y) A_x = 2(G02 + G13) + 2i(G12 - G03) in rows
-    2 and 3, and h2 + i*h3 = 2 A_y A_x = 2(G02 - G13) + 2i(G12 + G03)
-    in rows 4 and 5.
-    Every entry is summed element by element, so a batch's components
-    do not depend on the other batches in the stack.
-    """
-    g = grams.reshape(-1, 16).T
-    ix = g[0] + g[5]
-    iy = g[10] + g[15]
-    np.add(iy, ix, out=out[0])
-    np.subtract(iy, ix, out=out[1])
-    np.add(g[2], g[7], out=out[2])
-    np.subtract(g[6], g[3], out=out[3])
-    np.subtract(g[2], g[7], out=out[4])
-    np.add(g[6], g[3], out=out[5])
-    out[2:] *= 2.0
+def _sums(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """(sum p^2, sum pq, sum q^2) along the last axis, stacked first."""
+    return np.array([np.einsum("...i,...i", u, v)
+                     for u, v in ((p, p), (p, q), (q, q))])
 
 
 def _spread(means: np.ndarray) -> float:
@@ -216,27 +196,26 @@ def _spread(means: np.ndarray) -> float:
 
 def _chunk_stats(chunks: Iterable[np.ndarray], count: int,
                  mapping: np.ndarray) -> EnsembleStats:
-    """s0..s3 and h0..h3 (`_gram_components`) over a stream of draws.
+    """s0..s3 and h0..h3 over a stream of draws, with their errors.
 
     `chunks` yields a draw's (2, n) rows (p, q), `count` samples in
-    all, and the (4, 2) `mapping` R takes them to
-    z = (Re A_x, Im A_x, Re A_y, Im A_y). Every chunk but the last
-    holds whole batches (`_batch_layout`), so the batch means, and
-    hence the errors, do not depend on the chunking. A chunk's batches
-    are a (b, 2, size) view of its rows, reduced by one stacked product
-    to their 2 x 2 Grams P and lifted to G = R P R^T, and their
-    components go straight into one array of batch means, one row per
-    distinct component and ~sqrt(count) columns, allocated before the
-    first chunk; h0 and h1 are s0 and s1 exactly. The totals are the
-    lift of the summed batch Grams plus the Gram of the samples beyond
-    the last batch.
+    all, and the (6, 3) `mapping` K takes the sums
+    (sum p^2, sum pq, sum q^2) to the rows of `_COMPONENT_ROWS`. Every
+    chunk but the last holds whole batches (`_batch_layout`), so the
+    batch means, and hence the errors, do not depend on the chunking.
+    A chunk's batches are a (2, b, size) view of its rows, reduced to
+    their three sums, and K times those goes straight into one array of
+    batch means, one row per distinct component and ~sqrt(count)
+    columns, allocated before the first chunk; h0 and h1 are s0 and s1
+    exactly. The totals are K times the summed sums, the samples beyond
+    the last batch included.
     Raises ValueError when an estimate or an error is not finite, as
     when the amplitudes are large enough to overflow the components.
     The batch means are scaled by a power of two before their spread
     is taken, so the error overflows only where an estimate would.
     """
     batches, size = _batch_layout(count)
-    gram = 0.0
+    total = np.zeros(3)
     means = np.empty((6, batches))
     start = 0
     with np.errstate(over="ignore", invalid="ignore"):
@@ -244,19 +223,14 @@ def _chunk_stats(chunks: Iterable[np.ndarray], count: int,
             n = chunk.shape[1]
             whole = min(max(batches * size - start, 0), n)
             done = start // size
-            stack = chunk[:, :whole].reshape(2, -1, size).transpose(1, 0, 2)
-            grams = np.einsum("bki,bli->bkl", stack, stack)
-            _gram_components(mapping @ grams @ mapping.T,
-                             means[:, done:done + stack.shape[0]])
-            gram += grams.sum(axis=0)
-            gram += chunk[:, whole:] @ chunk[:, whole:].T
+            sums = _sums(*chunk[:, :whole].reshape(2, -1, size))
+            np.matmul(mapping, sums, out=means[:, done:done + sums.shape[1]])
+            total += sums.sum(axis=1) + _sums(*chunk[:, whole:])
             start += n
         means /= size
-        totals = np.empty((6, 1))
-        _gram_components(mapping @ gram @ mapping.T, totals)
-        totals /= count
+        totals = mapping @ total / count
         spreads = [_spread(m) / math.sqrt(batches) for m in means]
-    values = {name: float(totals[row, 0])
+    values = {name: float(totals[row])
               for name, row in _COMPONENT_ROWS.items()}
     errors = {name: spreads[row] for name, row in _COMPONENT_ROWS.items()}
     for name in values:
@@ -274,12 +248,12 @@ def hops_statistics(
     Bit-reproducible per seed. The samples are drawn and reduced in
     chunks of whole batches and never held at once; beyond one chunk
     only the ~sqrt(count) batch means are kept. A chunk is the draw's
-    (p, q) rows, reduced through the spec's `_draw_map` R
-    (`_chunk_stats`), so no chunk is mapped to the four rows z. It is
-    about ENSEMBLE_CHUNK samples, or one batch of ~sqrt(count) samples
-    once a batch is larger (count above ENSEMBLE_CHUNK**2).
+    (p, q) rows, reduced per batch to three sums and mapped by the
+    spec's `_component_map` K (`_chunk_stats`). It is about
+    ENSEMBLE_CHUNK samples, or one batch of ~sqrt(count) samples once a
+    batch is larger (count above ENSEMBLE_CHUNK**2).
     """
     _, size = _batch_layout(count)
     chunk = size * max(1, ENSEMBLE_CHUNK // size)
     return _chunk_stats(_draw_chunks(spec, count, seed, chunk), count,
-                        spec._draw_map())
+                        spec._component_map())

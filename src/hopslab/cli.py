@@ -16,12 +16,13 @@ not bad input and is not caught.
 
 Configuration precedence: command-line flags override `--config` file
 entries (key=value lines, `#` comments ignored), which override
-built-in defaults; a sweep's model parameters default to the model's
-own field defaults, and a model flag the chosen model lacks (`--nx`
-for the thermal model, say) is a usage error, as is an unreadable
-`--config` file. Every CSV output echoes the effective configuration
-as sorted `# key=value` lines, and that block minus the `command` line
-is itself a valid config file.
+built-in defaults; a sweep's model parameters and an ensemble's
+amplitude parameter default to the model's or the law's own field
+defaults, and a flag the chosen model or law lacks (`--nx` for the
+thermal model, `--scale` for the fixed amplitude) is a usage error, as
+is an unreadable `--config` file. Every CSV output echoes the effective
+configuration as sorted `# key=value` lines, and that block minus the
+`command` line is itself a valid config file.
 """
 
 from __future__ import annotations
@@ -167,10 +168,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_ens.add_argument("--delta-h", dest="delta_h", type=float, default=0.0)
     p_ens.add_argument("--amplitude", choices=("fixed", "rayleigh"),
                        default="fixed")
-    p_ens.add_argument("--a0", type=float, default=1.0,
-                       help="overall amplitude (fixed law)")
-    p_ens.add_argument("--scale", type=float, default=1.0,
-                       help="Rayleigh scale (rayleigh law)")
+    p_ens.add_argument("--a0", type=float, default=None,
+                       help="overall amplitude (fixed law, default 1.0)")
+    p_ens.add_argument("--scale", type=float, default=None,
+                       help="Rayleigh scale (rayleigh law, default 1.0)")
     p_ens.add_argument("--count", type=int, default=1_000_000)
     p_ens.add_argument("--seed", type=_seed, default=0)
 
@@ -267,16 +268,21 @@ def cmd_onset(args) -> int:
 
 
 def cmd_ensemble(args) -> int:
-    amplitude = (FixedAmplitude(args.a0) if args.amplitude == "fixed"
-                 else RayleighAmplitude(args.scale))
+    law, key, other = ((FixedAmplitude, "a0", "scale")
+                       if args.amplitude == "fixed"
+                       else (RayleighAmplitude, "scale", "a0"))
+    if getattr(args, other) is not None:
+        raise ValueError(f"--{other} does not apply to "
+                         f"--amplitude {args.amplitude}")
+    given = getattr(args, key)
+    amplitude = law() if given is None else law(given)
     spec = HopsEnsembleSpec(chi_h=args.chi_h, delta_h=args.delta_h,
                             amplitude=amplitude)
     stats = hops_statistics(spec, args.count, seed=args.seed)
     config = {"command": "ensemble", "chi_h": args.chi_h,
               "delta_h": args.delta_h, "amplitude": args.amplitude,
-              "count": args.count, "seed": args.seed}
-    config["a0" if args.amplitude == "fixed" else "scale"] = (
-        args.a0 if args.amplitude == "fixed" else args.scale)
+              "count": args.count, "seed": args.seed,
+              key: getattr(amplitude, key)}
     _emit(ensemble_csv(stats, config), args.out)
     return EXIT_OK
 

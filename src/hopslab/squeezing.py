@@ -11,7 +11,7 @@ Sq(0) >= 1, a sweep's onset is this closed form whenever it lies on the
 swept range. `onset_by_bisection` finds the same crossing
 independently, on a bracket grown from [0, 1], as a cross-check.
 
-The claimed_* functions transcribe a set of published closed-form moment
+`claimed_moments` transcribes a set of published closed-form moment
 expressions verbatim so they can be adjudicated against the exact
 dynamics; their verdicts (matches / sign_flip / mismatch) are computed,
 never asserted. The effective occupations N are deliberately
@@ -124,46 +124,23 @@ def onset_by_bisection(n_x: float, n_y: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def claimed_mean_h0(n_x: float, n_y: float, kt: float) -> float:
-    return (n_y + n_x) * math.cosh(4 * kt) + 2.0 * math.sinh(2 * kt) ** 2
-
-
-def claimed_mean_h1(n_x: float, n_y: float, kt: float) -> float:
-    return n_y - n_x
-
-
-def claimed_mean_h2(n_x: float, n_y: float, kt: float) -> float:
-    return 0.0
-
-
-def claimed_mean_h3(n_x: float, n_y: float, kt: float) -> float:
-    return (1.0 + n_y + n_x) * math.sinh(4 * kt)
-
-
-def claimed_var_h0(n_x: float, n_y: float, kt: float) -> float:
-    return (math.sinh(4 * kt) ** 2
-            + 2.0 * math.cosh(8 * kt) * (n_y * n_x)
-            - (1.0 - 2.0 * math.cosh(4 * kt)) * (n_y + n_x)
-            - math.cosh(4 * kt) ** 2 * (n_y + n_x) ** 2)
-
-
-def claimed_var_h1(n_x: float, n_y: float, kt: float) -> float:
-    return n_y * (1.0 - n_y) + n_x * (1.0 - n_x)
-
-
-def claimed_var_h2(n_x: float, n_y: float, kt: float) -> float:
-    return 1.0 + n_y + n_x + 2.0 * n_y * n_x
-
-
-def claimed_var_h3(n_x: float, n_y: float, kt: float) -> float:
-    return (math.cosh(4 * kt) ** 2
-            + math.cosh(8 * kt) * (n_y + n_x + 2.0 * n_y * n_x)
-            - math.sinh(4 * kt) ** 2 * (n_y + n_x) ** 2)
-
-
-CLAIMED_FORMS = dict(zip(MOMENT_NAMES, (
-    claimed_mean_h0, claimed_mean_h1, claimed_mean_h2, claimed_mean_h3,
-    claimed_var_h0, claimed_var_h1, claimed_var_h2, claimed_var_h3)))
+def claimed_moments(
+    n_x: float, n_y: float, kt: float,
+) -> tuple[float, ...]:
+    """The published closed forms, verbatim, in `MOMENT_NAMES` order."""
+    return ((n_y + n_x) * math.cosh(4 * kt) + 2.0 * math.sinh(2 * kt) ** 2,
+            n_y - n_x,
+            0.0,
+            (1.0 + n_y + n_x) * math.sinh(4 * kt),
+            (math.sinh(4 * kt) ** 2
+             + 2.0 * math.cosh(8 * kt) * (n_y * n_x)
+             - (1.0 - 2.0 * math.cosh(4 * kt)) * (n_y + n_x)
+             - math.cosh(4 * kt) ** 2 * (n_y + n_x) ** 2),
+            n_y * (1.0 - n_y) + n_x * (1.0 - n_x),
+            1.0 + n_y + n_x + 2.0 * n_y * n_x,
+            (math.cosh(4 * kt) ** 2
+             + math.cosh(8 * kt) * (n_y + n_x + 2.0 * n_y * n_x)
+             - math.sinh(4 * kt) ** 2 * (n_y + n_x) ** 2))
 
 
 @dataclass(frozen=True)
@@ -231,10 +208,10 @@ def claimed_moment_table(
     elif integer_point:
         reference = heisenberg_moments(int(n_x), int(n_y), kt)
     values = (reference.means + reference.variances if reference is not None
-              else (None,) * len(CLAIMED_FORMS))
+              else (None,) * len(MOMENT_NAMES))
     rows = []
-    for (name, form), value in zip(CLAIMED_FORMS.items(), values):
-        claimed = form(n_x, n_y, kt)
+    for name, claimed, value in zip(MOMENT_NAMES,
+                                    claimed_moments(n_x, n_y, kt), values):
         verdict, deviation = ((None, None) if value is None
                               else _classify(claimed, value))
         rows.append(ClaimVerdict(name, claimed, value, verdict, deviation))

@@ -26,6 +26,21 @@ POLAR_ANGLES = st.floats(min_value=0.05, max_value=math.pi - 0.05)
 PHASE_ANGLES = st.floats(min_value=-math.pi + 1e-6, max_value=math.pi)
 
 
+def hidden_map(spec):
+    """The (4, 2) map from (p, q) to z of a hidden-polarized sample.
+
+    A_x = s_x e^{i phi} and A_y = s_y e^{-i phi}, with
+    s_x = cos(chi_h/2) e^{i delta_h/2} and
+    s_y = sin(chi_h/2) e^{i delta_h/2}.
+    """
+    half = 0.5 * spec.delta_h
+    tilt = complex(math.cos(half), math.sin(half))
+    s_x = math.cos(0.5 * spec.chi_h) * tilt
+    s_y = math.sin(0.5 * spec.chi_h) * tilt
+    return np.array([[s_x.real, -s_x.imag], [s_x.imag, s_x.real],
+                     [s_y.real, s_y.imag], [s_y.imag, -s_y.real]])
+
+
 def ordinary_map(chi, delta):
     """The (4, 2) map from (p, q) to z of an ordinary-polarized sample.
 
@@ -38,15 +53,31 @@ def ordinary_map(chi, delta):
                      [s_y.real, -s_y.imag], [s_y.imag, s_y.real]])
 
 
+def ordinary_components(chi, delta):
+    """`ordinary_map`'s (6, 3) map from the three sums to the components.
+
+    The sums are (sum p^2, sum pq, sum q^2) and the rows s0, s1, s2,
+    s3, h2, h3, as in the spec's `_component_map`. With w = p + iq:
+    s0 = |w|^2, s1 = -cos(chi) |w|^2,
+    s2 + i*s3 = sin(chi) e^{-i delta} |w|^2 and
+    h2 + i*h3 = sin(chi) e^{i delta} w^2.
+    """
+    c, s = math.cos(chi), math.sin(chi)
+    re, im = s * math.cos(delta), s * math.sin(delta)
+    return np.array([[1.0, 0.0, 1.0], [-c, 0.0, -c], [re, 0.0, re],
+                     [-im, 0.0, -im], [re, -2.0 * im, -re],
+                     [im, 2.0 * re, -im]])
+
+
 def amplitudes(spec, count, seed, mapping=None):
     """(A_x, A_y) of the draw's samples, one array each.
 
     The draw's (p, q) in one chunk, mapped row by row to
-    z = (Re A_x, Im A_x, Re A_y, Im A_y) = R (p, q) by the spec's
-    `_draw_map` or by `mapping`. The draw reads only `spec.amplitude`.
+    z = (Re A_x, Im A_x, Re A_y, Im A_y) = R (p, q) by `hidden_map` or
+    by `mapping`. The draw reads only `spec.amplitude`.
     """
     p, q = next(_draw_chunks(spec, count, seed, count))
-    r = spec._draw_map() if mapping is None else mapping
+    r = hidden_map(spec) if mapping is None else mapping
     z = r[:, :1] * p + r[:, 1:] * q
     return np.ascontiguousarray(z.T).view(complex).T
 
@@ -142,14 +173,35 @@ def test_tilted_ensemble_keeps_s1():
     assert abs(stats.values["s2"]) < 5 / math.sqrt(100_000)
 
 
+@given(chi_h=st.floats(min_value=0.0, max_value=math.pi),
+       delta_h=PHASE_ANGLES, seed=SEEDS)
+def test_phase_sum_components_are_exact_at_fixed_amplitude(chi_h, delta_h,
+                                                           seed):
+    # s0, s1 and h0..h3 take one value on every sample, so their
+    # estimates are exact and their errors round-off. 100003 samples:
+    # 316 batches of 316 in four chunks, and 147 beyond the last batch
+    a0 = 1.7
+    spec = HopsEnsembleSpec(chi_h, delta_h, FixedAmplitude(a0))
+    stats = hops_statistics(spec, 100_003, seed)
+    tilt = -math.cos(chi_h)
+    pair = math.sin(chi_h) * cmath.exp(1j * delta_h)
+    expected = {"s0": 1.0, "s1": tilt, "h0": 1.0, "h1": tilt,
+                "h2": pair.real, "h3": pair.imag}
+    scale = a0**2
+    for name, value in expected.items():
+        assert abs(stats.values[name] - scale * value) <= 1e-14 * scale, name
+        assert stats.std_errors[name] < 1e-14 * scale, name
+
+
 def test_ordinary_ensemble_hidden_parameters_vanish():
     # the same draw mapped by an ordinary map (one common phase), and
-    # reduced both per sample and by the streamed Gram reduction
+    # reduced both per sample and by the streamed three-sum reduction
     spec = HopsEnsembleSpec(chi_h=1.0, delta_h=0.0)
     mapping = ordinary_map(0.5 * math.pi, 0.4)
     values, _ = _direct_stats(*amplitudes(spec, 200_000, 19, mapping))
     chunks = _draw_chunks(spec, 200_000, 19, 200_000)
-    streamed = _chunk_stats(chunks, 200_000, mapping).values
+    streamed = _chunk_stats(chunks, 200_000,
+                            ordinary_components(0.5 * math.pi, 0.4)).values
     # fixed phase difference: ordinary cross terms are exact per sample
     expected = np.sin(0.5 * math.pi) * np.exp(-1j * 0.4)
     for table in (values, streamed):
@@ -303,9 +355,9 @@ def test_streamed_statistics_match_one_shot():
     # 300001 samples: batches of 548, five chunks of 119 batches each
     spec = HopsEnsembleSpec(chi_h=1.1, delta_h=-0.3,
                             amplitude=RayleighAmplitude(1.0))
-    # The stream reduces each batch's (p, q) Gram P and lifts it to
-    # R P R^T; the per-sample components differ from that at round-off,
-    # so errors agree by the rule of
+    # The stream reduces each batch to (sum p^2, sum pq, sum q^2) and
+    # maps those by the spec's 6 x 3 K; the per-sample components differ
+    # from that at round-off, so errors agree by the rule of
     # test_gram_reduce_matches_the_per_sample_components
     values, errors = _direct_stats(*amplitudes(spec, 300_001, seed=5))
     streamed = hops_statistics(spec, 300_001, seed=5)
@@ -404,14 +456,14 @@ def _direct_stats(amp_x, amp_y):
 def test_gram_reduce_matches_the_per_sample_components(amplitude):
     # 10007 samples: 100 batches of 100 and 7 beyond the last batch
     count = 10_007
-    # the hidden draw, and the same draw lifted by an ordinary map
+    # the hidden draw, and the same draw under an ordinary map
     hidden = HopsEnsembleSpec(chi_h=1.1, delta_h=-0.3, amplitude=amplitude)
     ordinary = ordinary_map(0.9, 2.0)
     tables = [(_direct_stats(*amplitudes(hidden, count, seed=9)),
                hops_statistics(hidden, count, seed=9)),
               (_direct_stats(*amplitudes(hidden, count, 9, ordinary)),
                _chunk_stats(_draw_chunks(hidden, count, 9, count), count,
-                            ordinary))]
+                            ordinary_components(0.9, 2.0)))]
     for (values, errors), stats in tables:
         scale = values["s0"]
         for name, value in stats.values.items():

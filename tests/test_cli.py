@@ -348,8 +348,13 @@ def test_usage_errors_exit_two(capsys):
      "--nx does not apply to --model thermal"),
     (["sweep", "--model", "fock", "--nbar-x", "3"],
      "--nbar-x does not apply to --model fock"),
+    # and so is the other amplitude law's parameter
+    (["ensemble", "--amplitude", "fixed", "--scale", "5", "--count", "10"],
+     "--scale does not apply to --amplitude fixed"),
+    (["ensemble", "--amplitude", "rayleigh", "--a0", "5", "--count", "10"],
+     "--a0 does not apply to --amplitude rayleigh"),
 ], ids=["cutoff-without-oracle", "cutoff-inside-margin", "negative-nx",
-        "thermal-nx", "fock-nbar-x"])
+        "thermal-nx", "fock-nbar-x", "fixed-scale", "rayleigh-a0"])
 def test_library_rules_exit_two_with_the_library_message(argv, message,
                                                          capsys):
     with pytest.raises(SystemExit) as excinfo:
