@@ -128,8 +128,8 @@ class QuantumState:
     def from_blocks(cls, cutoff: FockCutoff, blocks: Blocks) -> "QuantumState":
         """The state whose sector n_x - n_y = delta is G diag(p) G^dag.
 
-        `blocks` maps each populated sector's delta to (G, p), G (L, r)
-        on its L states in `sector_table` order. A p below
+        `blocks` maps each populated sector's delta, an integer, to (G, p),
+        G (L, r) on its L states in `sector_table` order. A p below
         EIGENVALUE_FLOOR, or a trace sum_r p_r |G_r|^2 other than 1,
         raises ValueError; a p in (EIGENVALUE_FLOOR, 0) clamps to 0 and
         the kept columns scale to keep the trace.
@@ -139,7 +139,7 @@ class QuantumState:
         columns, dropped = [], 0.0
         for s, delta in zip(positions.tolist(), sorted(blocks)):
             g, p = np.asarray(blocks[delta][0]), np.asarray(blocks[delta][1])
-            if not (0 <= s < table.delta.size
+            if not (isinstance(delta, Integral) and 0 <= s < table.delta.size
                     and g.shape == ((table.indices[s] >= 0).sum(), p.size)):
                 raise ValueError(f"block {delta} is not (G, p) of a sector of {cutoff}")
             _require_positive(p.min(initial=0.0))
@@ -327,9 +327,9 @@ class SectorStack:
 
     Sector s holds the block G_s G_s^dag: the columns G sqrt(p) of its
     (G, p) (`QuantumState.from_blocks`), a state vector's amplitude
-    slice among them. The S sectors are consecutive rows `positions` of
-    the cutoff's `sector_table`, zero-padded to the longest of them, L,
-    and to the most columns, R (`_partition` cuts a state):
+    slice among them. The S sectors are consecutive rows of the cutoff's
+    `sector_table` (rows delta + d_y - 1), zero-padded to the longest of
+    them, L, and to the most columns, R (`_partition` cuts a state):
 
     - `columns` G, shape (S, L, R), in each sector's order;
     - the sector constants, gathered from the table once: `indices`
@@ -346,7 +346,6 @@ class SectorStack:
     arrays are read-only.
     """
 
-    positions: tuple[int, ...]
     indices: np.ndarray = field(repr=False)
     columns: np.ndarray = field(repr=False)
     delta: np.ndarray = field(repr=False)
@@ -443,8 +442,7 @@ def _slab(
                  table.pair_square[positions, :size].reshape(-1, 1)[:-2])
     for array in (indices, *constants):
         array.setflags(write=False)
-    return SectorStack(tuple(positions.tolist()), indices, columns,
-                       *constants)
+    return SectorStack(indices, columns, *constants)
 
 
 def fock_state(cutoff: FockCutoff, n_x: int, n_y: int) -> QuantumState:
@@ -494,10 +492,10 @@ def random_low_excitation_state(
     require_photon_numbers(max_level)
     if max_level >= min(cutoff.d_x, cutoff.d_y):
         raise ValueError("max_level must sit inside the cutoff")
+    k = max_level + 1
+    # row n_x draws its k real parts, then its k imaginary parts
+    draws = rng.standard_normal((k, 2, k))
     v = np.zeros(cutoff.dim, dtype=complex)
-    for n_x in range(max_level + 1):
-        lo = cutoff.index(n_x, 0)
-        v[lo:lo + max_level + 1] = (rng.standard_normal(max_level + 1)
-                                    + 1j * rng.standard_normal(max_level + 1))
+    v.reshape(cutoff.d_x, cutoff.d_y)[:k, :k] = draws[:, 0] + 1j * draws[:, 1]
     v /= np.linalg.norm(v)
     return QuantumState.from_vector(cutoff, v)

@@ -21,9 +21,9 @@ built once per cutoff, in `fock.sector_table`, and each slab gathers
 its own, so any set of columns on it, such as the dynamics oracle's
 evolved columns at each kt, is measured with no set-up. The
 criterion fit, the coherence functions and the factorization check
-take one path for every state: ladder shifts (`fock.ladder_block`) of
-its blocks (`QuantumState.row_blocks`), compared on the rows two
-images share, so no array is d^2 long.
+share one walk over a state's blocks (`QuantumState.row_blocks`) that
+aligns a block's ladder images (`fock.ladder_block`) once, so no array
+is d^2 long; the fit pools its blocks by the parallel rule.
 
 The commutator tables run on the chains each set conserves, both rows
 of `fock.sector_table`: imbalance sectors for the hidden set (su(1,1)),
@@ -42,13 +42,12 @@ form and the corrected form side by side; nothing is silently fixed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
 from .fock import (
     VARIANCE_FLOOR,
-    Block,
     FockCutoff,
     QuantumState,
     SectorStack,
@@ -342,75 +341,75 @@ class HopsFit:
     residual: float
 
 
-def _aligned(a: Block, b: Block) -> np.ndarray:
-    """The columns of blocks a and b, zero-filled on their rows' union."""
-    # one sort; np.union1d would import numpy.ma on its first call (~12 ms)
-    rows, where = np.unique(np.concatenate([a[0], b[0]]), return_inverse=True)
-    aligned = np.zeros((2, rows.size, a[1].shape[1]), dtype=complex)
-    aligned[0, where[:a[0].size]], aligned[1, where[a[0].size:]] = a[1], b[1]
-    return aligned
+def _images(state: QuantumState, chains: list) -> Iterator[tuple[np.ndarray, ...]]:
+    """Each block's C and its chains' images, aligned once.
+
+    A chain is a list of (k_x, k_y, adjoint) `fock.ladder_block` steps,
+    applied in order. Yields, per block (rows, C), C and the images as one
+    (chains, rows, R) stack on their rows' union, zero where one has none.
+    """
+    for block in state.row_blocks():
+        images = []
+        for chain in chains:
+            image = block
+            for step in chain:
+                image = ladder_block(state.cutoff, image, *step)
+            images.append(image)
+        rows, columns = zip(*images)
+        # one sort; np.union1d would import numpy.ma on its first call (~12 ms)
+        union, where = np.unique(np.concatenate(rows), return_inverse=True)
+        stack = np.zeros((len(chains), union.size, block[1].shape[1]), dtype=complex)
+        chain = np.repeat(np.arange(len(chains)), [r.size for r in rows])
+        stack[chain, where] = np.concatenate(columns)
+        yield block[1], stack
 
 
 def fit_hops_criterion(state: QuantumState) -> HopsFit:
     """Fit p_h minimizing ||a_y X - p_h a_x^dag X|| / ||X||.
 
     X is the state vector of a pure state, else the density matrix
-    (Frobenius norm), X = sum C C^dag over the state's blocks (rows, C)
-    (`QuantumState.row_blocks`), which share no row. With M = C^dag C,
-    T = a_y C and B = a_x^dag C on the union of the rows they reach,
+    (Frobenius norm), X = sum C C^dag over the state's blocks (rows, C).
+    One walk (`_images`) holds one block at a time. With M = C^dag C,
+    T = a_y C and B = a_x^dag C, block k keeps d_k = tr(B^dag B M),
+    n_k = tr(B^dag T M), its own fit q_k = n_k / d_k (0 if d_k = 0) and
+    r_k = tr(E^dag E M), E = T - q_k B formed, not expanded, so a small
+    residual keeps its digits. E is orthogonal to B in the M metric, so
+    the blocks pool exactly by the parallel rule (one block: q_1 = p_h):
 
-        p_h        = sum tr(B^dag T M) / sum tr(B^dag B M)
-        residual^2 = sum tr(E^dag E M) / sum tr(M^2),  E = T - p_h B,
+        p_h        = sum n_k / sum d_k
+        residual^2 = (sum r_k + sum d_k |q_k - p_h|^2) / sum tr(M^2).
 
-    with E formed, not expanded, so a small residual keeps its digits.
-    Two passes over the blocks, one block held at a time: the sums of
-    p_h and the norm, then E; a one-block state (every pure state)
-    keeps its (M, T, B) from the first pass for the second. Raises
-    FitUndefinedError when sum tr(B^dag B M) = ||a_x^dag X||^2 vanishes
-    (x-mode saturated at the truncation edge), where no finite p_h is
-    meaningful.
+    Raises FitUndefinedError when sum d_k = ||a_x^dag X||^2 vanishes (the
+    x-mode saturated at the truncation edge), leaving no finite p_h.
     """
-    def terms():
-        for rows, c in state.row_blocks():
-            yield c.conj().T @ c, *_aligned(
-                ladder_block(state.cutoff, (rows, c), k_y=1),
-                ladder_block(state.cutoff, (rows, c), k_x=1, adjoint=True))
-
-    numer = denom = norm = 0
-    for blocks, (m, t, b) in enumerate(terms(), 1):
-        denom += np.vdot(b, b @ m).real
-        numer += np.vdot(b, t @ m)
-        norm += np.vdot(m, m).real
+    sums = []
+    for c, (t, b) in _images(state, [[(0, 1, False)], [(1, 0, True)]]):
+        m = c.conj().T @ c
+        d, n = np.vdot(b, b @ m).real, np.vdot(b, t @ m)
+        q = n / d if d else 0
+        sums.append((d, n, q, np.vdot(e := t - q * b, e @ m).real,
+                     np.vdot(m, m).real))
+    denom, numer, _, misfit, norm = (sum(column) for column in zip(*sums))
     if denom < FIT_DENOMINATOR_FLOOR:
         raise FitUndefinedError("a_x^dag annihilates the state; fit undefined")
     p = complex(numer / denom)
-    second = [(m, t, b)] if blocks == 1 else terms()
-    misfit = sum(np.vdot(e := t - p * b, e @ m).real for m, t, b in second)
+    misfit += sum(d * abs(q - p) ** 2 for d, _, q, _, _ in sums)
     return HopsFit(p, float(np.sqrt(misfit / norm)))
 
 
-def _gram(state: QuantumState, bras: list, kets: list) -> np.ndarray:
-    """Tr[rho X^dag Y] for each ladder chain X of `bras` and Y of `kets`.
+def _gram(state: QuantumState, chains: list) -> np.ndarray:
+    """Tr[rho X^dag Y] for every pair of ladder chains X, Y of `chains`.
 
-    A chain is a list of (k_x, k_y, adjoint) steps of `fock.ladder_block`,
-    applied in order; its total order may be at most min(d_x, d_y) - 2.
-    The trace is the sum over the state's blocks (rows, C) of
-    vdot(X C, Y C), on the rows the two images share.
+    The Hermitian Gram of the chains' images (`_images`), one product per
+    block; a chain's total order may be at most min(d_x, d_y) - 2.
     """
-    cut, chains = state.cutoff, bras + kets
+    cut = state.cutoff
     order = max(sum(k_x + k_y for k_x, k_y, _ in chain) for chain in chains)
     if order > min(cut.d_x, cut.d_y) - 2:
         raise ValueError(
             f"coherence order {order} exceeds the safe margin for {cut}")
-    gram = np.zeros((len(bras), len(kets)), dtype=complex)
-    for block in state.row_blocks():
-        images = [block] * len(chains)
-        for a, chain in enumerate(chains):
-            for step in chain:
-                images[a] = ladder_block(cut, images[a], *step)
-        gram += [[np.vdot(*_aligned(x, y)) for y in images[len(bras):]]
-                 for x in images[:len(bras)]]
-    return gram
+    flats = (stack.reshape(len(chains), -1) for _, stack in _images(state, chains))
+    return sum(flat.conj() @ flat.T for flat in flats)
 
 
 def coherence_function(
@@ -422,12 +421,12 @@ def coherence_function(
         Tr[rho a_x^dag^{m_x} a_y^dag^{m_y} a_x^{n_x} a_y^{n_y}]
       = sum_C vdot(a_x^{m_x} a_y^{m_y} C, a_x^{n_x} a_y^{n_y} C),
 
-    over the state's blocks (`_gram`). The orders are integers >= 0
+    over the state's blocks: entry [0, 1] of the two chains' `_gram`. The orders are integers >= 0
     (`fock.require_photon_numbers`), each side's total at most
     min(d_x, d_y) - 2; others raise ValueError.
     """
-    bra, ket = [(m_x, m_y, False)], [(n_x, n_y, False)]
-    return complex(_gram(state, [bra], [ket])[0, 0])
+    chains = [[(m_x, m_y, False)], [(n_x, n_y, False)]]
+    return complex(_gram(state, chains)[0, 1])
 
 
 @dataclass(frozen=True)
@@ -466,7 +465,8 @@ def factorization_residuals(state: QuantumState) -> list[FactorizationCheck]:
              for k_y in range(FACTORIZATION_ORDER + 1 - k_x)]
     plain = [[(i, j, False)] for i, j in sides]
     x_only = [[(j, 0, True), (i, 0, False)] for i, j in sides]
-    gammas, xmoments = _gram(state, plain, plain), _gram(state, x_only, x_only)
+    gram = _gram(state, plain + x_only)
+    gammas, xmoments = gram[:len(sides), :len(sides)], gram[len(sides):, len(sides):]
     rows: list[FactorizationCheck] = []
     for a, (m_x, m_y) in enumerate(sides):
         for b, (n_x, n_y) in enumerate(sides):

@@ -226,8 +226,8 @@ def test_slabs_pad_only_to_their_own_longest_sector(make_state):
     table = sector_table(state.cutoff)
     populated = np.flatnonzero(np.bincount(
         table.label[populations(state) != 0.0], minlength=table.delta.size))
-    assert [s for stack in slabs for s in stack.positions] == \
-        populated.tolist()
+    assert [d for stack in slabs for d in stack.delta.tolist()] == \
+        table.delta[populated].tolist()
     for stack in slabs:
         count, length = stack.indices.shape
         assert (stack.indices >= 0).sum(axis=1).max() == length
@@ -272,7 +272,7 @@ def test_block_populations_are_read_only_diagonals(make_state):
 
 def _sectors(state):
     """The number of sectors in the state's slabs."""
-    return sum(len(stack.positions) for stack in state.blocks)
+    return sum(stack.delta.size for stack in state.blocks)
 
 
 def test_thermal_sweep_decomposes_blocks_once(monkeypatch):
@@ -333,10 +333,9 @@ def test_eigenpairs_are_computed_per_populated_chain(monkeypatch):
 
 def test_eigenpairs_do_not_read_the_measure():
     state = thermal_state(FockCutoff(12, 9), 0.4, 0.7)
-    delta = sector_table(state.cutoff).delta
     for slab in state.blocks:
         # sectors of several |delta| and lengths
-        assert len(set(np.abs(delta[list(slab.positions)]).tolist())) > 1
+        assert len(set(np.abs(slab.delta).tolist())) > 1
         blind = dataclasses.replace(
             slab, diagonal=np.zeros_like(slab.diagonal))
         for got, want in zip(blind.eigenpairs, slab.eigenpairs):
@@ -347,7 +346,7 @@ def test_slab_constants_keep_one_row_per_table_row():
     state = thermal_state(FockCutoff(12, 9), 0.4, 0.7)
     table = sector_table(state.cutoff)
     for slab in state.blocks:
-        positions = list(slab.positions)
+        positions = slab.delta + state.cutoff.d_y - 1
         length = slab.indices.shape[1]
         np.testing.assert_array_equal(slab.delta, table.delta[positions])
         np.testing.assert_array_equal(
@@ -357,7 +356,7 @@ def test_slab_constants_keep_one_row_per_table_row():
     slab = state.blocks[0]
     wider = dataclasses.replace(table, diagonal=np.concatenate(
         [table.diagonal, table.diagonal[2:3] ** 2]))
-    grown = fock._slab(wider, np.array(slab.positions), slab.indices,
+    grown = fock._slab(wider, slab.delta + state.cutoff.d_y - 1, slab.indices,
                        slab.columns)
     assert grown.diagonal.shape == (6, slab.diagonal.shape[1])
     np.testing.assert_array_equal(grown.diagonal[:5], slab.diagonal)
@@ -434,7 +433,7 @@ def test_eigenbasis_belongs_to_its_state():
         return fock_state(cut, 1, 0)
 
     first, second = single(), superposition()
-    assert first.blocks[0].positions == second.blocks[0].positions
+    assert first.blocks[0].delta.tolist() == second.blocks[0].delta.tolist()
     config = DpaConfig(kt=0.2)
     for _ in range(2):
         for state, make in ((first, single), (second, superposition)):
@@ -634,8 +633,7 @@ def test_clamped_weights_keep_the_trace():
     rho = np.zeros((cut.dim, cut.dim), dtype=complex)
     rho[vac, vac], rho[single, single] = 1.0 + 5e-11, -5e-11
     state = from_density(cut, rho)
-    assert [stack.positions for stack in state.blocks] == [
-        (cut.d_y - 1, cut.d_y)]
+    assert [stack.delta.tolist() for stack in state.blocks] == [[0, 1]]
     np.testing.assert_array_equal(state.blocks[0].columns[1], 0.0)
     vacuum = fock_state(cut, 0, 0)
     for kt in (0.0, 0.1, 0.3):
@@ -764,7 +762,7 @@ def test_evolved_block_state_holds_the_oracle_rows(make_state, kt):
     # the slabs keep their layout and constants, so the evolved state's
     # sums are the oracle row's, to the bit
     for old, new in zip(state.blocks, evolved.blocks, strict=True):
-        assert new.positions == old.positions
+        assert new.delta is old.delta
         assert new.indices is old.indices and new.diagonal is old.diagonal
         assert new.columns.shape == old.columns.shape
         assert not new.columns.flags.writeable

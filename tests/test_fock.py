@@ -411,9 +411,14 @@ def test_from_blocks_checks_weights_trace_and_shapes():
     with pytest.raises(ValueError, match="trace"):
         QuantumState.from_blocks(cut, {0: (eye, [0.5, 0.4, 0.0, 0.0])})
     for bad in ({0: (np.eye(3), [0.5, 0.3, 0.2])}, {0: (eye, [1.0])},
-                {5: (np.eye(1), [1.0])}, {-4: (np.eye(1), [1.0])}):
+                {5: (np.eye(1), [1.0])}, {-4: (np.eye(1), [1.0])},
+                # a key that is no integer is no sector, not its integer part
+                {0.5: (eye, np.full(4, 0.25))}, {-0.9: (eye, np.full(4, 0.25))}):
         with pytest.raises(ValueError, match="not .G, p. of a sector"):
             QuantumState.from_blocks(cut, bad)
+    # a numpy integer is an integer key
+    assert populations(QuantumState.from_blocks(
+        cut, {np.int64(0): (eye, np.full(4, 0.25))})).sum() == pytest.approx(1.0)
 
 
 def test_from_blocks_clamps_as_from_density():

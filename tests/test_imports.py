@@ -3,9 +3,9 @@
 `__init__.py` is skipped by the import check: its imports are the
 package's re-exports. A module-level private name (one leading
 underscore) must be read somewhere in the package beyond its own
-definition; a public method of a state or of its slabs, and every name
-in `hopslab.__all__` but one named exception, somewhere in the
-package's modules, its scripts or its benchmark. No module reads a
+definition; a public method or a field of a state or of its slabs, and
+every name in `hopslab.__all__` but one named exception, somewhere in
+the package's modules, its scripts or its benchmark. No module reads a
 state's dense `density` view, and `polarization` reads neither a
 cutoff's joint dimension nor a state's vector.
 """
@@ -198,6 +198,35 @@ def test_every_public_state_method_is_read():
                              {"QuantumState", "SectorStack"})
     assert {"QuantumState.from_blocks", "SectorStack.eigenpairs"} <= set(methods)
     assert unread_methods(methods, reader_sources()) == []
+
+
+def dataclass_fields(source: str, classes: set[str]) -> list[str]:
+    """The annotated fields of the source's `classes`, as `Class.field`."""
+    return [f"{node.name}.{item.target.id}"
+            for node in ast.parse(source).body
+            if isinstance(node, ast.ClassDef) and node.name in classes
+            for item in node.body
+            if isinstance(item, ast.AnnAssign)
+            and isinstance(item.target, ast.Name)]
+
+
+def test_the_guard_finds_an_unread_field():
+    source = ("@dataclass\nclass A:\n    kept: int\n    orphan: tuple = ()\n"
+              "    def method(self):\n        return self.kept\n"
+              "class B:\n    other: int\n")
+    fields = dataclass_fields(source, {"A"})
+    assert fields == ["A.kept", "A.orphan"]
+    assert unread_methods(fields, [source]) == ["A.orphan"]
+
+
+def test_every_state_field_is_read():
+    # a field that only tests read is test-only production code too: each
+    # field of a state and of its slabs is read by the package, its
+    # scripts or its benchmark
+    fields = dataclass_fields((PACKAGE / "fock.py").read_text(),
+                              {"QuantumState", "SectorStack"})
+    assert {"QuantumState.vector", "SectorStack.delta"} <= set(fields)
+    assert unread_methods(fields, reader_sources()) == []
 
 
 def unread_exports(exports: list[str], sources: list[str]) -> list[str]:

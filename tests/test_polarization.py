@@ -21,6 +21,7 @@ from hopslab.fock import (
     sector_table,
 )
 from hopslab.polarization import (
+    FACTORIZATION_TOL,
     FitUndefinedError,
     _chain_tables,
     coherence_function,
@@ -389,9 +390,9 @@ def test_mixed_fit_and_coherence_build_no_dense_array():
 
 
 def test_mixed_fit_holds_one_block_at_a_time():
-    # two passes over the sector blocks: kept for every block until p_h
-    # was known, the fit's (M, T, B) traced 7.15 MB here; one block at a
-    # time traces 0.64 MB
+    # kept for every block until p_h was known, the fit's (M, T, B)
+    # traced 7.15 MB here; one walk that holds one block at a time and
+    # keeps only its sums (d_k, n_k, q_k, r_k, tr M^2) traces 0.76 MB
     state = thermal_state(FockCutoff(60, 60), 0.5, 0.3)
     tracemalloc.start()
     try:
@@ -404,10 +405,10 @@ def test_mixed_fit_holds_one_block_at_a_time():
 
 
 def test_one_block_fit_builds_its_images_once(monkeypatch):
-    # a pure state is one block: the second pass reuses the first pass's
-    # (M, T, B), so a_y C and a_x^dag C are built once (55 -> 100 us for
-    # |3,2> at d = 40 when they were built twice); a state of several
-    # blocks still builds them in each pass, one block at a time
+    # one walk over the blocks: each block's a_y C and a_x^dag C are built
+    # once, and the blocks pool by the parallel rule, so a pure state (one
+    # block) and a state of several blocks alike make 2 calls per block
+    # (a second pass that formed E = T - p_h B rebuilt them, 4 per block)
     calls = []
     ladder_block = hopslab.polarization.ladder_block
 
@@ -421,7 +422,49 @@ def test_one_block_fit_builds_its_images_once(monkeypatch):
     calls.clear()
     state = thermal_state(FockCutoff(8, 8), 0.5, 0.3)
     fit_hops_criterion(state)
-    assert len(calls) == 4 * len(list(state.row_blocks())) > 4
+    assert len(calls) == 2 * len(list(state.row_blocks())) > 4
+
+
+def test_factorization_check_walks_the_blocks_twice(monkeypatch):
+    # the fit walks the blocks once and one Gram of the plain and x-only
+    # chains once more (three walks when the Gammas and the x-moments were
+    # two Grams); each walk aligns a block's images with one sort
+    walks, sorts = [], []
+    row_blocks, unique = QuantumState.row_blocks, np.unique
+
+    def counted_walk(self):
+        walks.append(self)
+        return row_blocks(self)
+
+    def counted_sort(*args, **kwargs):
+        sorts.append(args)
+        return unique(*args, **kwargs)
+
+    monkeypatch.setattr(QuantumState, "row_blocks", counted_walk)
+    monkeypatch.setattr(np, "unique", counted_sort)
+    state = thermal_state(FockCutoff(8, 9), 0.5, 0.3)
+    blocks = len(list(state.row_blocks()))
+    walks.clear()
+    factorization_residuals(state)
+    assert len(walks) == 2
+    assert len(sorts) == 2 * blocks > 2
+
+
+def test_mixed_hops_state_satisfies_the_criterion():
+    # evolved |0,0> and |1,0> both obey a_y psi = p a_x^dag psi with
+    # p = -i tanh 2kt; their 50/50 mixture of two sector blocks obeys
+    # a_y rho = p a_x^dag rho, so the pooled fit finds the shared p
+    cut, kt = FockCutoff(56, 56), 0.22
+    pure = [evolve(fock_state(cut, n_x, 0), DpaConfig(kt=kt)) for n_x in (0, 1)]
+    state = QuantumState.from_blocks(cut, {
+        int(s.blocks[0].delta[0]): (s.blocks[0].columns[0], np.array([0.5]))
+        for s in pure})
+    assert state.vector is None and len(list(state.row_blocks())) == 2
+    fit = fit_hops_criterion(state)
+    assert abs(fit.p_h - (-1j * np.tanh(2 * kt))) < 1e-12
+    assert fit.residual < 1e-12
+    rows = factorization_residuals(state)
+    assert max(row.reduced_residual for row in rows) < FACTORIZATION_TOL
 
 
 def test_fit_and_coherences_load_no_masked_arrays():
