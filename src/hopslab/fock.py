@@ -55,8 +55,12 @@ EVOLUTION_MARGIN = 4       # edge band whose population certifies truncation
 TABLE_ENTRY_BYTES = 136    # `sector_table`'s peak per (sector, position) entry
 
 # Complex entries per slab of a state's columns: a computation that
-# holds a few copies holds them a slab at a time
-STACK_SLAB = 2**14
+# holds a few copies holds them a slab at a time. 8190 * 16 bytes plus
+# malloc's 8-byte header stays under glibc's 128 KiB mmap threshold, so
+# an oracle row's per-slab temporaries come from the heap; at 2**14
+# each thermal row faulted in fresh pages (126 per row at d = 24, 485
+# at d = 40, 1673 at d = 64, by ru_minflt in a fresh process)
+STACK_SLAB = 8190
 
 Blocks = dict[int, tuple[np.ndarray, np.ndarray]]  # (G, p) by sector delta
 Block = tuple[np.ndarray, np.ndarray]  # (rows, C): C's rows at flat `rows`

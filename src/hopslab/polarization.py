@@ -342,12 +342,20 @@ class HopsFit:
 
 
 def _images(state: QuantumState, chains: list) -> Iterator[tuple[np.ndarray, ...]]:
-    """Each block's C and its chains' images, aligned once.
+    """Each block's C, its chains' images aligned once, and their groups.
 
     A chain is a list of (k_x, k_y, adjoint) `fock.ladder_block` steps,
-    applied in order. Yields, per block (rows, C), C and the images as one
-    (chains, rows, R) stack on their rows' union, zero where one has none.
+    applied in order. Yields, per block (rows, C), C, the images as one
+    (chains, rows, R) stack, zero where one has none, and each chain's
+    group: images of one group are aligned row by row, of two never
+    meet. From a block on one sector a chain lands in the sector shifted
+    by its net n_x - n_y change, its group, where n_x names a row; a
+    block across sectors, a vector's support, is one group on its
+    images' union of flat rows.
     """
+    # a step changes n_x - n_y by k_y - k_x, an adjoint step by k_x - k_y
+    shift = np.array([sum((k_y - k_x) * (-1) ** adjoint for k_x, k_y, adjoint in chain)
+                      for chain in chains])
     for block in state.row_blocks():
         images = []
         for chain in chains:
@@ -356,12 +364,19 @@ def _images(state: QuantumState, chains: list) -> Iterator[tuple[np.ndarray, ...
                 image = ladder_block(state.cutoff, image, *step)
             images.append(image)
         rows, columns = zip(*images)
-        # one sort; np.union1d would import numpy.ma on its first call (~12 ms)
-        union, where = np.unique(np.concatenate(rows), return_inverse=True)
-        stack = np.zeros((len(chains), union.size, block[1].shape[1]), dtype=complex)
+        n_x, n_y = np.divmod(block[0], state.cutoff.d_y)
+        if np.all(n_x - n_y == n_x[0] - n_y[0]):
+            where = np.concatenate(rows) // state.cutoff.d_y
+            where -= where.min(initial=state.cutoff.d_x)  # every n_x < d_x
+            size, group = where.max(initial=-1) + 1, shift
+        else:
+            # one sort; np.union1d would import numpy.ma on its first call (~12 ms)
+            union, where = np.unique(np.concatenate(rows), return_inverse=True)
+            size, group = union.size, np.zeros_like(shift)
+        stack = np.zeros((len(chains), size, block[1].shape[1]), dtype=complex)
         chain = np.repeat(np.arange(len(chains)), [r.size for r in rows])
         stack[chain, where] = np.concatenate(columns)
-        yield block[1], stack
+        yield block[1], stack, group
 
 
 def fit_hops_criterion(state: QuantumState) -> HopsFit:
@@ -383,7 +398,7 @@ def fit_hops_criterion(state: QuantumState) -> HopsFit:
     x-mode saturated at the truncation edge), leaving no finite p_h.
     """
     sums = []
-    for c, (t, b) in _images(state, [[(0, 1, False)], [(1, 0, True)]]):
+    for c, (t, b), _ in _images(state, [[(0, 1, False)], [(1, 0, True)]]):
         m = c.conj().T @ c
         d, n = np.vdot(b, b @ m).real, np.vdot(b, t @ m)
         q = n / d if d else 0
@@ -401,15 +416,19 @@ def _gram(state: QuantumState, chains: list) -> np.ndarray:
     """Tr[rho X^dag Y] for every pair of ladder chains X, Y of `chains`.
 
     The Hermitian Gram of the chains' images (`_images`), one product per
-    block; a chain's total order may be at most min(d_x, d_y) - 2.
+    block, zero between two groups, whose images never meet; a chain's
+    total order may be at most min(d_x, d_y) - 2.
     """
     cut = state.cutoff
     order = max(sum(k_x + k_y for k_x, k_y, _ in chain) for chain in chains)
     if order > min(cut.d_x, cut.d_y) - 2:
         raise ValueError(
             f"coherence order {order} exceeds the safe margin for {cut}")
-    flats = (stack.reshape(len(chains), -1) for _, stack in _images(state, chains))
-    return sum(flat.conj() @ flat.T for flat in flats)
+    gram = np.zeros((len(chains), len(chains)), dtype=complex)
+    for _, stack, group in _images(state, chains):
+        flat = stack.reshape(len(chains), -1)
+        gram += np.where(group[:, None] == group, flat.conj() @ flat.T, 0.0)
+    return gram
 
 
 def coherence_function(

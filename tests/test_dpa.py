@@ -3,13 +3,19 @@
 import dataclasses
 import gc
 import math
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import hopslab
 from hopslab import fock
 from hopslab.dpa import (
     EVOLUTION_MARGIN,
@@ -237,6 +243,65 @@ def test_slabs_pad_only_to_their_own_longest_sector(make_state):
         # 3.96 MB when every slab was cut from one stack padded to the
         # longest populated sector
         assert sum(stack.columns.nbytes for stack in slabs) < 2.5e6
+
+
+def _full_support_vector(cut):
+    v = np.random.default_rng(4).standard_normal(2 * cut.dim).view(complex)
+    return QuantumState.from_vector(cut, v / np.linalg.norm(v))
+
+
+@pytest.mark.parametrize("make_state", [
+    lambda: thermal_state(FockCutoff(24, 24), 0.5, 0.5),
+    lambda: thermal_state(FockCutoff(40, 40), 0.5, 0.5),
+    lambda: thermal_state(FockCutoff(64, 64), 0.5, 0.5),
+    lambda: _full_support_vector(FockCutoff(64, 64)),
+], ids=["thermal-d24", "thermal-d40", "thermal-d64", "vector-d64"])
+def test_slab_arrays_stay_under_the_mmap_threshold(make_state):
+    # glibc maps an allocation of 128 KiB or more, its 8-byte header
+    # included, afresh and unmaps it on free; a slab's columns and the
+    # row temporaries of its shape stay under that (252 KiB at d = 24
+    # with 2**14 entries per slab). One sector has no smaller cut.
+    for stack in make_state().blocks:
+        if stack.delta.size > 1:
+            assert stack.columns.nbytes + 8 < 128 * 1024
+
+
+@pytest.mark.skipif(
+    not (sys.platform.startswith("linux") and platform.libc_ver()[0] == "glibc"),
+    reason="the 128 KiB mmap threshold is glibc's")
+@pytest.mark.parametrize("d", [24, 40])
+def test_thermal_rows_fault_no_pages(d):
+    """Warm thermal oracle rows take their temporaries from the heap.
+
+    The threshold is glibc's malloc default, 128 KiB, under which an
+    allocation comes from the heap rather than a fresh mmap; a fresh
+    interpreter starts from it, with no malloc tunables set. With 2**14
+    entries per slab each row faulted in 126 pages at d = 24 and 485
+    at d = 40 (`ru_minflt`). Now a row maps nothing, but in some process
+    layouts free still returns the heap's top to the system between
+    rows (63 pages per row at d = 40, none at d = 24), so the bound sits
+    between the two regimes.
+    """
+    source = str(Path(hopslab.__file__).resolve().parents[1])
+    env = {key: value for key, value in os.environ.items()
+           if not key.startswith(("MALLOC_", "GLIBC_TUNABLES"))}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [source, os.environ.get("PYTHONPATH")]))
+    probe = ("import resource\n"
+             "from hopslab.dpa import DpaConfig, oracle_moments\n"
+             "from hopslab.fock import FockCutoff\n"
+             "from hopslab.squeezing import thermal_state\n"
+             f"state = thermal_state(FockCutoff({d}, {d}), 0.5, 0.5)\n"
+             "configs = [DpaConfig(kt=0.01 * k) for k in range(23)]\n"
+             "for config in configs[:3]:\n"
+             "    oracle_moments(state, config)\n"
+             "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+             "for config in configs[3:]:\n"
+             "    oracle_moments(state, config)\n"
+             "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)")
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, check=True)
+    assert int(result.stdout) / 20 < 100
 
 
 @pytest.mark.parametrize("make_state", [
